@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import sys
 
 import numpy as np
@@ -19,8 +18,7 @@ from .degeneracy import DegeneracyParams, detect, spectrum
 from .errors import DataError, NumericalError
 from .evaluate import ate, map_accuracy, map_completeness, rpe, rpe_per_meter
 from .geometry import Pose
-from .pipeline import (_degeneracy_dict, emit_reports, load_map,
-                       load_sequence, run)
+from .pipeline import emit_reports, load_map, load_sequence, run
 from .registration import RegistrationParams, align, reference_hessian
 from .synth import generate, load_scene_spec, write_sequence
 
@@ -96,24 +94,12 @@ def _cmd_degeneracy_report(args) -> int:
     tx, ty, tz, qx, qy, qz, qw = args.pose
     pose = Pose(mio.quaternion_to_rotation(qx, qy, qz, qw),
                 np.array([tx, ty, tz]))
-    reg = cfg["registration"]
     result = align(scan.points, prior_map.index, pose,
-                   RegistrationParams(
-                       max_correspondence_distance=reg[
-                           "max_correspondence_distance"],
-                       max_iterations=reg["max_iterations"],
-                       convergence_threshold=reg["convergence_threshold"],
-                       kernel_width=reg["kernel_width"]),
+                   RegistrationParams(**cfg["registration"]),
                    workers=cfg["threads"])
-    deg = cfg["degeneracy"]
-    threshold = deg["d_e_threshold"]
     report = detect(result, spectrum(reference_hessian(result.correspondences)),
-                    DegeneracyParams(
-                        d_e_threshold=(math.inf if threshold is None
-                                       else threshold),
-                        s_thres=deg["s_thres"],
-                        min_correspondences=deg["min_correspondences"]))
-    out = _degeneracy_dict(report)
+                    DegeneracyParams.from_config(cfg["degeneracy"]))
+    out = report.as_dict()
     out["residual_rms"] = float(result.residual_rms)
     out["iterations"] = int(result.iterations)
     out["converged"] = bool(result.converged)

@@ -2,7 +2,8 @@
 
 Stage 1 scores the disagreement between the measured registration
 spectrum and a reference spectrum of the local map geometry; a large score
-rejects the frame outright. Stage 2 counts the translational constraints
+rejects the frame outright, unless the spectrum is rank-deficient and stage
+2 masks an axis. Stage 2 counts the translational constraints
 each correspondence contributes per world axis and flags the starved axis
 when the count imbalance crosses a ratio threshold, so the corresponding
 residual rows can be masked instead of dropping the whole factor.
@@ -28,6 +29,15 @@ class DegeneracyParams:
     d_e_threshold: float = math.inf  # stage-1 reject above this
     s_thres: float = 3.0             # stage-2 count-ratio threshold
     min_correspondences: int = 100
+
+    @classmethod
+    def from_config(cls, section):
+        """Params from the config's degeneracy section; a null threshold
+        (not calibrated yet) rejects nothing on d_e."""
+        threshold = section["d_e_threshold"]
+        return cls(d_e_threshold=math.inf if threshold is None else threshold,
+                   s_thres=section["s_thres"],
+                   min_correspondences=section["min_correspondences"])
 
     def validate(self):
         if not self.d_e_threshold > 0:
@@ -66,12 +76,22 @@ class DegeneracyReport:
     axis_counts: tuple      # (N_x, N_y, N_z)
     ratios: tuple           # (s_x, s_y, s_z), min is 1 by construction
     degenerate_axes: tuple  # axis indices, ascending
-    stage1_reject: bool
+    stage1_reject: bool     # the map factor is dropped
     num_correspondences: int
 
     def axis_mask(self):
         """Boolean per-axis degeneracy mask (x, y, z)."""
         return tuple(i in self.degenerate_axes for i in range(3))
+
+    def as_dict(self):
+        return {
+            "d_e": float(self.d_e),
+            "axis_counts": [int(c) for c in self.axis_counts],
+            "ratios": [float(r) for r in self.ratios],
+            "degenerate_axes": [int(a) for a in self.degenerate_axes],
+            "stage1_reject": bool(self.stage1_reject),
+            "num_correspondences": int(self.num_correspondences),
+        }
 
 
 def spectrum(hessian) -> Spectrum:
@@ -138,7 +158,10 @@ def detect(align_result: AlignResult, reference: Spectrum,
 
     Stage 2 (counts, ratios, flagged axes) is always computed so reports can
     carry it; when stage1_reject is set the caller drops the map factor and
-    the axis flags are advisory only.
+    the axis flags are advisory only. An exactly rank-deficient scan (a
+    perfect corridor) puts a zero eigenvalue in the spectrum and d_e takes
+    its +inf sentinel; when stage 2 flags an axis, the mask removes that
+    null direction and the factor is kept on the constrained axes.
     """
     params.validate()
     corrs = align_result.correspondences
@@ -152,6 +175,7 @@ def detect(align_result: AlignResult, reference: Spectrum,
         n_min = min(counts)
         degenerate = tuple(i for i in range(3) if counts[i] == n_min)
     stage1_reject = (len(corrs) < params.min_correspondences
-                     or d_e > params.d_e_threshold)
+                     or (d_e > params.d_e_threshold
+                         and not (math.isinf(d_e) and degenerate)))
     return DegeneracyReport(d_e, counts, ratios, degenerate, stage1_reject,
                             len(corrs))

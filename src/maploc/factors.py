@@ -288,20 +288,30 @@ def _check_information(info, dim):
     return info
 
 
+class _Factor:
+    """The contract every factor keeps with the graph.
+
+    ``information`` is the dim x dim weight of the residual, validated once
+    here; ``indices`` names the states the factor touches, taken from its
+    ``index`` field or its ``i``/``j`` pair. Subclasses are frozen
+    dataclasses that define ``residual`` and ``linearize``.
+    """
+
+    dim = 6
+
+    def __post_init__(self):
+        object.__setattr__(self, "information",
+                           _check_information(self.information, self.dim))
+        object.__setattr__(self, "indices", (self.i, self.j)
+                           if hasattr(self, "j") else (self.index,))
+
+
 @dataclass(frozen=True)
-class PriorFactor:
+class PriorFactor(_Factor):
     kind = "prior"
     index: int
     prior: Pose
     information: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 6))
-
-    @property
-    def indices(self):
-        return (self.index,)
 
     def residual(self, states, gravity):
         return log_map(compose(inverse(self.prior), states[self.index].pose))
@@ -314,20 +324,12 @@ class PriorFactor:
 
 
 @dataclass(frozen=True)
-class OdometryFactor:
+class OdometryFactor(_Factor):
     kind = "odometry"
     i: int
     j: int
     measurement: Pose  # relative pose of j in i
     information: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 6))
-
-    @property
-    def indices(self):
-        return (self.i, self.j)
 
     def residual(self, states, gravity):
         return odometry_error(states[self.i].pose, states[self.j].pose,
@@ -345,19 +347,11 @@ class OdometryFactor:
 
 
 @dataclass(frozen=True)
-class NoMotionFactor:
+class NoMotionFactor(_Factor):
     kind = "no_motion"
     i: int
     j: int
     information: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 6))
-
-    @property
-    def indices(self):
-        return (self.i, self.j)
 
     def residual(self, states, gravity):
         return no_motion_error(states[self.i].pose, states[self.j].pose)
@@ -373,26 +367,23 @@ class NoMotionFactor:
 
 
 @dataclass(frozen=True)
-class MapFactor:
+class MapFactor(_Factor):
     kind = "map"
     index: int
     map_pose: Pose
-    information: np.ndarray  # full 6x6 registration Hessian
+    # the full 6x6 registration Hessian; kept as its block over the rows
+    # that survive the mask, which is what weights the residual
+    information: np.ndarray
     mask: tuple = ()         # degenerate translational axes to drop
 
     def __post_init__(self):
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 6))
-        object.__setattr__(self, "mask", tuple(sorted(set(self.mask))))
-
-    @property
-    def indices(self):
-        return (self.index,)
-
-    @property
-    def masked_information(self):
-        keep = _mask_rows(self.mask)
-        return self.information[np.ix_(keep, keep)]
+        super().__post_init__()
+        mask = tuple(sorted(set(self.mask)))
+        keep = _mask_rows(mask)
+        info = self.information[np.ix_(keep, keep)]
+        info.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "information", info)
 
     def residual(self, states, gravity):
         return map_error(states[self.index].pose, self.map_pose, self.mask)
@@ -407,22 +398,18 @@ class MapFactor:
 
 
 @dataclass(frozen=True)
-class GravityFactor:
+class GravityFactor(_Factor):
     kind = "gravity"
+    dim = 4
     index: int
     a_mean: np.ndarray  # bias-corrected mean specific force, body frame
     information: np.ndarray
 
     def __post_init__(self):
+        super().__post_init__()
         a_mean = np.ascontiguousarray(self.a_mean, dtype=float)
         a_mean.flags.writeable = False
         object.__setattr__(self, "a_mean", a_mean)
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 4))
-
-    @property
-    def indices(self):
-        return (self.index,)
 
     def residual(self, states, gravity):
         return gravity_error(states[self.index].pose.rotation, gravity, self.a_mean)
@@ -443,18 +430,11 @@ class GravityFactor:
 
 
 @dataclass(frozen=True)
-class ZeroVelocityFactor:
+class ZeroVelocityFactor(_Factor):
     kind = "zero_velocity"
+    dim = 3
     index: int
     information: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 3))
-
-    @property
-    def indices(self):
-        return (self.index,)
 
     def residual(self, states, gravity):
         return zero_velocity_error(states[self.index].velocity)
@@ -466,19 +446,11 @@ class ZeroVelocityFactor:
 
 
 @dataclass(frozen=True)
-class BiasWalkFactor:
+class BiasWalkFactor(_Factor):
     kind = "bias_walk"
     i: int
     j: int
     information: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 6))
-
-    @property
-    def indices(self):
-        return (self.i, self.j)
 
     def residual(self, states, gravity):
         return np.concatenate([
@@ -497,7 +469,7 @@ class BiasWalkFactor:
 
 
 @dataclass(frozen=True)
-class BiasPriorFactor:
+class BiasPriorFactor(_Factor):
     """Absolute anchor on one state's IMU biases.
 
     The walk factors only chain consecutive biases; without one absolute
@@ -512,16 +484,11 @@ class BiasPriorFactor:
     information: np.ndarray  # 6x6 over [b_a; b_g]
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "accel_bias",
                            np.asarray(self.accel_bias, dtype=float).copy())
         object.__setattr__(self, "gyro_bias",
                            np.asarray(self.gyro_bias, dtype=float).copy())
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 6))
-
-    @property
-    def indices(self):
-        return (self.index,)
 
     def residual(self, states, gravity):
         state = states[self.index]
@@ -536,7 +503,7 @@ class BiasPriorFactor:
 
 
 @dataclass(frozen=True)
-class ImuFactor:
+class ImuFactor(_Factor):
     """Preintegrated IMU constraint between consecutive states, 9-dim.
 
     Residual [r_rot; r_vel; r_pos] compares the predicted motion of state j
@@ -546,63 +513,50 @@ class ImuFactor:
     """
 
     kind = "imu"
+    dim = 9
     i: int
     j: int
     preint: Preintegration
     information: np.ndarray
     gravity_magnitude: float = 9.81
 
-    def __post_init__(self):
-        object.__setattr__(self, "information",
-                           _check_information(self.information, 9))
-
-    @property
-    def indices(self):
-        return (self.i, self.j)
-
-    def _corrected(self, state_i):
+    def _terms(self, states, gravity):
+        """The residual, plus the bias-corrected delta rotation, the gyro
+        bias change and the world-frame velocity and position differences
+        (gravity removed) that the Jacobian reuses."""
+        si, sj = states[self.i], states[self.j]
         p = self.preint
-        db_a = state_i.accel_bias - p.accel_bias
-        db_g = state_i.gyro_bias - p.gyro_bias
+        db_a = si.accel_bias - p.accel_bias
+        db_g = si.gyro_bias - p.gyro_bias
         d_rot = p.delta_rotation @ so3_exp(p.j_r_bg @ db_g)
         dt = p.duration
         d_vel = p.delta_velocity - p.gravity * dt + p.j_v_ba @ db_a + p.j_v_bg @ db_g
         d_pos = (p.delta_position - 0.5 * p.gravity * dt * dt
                  + p.j_p_ba @ db_a + p.j_p_bg @ db_g)
-        return d_rot, d_vel, d_pos, db_g
+        g_world = np.asarray(gravity, dtype=float) * self.gravity_magnitude
+        rit = si.pose.rotation.T
+        w_vec = sj.velocity - si.velocity - g_world * dt
+        u_vec = (sj.pose.translation - si.pose.translation
+                 - si.velocity * dt - 0.5 * g_world * dt * dt)
+        r = np.concatenate([so3_log(d_rot.T @ rit @ sj.pose.rotation),
+                            rit @ w_vec - d_vel, rit @ u_vec - d_pos])
+        return r, d_rot, db_g, w_vec, u_vec
 
     def residual(self, states, gravity):
-        si, sj = states[self.i], states[self.j]
-        d_rot, d_vel, d_pos, _ = self._corrected(si)
-        dt = self.preint.duration
-        g_world = np.asarray(gravity, dtype=float) * self.gravity_magnitude
-        ri = si.pose.rotation
-        r_rot = so3_log(d_rot.T @ ri.T @ sj.pose.rotation)
-        r_vel = ri.T @ (sj.velocity - si.velocity - g_world * dt) - d_vel
-        r_pos = ri.T @ (sj.pose.translation - si.pose.translation
-                        - si.velocity * dt - 0.5 * g_world * dt * dt) - d_pos
-        return np.concatenate([r_rot, r_vel, r_pos])
+        return self._terms(states, gravity)[0]
 
     def linearize(self, states, gravity):
+        r, d_rot, db_g, w_vec, u_vec = self._terms(states, gravity)
         si, sj = states[self.i], states[self.j]
         p = self.preint
-        d_rot, d_vel, d_pos, db_g = self._corrected(si)
         dt = p.duration
         g_mag = self.gravity_magnitude
-        g_world = np.asarray(gravity, dtype=float) * g_mag
         ri = si.pose.rotation
         rit = ri.T
         ti = si.pose.translation
         tj = sj.pose.translation
 
-        r_rot = so3_log(d_rot.T @ rit @ sj.pose.rotation)
-        w_vec = sj.velocity - si.velocity - g_world * dt
-        u_vec = tj - ti - si.velocity * dt - 0.5 * g_world * dt * dt
-        r_vel = rit @ w_vec - d_vel
-        r_pos = rit @ u_vec - d_pos
-        r = np.concatenate([r_rot, r_vel, r_pos])
-
-        jl_inv = so3_left_jacobian_inv(r_rot)
+        jl_inv = so3_left_jacobian_inv(r[0:3])
         c_mat = (ri @ d_rot).T  # (R_i * corrected_delta)^T
         # d r_rot / d b_g through the corrected delta rotation
         bias_rot = so3_right_jacobian(p.j_r_bg @ db_g) @ p.j_r_bg

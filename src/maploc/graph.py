@@ -44,9 +44,13 @@ class OptimizeResult:
     records: list
 
 
-def _effective_information(factor):
-    # masked map factors weight the reduced residual
-    return getattr(factor, "masked_information", factor.information)
+def _cost(factors, states, gravity) -> float:
+    """0.5 * sum of r^T W r over the factors, W being each one's information."""
+    total = 0.0
+    for f in factors:
+        r = f.residual(states, gravity)
+        total += 0.5 * float(r @ (f.information @ r))
+    return total
 
 
 def _check_finite(factor, residual, blocks, g_block):
@@ -78,13 +82,6 @@ class FactorGraph:
                     f"graph has {len(self.states)}")
         self.factors.append(factor)
 
-    def cost(self, factors=None) -> float:
-        total = 0.0
-        for f in self.factors if factors is None else factors:
-            r = f.residual(self.states, self.gravity)
-            total += 0.5 * float(r @ (_effective_information(f) @ r))
-        return total
-
     def optimize(self, free=None, max_iterations=MAX_ITERATIONS) -> OptimizeResult:
         if not self.states:
             raise NotAnchored("graph has no states")
@@ -96,7 +93,7 @@ class FactorGraph:
                 if not 0 <= i < len(self.states):
                     raise IndexOutOfRange(f"free index {i} out of range")
         if not free_set:
-            c = self.cost()
+            c = _cost(self.factors, self.states, self.gravity)
             return OptimizeResult(c, c, 0, True, [])
         if len(free_set) == len(self.states) \
                 and not any(f.kind == "prior" for f in self.factors):
@@ -109,13 +106,7 @@ class FactorGraph:
         # Gravity becomes a variable only when a factor that measures it is
         # active. IMU factors couple to gravity but cannot anchor it: with
         # biases free the pair is a gauge and both would drift together.
-        use_gravity = False
-        if any(f.kind == "gravity" for f in active):
-            for f in active:
-                _, _, g_block = f.linearize(self.states, self.gravity)
-                if g_block is not None:
-                    use_gravity = True
-                    break
+        use_gravity = any(f.kind == "gravity" for f in active)
         n_cols = STATE_DIM * len(free_order) + (3 if use_gravity else 0)
         grav_col = STATE_DIM * len(free_order)
 
@@ -129,7 +120,7 @@ class FactorGraph:
             for f in active:
                 r, blocks, g_block = f.linearize(states, gravity)
                 _check_finite(f, r, blocks, g_block)
-                info = _effective_information(f)
+                info = f.information
                 wr = info @ r
                 cost += 0.5 * float(r @ wr)
                 parts = [(col_of[i], jac) for i, jac in blocks.items()
@@ -153,13 +144,6 @@ class FactorGraph:
             else:
                 h = sparse.csr_matrix((n_cols, n_cols))
             return h, b, cost
-
-        def total_cost(st, g):
-            c = 0.0
-            for f in active:
-                r = f.residual(st, g)
-                c += 0.5 * float(r @ (_effective_information(f) @ r))
-            return c
 
         def apply_step(delta):
             new_states = list(states)
@@ -197,7 +181,7 @@ class FactorGraph:
                     continue
                 solver_produced_step = True
                 trial_states, trial_gravity = apply_step(delta)
-                trial_cost = total_cost(trial_states, trial_gravity)
+                trial_cost = _cost(active, trial_states, trial_gravity)
                 if np.isfinite(trial_cost) and trial_cost < cost:
                     states, gravity = trial_states, trial_gravity
                     step_norm = float(np.abs(delta).max())
@@ -243,8 +227,3 @@ class FactorGraph:
         if window and window > 0:
             free = range(max(0, len(self.states) - window), len(self.states))
         return self.optimize(free=free, max_iterations=max_iterations)
-
-
-def solve_incremental(graph: FactorGraph, state: StateNode, factors,
-                      window: int = 0, **kwargs) -> OptimizeResult:
-    return graph.solve_incremental(state, factors, window, **kwargs)

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .degeneracy import DegeneracyParams, DegeneracyReport, detect, spectrum
+from .degeneracy import DegeneracyParams, detect, spectrum
 from .errors import (EmptyCloud, InitializationFailure, MaplocError,
                      NoMatches, ParseError)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
@@ -153,17 +153,6 @@ def _diag_info(rot_sigma, trans_sigma):
     return np.diag([1.0 / rot_sigma ** 2] * 3 + [1.0 / trans_sigma ** 2] * 3)
 
 
-def _degeneracy_dict(report: DegeneracyReport) -> dict:
-    return {
-        "d_e": float(report.d_e),
-        "axis_counts": [int(c) for c in report.axis_counts],
-        "ratios": [float(r) for r in report.ratios],
-        "degenerate_axes": [int(a) for a in report.degenerate_axes],
-        "stage1_reject": bool(report.stage1_reject),
-        "num_correspondences": int(report.num_correspondences),
-    }
-
-
 def _imu_information(covariance, weight):
     info = weight * np.linalg.inv(covariance + 1e-12 * np.eye(9))
     return 0.5 * (info + info.T)
@@ -185,18 +174,15 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
     threads = cfg["threads"]
     gravity_mag = cfg["imu"]["gravity_magnitude"]
 
-    reg_cfg = cfg["registration"]
-    reg_params = RegistrationParams(
-        max_correspondence_distance=reg_cfg["max_correspondence_distance"],
-        max_iterations=reg_cfg["max_iterations"],
-        convergence_threshold=reg_cfg["convergence_threshold"],
-        kernel_width=reg_cfg["kernel_width"])
+    reg_params = RegistrationParams(**cfg["registration"])
     zupt_params = ZuptParams(
         min_duration=cfg["zupt"]["min_duration"],
         accel_std_threshold=cfg["zupt"]["accel_std_threshold"],
         gyro_mean_threshold=cfg["zupt"]["gyro_mean_threshold"])
     deg_cfg = cfg["degeneracy"]
-    d_e_threshold = deg_cfg["d_e_threshold"]  # None: calibrate on first frame
+    deg_params = DegeneracyParams.from_config(deg_cfg)
+    # a null threshold is calibrated on the first frame with a finite d_e
+    calibrate = deg_cfg["d_e_threshold"] is None
     fac = cfg["factors"]
     prior_info = _diag_info(fac["prior_rot_sigma"], fac["prior_trans_sigma"])
     odom_info = _diag_info(fac["odom_rot_sigma"], fac["odom_trans_sigma"])
@@ -274,34 +260,20 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
                         f"initial registration residual "
                         f"{result.residual_rms:.3f} m exceeds "
                         f"{INIT_RESIDUAL_LIMIT} m")
-                params = DegeneracyParams(
-                    d_e_threshold=(math.inf if d_e_threshold is None
-                                   else d_e_threshold),
-                    s_thres=deg_cfg["s_thres"],
-                    min_correspondences=deg_cfg["min_correspondences"])
                 reference = spectrum(reference_hessian(result.correspondences))
-                report = detect(result, reference, params)
+                report = detect(result, reference, deg_params)
                 frame["residual_rms"] = float(result.residual_rms)
                 frame["correspondences"] = len(result.correspondences)
-                frame["degeneracy"] = _degeneracy_dict(report)
-                if (d_e_threshold is None and not report.stage1_reject
+                frame["degeneracy"] = report.as_dict()
+                if (calibrate and not report.stage1_reject
                         and math.isfinite(report.d_e)):
-                    d_e_threshold = max(
+                    calibrate = False
+                    deg_params = replace(deg_params, d_e_threshold=max(
                         deg_cfg["auto_threshold_scale"] * report.d_e,
-                        AUTO_THRESHOLD_FLOOR)
+                        AUTO_THRESHOLD_FLOOR))
                     logger.info("degeneracy threshold calibrated to %.3g",
-                                d_e_threshold)
-                # An exactly rank-deficient scan (a perfect corridor) puts a
-                # zero eigenvalue in the spectrum and the misalignment metric
-                # returns its +inf sentinel. When the null direction is a
-                # translational axis the mask removes it, so the factor is
-                # still usable on the constrained axes.
-                usable = not report.stage1_reject or (
-                    math.isinf(report.d_e)
-                    and report.degenerate_axes
-                    and len(result.correspondences)
-                    >= deg_cfg["min_correspondences"])
-                if usable:
+                                deg_params.d_e_threshold)
+                if not report.stage1_reject:
                     info = fac["map_weight"] * result.hessian
                     factors.append(MapFactor(index, result.pose, info,
                                              mask=report.degenerate_axes))

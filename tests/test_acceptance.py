@@ -339,6 +339,9 @@ def test_criterion_04_drift_elimination():
                    f"{ate_opt:.3f} cm = {100 * ratio:.1f}% of dead-reckoned "
                    f"{ate_dead:.3f} cm (< 10%), z-RMSE {z_rmse_cm:.3f} cm "
                    f"(< 2 cm) ({elapsed:.1f}s < 300s)")
+    # the report never calls a frame rejected whose map factor was added
+    assert not any(f["map_factor_added"] and f["degeneracy"]["stage1_reject"]
+                   for f in opt.frames)
 
 
 # ---------------------------------------------------------------------------

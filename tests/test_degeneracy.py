@@ -257,6 +257,26 @@ class TestDetect:
         # stage-2 classification still present
         assert report.degenerate_axes == (0,)
 
+    def test_rank_deficient_kept_only_when_masked(self, rng):
+        # x translation unconstrained: a zero eigenvalue puts d_e at +inf
+        singular = np.diag([1.0, 1.0, 1.0, 0.0, 1.0, 1.0])
+        params = DegeneracyParams(d_e_threshold=1e12)
+        corridor = self.corridor_corrs(rng, n_end=0)
+        report = detect(AlignResult(Pose.identity(), singular, 0.0, corridor,
+                                    1, True), random_spectrum(rng), params)
+        assert report.d_e == math.inf
+        assert report.degenerate_axes == (0,)
+        assert not report.stage1_reject
+
+        balanced = make_corrs(np.vstack([np.tile([1.0, 0, 0], (150, 1)),
+                                         np.tile([0.0, 1, 0], (130, 1)),
+                                         np.tile([0.0, 0, 1], (170, 1))]))
+        report = detect(AlignResult(Pose.identity(), singular, 0.0, balanced,
+                                    1, True), random_spectrum(rng), params)
+        assert report.d_e == math.inf
+        assert report.degenerate_axes == ()
+        assert report.stage1_reject
+
     def test_constraint_removal_monotonicity(self, rng):
         with_ends = self.corridor_corrs(rng, n_end=30)
         counts_with = classify_constraints(with_ends)

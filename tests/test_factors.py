@@ -475,8 +475,8 @@ class TestFactorJacobians:
         info = info @ info.T
         f = MapFactor(0, random_pose(rng), info, mask=(1,))
         expected = np.delete(np.delete(info, 4, axis=0), 4, axis=1)
-        assert np.allclose(f.masked_information, expected)
-        assert f.masked_information.shape == (5, 5)
+        assert np.allclose(f.information, expected)
+        assert f.information.shape == (5, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,10 @@ from maploc.geometry import (
     between,
     compose,
     exp_map,
+    inverse,
     log_map,
 )
-from maploc.graph import FactorGraph, solve_incremental
+from maploc.graph import FactorGraph
 
 from conftest import random_pose, random_twist
 
@@ -185,6 +186,36 @@ class TestBatchSolve:
         graph.optimize(free=[1, 2, 3])
         assert np.array_equal(graph.states[0].pose.matrix(), before)
 
+    def test_no_free_state_returns_cost_unchanged(self, rng):
+        gt = chain_poses(4)
+        rels = [compose(exp_map(random_twist(rng, 0.05, 0.1)),
+                        between(gt[k], gt[k + 1])) for k in range(3)]
+        init = [perturbed(p, rng) for p in gt]
+        graph = build_chain_graph(gt, rels, init)
+        a = rng.normal(size=(6, 6))
+        map_info = a @ a.T + np.eye(6)
+        map_pose = perturbed(gt[2], rng)
+        graph.add_factor(MapFactor(2, map_pose, map_info, mask=(1,)))
+        states = list(graph.states)
+        gravity = graph.gravity.copy()
+
+        r_prior = log_map(compose(inverse(gt[0]), init[0]))
+        expected = 0.5 * 1e6 * float(r_prior @ r_prior)
+        for k, rel in enumerate(rels):
+            r = log_map(compose(inverse(rel), between(init[k], init[k + 1])))
+            expected += 0.5 * 1e4 * float(r @ r)
+        # the y-translation row and column are masked out
+        r_map = np.delete(log_map(between(map_pose, init[2])), 4)
+        w_map = np.delete(np.delete(map_info, 4, axis=0), 4, axis=1)
+        expected += 0.5 * float(r_map @ w_map @ r_map)
+
+        result = graph.optimize(free=[])
+        assert result.iterations == 0 and result.records == []
+        assert result.initial_cost == result.final_cost
+        assert result.final_cost == pytest.approx(expected, rel=1e-12)
+        assert all(a is b for a, b in zip(graph.states, states))
+        assert np.array_equal(graph.gravity, gravity)
+
 
 class TestErrors:
     def test_not_anchored(self, rng):
@@ -240,8 +271,8 @@ class TestIncremental:
         inc.add_factor(PriorFactor(0, gt[0], 1e6 * np.eye(6)))
         inc.optimize()
         for k in range(1, 12):
-            solve_incremental(
-                inc, StateNode.at(init[k], 0.1 * k),
+            inc.solve_incremental(
+                StateNode.at(init[k], 0.1 * k),
                 [OdometryFactor(k - 1, k, rels[k - 1], 1e4 * np.eye(6))],
                 window=3)
         inc.optimize()  # final full batch
@@ -256,8 +287,8 @@ class TestIncremental:
         graph.add_state(StateNode.at(perturbed(gt[0], rng), 0.0))
         graph.add_factor(PriorFactor(0, gt[0], 1e6 * np.eye(6)))
         for k in range(1, 5):
-            result = solve_incremental(
-                graph, StateNode.at(perturbed(gt[k], rng), 0.1 * k),
+            result = graph.solve_incremental(
+                StateNode.at(perturbed(gt[k], rng), 0.1 * k),
                 [OdometryFactor(k - 1, k, rels[k - 1], 1e4 * np.eye(6))],
                 window=0)
         assert result.converged
