@@ -278,6 +278,20 @@ def preintegrate(samples, accel_bias, gyro_bias, gravity,
 # ---------------------------------------------------------------------------
 # factor classes
 
+def _pose_jacobian(r, reference: Pose):
+    """Jacobian of r = log(reference^-1 * pose) w.r.t. the state's left
+    pose perturbation: J^-1(r) Ad(reference^-1) in the pose columns."""
+    jac = np.zeros((6, STATE_DIM))
+    jac[:, :6] = se3_left_jacobian_inv(r) @ se3_adjoint(inverse(reference))
+    return jac
+
+
+# Jacobian of [b_a; b_g] w.r.t. a state (identity on its bias columns),
+# shared by the bias factors
+_BIAS_JACOBIAN = np.eye(6, STATE_DIM, BA.start)
+_BIAS_JACOBIAN.flags.writeable = False
+
+
 def _check_information(info, dim):
     info = np.ascontiguousarray(info, dtype=float)
     if info.shape != (dim, dim):
@@ -318,9 +332,7 @@ class PriorFactor(_Factor):
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
-        jac = np.zeros((6, STATE_DIM))
-        jac[:, :6] = se3_left_jacobian_inv(r) @ se3_adjoint(inverse(self.prior))
-        return r, {self.index: jac}, None
+        return r, {self.index: _pose_jacobian(r, self.prior)}, None
 
 
 @dataclass(frozen=True)
@@ -337,13 +349,8 @@ class OdometryFactor(_Factor):
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
-        core = se3_left_jacobian_inv(r) @ se3_adjoint(
-            inverse(compose(states[self.i].pose, self.measurement)))
-        jac_i = np.zeros((6, STATE_DIM))
-        jac_j = np.zeros((6, STATE_DIM))
-        jac_i[:, :6] = -core
-        jac_j[:, :6] = core
-        return r, {self.i: jac_i, self.j: jac_j}, None
+        jac = _pose_jacobian(r, compose(states[self.i].pose, self.measurement))
+        return r, {self.i: -jac, self.j: jac}, None
 
 
 @dataclass(frozen=True)
@@ -358,12 +365,8 @@ class NoMotionFactor(_Factor):
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
-        core = se3_left_jacobian_inv(r) @ se3_adjoint(inverse(states[self.i].pose))
-        jac_i = np.zeros((6, STATE_DIM))
-        jac_j = np.zeros((6, STATE_DIM))
-        jac_i[:, :6] = -core
-        jac_j[:, :6] = core
-        return r, {self.i: jac_i, self.j: jac_j}, None
+        jac = _pose_jacobian(r, states[self.i].pose)
+        return r, {self.i: -jac, self.j: jac}, None
 
 
 @dataclass(frozen=True)
@@ -390,10 +393,8 @@ class MapFactor(_Factor):
 
     def linearize(self, states, gravity):
         full = log_map(between(self.map_pose, states[self.index].pose))
-        jac_full = se3_left_jacobian_inv(full) @ se3_adjoint(inverse(self.map_pose))
         keep = _mask_rows(self.mask)
-        jac = np.zeros((len(keep), STATE_DIM))
-        jac[:, :6] = jac_full[keep]
+        jac = _pose_jacobian(full, self.map_pose)[keep]
         return full[keep], {self.index: jac}, None
 
 
@@ -459,13 +460,8 @@ class BiasWalkFactor(_Factor):
         ])
 
     def linearize(self, states, gravity):
-        jac_i = np.zeros((6, STATE_DIM))
-        jac_j = np.zeros((6, STATE_DIM))
-        jac_i[0:3, BA] = -np.eye(3)
-        jac_i[3:6, BG] = -np.eye(3)
-        jac_j[0:3, BA] = np.eye(3)
-        jac_j[3:6, BG] = np.eye(3)
-        return self.residual(states, gravity), {self.i: jac_i, self.j: jac_j}, None
+        return (self.residual(states, gravity),
+                {self.i: -_BIAS_JACOBIAN, self.j: _BIAS_JACOBIAN}, None)
 
 
 @dataclass(frozen=True)
@@ -496,10 +492,7 @@ class BiasPriorFactor(_Factor):
                                state.gyro_bias - self.gyro_bias])
 
     def linearize(self, states, gravity):
-        jac = np.zeros((6, STATE_DIM))
-        jac[0:3, BA] = np.eye(3)
-        jac[3:6, BG] = np.eye(3)
-        return self.residual(states, gravity), {self.index: jac}, None
+        return self.residual(states, gravity), {self.index: _BIAS_JACOBIAN}, None
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,10 @@ from .errors import EmptyCloud
 # Taylor series to avoid 0/0.
 SMALL_ANGLE = 1e-8
 
+# Below this rotation angle the SE(3) Jacobian's coupling block switches to
+# its Taylor series; its closed form loses ~eps/angle^2 to cancellation.
+SE3_TAYLOR_ANGLE = 1e-2
+
 # Angles within this margin of pi take the axis-extraction branch of the log.
 PI_ANGLE_MARGIN = 1e-6
 
@@ -121,10 +125,6 @@ def so3_right_jacobian(rotvec):
     return so3_left_jacobian(-np.asarray(rotvec, dtype=float))
 
 
-def so3_right_jacobian_inv(rotvec):
-    return so3_left_jacobian_inv(-np.asarray(rotvec, dtype=float))
-
-
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform: rotation (3,3) + translation (3,)."""
@@ -203,33 +203,33 @@ def se3_adjoint(pose: Pose):
     return ad
 
 
-def _se3_ad(twist):
-    """Little adjoint of a twist (ad matrix), [rot; trans] ordering."""
+def se3_left_jacobian_inv(twist):
+    """Inverse left Jacobian of SE(3), [[J^-1, 0], [-J^-1 Q J^-1, J^-1]].
+
+    J is the SO(3) left Jacobian of the rotation part and Q the coupling
+    block of Barfoot & Furgale (2014); below SE3_TAYLOR_ANGLE Q's
+    coefficients take their Taylor series, whose closed forms cancel.
+    """
+    angle = float(np.linalg.norm(twist[:3]))
+    if angle < SE3_TAYLOR_ANGLE:
+        a2 = angle * angle
+        c1, c2, c3 = 1 / 6 - a2 / 120, 1 / 24 - a2 / 720, 1 / 120 - a2 / 2520
+    else:
+        sin, cos = math.sin(angle), math.cos(angle)
+        c1 = (angle - sin) / angle ** 3
+        c2 = (angle * angle + 2.0 * cos - 2.0) / (2.0 * angle ** 4)
+        c3 = (2.0 * angle - 3.0 * sin + angle * cos) / (2.0 * angle ** 5)
     w = skew(twist[:3])
     p = skew(twist[3:])
-    ad = np.zeros((6, 6))
-    ad[:3, :3] = w
-    ad[3:, :3] = p
-    ad[3:, 3:] = w
-    return ad
-
-
-def se3_left_jacobian(twist):
-    """Left Jacobian of SE(3) via the ad-series sum_n ad^n/(n+1)!."""
-    twist = np.asarray(twist, dtype=float)
-    ad = _se3_ad(twist)
-    result = np.eye(6)
-    term = np.eye(6)
-    for n in range(1, 80):
-        term = term @ ad / (n + 1.0)
-        result = result + term
-        if np.abs(term).max() < 1e-18:
-            break
-    return result
-
-
-def se3_left_jacobian_inv(twist):
-    return np.linalg.inv(se3_left_jacobian(twist))
+    wp, pw = w @ p, p @ w
+    wpw = wp @ w
+    q = (0.5 * p + c1 * (wp + pw + wpw) + c2 * (w @ wp + pw @ w - 3.0 * wpw)
+         + c3 * (wpw @ w + w @ wpw))
+    j_inv = so3_left_jacobian_inv(twist[:3])
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = j_inv
+    out[3:, :3] = -j_inv @ q @ j_inv
+    return out
 
 
 def orthonormalize(rotation):

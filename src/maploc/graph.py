@@ -53,12 +53,8 @@ def _cost(factors, states, gravity) -> float:
     return total
 
 
-def _check_finite(factor, residual, blocks, g_block):
-    ok = np.all(np.isfinite(residual))
-    ok = ok and all(np.all(np.isfinite(j)) for j in blocks.values())
-    if g_block is not None:
-        ok = ok and np.all(np.isfinite(g_block))
-    if not ok:
+def _check_finite(factor, residual, jacobian):
+    if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(jacobian))):
         raise SingularSystem(
             f"factor '{factor.kind}' produced non-finite values",
             state_index=factor.indices[0])
@@ -92,65 +88,65 @@ class FactorGraph:
             for i in free_set:
                 if not 0 <= i < len(self.states):
                     raise IndexOutOfRange(f"free index {i} out of range")
-        if not free_set:
-            c = _cost(self.factors, self.states, self.gravity)
-            return OptimizeResult(c, c, 0, True, [])
         if len(free_set) == len(self.states) \
                 and not any(f.kind == "prior" for f in self.factors):
             raise NotAnchored("no prior factor and no fixed state")
 
         active = [f for f in self.factors
                   if any(i in free_set for i in f.indices)]
+        if not active:  # no free state, or none that a factor touches
+            c = _cost(self.factors, self.states, self.gravity)
+            return OptimizeResult(c, c, 0, True, [])
         free_order = sorted(free_set)
-        col_of = {s: STATE_DIM * k for k, s in enumerate(free_order)}
+        grav_col = STATE_DIM * len(free_order)
+        cols_of = dict(zip(free_order,
+                           np.arange(grav_col).reshape(-1, STATE_DIM)))
         # Gravity becomes a variable only when a factor that measures it is
         # active. IMU factors couple to gravity but cannot anchor it: with
         # biases free the pair is a gauge and both would drift together.
         use_gravity = any(f.kind == "gravity" for f in active)
-        n_cols = STATE_DIM * len(free_order) + (3 if use_gravity else 0)
-        grav_col = STATE_DIM * len(free_order)
+        n_cols = grav_col + (3 if use_gravity else 0)
+
+        # Each active factor adds one dense block J^T W J over its free
+        # states' columns and gravity's (zeros if it has no gravity block)
+        # while gravity is a variable; where the blocks land is fixed here.
+        free_of = [[i for i in f.indices if i in free_set] for f in active]
+        spans = [np.concatenate([cols_of[i] for i in free]
+                                + [np.arange(grav_col, n_cols)])
+                 for free in free_of]
+        h_rows = np.concatenate([np.repeat(c, len(c)) for c in spans])
+        h_cols = np.concatenate([np.tile(c, len(c)) for c in spans])
+        b_rows = np.concatenate(spans)
 
         states = list(self.states)
         gravity = self.gravity.copy()
 
         def assemble():
-            rows, cols, vals = [], [], []
-            b = np.zeros(n_cols)
+            h_vals, b_vals = [], []
             cost = 0.0
-            for f in active:
+            for f, free in zip(active, free_of):
                 r, blocks, g_block = f.linearize(states, gravity)
-                _check_finite(f, r, blocks, g_block)
-                info = f.information
-                wr = info @ r
-                cost += 0.5 * float(r @ wr)
-                parts = [(col_of[i], jac) for i, jac in blocks.items()
-                         if i in free_set]
-                if use_gravity and g_block is not None:
-                    parts.append((grav_col, g_block))
-                for ca, ja in parts:
-                    jtw = ja.T @ info
-                    b[ca:ca + ja.shape[1]] += jtw @ r
-                    for cb, jb in parts:
-                        block = jtw @ jb
-                        d0, d1 = block.shape
-                        rows.append(np.repeat(np.arange(ca, ca + d0), d1))
-                        cols.append(np.tile(np.arange(cb, cb + d1), d0))
-                        vals.append(block.ravel())
-            if rows:
-                h = sparse.coo_matrix(
-                    (np.concatenate(vals),
-                     (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(n_cols, n_cols)).tocsr()
-            else:
-                h = sparse.csr_matrix((n_cols, n_cols))
+                parts = [blocks[i] for i in free]
+                if use_gravity:
+                    parts.append(np.zeros((len(r), 3)) if g_block is None
+                                 else g_block)
+                jac = np.hstack(parts)
+                _check_finite(f, r, jac)
+                jtw = jac.T @ f.information
+                h_vals.append((jtw @ jac).ravel())
+                b_vals.append(jtw @ r)
+                cost += 0.5 * float(r @ (f.information @ r))
+            h = sparse.csc_matrix(
+                (np.concatenate(h_vals), (h_rows, h_cols)),
+                shape=(n_cols, n_cols))
+            b = np.bincount(b_rows, weights=np.concatenate(b_vals),
+                            minlength=n_cols)
             return h, b, cost
 
         def apply_step(delta):
             new_states = list(states)
             for s in free_order:
-                c0 = col_of[s]
-                new_states[s] = retract_state(states[s],
-                                              delta[c0:c0 + STATE_DIM])
+                new_states[s] = retract_state(states[s], delta[cols_of[s]])
             new_gravity = gravity
             if use_gravity:
                 new_gravity = gravity + delta[grav_col:grav_col + 3]
@@ -158,7 +154,7 @@ class FactorGraph:
 
         h_mat, b_vec, cost = assemble()
         initial_cost = cost
-        eye = sparse.identity(n_cols, format="csr")
+        eye = sparse.identity(n_cols, format="csc")
         damping = DAMPING_INIT
         records = []
         converged = False
@@ -172,7 +168,7 @@ class FactorGraph:
             rel_drop = 0.0
             while damping <= DAMPING_MAX:
                 try:
-                    lu = splu((h_mat + damping * eye).tocsc())
+                    lu = splu(h_mat + damping * eye)
                     delta = lu.solve(-b_vec)
                 except RuntimeError:
                     delta = None
@@ -198,7 +194,7 @@ class FactorGraph:
                     diag = h_mat.diagonal()
                     worst = int(np.argmin(diag))
                     idx = free_order[worst // STATE_DIM] \
-                        if worst < STATE_DIM * len(free_order) else None
+                        if worst < grav_col else None
                     raise SingularSystem("linear solve failed at all damping "
                                          "levels", state_index=idx)
                 converged = True  # no improving step at any damping

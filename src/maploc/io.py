@@ -341,6 +341,9 @@ def read_imu_csv(path):
             values = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if samples and not values[0] > samples[-1].timestamp:
+            raise ParseError(f"IMU timestamp {values[0]:.9f} does not increase "
+                             f"past {samples[-1].timestamp:.9f}", line=lineno)
         samples.append(ImuSample(values[0], np.array(values[1:4]),
                                  np.array(values[4:7])))
     if not samples:

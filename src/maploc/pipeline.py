@@ -200,6 +200,10 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
     odom_trans = np.array([p.translation for p in sequence.odometry.poses])
     imu_samples = tuple(sequence.imu)
     imu_times = np.array([s.timestamp for s in imu_samples])
+    # ZUPT windows reach 1.5 IMU periods past min_duration to strictly clear it
+    zupt_span = zupt_params.min_duration + (
+        1.5 * float(np.median(np.diff(imu_times)))
+        if len(imu_times) > 1 else 0.0)
 
     # keyframe selection and odometry association
     keyframes = []
@@ -289,20 +293,16 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
 
         if imu_samples and not first:
             prev_state = graph.states[prev_index]
-            # zero-velocity detection over a trailing window; extend by one
-            # sample period so the span strictly clears min_duration
-            margin = 1.5 * float(np.median(np.diff(imu_times))) \
-                if len(imu_times) > 1 else 0.0
-            span = zupt_params.min_duration + margin
-            window = _slice_samples(imu_samples, imu_times, t - span, t)
+            # zero-velocity detection over a trailing window
+            window = _slice_samples(imu_samples, imu_times, t - zupt_span, t)
             # IMU norm statistics cannot separate constant-velocity travel
             # from rest, so odometry must also report no displacement around
             # t before a ZUPT is accepted. The check is symmetric: the run is
             # offline, and looking ahead rejects windows that straddle the
             # end of a stationary interval, where motion has resumed but the
             # trailing displacement is still tiny.
-            near = odom_trans[(odom_times >= t - span)
-                              & (odom_times <= t + span)]
+            near = odom_trans[(odom_times >= t - zupt_span)
+                              & (odom_times <= t + zupt_span)]
             still = (len(near) > 0
                      and float(np.max(np.linalg.norm(
                          near - odom_pose.translation, axis=1)))

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: alignment via
 Horn's quaternion method instead of Kabsch SVD, twists via scipy's
-generic matrix logarithm, nearest neighbors via a dense distance matrix.
+generic matrix logarithm, nearest neighbors via a dense distance matrix,
+the SE(3) left Jacobian via its ad-series instead of the closed form.
 """
 
 import numpy as np
@@ -74,3 +75,24 @@ def brute_ate_cm(est_positions, ref_positions):
     rotation, translation = horn_align(est_positions, ref_positions)
     residual = est_positions @ rotation.T + translation - ref_positions
     return float(np.sqrt(np.mean(np.sum(residual ** 2, axis=1)))) * 100.0
+
+
+def se3_left_jacobian_series(twist):
+    """SE(3) left Jacobian, [rot; trans] ordering, by the series
+    sum_n ad(twist)^n / (n+1)! of the twist's little adjoint."""
+    twist = np.asarray(twist, dtype=float)
+    w = np.array([[0.0, -twist[2], twist[1]],
+                  [twist[2], 0.0, -twist[0]],
+                  [-twist[1], twist[0], 0.0]])
+    p = np.array([[0.0, -twist[5], twist[4]],
+                  [twist[5], 0.0, -twist[3]],
+                  [-twist[4], twist[3], 0.0]])
+    ad = np.block([[w, np.zeros((3, 3))], [p, w]])
+    result = np.eye(6)
+    term = np.eye(6)
+    for n in range(1, 80):
+        term = term @ ad / (n + 1.0)
+        result = result + term
+        if np.abs(term).max() < 1e-18:
+            break
+    return result

@@ -149,6 +149,20 @@ class TestExitCodes:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_duplicate_imu_line_exits_two_naming_it(self, workspace, tmp_path,
+                                                    capsys):
+        lines = (workspace / "scene" / "imu.csv").read_text().splitlines(True)
+        bad = tmp_path / "imu.csv"
+        bad.write_text("".join(lines[:50] + lines[49:]))
+        rc = main(["localize",
+                   "--map", str(workspace / "scene" / "map.pcd"),
+                   "--scans", str(workspace / "scene" / "scans"),
+                   "--odom", str(workspace / "scene" / "odometry.tum"),
+                   "--imu", str(bad),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        assert "(line 51)" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, workspace, tmp_path, capsys):
         rc = main(["eval-traj", "--est", str(tmp_path / "nope.tum"),
                    "--ref", str(workspace / "scene" / "groundtruth.tum")])

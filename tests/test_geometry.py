@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from maploc.errors import EmptyCloud
 from maploc.geometry import (
@@ -14,13 +16,14 @@ from maploc.geometry import (
     inverse,
     log_map,
     orthonormalize,
-    se3_left_jacobian,
+    SE3_TAYLOR_ANGLE,
     se3_left_jacobian_inv,
     so3_exp,
     so3_log,
 )
 
 from conftest import random_pose, random_twist
+from oracles import se3_left_jacobian_series
 
 
 def brute_force_knn(points, query, k):
@@ -116,10 +119,37 @@ class TestSE3:
                 fd = (plus - minus) / (2.0 * eps)
                 np.testing.assert_allclose(fd, jl_inv @ delta, atol=1e-6)
 
-    def test_se3_left_jacobian_inverse_consistent(self, rng):
-        xi = random_twist(rng, rot_scale=2.0, trans_scale=3.0)
-        prod = se3_left_jacobian(xi) @ se3_left_jacobian_inv(xi)
-        np.testing.assert_allclose(prod, np.eye(6), atol=1e-12)
+    @settings(max_examples=300, deadline=None)
+    @given(angle=st.floats(0.0, np.pi - 1e-3),
+           axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+           rho=st.tuples(*[st.floats(-3.0, 3.0)] * 3))
+    @example(angle=0.0, axis=(0.3, -0.5, 0.8), rho=(1.0, -2.0, 3.0))
+    @example(angle=1e-9, axis=(0.3, -0.5, 0.8), rho=(1.0, -2.0, 3.0))
+    @example(angle=SE3_TAYLOR_ANGLE * (1 - 1e-9), axis=(0.0, 0.6, -0.8),
+             rho=(-3.0, 3.0, 3.0))
+    @example(angle=SE3_TAYLOR_ANGLE * (1 + 1e-9), axis=(0.0, 0.6, -0.8),
+             rho=(-3.0, 3.0, 3.0))
+    @example(angle=np.pi - 1e-3, axis=(1.0, 1.0, 1.0), rho=(3.0, -3.0, 3.0))
+    def test_se3_left_jacobian_inv_matches_series_and_fd(self, angle, axis,
+                                                         rho):
+        axis = np.asarray(axis)
+        assume(np.linalg.norm(axis) > 0.1)
+        xi = np.concatenate([angle * axis / np.linalg.norm(axis), rho])
+        jl_inv = se3_left_jacobian_inv(xi)
+        np.testing.assert_allclose(
+            jl_inv, np.linalg.inv(se3_left_jacobian_series(xi)), atol=1e-10)
+        # log(exp(eps * delta) * exp(xi)) ~ xi + eps * Jl_inv(xi) @ delta;
+        # log_map takes its angle from acos, so near pi its rounding error
+        # grows like 1 / (pi - angle)
+        eps = 1e-4
+        pose = exp_map(xi)
+        for col in range(6):
+            delta = np.zeros(6)
+            delta[col] = eps
+            fd = (log_map(compose(exp_map(delta), pose))
+                  - log_map(compose(exp_map(-delta), pose))) / (2.0 * eps)
+            np.testing.assert_allclose(fd, jl_inv[:, col],
+                                       atol=1e-8 + 1e-8 / (np.pi - angle))
 
     def test_orthonormalize(self, rng):
         pose = random_pose(rng)

@@ -3,6 +3,7 @@ import pytest
 
 from maploc.errors import IndexOutOfRange, NotAnchored, SingularSystem
 from maploc.factors import (
+    STATE_DIM,
     BiasWalkFactor,
     GravityFactor,
     ImuFactor,
@@ -14,6 +15,7 @@ from maploc.factors import (
     StateNode,
     ZeroVelocityFactor,
     preintegrate,
+    retract_state,
 )
 from maploc.geometry import (
     Pose,
@@ -23,7 +25,7 @@ from maploc.geometry import (
     inverse,
     log_map,
 )
-from maploc.graph import FactorGraph
+from maploc.graph import DAMPING_INIT, FactorGraph
 
 from conftest import random_pose, random_twist
 
@@ -215,6 +217,83 @@ class TestBatchSolve:
         assert result.final_cost == pytest.approx(expected, rel=1e-12)
         assert all(a is b for a, b in zip(graph.states, states))
         assert np.array_equal(graph.gravity, gravity)
+
+
+class TestAssemblyOracle:
+    """One LM step against normal equations built densely, factor by
+    factor, from the linearize blocks."""
+
+    def mixed_graph(self, rng, n=4, dt=0.5):
+        gt = chain_poses(n, exp_map(np.array([0.0, 0.0, 0.02, 0.1, 0.0, 0.0])))
+        graph = FactorGraph(gravity=DOWN + 0.03 * rng.normal(size=3))
+        for k in range(n):
+            graph.add_state(StateNode(perturbed(gt[k], rng, 0.02, 0.05),
+                                      0.02 * rng.normal(size=3),
+                                      0.01 * rng.normal(size=3),
+                                      0.005 * rng.normal(size=3), dt * k))
+        graph.add_factor(PriorFactor(1, gt[1], 1e3 * np.eye(6)))
+        for k in range(n - 1):
+            graph.add_factor(OdometryFactor(k, k + 1, between(gt[k], gt[k + 1]),
+                                            1e2 * np.eye(6)))
+            window = stationary_window(gt[k].rotation, dt * k, duration=dt)
+            pre = preintegrate(window, np.zeros(3), np.zeros(3),
+                               gravity=gt[k].rotation.T @ G_WORLD)
+            graph.add_factor(ImuFactor(k, k + 1, pre, 1e1 * np.eye(9),
+                                       gravity_magnitude=G_MAG))
+            graph.add_factor(BiasWalkFactor(k, k + 1, 1e2 * np.eye(6)))
+        a = rng.normal(size=(6, 6))
+        graph.add_factor(MapFactor(2, perturbed(gt[2], rng, 0.01, 0.02),
+                                   a @ a.T + np.eye(6), mask=(1,)))
+        graph.add_factor(GravityFactor(n - 1, gt[n - 1].rotation.T @ -G_WORLD,
+                                       np.diag([1e2, 1e2, 1e2, 1e3])))
+        return graph
+
+    def test_one_step_matches_dense_normal_equations(self, rng):
+        graph = self.mixed_graph(rng)
+        free = [1, 2, 3]
+        col = {s: STATE_DIM * k for k, s in enumerate(free)}
+        n_cols = STATE_DIM * len(free) + 3
+        h = np.zeros((n_cols, n_cols))
+        b = np.zeros(n_cols)
+        for f in graph.factors:
+            if not any(i in col for i in f.indices):
+                continue
+            r, blocks, g_block = f.linearize(graph.states, graph.gravity)
+            jac = np.zeros((len(r), n_cols))
+            for i, block in blocks.items():
+                if i in col:
+                    jac[:, col[i]:col[i] + STATE_DIM] = block
+            if g_block is not None:
+                jac[:, -3:] = g_block
+            h += jac.T @ f.information @ jac
+            b += jac.T @ f.information @ r
+        delta = np.linalg.solve(h + DAMPING_INIT * np.eye(n_cols), -b)
+        expected = list(graph.states)
+        for s in free:
+            expected[s] = retract_state(expected[s],
+                                        delta[col[s]:col[s] + STATE_DIM])
+        gravity = graph.gravity + delta[-3:]
+
+        result = graph.optimize(free=free, max_iterations=1)
+        assert result.records[0].accepted
+        assert np.abs(delta).max() > 1e-3
+        for got, want in zip(graph.states, expected):
+            np.testing.assert_allclose(got.pose.matrix(), want.pose.matrix(),
+                                       atol=1e-10)
+            for name in ("velocity", "accel_bias", "gyro_bias"):
+                np.testing.assert_allclose(getattr(got, name),
+                                           getattr(want, name), atol=1e-10)
+        np.testing.assert_allclose(graph.gravity, gravity, atol=1e-10)
+
+    @pytest.mark.parametrize("free", [[4], None])
+    def test_free_state_without_factor_converges(self, rng, free):
+        graph = self.mixed_graph(rng)
+        lone = graph.states[3]
+        graph.add_state(StateNode.at(lone.pose, lone.timestamp + 0.5))
+        result = graph.optimize(free=free)
+        assert result.converged
+        np.testing.assert_allclose(graph.states[4].pose.matrix(),
+                                   lone.pose.matrix(), atol=1e-12)
 
 
 class TestErrors:

@@ -395,6 +395,19 @@ class TestImuCsv:
         with pytest.raises(ParseError):
             read_imu_csv(path)
 
+    @pytest.mark.parametrize("times, line", [
+        ([0.0, 0.01, 0.01, 0.02], 4),   # a duplicated line
+        ([0.0, 0.02, 0.01, 0.03], 4),   # a swapped pair
+    ])
+    def test_non_increasing_timestamp_names_line(self, tmp_path, times, line):
+        path = tmp_path / "imu.csv"
+        path.write_text("t,wx,wy,wz,ax,ay,az\n"
+                        + "".join(f"{t},0,0,0,0,0,9.81\n" for t in times))
+        with pytest.raises(ParseError) as info:
+            read_imu_csv(path)
+        assert info.value.line == line
+        assert f"{times[line - 2]:.9f}" in str(info.value)
+
 
 class TestScanNames:
     def test_round_trip(self):
