@@ -155,6 +155,13 @@ class RpeResult:
         return self.rmse_cm
 
 
+def _relative_error(est, ref, first, last):
+    """Relative-motion error twist between two associated (est, ref) pairs."""
+    rel_est = between(est.poses[first[0]], est.poses[last[0]])
+    rel_ref = between(ref.poses[first[1]], ref.poses[last[1]])
+    return log_map(between(rel_ref, rel_est))
+
+
 def rpe(est: Trajectory, ref: Trajectory, delta: int = 1,
         max_dt=DEFAULT_MAX_DT) -> RpeResult:
     """Relative pose error over windows of `delta` associated frames:
@@ -167,11 +174,7 @@ def rpe(est: Trajectory, ref: Trajectory, delta: int = 1,
     trans_sq = []
     rot_sq = []
     for k in range(len(pairs) - delta):
-        i0, j0 = pairs[k]
-        i1, j1 = pairs[k + delta]
-        rel_est = between(est.poses[i0], est.poses[i1])
-        rel_ref = between(ref.poses[j0], ref.poses[j1])
-        err = log_map(between(rel_ref, rel_est))
+        err = _relative_error(est, ref, pairs[k], pairs[k + delta])
         rot_sq.append(float(err[:3] @ err[:3]))
         trans_sq.append(float(err[3:] @ err[3:]))
     return RpeResult(float(np.sqrt(np.mean(trans_sq))) * M_TO_CM,
@@ -203,11 +206,7 @@ def rpe_per_meter(est: Trajectory, ref: Trajectory, distance: float = 1.0,
         traveled = cumulative[end] - cumulative[start]
         if traveled <= 0:
             continue
-        i0, j0 = pairs[start]
-        i1, j1 = pairs[end]
-        rel_est = between(est.poses[i0], est.poses[i1])
-        rel_ref = between(ref.poses[j0], ref.poses[j1])
-        err = log_map(between(rel_ref, rel_est))
+        err = _relative_error(est, ref, pairs[start], pairs[end])
         normalized_sq.append(float(err[3:] @ err[3:]) / traveled ** 2)
     if not normalized_sq:
         return None

@@ -58,17 +58,18 @@ def so3_log(rotation):
     is fixed so the leading nonzero axis component is positive.
     """
     rotation = np.asarray(rotation, dtype=float)
+    # vee = 2 sin(angle) axis and tr - 1 = 2 cos(angle): atan2 keeps the
+    # angle's full precision at every angle, where acos loses it near 0 and pi
+    vee = np.array([rotation[2, 1] - rotation[1, 2],
+                    rotation[0, 2] - rotation[2, 0],
+                    rotation[1, 0] - rotation[0, 1]])
+    vee_norm = float(np.linalg.norm(vee))
     trace = float(np.trace(rotation))
-    cos_angle = max(-1.0, min(1.0, (trace - 1.0) / 2.0))
-    angle = math.acos(cos_angle)
+    angle = math.atan2(vee_norm, trace - 1.0)
     if angle < SMALL_ANGLE:
-        # first-order: vee of the skew part
-        return np.array([
-            rotation[2, 1] - rotation[1, 2],
-            rotation[0, 2] - rotation[2, 0],
-            rotation[1, 0] - rotation[0, 1],
-        ]) * 0.5
+        return 0.5 * vee  # first order
     if angle > math.pi - PI_ANGLE_MARGIN:
+        cos_angle = max(-1.0, min(1.0, (trace - 1.0) / 2.0))
         # R = I + 2 sin^2(.) [a]x^2 near pi: diagonal gives |axis| components
         diag = np.clip((np.diag(rotation) - cos_angle) / (1.0 - cos_angle), 0.0, None)
         axis = np.sqrt(diag)
@@ -84,12 +85,7 @@ def so3_log(rotation):
         norm = np.linalg.norm(axis)
         axis = axis / norm if norm > 0.0 else np.array([1.0, 0.0, 0.0])
         return axis * angle
-    factor = angle / (2.0 * math.sin(angle))
-    return factor * np.array([
-        rotation[2, 1] - rotation[1, 2],
-        rotation[0, 2] - rotation[2, 0],
-        rotation[1, 0] - rotation[0, 1],
-    ])
+    return (angle / vee_norm) * vee
 
 
 def _v_coefficients(angle):

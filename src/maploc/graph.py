@@ -165,7 +165,6 @@ class FactorGraph:
             accepted = False
             solver_produced_step = False
             step_norm = 0.0
-            rel_drop = 0.0
             while damping <= DAMPING_MAX:
                 try:
                     lu = splu(h_mat + damping * eye)
@@ -176,12 +175,16 @@ class FactorGraph:
                     damping *= 10.0
                     continue
                 solver_produced_step = True
+                # Converged: the step or its predicted decrease is negligible
+                predicted = -(delta @ b_vec + 0.5 * delta @ (h_mat @ delta))
+                if np.abs(delta).max() < STEP_TOL \
+                        or predicted <= REL_COST_TOL * cost:
+                    break
                 trial_states, trial_gravity = apply_step(delta)
                 trial_cost = _cost(active, trial_states, trial_gravity)
                 if np.isfinite(trial_cost) and trial_cost < cost:
                     states, gravity = trial_states, trial_gravity
                     step_norm = float(np.abs(delta).max())
-                    rel_drop = (cost - trial_cost) / max(cost, 1e-300)
                     cost = trial_cost
                     damping = max(damping * 0.5, DAMPING_MIN)
                     accepted = True
@@ -197,10 +200,7 @@ class FactorGraph:
                         if worst < grav_col else None
                     raise SingularSystem("linear solve failed at all damping "
                                          "levels", state_index=idx)
-                converged = True  # no improving step at any damping
-                break
-            if step_norm < STEP_TOL or rel_drop < REL_COST_TOL:
-                converged = True
+                converged = True  # by the step test, or out of damping
                 break
             h_mat, b_vec, cost = assemble()
 

@@ -117,6 +117,8 @@ def read_tum(path) -> Trajectory:
             rotation = quaternion_to_rotation(*values[4:])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite value in {path}", line=lineno)
         times.append(values[0])
         poses.append(Pose(rotation, np.array(values[1:4])))
     if not times:
@@ -260,7 +262,7 @@ def read_pcd(path) -> PointCloud:
 
 
 def read_ply(path) -> PointCloud:
-    """ASCII PLY with x/y/z vertex properties."""
+    """ASCII PLY with x/y/z vertex properties; non-finite rows are dropped."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("not a PLY file", line=1)
@@ -311,7 +313,8 @@ def read_ply(path) -> PointCloud:
     if len(rows) < n_vertices:
         raise ParseError(f"PLY body ended after {len(rows)} of {n_vertices} "
                          "vertices", line=lineno)
-    return PointCloud(np.asarray(rows, dtype=float))
+    points = np.asarray(rows, dtype=float).reshape(-1, 3)
+    return PointCloud(points[np.all(np.isfinite(points), axis=1)])
 
 
 def read_cloud(path) -> PointCloud:
@@ -341,6 +344,8 @@ def read_imu_csv(path):
             values = [float(tok) for tok in tokens]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite value in {path}", line=lineno)
         if samples and not values[0] > samples[-1].timestamp:
             raise ParseError(f"IMU timestamp {values[0]:.9f} does not increase "
                              f"past {samples[-1].timestamp:.9f}", line=lineno)

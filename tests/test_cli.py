@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from maploc.cli import main
-from maploc.io import read_tum, write_json
+from maploc.io import read_cloud, read_tum, write_json
 
 SPEC = {
     "kind": "cube-room", "seed": 21, "size": [5.0, 5.0, 3.0],
@@ -110,6 +110,23 @@ class TestEvalMap:
         assert float(lines["map_acc_cm"]) < 5.0
         assert 0.0 <= float(lines["map_com_percent"]) <= 100.0
 
+    def test_non_finite_ply_vertex_is_dropped(self, workspace, tmp_path,
+                                              capsys):
+        points = read_cloud(workspace / "run" / "map.pcd").points
+        rows = [" ".join(f"{v:.6f}" for v in p) for p in points]
+        rows.insert(len(rows) // 2, "nan 0 0")
+        est = tmp_path / "est.ply"
+        est.write_text("\n".join([
+            "ply", "format ascii 1.0", f"element vertex {len(rows)}",
+            "property float x", "property float y", "property float z",
+            "end_header", *rows, ""]))
+        rc = main(["eval-map", "--est", str(est),
+                   "--ref", str(workspace / "scene" / "map.pcd")])
+        assert rc == 0
+        lines = dict(l.split(": ") for l in
+                     capsys.readouterr().out.strip().splitlines())
+        assert float(lines["map_acc_cm"]) < 5.0
+
 
 class TestDegeneracyReport:
     def test_json_output(self, workspace, capsys):
@@ -162,6 +179,33 @@ class TestExitCodes:
                    "--out", str(tmp_path / "x")])
         assert rc == 2
         assert "(line 51)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, line, column, sep", [
+        ("imu.csv", 51, 4, ","),        # ax
+        ("imu.csv", 51, 0, ","),        # timestamp
+        ("odometry.tum", 4, 1, " "),    # x
+        ("odometry.tum", 4, 0, " "),    # timestamp
+    ])
+    def test_non_finite_value_exits_two_naming_line(self, workspace, tmp_path,
+                                                    capsys, name, line,
+                                                    column, sep):
+        inputs = {"imu.csv": workspace / "scene" / "imu.csv",
+                  "odometry.tum": workspace / "scene" / "odometry.tum"}
+        lines = inputs[name].read_text().splitlines(True)
+        tokens = lines[line - 1].split(sep)
+        tokens[column] = "nan"
+        lines[line - 1] = sep.join(tokens).rstrip("\n") + "\n"
+        inputs[name] = tmp_path / name
+        inputs[name].write_text("".join(lines))
+        rc = main(["localize",
+                   "--map", str(workspace / "scene" / "map.pcd"),
+                   "--scans", str(workspace / "scene" / "scans"),
+                   "--odom", str(inputs["odometry.tum"]),
+                   "--imu", str(inputs["imu.csv"]),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"(line {line})" in err and "non-finite" in err
 
     def test_missing_file_exits_two(self, workspace, tmp_path, capsys):
         rc = main(["eval-traj", "--est", str(tmp_path / "nope.tum"),

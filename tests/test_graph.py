@@ -25,6 +25,7 @@ from maploc.geometry import (
     inverse,
     log_map,
 )
+from maploc import graph as graph_module
 from maploc.graph import DAMPING_INIT, FactorGraph
 
 from conftest import random_pose, random_twist
@@ -177,6 +178,34 @@ class TestBatchSolve:
         graph = build_chain_graph(gt, rels, init)
         result = graph.optimize(max_iterations=1)
         assert result.iterations == 1
+
+    @pytest.mark.parametrize("redundant", [False, True])
+    def test_converged_graph_stops_after_one_solve(self, rng, monkeypatch,
+                                                   redundant):
+        gt = chain_poses(6)
+        rels = [compose(exp_map(random_twist(rng, 0.02, 0.05)),
+                        between(gt[k], gt[k + 1])) for k in range(5)]
+        graph = build_chain_graph(gt, rels, [perturbed(p, rng) for p in gt])
+        if redundant:
+            for k in (2, 5):
+                graph.add_factor(MapFactor(k, gt[k], 1e3 * np.eye(6)))
+        assert graph.optimize().converged
+        if redundant:
+            # a step above STEP_TOL whose predicted decrease is still
+            # negligible against the cost the map factors leave
+            nudge = np.zeros(STATE_DIM)
+            nudge[:6] = 1e-8
+            graph.states[3] = retract_state(graph.states[3], nudge)
+        solves = []
+        real_splu = graph_module.splu
+        monkeypatch.setattr(graph_module, "splu",
+                            lambda a: solves.append(a) or real_splu(a))
+        result = graph.optimize()
+        assert len(solves) == 1
+        assert result.converged and result.iterations == 1
+        [record] = result.records
+        assert not record.accepted and record.step_norm == 0.0
+        assert record.damping == DAMPING_INIT
 
     def test_fixed_states_do_not_move(self, rng):
         gt = chain_poses(4)

@@ -156,6 +156,19 @@ class TestTum:
         traj = read_tum(path)
         assert np.allclose(traj.poses[0].rotation, np.eye(3), atol=1e-15)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [0, 1, 7])  # timestamp, x, qw
+    def test_non_finite_value_names_line(self, tmp_path, value, field):
+        tokens = "3.0 1 2 3 0 0 0 1".split()
+        tokens[field] = value
+        path = tmp_path / "traj.tum"
+        path.write_text("1.0 0 0 0 0 0 0 1\n2.0 0 0 0 0 0 0 1\n"
+                        + " ".join(tokens) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_tum(path)
+        assert info.value.line == 3
+        assert "non-finite" in str(info.value)
+
 
 class TestPcd:
     def make_cloud(self, rng, n=64, normals=True):
@@ -353,6 +366,15 @@ class TestPly:
         with pytest.raises(ParseError):
             read_ply(path)
 
+    def test_nonfinite_points_dropped(self, tmp_path):
+        text = self.CUBE.replace("1 0 0\n", "nan 0 0\n").replace(
+            "0 1 1\n", "0 inf 1\n")
+        path = tmp_path / "c.ply"
+        path.write_text(text)
+        cloud = read_ply(path)
+        assert len(cloud) == 6
+        assert np.all(np.isfinite(cloud.points))
+
 
 class TestImuCsv:
     def test_round_trip(self, tmp_path, rng):
@@ -394,6 +416,19 @@ class TestImuCsv:
         path.write_text("t,wx,wy,wz,ax,ay,az\n")
         with pytest.raises(ParseError):
             read_imu_csv(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [0, 1, 4])  # timestamp, wx, ax
+    def test_non_finite_value_names_line(self, tmp_path, value, field):
+        tokens = "0.02,0,0,0,0,0,9.81".split(",")
+        tokens[field] = value
+        path = tmp_path / "imu.csv"
+        path.write_text("t,wx,wy,wz,ax,ay,az\n0.0,0,0,0,0,0,9.81\n"
+                        "0.01,0,0,0,0,0,9.81\n" + ",".join(tokens) + "\n")
+        with pytest.raises(ParseError) as info:
+            read_imu_csv(path)
+        assert info.value.line == 4
+        assert "non-finite" in str(info.value)
 
     @pytest.mark.parametrize("times, line", [
         ([0.0, 0.01, 0.01, 0.02], 4),   # a duplicated line
