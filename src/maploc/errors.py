@@ -33,10 +33,6 @@ class NotSymmetric(DataError):
 
 
 # factors
-class NonMonotonicTimestamps(DataError):
-    pass
-
-
 class WindowTooShort(DataError):
     pass
 
@@ -75,15 +71,28 @@ class NoInliers(NumericalError):
 
 # pipeline / io
 class ParseError(DataError):
+    """Malformed input. The file readers set `path`, so the message reads
+    `<path>: <message> (line N)` or `(byte offset N)`."""
+
     def __init__(self, message, line=None, offset=None):
-        where = ""
-        if line is not None:
-            where = f" (line {line})"
-        elif offset is not None:
-            where = f" (byte offset {offset})"
-        super().__init__(message + where)
+        super().__init__(message)
+        self.message = message
         self.line = line
         self.offset = offset
+        self.path = None
+
+    def __str__(self):
+        where = ""
+        if self.line is not None:
+            where = f" (line {self.line})"
+        elif self.offset is not None:
+            where = f" (byte offset {self.offset})"
+        prefix = "" if self.path is None else f"{self.path}: "
+        return prefix + self.message + where
+
+
+class NonMonotonicTimestamps(ParseError):
+    pass
 
 
 class InvalidSpec(DataError):

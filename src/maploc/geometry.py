@@ -241,7 +241,7 @@ def orthonormalize(rotation):
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points (N,3) with optional per-point unit normals and timestamps.
+    """Points (N,3) with optional per-point unit normals.
 
     Normals may contain NaN rows for points whose neighborhood failed the
     flatness gate; consumers treat those as "no normal".
@@ -249,7 +249,6 @@ class PointCloud:
 
     points: np.ndarray
     normals: np.ndarray | None = None
-    timestamps: np.ndarray | None = None
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.points, dtype=float)
@@ -265,12 +264,6 @@ class PointCloud:
                 raise ValueError("normals must match points")
             normals.flags.writeable = False
             object.__setattr__(self, "normals", normals)
-        if self.timestamps is not None:
-            ts = np.ascontiguousarray(self.timestamps, dtype=float)
-            if ts.shape != (points.shape[0],):
-                raise ValueError("timestamps must be (N,)")
-            ts.flags.writeable = False
-            object.__setattr__(self, "timestamps", ts)
 
     def __len__(self):
         return self.points.shape[0]
@@ -372,4 +365,4 @@ def estimate_normals(cloud: PointCloud, k=10) -> PointCloud:
     normals = normals * np.where(lead < 0.0, -1.0, 1.0)[:, None]
     normals = normals / np.linalg.norm(normals, axis=1, keepdims=True)
     normals = np.where(valid[:, None], normals, np.nan)
-    return PointCloud(cloud.points, normals=normals, timestamps=cloud.timestamps)
+    return PointCloud(cloud.points, normals=normals)

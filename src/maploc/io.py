@@ -10,6 +10,7 @@ as JSON null.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from importlib import resources
@@ -18,7 +19,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonMonotonicTimestamps, ParseError
 from .evaluate import Trajectory
 from .factors import ImuSample
 from .geometry import PointCloud, Pose
@@ -84,6 +85,18 @@ def quaternion_to_rotation(qx, qy, qz, qw):
     ])
 
 
+def _names_file(reader):
+    """Reader wrapper: a ParseError it raises names the file it was reading."""
+    @functools.wraps(reader)
+    def read(path):
+        try:
+            return reader(path)
+        except ParseError as exc:
+            exc.path = path
+            raise
+    return read
+
+
 # ---------------------------------------------------------------------------
 # TUM trajectories
 
@@ -101,6 +114,7 @@ def write_tum(path, trajectory: Trajectory):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+@_names_file
 def read_tum(path) -> Trajectory:
     times = []
     poses = []
@@ -118,11 +132,15 @@ def read_tum(path) -> Trajectory:
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
         if not all(map(math.isfinite, values)):
-            raise ParseError(f"non-finite value in {path}", line=lineno)
+            raise ParseError("non-finite value", line=lineno)
+        if times and not values[0] > times[-1]:
+            raise NonMonotonicTimestamps(
+                f"trajectory timestamp {values[0]:.9f} does not increase past "
+                f"{times[-1]:.9f}", line=lineno)
         times.append(values[0])
         poses.append(Pose(rotation, np.array(values[1:4])))
     if not times:
-        raise ParseError(f"no trajectory entries in {path}")
+        raise ParseError("no trajectory entries")
     return Trajectory(np.array(times), tuple(poses))
 
 
@@ -160,6 +178,7 @@ def write_pcd(path, cloud: PointCloud, binary: bool = True):
             handle.write((body + "\n").encode("ascii"))
 
 
+@_names_file
 def read_pcd(path) -> PointCloud:
     """Reads ASCII or binary PCD v0.7 with at least x y z fields.
 
@@ -261,6 +280,7 @@ def read_pcd(path) -> PointCloud:
     return PointCloud(points, normals)
 
 
+@_names_file
 def read_ply(path) -> PointCloud:
     """ASCII PLY with x/y/z vertex properties; non-finite rows are dropped."""
     lines = Path(path).read_text().splitlines()
@@ -327,6 +347,7 @@ def read_cloud(path) -> PointCloud:
 # ---------------------------------------------------------------------------
 # IMU CSV
 
+@_names_file
 def read_imu_csv(path):
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != IMU_HEADER:
@@ -345,14 +366,15 @@ def read_imu_csv(path):
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
         if not all(map(math.isfinite, values)):
-            raise ParseError(f"non-finite value in {path}", line=lineno)
+            raise ParseError("non-finite value", line=lineno)
         if samples and not values[0] > samples[-1].timestamp:
-            raise ParseError(f"IMU timestamp {values[0]:.9f} does not increase "
-                             f"past {samples[-1].timestamp:.9f}", line=lineno)
+            raise NonMonotonicTimestamps(
+                f"IMU timestamp {values[0]:.9f} does not increase past "
+                f"{samples[-1].timestamp:.9f}", line=lineno)
         samples.append(ImuSample(values[0], np.array(values[1:4]),
                                  np.array(values[4:7])))
     if not samples:
-        raise ParseError(f"no IMU samples in {path}")
+        raise ParseError("no IMU samples")
     return samples
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .degeneracy import DegeneracyParams, detect, spectrum
 from .errors import (EmptyCloud, InitializationFailure, MaplocError,
-                     NoMatches, ParseError)
+                     NoMatches, NonMonotonicTimestamps, ParseError)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
 from .factors import (BiasPriorFactor, BiasWalkFactor, GravityFactor,
                       ImuFactor, MapFactor, MIN_MEAN_ACCEL, NoMotionFactor,
@@ -140,6 +140,10 @@ def load_sequence(scans_dir, odom_path, imu_path=None) -> SequenceInput:
     return SequenceInput(scans=scans, odometry=odometry, imu=imu)
 
 
+def _scan_name(k, source) -> str:
+    return str(k) if isinstance(source, PointCloud) else Path(source).name
+
+
 def _scan_cloud(source) -> PointCloud:
     if isinstance(source, PointCloud):
         return source
@@ -196,6 +200,12 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
 
     if not sequence.scans:
         raise NoMatches("sequence holds no scans")
+    for k in range(1, len(sequence.scans)):
+        (t0, a), (t1, b) = sequence.scans[k - 1], sequence.scans[k]
+        if not t1 > t0:
+            raise NonMonotonicTimestamps(
+                f"scan {_scan_name(k, b)} at t={t1:.9f} does not come after "
+                f"scan {_scan_name(k - 1, a)} at t={t0:.9f}")
     odom_times = np.asarray(sequence.odometry.timestamps)
     odom_trans = np.array([p.translation for p in sequence.odometry.poses])
     imu_samples = tuple(sequence.imu)

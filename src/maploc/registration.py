@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoCorrespondences
-from .geometry import Pose, SpatialIndex, compose, exp_map, orthonormalize
+from .geometry import (Pose, SpatialIndex, between, compose, exp_map, log_map,
+                       orthonormalize)
 
 # Levenberg damping bounds for the inner step loop.
 _DAMPING_INIT = 1e-6
@@ -153,47 +154,42 @@ def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,
           workers: int = 1) -> AlignResult:
     """Gauss-Newton with Levenberg damping, re-associating each iteration.
 
-    Stops when the accepted twist update norm drops below the convergence
-    threshold or max_iterations is hit. The returned Hessian is evaluated at
-    the converged pose with unit weights over the final associations.
+    Converges when an accepted step's twist norm is below the convergence
+    threshold, when a step returns within that threshold of the pose before
+    the previous step (re-association cycling between two sets), or when no
+    damping gives an improving step. Every stop, the max_iterations cap
+    included, comes right after an association: the result carries those
+    pairs, their residuals, and the unit-weight Hessian at the final pose.
     """
     params.validate()
-    pose = initial_pose
+    pose = before = initial_pose
     damping = _DAMPING_INIT
-    iterations = 0
     converged = False
     trace = []
-    for _ in range(params.max_iterations):
+    for iterations in range(params.max_iterations + 1):
         corrs = find_correspondences(scan, map_index, pose,
                                      params.max_correspondence_distance, workers)
+        if converged or iterations == params.max_iterations:
+            break
         hessian, gradient, cost = assemble_system(corrs, pose, params.kernel_width)
-        accepted = False
         while damping <= _DAMPING_MAX:
             step = np.linalg.solve(hessian + damping * np.eye(6), -gradient)
             trial = compose(exp_map(step), pose)
             trial = Pose(orthonormalize(trial.rotation), trial.translation)
             trial_cost = _huber_cost(_residuals(corrs, trial), params.kernel_width)
             if trial_cost < cost:
-                pose = trial
-                damping = max(damping * 0.5, _DAMPING_MIN)
-                iterations += 1
-                trace.append((cost, trial_cost))
-                accepted = True
-                if np.linalg.norm(step) < params.convergence_threshold:
-                    converged = True
                 break
             damping *= 10.0
-        if not accepted:
+        else:
             # no improving step exists at any damping: treat as converged
             converged = True
             break
-        if converged:
-            break
-    corrs = find_correspondences(scan, map_index, pose,
-                                 params.max_correspondence_distance, workers)
-    residuals = _residuals(corrs, pose)
-    rms = float(np.sqrt(np.mean(residuals ** 2)))
-    final_corrs = Correspondences(corrs.source_points, corrs.target_points,
-                                  corrs.target_normals, residuals)
-    return AlignResult(pose, unit_hessian(final_corrs, pose), rms, final_corrs,
+        damping = max(damping * 0.5, _DAMPING_MIN)
+        trace.append((cost, trial_cost))
+        converged = (np.linalg.norm(step) < params.convergence_threshold
+                     or (iterations > 0 and np.linalg.norm(log_map(
+                         between(before, trial))) < params.convergence_threshold))
+        before, pose = pose, trial
+    rms = float(np.sqrt(np.mean(corrs.residuals ** 2)))
+    return AlignResult(pose, unit_hessian(corrs, pose), rms, corrs,
                        iterations, converged, tuple(trace))

@@ -5,6 +5,7 @@ Everything runs main() in-process except one subprocess check of the
 """
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -180,6 +181,24 @@ class TestExitCodes:
         assert rc == 2
         assert "(line 51)" in capsys.readouterr().err
 
+    def test_repeated_scan_timestamp_exits_two_naming_both(self, workspace,
+                                                           tmp_path, capsys):
+        scans = tmp_path / "scans"
+        shutil.copytree(workspace / "scene" / "scans", scans)
+        first = sorted(scans.glob("*.pcd"))[4]
+        second = first.with_name(first.stem + "0.pcd")  # the same timestamp
+        shutil.copy(first, second)
+        rc = main(["localize",
+                   "--map", str(workspace / "scene" / "map.pcd"),
+                   "--scans", str(scans),
+                   "--odom", str(workspace / "scene" / "odometry.tum"),
+                   "--imu", str(workspace / "scene" / "imu.csv"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"scan {second.name} at t=" in err
+        assert f"after scan {first.name} at t=" in err
+
     @pytest.mark.parametrize("name, line, column, sep", [
         ("imu.csv", 51, 4, ","),        # ax
         ("imu.csv", 51, 0, ","),        # timestamp
@@ -206,6 +225,18 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"(line {line})" in err and "non-finite" in err
+
+    def test_malformed_line_names_file_and_line(self, workspace, tmp_path,
+                                                capsys):
+        ref = workspace / "scene" / "groundtruth.tum"
+        lines = ref.read_text().splitlines(True)
+        lines[3] = " ".join(lines[3].split()[:7]) + "\n"
+        bad = tmp_path / "bad.tum"
+        bad.write_text("".join(lines))
+        rc = main(["eval-traj", "--est", str(bad), "--ref", str(ref)])
+        assert rc == 2
+        assert (f"error: {bad}: expected 8 fields, got 7 (line 4)"
+                in capsys.readouterr().err)
 
     def test_missing_file_exits_two(self, workspace, tmp_path, capsys):
         rc = main(["eval-traj", "--est", str(tmp_path / "nope.tum"),

@@ -147,8 +147,10 @@ class TestTum:
     def test_non_monotonic(self, tmp_path):
         path = tmp_path / "traj.tum"
         path.write_text("2.0 0 0 0 0 0 0 1\n1.0 0 0 0 0 0 0 1\n")
-        with pytest.raises(NonMonotonicTimestamps):
+        with pytest.raises(NonMonotonicTimestamps) as info:
             read_tum(path)
+        assert info.value.line == 2
+        assert "1.000000000 does not increase past 2.000000000" in str(info.value)
 
     def test_quaternion_normalized_on_read(self, tmp_path):
         path = tmp_path / "traj.tum"
@@ -442,6 +444,25 @@ class TestImuCsv:
             read_imu_csv(path)
         assert info.value.line == line
         assert f"{times[line - 2]:.9f}" in str(info.value)
+
+
+@pytest.mark.parametrize("reader, name, text", [
+    (read_tum, "odometry.tum", "1.0 0 0 0 0 0 0 1\n2.0 0 0 0 0 0 1\n"),
+    (read_imu_csv, "imu.csv", "t,wx,wy,wz,ax,ay,az\n0,0,0,0,0,0\n"),
+    (read_pcd, "map.pcd", "FIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
+                          "POINTS 2\nDATA ascii\n1 2 3\n"),
+    (read_ply, "map.ply", "ply\nformat ascii 1.0\nelement vertex 2\n"
+                          "property float x\nproperty float y\n"
+                          "property float z\nend_header\n1 2\n"),
+], ids=["tum", "imu", "pcd", "ply"])
+def test_parse_error_names_its_file(tmp_path, reader, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(ParseError) as info:
+        reader(path)
+    assert info.value.path == path
+    assert str(info.value).startswith(f"{path}: ")
+    assert str(info.value).endswith(f"(line {info.value.line})")
 
 
 class TestScanNames:

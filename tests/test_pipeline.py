@@ -7,13 +7,14 @@ registration, degeneracy gating, ZUPT, IMU fusion, and report emission.
 
 import copy
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from maploc import pipeline, synth
 from maploc.errors import (EmptyCloud, InitializationFailure, NoMatches,
-                           ParseError)
+                           NonMonotonicTimestamps, ParseError)
 from maploc.evaluate import ate
 from maploc.geometry import PointCloud, Pose, between, build_index, compose
 from maploc.io import default_config, read_pcd, read_tum, validate_report
@@ -346,6 +347,15 @@ class TestAssociationAndErrors:
         scans = tuple((f.timestamp + 1000.0, f.cloud) for f in result.scans)
         seq = SequenceInput(scans=scans, odometry=result.odometry)
         with pytest.raises(NoMatches):
+            run(pm, seq, make_cfg())
+
+    def test_repeated_scan_timestamp_raises(self, room):
+        result, pm = room
+        scans = [(f.timestamp, f.cloud) for f in result.scans]
+        scans[4] = (scans[3][0], scans[4][1])
+        seq = replace(SequenceInput.from_synth(result), scans=tuple(scans))
+        with pytest.raises(NonMonotonicTimestamps,
+                           match=r"scan 4 at t=\S+ does not come after scan 3"):
             run(pm, seq, make_cfg())
 
     def test_no_scans_raises(self, room):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maploc import synth
 from maploc.errors import NoCorrespondences
 from maploc.geometry import (
     PointCloud,
@@ -21,8 +22,28 @@ from maploc.registration import (
     reference_hessian,
     unit_hessian,
 )
+from maploc.pipeline import voxel_downsample
 
 from conftest import random_pose
+
+# the benchmark's smoke scene (perfbench/workloads.py). In scans 0 and 20 two
+# points lie within ~1e-8 m of equidistant from two map points, so their
+# nearest neighbours swap back and forth as the pose moves by micrometres
+SMOKE_SPEC = {
+    "kind": "cube-room",
+    "seed": 91,
+    "size": [5.0, 5.0, 3.0],
+    "density": 200,
+    "scan_rate": 5,
+    "imu_rate": 200,
+    "sensor": {"n_azimuth": 60, "n_elevation": 6, "max_range": 10.0,
+               "min_range": 0.3, "fov_up": 30.0, "fov_down": -30.0},
+    "trajectory": [
+        {"pos": [1.5, 1.5, 1.5]},
+        {"pos": [2.5, 1.5, 1.5], "dwell": 2.0},
+        {"pos": [2.5, 2.5, 1.5]},
+    ],
+}
 
 
 def box_map(rng, n_per_face=400, size=4.0):
@@ -250,3 +271,42 @@ def test_nan_normals_excluded(rng):
     corrs = find_correspondences(pts, index, Pose.identity(), 1.0)
     assert len(corrs) == 50
     assert np.all(np.isfinite(corrs.target_normals))
+
+
+@pytest.fixture(scope="module")
+def smoke_scene():
+    scene = synth.generate(synth.parse_scene_spec(SMOKE_SPEC))
+    points, normals = voxel_downsample(scene.gt_map.points, 0.1,
+                                       scene.gt_map.normals)
+    return scene, build_index(PointCloud(points, normals))
+
+
+@pytest.mark.parametrize("k", [0, 20])
+def test_align_ends_association_cycle(smoke_scene, k):
+    # from its second step on, this registration hops between the optima of
+    # two association sets; it must stop when it is back where it stood
+    # rather than run to max_iterations
+    scene, index = smoke_scene
+    params = RegistrationParams()
+    result = align(scene.scans[k].cloud.points, index,
+                   scene.odometry.poses[k], params)
+    assert result.converged
+    assert result.iterations < params.max_iterations
+
+
+def test_align_from_perturbed_starts_reaches_truth(smoke_scene):
+    # guards the stopping rule against ending a registration early: every
+    # start within 0.4 m / 0.06 rad (one sigma) must still reach the truth
+    scene, index = smoke_scene
+    rng = np.random.default_rng(0)
+    errors = []
+    for trial in range(40):
+        k = trial % len(scene.scans)
+        truth = scene.gt_trajectory.poses[k]
+        offset = np.concatenate([rng.normal(size=3) * 0.06,
+                                 rng.normal(size=3) * 0.4])
+        result = align(scene.scans[k].cloud.points, index,
+                       compose(exp_map(offset), truth))
+        errors.append(np.linalg.norm(result.pose.translation
+                                     - truth.translation))
+    assert max(errors) < 2e-3
