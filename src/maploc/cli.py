@@ -14,12 +14,11 @@ import sys
 import numpy as np
 
 from . import io as mio
-from .degeneracy import DegeneracyParams, detect, spectrum
 from .errors import DataError, NumericalError
 from .evaluate import ate, map_accuracy, map_completeness, rpe, rpe_per_meter
 from .geometry import Pose
-from .pipeline import emit_reports, load_map, load_sequence, run
-from .registration import RegistrationParams, align, reference_hessian
+from .pipeline import (emit_reports, load_map, load_sequence, register_frame,
+                       run)
 from .synth import generate, load_scene_spec, write_sequence
 
 logger = logging.getLogger("maploc")
@@ -94,15 +93,10 @@ def _cmd_degeneracy_report(args) -> int:
     tx, ty, tz, qx, qy, qz, qw = args.pose
     pose = Pose(mio.quaternion_to_rotation(qx, qy, qz, qw),
                 np.array([tx, ty, tz]))
-    result = align(scan.points, prior_map.index, pose,
-                   RegistrationParams(**cfg["registration"]),
-                   workers=cfg["threads"])
-    report = detect(result, spectrum(reference_hessian(result.correspondences)),
-                    DegeneracyParams.from_config(cfg["degeneracy"]))
-    out = report.as_dict()
-    out["residual_rms"] = float(result.residual_rms)
-    out["iterations"] = int(result.iterations)
-    out["converged"] = bool(result.converged)
+    result, report = register_frame(scan, prior_map, pose, cfg)
+    out = dict(report.as_dict(), residual_rms=float(result.residual_rms),
+               iterations=int(result.iterations),
+               converged=bool(result.converged))
     print(json.dumps(mio.sanitize_json(out), indent=2, sort_keys=True))
     return 0
 

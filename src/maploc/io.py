@@ -97,6 +97,25 @@ def _names_file(reader):
     return read
 
 
+def _read_text(path) -> str:
+    """The file's UTF-8 text. Undecodable bytes are a ParseError that names
+    the file and the byte offset (the config reader has no _names_file)."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        error = ParseError("not UTF-8 text", offset=exc.start)
+        error.path = path
+        raise error from exc
+
+
+def _header_ints(tokens, what, line):
+    """A header entry's values, which must be non-negative integers."""
+    if not tokens or not all(t.isascii() and t.isdigit() for t in tokens):
+        raise ParseError(f"{what} must be non-negative integers", line=line)
+    return [int(tok) for tok in tokens]
+
+
 # ---------------------------------------------------------------------------
 # TUM trajectories
 
@@ -118,7 +137,7 @@ def write_tum(path, trajectory: Trajectory):
 def read_tum(path) -> Trajectory:
     times = []
     poses = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -209,9 +228,10 @@ def read_pcd(path) -> PointCloud:
         return meta[key]
 
     fields = require("FIELDS")
-    sizes = [int(v) for v in require("SIZE")]
+    sizes = _header_ints(require("SIZE"), "PCD SIZE", line_no)
     types = require("TYPE")
-    counts = [int(v) for v in meta.get("COUNT", ["1"] * len(fields))]
+    counts = _header_ints(meta.get("COUNT", ["1"] * len(fields)), "PCD COUNT",
+                          line_no)
     if not len(fields) == len(sizes) == len(types) == len(counts):
         raise ParseError("inconsistent PCD field declaration", line=line_no)
     if any(c != 1 for c in counts):
@@ -220,10 +240,12 @@ def read_pcd(path) -> PointCloud:
         if axis not in fields:
             raise ParseError(f"PCD is missing field '{axis}'", line=line_no)
     if "POINTS" in meta:
-        n_points = int(meta["POINTS"][0])
+        n_points = _header_ints(meta["POINTS"], "PCD POINTS", line_no)[0]
     else:
-        n_points = int(require("WIDTH")[0]) * int(meta.get("HEIGHT", ["1"])[0])
-    mode = require("DATA")[0].lower()
+        n_points = (_header_ints(require("WIDTH"), "PCD WIDTH", line_no)[0]
+                    * _header_ints(meta.get("HEIGHT", ["1"]), "PCD HEIGHT",
+                                   line_no)[0])
+    mode = (require("DATA") or [""])[0].lower()
 
     normal_fields = ("normal_x", "normal_y", "normal_z")
     read_normals = all(f in fields for f in normal_fields)
@@ -283,7 +305,7 @@ def read_pcd(path) -> PointCloud:
 @_names_file
 def read_ply(path) -> PointCloud:
     """ASCII PLY with x/y/z vertex properties; non-finite rows are dropped."""
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("not a PLY file", line=1)
     n_vertices = None
@@ -295,12 +317,13 @@ def read_ply(path) -> PointCloud:
         if not tokens or tokens[0] == "comment":
             continue
         if tokens[0] == "format":
-            if tokens[1] != "ascii":
+            if tokens[1:2] != ["ascii"]:
                 raise ParseError("only ASCII PLY is supported", line=lineno)
         elif tokens[0] == "element":
-            in_vertex = tokens[1] == "vertex"
+            in_vertex = tokens[1:2] == ["vertex"]
             if in_vertex:
-                n_vertices = int(tokens[2])
+                n_vertices = _header_ints(tokens[2:3], "PLY vertex count",
+                                          lineno)[0]
         elif tokens[0] == "property" and in_vertex:
             properties.append(tokens[-1])
         elif tokens[0] == "end_header":
@@ -349,7 +372,7 @@ def read_cloud(path) -> PointCloud:
 
 @_names_file
 def read_imu_csv(path):
-    lines = Path(path).read_text().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != IMU_HEADER:
         raise ParseError(f"IMU CSV header must be '{IMU_HEADER}'", line=1)
     samples = []
@@ -502,7 +525,7 @@ def load_config(path=None) -> dict:
     if path is None:
         return default_config()
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}",
                          line=exc.lineno) from exc

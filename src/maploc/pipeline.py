@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -151,74 +152,40 @@ def _scan_cloud(source) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
-# factor construction helpers
+# the run loop and its stages, in the order run() calls them
 
-def _diag_info(rot_sigma, trans_sigma):
-    return np.diag([1.0 / rot_sigma ** 2] * 3 + [1.0 / trans_sigma ** 2] * 3)
+def _information(fac) -> dict:
+    def diag(rot_sigma, trans_sigma):
+        return np.diag([1.0 / fac[rot_sigma] ** 2] * 3
+                       + [1.0 / fac[trans_sigma] ** 2] * 3)
+    return {
+        "prior": diag("prior_rot_sigma", "prior_trans_sigma"),
+        "odometry": diag("odom_rot_sigma", "odom_trans_sigma"),
+        "no_motion": diag("no_motion_rot_sigma", "no_motion_trans_sigma"),
+        "zero_velocity": np.eye(3) / fac["zero_velocity_sigma"] ** 2,
+        "gravity": np.diag([1.0 / fac["gravity_direction_sigma"] ** 2] * 3
+                           + [fac["gravity_magnitude_weight"]]),
+        "bias_walk": np.eye(6) / fac["bias_walk_sigma"] ** 2,
+        "bias_prior": np.eye(6) / fac["bias_prior_sigma"] ** 2,
+    }
 
 
-def _imu_information(covariance, weight):
-    info = weight * np.linalg.inv(covariance + 1e-12 * np.eye(9))
-    return 0.5 * (info + info.T)
-
-
-def _slice_samples(imu_samples, times, lo, hi):
-    a = np.searchsorted(times, lo - 1e-9, side="left")
-    b = np.searchsorted(times, hi + 1e-9, side="right")
-    return imu_samples[a:b]
-
-
-# ---------------------------------------------------------------------------
-# the run loop
-
-def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
-        groundtruth: Trajectory = None) -> RunResult:
-    cfg = mio.default_config() if config is None else config
-    mio.validate_config(cfg)
-    threads = cfg["threads"]
-    gravity_mag = cfg["imu"]["gravity_magnitude"]
-
-    reg_params = RegistrationParams(**cfg["registration"])
-    zupt_params = ZuptParams(
-        min_duration=cfg["zupt"]["min_duration"],
-        accel_std_threshold=cfg["zupt"]["accel_std_threshold"],
-        gyro_mean_threshold=cfg["zupt"]["gyro_mean_threshold"])
-    deg_cfg = cfg["degeneracy"]
-    deg_params = DegeneracyParams.from_config(deg_cfg)
-    # a null threshold is calibrated on the first frame with a finite d_e
-    calibrate = deg_cfg["d_e_threshold"] is None
-    fac = cfg["factors"]
-    prior_info = _diag_info(fac["prior_rot_sigma"], fac["prior_trans_sigma"])
-    odom_info = _diag_info(fac["odom_rot_sigma"], fac["odom_trans_sigma"])
-    nm_info = _diag_info(fac["no_motion_rot_sigma"],
-                         fac["no_motion_trans_sigma"])
-    zv_info = np.eye(3) / fac["zero_velocity_sigma"] ** 2
-    gravity_info = np.diag([1.0 / fac["gravity_direction_sigma"] ** 2] * 3
-                           + [fac["gravity_magnitude_weight"]])
-    bias_info = np.eye(6) / fac["bias_walk_sigma"] ** 2
-    bias_prior_info = np.eye(6) / fac["bias_prior_sigma"] ** 2
-
-    if not sequence.scans:
+def _keyframes(sequence: SequenceInput, stride: int) -> list:
+    """Every stride-th scan as (scan number, t, source, odometry pose): the
+    pose nearest in time, the later on a tie, and within SCAN_ODOM_MAX_DT."""
+    scans = sequence.scans
+    if not scans:
         raise NoMatches("sequence holds no scans")
-    for k in range(1, len(sequence.scans)):
-        (t0, a), (t1, b) = sequence.scans[k - 1], sequence.scans[k]
+    for k in range(1, len(scans)):
+        (t0, a), (t1, b) = scans[k - 1], scans[k]
         if not t1 > t0:
             raise NonMonotonicTimestamps(
                 f"scan {_scan_name(k, b)} at t={t1:.9f} does not come after "
                 f"scan {_scan_name(k - 1, a)} at t={t0:.9f}")
     odom_times = np.asarray(sequence.odometry.timestamps)
-    odom_trans = np.array([p.translation for p in sequence.odometry.poses])
-    imu_samples = tuple(sequence.imu)
-    imu_times = np.array([s.timestamp for s in imu_samples])
-    # ZUPT windows reach 1.5 IMU periods past min_duration to strictly clear it
-    zupt_span = zupt_params.min_duration + (
-        1.5 * float(np.median(np.diff(imu_times)))
-        if len(imu_times) > 1 else 0.0)
-
-    # keyframe selection and odometry association
     keyframes = []
-    for k in range(0, len(sequence.scans), cfg["keyframe_stride"]):
-        t, source = sequence.scans[k]
+    for k in range(0, len(scans), stride):
+        t, source = scans[k]
         j = int(np.clip(np.searchsorted(odom_times, t), 0, len(odom_times) - 1))
         if j > 0 and abs(odom_times[j - 1] - t) < abs(odom_times[j] - t):
             j -= 1
@@ -229,132 +196,188 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
         keyframes.append((k, float(t), source, sequence.odometry.poses[j]))
     if not keyframes:
         raise NoMatches("no scan associates with odometry within the gate")
+    return keyframes
 
-    initial_pose = sequence.initial_pose
-    if initial_pose is None:
-        initial_pose = keyframes[0][3]
+
+def register_frame(cloud: PointCloud, prior_map: PriorMap, pose: Pose, cfg,
+                   deg_params: DegeneracyParams = None):
+    """Register a scan to the map from `pose`, then run both degeneracy
+    stages; returns (AlignResult, DegeneracyReport). deg_params defaults to
+    the config's degeneracy section."""
+    if deg_params is None:
+        deg_params = DegeneracyParams.from_config(cfg["degeneracy"])
+    result = align(cloud.points, prior_map.index, pose,
+                   RegistrationParams(**cfg["registration"]),
+                   workers=cfg["threads"])
+    reference = spectrum(reference_hessian(result.correspondences))
+    return result, detect(result, reference, deg_params)
+
+
+def _map_factor(frame, keyframe, pose, prior_map, cfg, deg_params):
+    """Fill the frame's registration fields; return its map factors and the
+    degeneracy params for later frames, whose null d_e threshold is
+    calibrated on the first finite d_e that passes stage 1."""
+    k, _, source, _ = keyframe
+    first = frame["index"] == 0
+    try:
+        result, report = register_frame(_scan_cloud(source), prior_map, pose,
+                                        cfg, deg_params)
+    except MaplocError as exc:
+        if first:
+            raise InitializationFailure(
+                f"initial registration failed: {exc}") from exc
+        logger.warning("frame %d registration skipped: %s", k, exc)
+        return [], deg_params
+    if first and result.residual_rms >= INIT_RESIDUAL_LIMIT:
+        raise InitializationFailure(
+            f"initial registration residual {result.residual_rms:.3f} m "
+            f"exceeds {INIT_RESIDUAL_LIMIT} m")
+    frame.update(residual_rms=float(result.residual_rms),
+                 correspondences=len(result.correspondences),
+                 degeneracy=report.as_dict())
+    if report.stage1_reject:
+        return [], deg_params
+    deg_cfg = cfg["degeneracy"]
+    if (deg_cfg["d_e_threshold"] is None and math.isfinite(report.d_e)
+            and math.isinf(deg_params.d_e_threshold)):
+        deg_params = replace(deg_params, d_e_threshold=max(
+            deg_cfg["auto_threshold_scale"] * report.d_e, AUTO_THRESHOLD_FLOOR))
+        logger.info("degeneracy threshold calibrated to %.3g",
+                    deg_params.d_e_threshold)
+    frame.update(map_factor_added=True,
+                 mask=[int(a) for a in report.degenerate_axes])
+    info = cfg["factors"]["map_weight"] * result.hessian
+    return [MapFactor(frame["index"], result.pose, info,
+                      mask=report.degenerate_axes)], deg_params
+
+
+def _slice_samples(imu, lo, hi):
+    a = bisect_left(imu, lo - 1e-9, key=lambda s: s.timestamp)
+    b = bisect_right(imu, hi + 1e-9, key=lambda s: s.timestamp)
+    return imu[a:b]
+
+
+def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
+    """Zero-velocity, no-motion and gravity factors at a keyframe where the
+    IMU over the trailing `span` s and odometry within `span` s both show
+    the platform at rest."""
+    k, t, _, odom_pose = keyframe
+    zupt = cfg["zupt"]
+    # IMU norm statistics cannot separate constant-velocity travel from
+    # rest, so odometry must also report no displacement around t before a
+    # ZUPT is accepted. The check is symmetric: the run is offline, and
+    # looking ahead rejects windows that straddle the end of a stationary
+    # interval, where motion has resumed but the trailing displacement is
+    # still tiny.
+    odometry = sequence.odometry
+    lo = np.searchsorted(odometry.timestamps, t - span, side="left")
+    hi = np.searchsorted(odometry.timestamps, t + span, side="right")
+    near = np.array([p.translation for p in odometry.poses[lo:hi]])
+    still = len(near) > 0 and float(np.max(np.linalg.norm(
+        near - odom_pose.translation, axis=1))) <= zupt["max_odom_displacement"]
+    window = _slice_samples(sequence.imu, t - span, t)
+    params = ZuptParams(zupt["min_duration"], zupt["accel_std_threshold"],
+                        zupt["gyro_mean_threshold"])
+    if not (still and len(window) >= 2
+            and window[-1].timestamp - window[0].timestamp > params.min_duration
+            and detect_zupt(window, params)):
+        return []
+    factors = [ZeroVelocityFactor(index, info["zero_velocity"]),
+               NoMotionFactor(index - 1, index, info["no_motion"])]
+    a_mean = np.mean([s.specific_force for s in window],
+                     axis=0) - prev_state.accel_bias
+    if np.linalg.norm(a_mean) >= MIN_MEAN_ACCEL:
+        factors.append(GravityFactor(index, a_mean, info["gravity"]))
+    else:
+        logger.warning("frame %d: mean acceleration too small for a gravity "
+                       "factor", k)
+    return factors
+
+
+def _imu_factors(index, t, prev_state, gravity, imu, cfg, info):
+    segment = _slice_samples(imu, prev_state.timestamp, t)
+    if len(segment) < 2:
+        return []
+    imu_cfg = cfg["imu"]
+    g_body = prev_state.pose.rotation.T @ (imu_cfg["gravity_magnitude"]
+                                           * gravity)
+    pre = preintegrate(segment, prev_state.accel_bias, prev_state.gyro_bias,
+                       g_body, sigma_gyro=imu_cfg["sigma_gyro"],
+                       sigma_accel=imu_cfg["sigma_accel"])
+    imu_info = cfg["factors"]["imu_weight"] * np.linalg.inv(
+        pre.covariance + 1e-12 * np.eye(9))
+    return [ImuFactor(index - 1, index, pre, 0.5 * (imu_info + imu_info.T),
+                      gravity_magnitude=imu_cfg["gravity_magnitude"]),
+            BiasWalkFactor(index - 1, index, info["bias_walk"])]
+
+
+def _assemble_map(graph: FactorGraph, keyframes, voxel: float) -> PointCloud:
+    world_points = []
+    for index, (_, _, source, _) in enumerate(keyframes):
+        cloud = _scan_cloud(source)
+        if len(cloud):
+            world_points.append(graph.states[index].pose.transform(
+                cloud.points))
+    if not world_points:
+        return PointCloud(np.empty((0, 3)))
+    return PointCloud(voxel_downsample(np.vstack(world_points), voxel)[0])
+
+
+def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
+        groundtruth: Trajectory = None) -> RunResult:
+    cfg = mio.default_config() if config is None else config
+    mio.validate_config(cfg)
+    info = _information(cfg["factors"])
+    deg_params = DegeneracyParams.from_config(cfg["degeneracy"])
+    keyframes = _keyframes(sequence, cfg["keyframe_stride"])
+    imu = sequence.imu
+    # ZUPT windows reach 1.5 IMU periods past min_duration to strictly clear it
+    zupt_span = cfg["zupt"]["min_duration"] + (
+        1.5 * float(np.median(np.diff([s.timestamp for s in imu])))
+        if len(imu) > 1 else 0.0)
 
     graph = FactorGraph()
-    frames = []
-    opt_records = []
-    kept = []  # (state index, scan source) for map assembly
-    prev_index = None
-    prev_odom = None
-
-    for frame_no, (k, t, source, odom_pose) in enumerate(keyframes):
-        first = frame_no == 0
-        if first:
-            state = StateNode.at(initial_pose, t)
-            factors = [PriorFactor(0, initial_pose, prior_info)]
-            if imu_samples:
+    frames, opt_records = [], []
+    for index, keyframe in enumerate(keyframes):
+        _, t, _, odom_pose = keyframe
+        if index == 0:
+            pose = (odom_pose if sequence.initial_pose is None
+                    else sequence.initial_pose)
+            state = StateNode.at(pose, t)
+            factors = [PriorFactor(0, pose, info["prior"])]
+            if imu:
                 factors.append(BiasPriorFactor(0, np.zeros(3), np.zeros(3),
-                                               bias_prior_info))
+                                               info["bias_prior"]))
         else:
-            rel = between(prev_odom, odom_pose)
-            prev_state = graph.states[prev_index]
+            prev_state = graph.states[index - 1]
+            rel = between(keyframes[index - 1][3], odom_pose)
             init_pose = compose(prev_state.pose, rel)
-            dt = t - prev_state.timestamp
             velocity = (init_pose.translation
-                        - prev_state.pose.translation) / dt
+                        - prev_state.pose.translation) / (t - prev_state.timestamp)
             state = StateNode.at(init_pose, t, velocity=velocity)
-            factors = [OdometryFactor(prev_index, frame_no, rel, odom_info)]
-        index = frame_no
+            factors = [OdometryFactor(index - 1, index, rel, info["odometry"])]
 
         frame = {"index": index, "timestamp": t, "residual_rms": None,
                  "correspondences": 0, "map_factor_added": False,
                  "mask": [], "zupt": False, "degeneracy": None}
+        if index % cfg["map_factor_stride"] == 0:
+            found, deg_params = _map_factor(frame, keyframe, state.pose,
+                                            prior_map, cfg, deg_params)
+            factors += found
+        if imu and index > 0:
+            zupt = _zupt_factors(index, keyframe, prev_state, sequence,
+                                 zupt_span, cfg, info)
+            frame["zupt"] = bool(zupt)
+            factors += zupt + _imu_factors(index, t, prev_state, graph.gravity,
+                                           imu, cfg, info)
 
-        if frame_no % cfg["map_factor_stride"] == 0:
-            try:
-                cloud = _scan_cloud(source)
-                result = align(cloud.points, prior_map.index, state.pose,
-                               reg_params, workers=threads)
-                if first and result.residual_rms >= INIT_RESIDUAL_LIMIT:
-                    raise InitializationFailure(
-                        f"initial registration residual "
-                        f"{result.residual_rms:.3f} m exceeds "
-                        f"{INIT_RESIDUAL_LIMIT} m")
-                reference = spectrum(reference_hessian(result.correspondences))
-                report = detect(result, reference, deg_params)
-                frame["residual_rms"] = float(result.residual_rms)
-                frame["correspondences"] = len(result.correspondences)
-                frame["degeneracy"] = report.as_dict()
-                if (calibrate and not report.stage1_reject
-                        and math.isfinite(report.d_e)):
-                    calibrate = False
-                    deg_params = replace(deg_params, d_e_threshold=max(
-                        deg_cfg["auto_threshold_scale"] * report.d_e,
-                        AUTO_THRESHOLD_FLOOR))
-                    logger.info("degeneracy threshold calibrated to %.3g",
-                                deg_params.d_e_threshold)
-                if not report.stage1_reject:
-                    info = fac["map_weight"] * result.hessian
-                    factors.append(MapFactor(index, result.pose, info,
-                                             mask=report.degenerate_axes))
-                    frame["map_factor_added"] = True
-                    frame["mask"] = [int(a) for a in report.degenerate_axes]
-            except InitializationFailure:
-                raise
-            except MaplocError as exc:
-                if first:
-                    raise InitializationFailure(
-                        f"initial registration failed: {exc}") from exc
-                logger.warning("frame %d registration skipped: %s", k, exc)
-
-        if imu_samples and not first:
-            prev_state = graph.states[prev_index]
-            # zero-velocity detection over a trailing window
-            window = _slice_samples(imu_samples, imu_times, t - zupt_span, t)
-            # IMU norm statistics cannot separate constant-velocity travel
-            # from rest, so odometry must also report no displacement around
-            # t before a ZUPT is accepted. The check is symmetric: the run is
-            # offline, and looking ahead rejects windows that straddle the
-            # end of a stationary interval, where motion has resumed but the
-            # trailing displacement is still tiny.
-            near = odom_trans[(odom_times >= t - zupt_span)
-                              & (odom_times <= t + zupt_span)]
-            still = (len(near) > 0
-                     and float(np.max(np.linalg.norm(
-                         near - odom_pose.translation, axis=1)))
-                     <= cfg["zupt"]["max_odom_displacement"])
-            if still and len(window) >= 2 and (window[-1].timestamp
-                                               - window[0].timestamp
-                                               > zupt_params.min_duration):
-                if detect_zupt(window, zupt_params):
-                    frame["zupt"] = True
-                    factors.append(ZeroVelocityFactor(index, zv_info))
-                    factors.append(NoMotionFactor(prev_index, index, nm_info))
-                    a_mean = np.mean([s.specific_force for s in window],
-                                     axis=0) - prev_state.accel_bias
-                    if np.linalg.norm(a_mean) >= MIN_MEAN_ACCEL:
-                        factors.append(GravityFactor(index, a_mean,
-                                                     gravity_info))
-                    else:
-                        logger.warning("frame %d: mean acceleration too "
-                                       "small for a gravity factor", k)
-            segment = _slice_samples(imu_samples, imu_times,
-                                     prev_state.timestamp, t)
-            if len(segment) >= 2:
-                g_body = prev_state.pose.rotation.T @ (gravity_mag
-                                                       * graph.gravity)
-                pre = preintegrate(segment, prev_state.accel_bias,
-                                   prev_state.gyro_bias, g_body,
-                                   sigma_gyro=cfg["imu"]["sigma_gyro"],
-                                   sigma_accel=cfg["imu"]["sigma_accel"])
-                info = _imu_information(pre.covariance, fac["imu_weight"])
-                factors.append(ImuFactor(prev_index, index, pre, info,
-                                         gravity_magnitude=gravity_mag))
-                factors.append(BiasWalkFactor(prev_index, index, bias_info))
-
-        outcome = graph.solve_incremental(state, factors,
-                                          window=cfg["window"])
+        outcome = graph.solve_incremental(
+            state, factors, window=cfg["window"],
+            max_iterations=cfg["optimizer"]["max_iterations"])
         frame["iterations"] = int(outcome.iterations)
         frame["converged"] = bool(outcome.converged)
         frames.append(frame)
         opt_records.append((str(index), outcome.records))
-        kept.append((index, source))
-        prev_index = index
-        prev_odom = odom_pose
 
     final = graph.optimize(max_iterations=cfg["optimizer"]["max_iterations"])
     opt_records.append(("final", final.records))
@@ -362,20 +385,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
     trajectory = Trajectory(
         np.array([s.timestamp for s in graph.states]),
         tuple(s.pose for s in graph.states))
-
-    # map assembly from optimized poses
-    world_points = []
-    for index, source in kept:
-        cloud = _scan_cloud(source)
-        if len(cloud):
-            world_points.append(graph.states[index].pose.transform(
-                cloud.points))
-    if world_points:
-        merged, _ = voxel_downsample(np.vstack(world_points),
-                                     cfg["voxel_size"])
-    else:
-        merged = np.empty((0, 3))
-    map_cloud = PointCloud(merged)
+    map_cloud = _assemble_map(graph, keyframes, cfg["voxel_size"])
 
     metrics = None
     if groundtruth is not None:
@@ -383,7 +393,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
             trajectory, groundtruth, delta=cfg["eval"]["rpe_delta"],
             est_map=map_cloud, gt_map=prior_map.cloud,
             threshold=cfg["eval"]["map_threshold"],
-            max_dt=cfg["eval"]["max_dt"], workers=threads)
+            max_dt=cfg["eval"]["max_dt"], workers=cfg["threads"])
 
     report = mio.sanitize_json({
         "config": cfg,

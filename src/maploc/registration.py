@@ -92,9 +92,12 @@ def _residuals(corrs: Correspondences, pose: Pose):
     return np.einsum("ij,ij->i", corrs.target_normals, world - corrs.target_points)
 
 
-def _jacobian(corrs: Correspondences, pose: Pose):
-    world = pose.transform(corrs.source_points)
-    return np.hstack([np.cross(world, corrs.target_normals), corrs.target_normals])
+def _plane_system(world, normals, weights=None):
+    """Point-to-plane rows J = [p x n, n] at world points p, and the
+    symmetrized J^T W J (unit weights when weights is None)."""
+    jac = np.hstack([np.cross(world, normals), normals])
+    hessian = (jac if weights is None else jac * weights[:, None]).T @ jac
+    return jac, 0.5 * (hessian + hessian.T)
 
 
 def _huber_cost(residuals, kernel_width):
@@ -120,20 +123,17 @@ def assemble_system(corrs: Correspondences, pose: Pose, kernel_width: float):
     gradient), cost = sum of Huber losses. Associations stay fixed.
     """
     r = _residuals(corrs, pose)
-    jac = _jacobian(corrs, pose)
     w = _huber_weights(r, kernel_width)
-    jw = jac * w[:, None]
-    hessian = jw.T @ jac
-    hessian = 0.5 * (hessian + hessian.T)
+    jac, hessian = _plane_system(pose.transform(corrs.source_points),
+                                 corrs.target_normals, w)
     gradient = jac.T @ (w * r)
     return hessian, gradient, _huber_cost(r, kernel_width)
 
 
 def unit_hessian(corrs: Correspondences, pose: Pose):
     """Gauss-Newton Hessian with unit weights, for degeneracy analysis."""
-    jac = _jacobian(corrs, pose)
-    hessian = jac.T @ jac
-    return 0.5 * (hessian + hessian.T)
+    return _plane_system(pose.transform(corrs.source_points),
+                         corrs.target_normals)[1]
 
 
 def reference_hessian(corrs: Correspondences):
@@ -143,10 +143,7 @@ def reference_hessian(corrs: Correspondences):
     the scan, so the spectrum reflects the constraint geometry the map
     offers at this location.
     """
-    jac = np.hstack([np.cross(corrs.target_points, corrs.target_normals),
-                     corrs.target_normals])
-    hessian = jac.T @ jac
-    return 0.5 * (hessian + hessian.T)
+    return _plane_system(corrs.target_points, corrs.target_normals)[1]
 
 
 def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,

@@ -5,13 +5,16 @@ Everything runs main() in-process except one subprocess check of the
 """
 
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import maploc
 from maploc.cli import main
 from maploc.io import read_cloud, read_tum, write_json
 
@@ -23,6 +26,17 @@ SPEC = {
     "trajectory": [{"pos": [1.5, 1.5, 1.5], "speed": 1.0},
                    {"pos": [3.5, 1.5, 1.5], "speed": 1.0},
                    {"pos": [3.5, 3.5, 1.5]}],
+}
+
+# perfbench/workloads.py _SMOKE_SPEC: a small room with IMU and a dwell
+SMOKE_SPEC = {
+    "kind": "cube-room", "seed": 91, "size": [5.0, 5.0, 3.0],
+    "density": 200, "scan_rate": 5, "imu_rate": 200,
+    "sensor": {"n_azimuth": 60, "n_elevation": 6, "max_range": 10.0,
+               "min_range": 0.3, "fov_up": 30.0, "fov_down": -30.0},
+    "trajectory": [{"pos": [1.5, 1.5, 1.5]},
+                   {"pos": [2.5, 1.5, 1.5], "dwell": 2.0},
+                   {"pos": [2.5, 2.5, 1.5]}],
 }
 
 
@@ -65,6 +79,19 @@ class TestLocalize:
     def test_report_carries_metrics(self, workspace):
         report = json.loads((workspace / "run" / "report.json").read_text())
         assert report["metrics"]["ate_rmse_cm"] < 1.0
+
+    def test_max_iterations_caps_every_solve(self, workspace, tmp_path):
+        rc = main(["localize",
+                   "--map", str(workspace / "scene" / "map.pcd"),
+                   "--scans", str(workspace / "scene" / "scans"),
+                   "--odom", str(workspace / "scene" / "odometry.tum"),
+                   "--imu", str(workspace / "scene" / "imu.csv"),
+                   "--out", str(tmp_path / "capped"),
+                   "--set", "degeneracy.min_correspondences=50",
+                   "--set", "optimizer.max_iterations=1"])
+        assert rc == 0
+        report = json.loads((tmp_path / "capped" / "report.json").read_text())
+        assert max(f["iterations"] for f in report["frames"]) <= 1
 
     def test_verbose_set_flag_writes_trace(self, workspace, tmp_path):
         rc = main(["localize",
@@ -252,6 +279,36 @@ class TestExitCodes:
                    "--set", "registration.no_such_key=1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("name, data", [
+        ("est.pcd", b"FIELDS x y z\nSIZE 4 4 four\nTYPE F F F\nPOINTS 1\n"
+                    b"DATA ascii\n0 0 0\n"),
+        ("est.ply", b"ply\nformat ascii 1.0\nelement vertex many\n"
+                    b"property float x\nproperty float y\nproperty float z\n"
+                    b"end_header\n0 0 0\n"),
+        ("est.tum", b"\xff\xfe0.0 0 0 0 0 0 0 1\n"),
+        ("cfg.json", b"\xff\xfe{}"),
+    ], ids=["pcd-size", "ply-vertex-count", "tum-bytes", "config-bytes"])
+    def test_malformed_header_or_text_exits_two(self, workspace, tmp_path,
+                                                capsys, name, data):
+        scene = workspace / "scene"
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        argv = {
+            ".pcd": ["eval-map", "--est", str(bad),
+                     "--ref", str(scene / "map.pcd")],
+            ".ply": ["eval-map", "--est", str(bad),
+                     "--ref", str(scene / "map.pcd")],
+            ".tum": ["eval-traj", "--est", str(bad),
+                     "--ref", str(scene / "groundtruth.tum")],
+            ".json": ["localize", "--config", str(bad),
+                      "--map", str(scene / "map.pcd"),
+                      "--scans", str(scene / "scans"),
+                      "--odom", str(scene / "odometry.tum"),
+                      "--out", str(tmp_path / "x")],
+        }[bad.suffix]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+
     def test_numerical_failure_exits_three(self, workspace, capsys):
         scan = sorted((workspace / "scene" / "scans").iterdir())[0]
         rc = main(["degeneracy-report",
@@ -262,8 +319,44 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+def test_degeneracy_report_matches_localize_frame(tmp_path, capsys):
+    """degeneracy-report on scan 0, from the odometry pose localize
+    associates with it, reports what localize put in frame 0."""
+    write_json(tmp_path / "spec.json", SMOKE_SPEC)
+    scene = tmp_path / "scene"
+    assert main(["synth", "--spec", str(tmp_path / "spec.json"),
+                 "--out", str(scene)]) == 0
+    assert main(["localize", "--map", str(scene / "map.pcd"),
+                 "--scans", str(scene / "scans"),
+                 "--odom", str(scene / "odometry.tum"),
+                 "--imu", str(scene / "imu.csv"),
+                 "--out", str(tmp_path / "run")]) == 0
+    frame = json.loads((tmp_path / "run" / "report.json").read_text())[
+        "frames"][0]
+    scan = sorted((scene / "scans").glob("*.pcd"))[0]
+    lines = [line.split() for line in
+             (scene / "odometry.tum").read_text().splitlines()
+             if line.strip() and not line.startswith("#")]
+    # nearest in time, the later line on a tie
+    tokens = min(reversed(lines),
+                 key=lambda tok: abs(float(tok[0]) - float(scan.stem)))
+    capsys.readouterr()
+    assert main(["degeneracy-report", "--map", str(scene / "map.pcd"),
+                 "--scan", str(scan), "--pose", *tokens[1:]]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert frame["degeneracy"] == {key: report[key]
+                                   for key in frame["degeneracy"]}
+    assert frame["residual_rms"] == report["residual_rms"]
+    assert frame["correspondences"] == report["num_correspondences"]
+
+
 def test_module_entry_point():
+    # the subprocess must import the maploc this test imported, whether or
+    # not it is installed
+    src = str(Path(maploc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "maploc", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "localize" in proc.stdout

@@ -152,6 +152,13 @@ class TestTum:
         assert info.value.line == 2
         assert "1.000000000 does not increase past 2.000000000" in str(info.value)
 
+    def test_undecodable_bytes_name_their_offset(self, tmp_path):
+        path = tmp_path / "traj.tum"
+        path.write_bytes(b"\xff\xfe1.0 0 0 0 0 0 0 1\n")
+        with pytest.raises(ParseError) as info:
+            read_tum(path)
+        assert info.value.path == path and info.value.offset == 0
+
     def test_quaternion_normalized_on_read(self, tmp_path):
         path = tmp_path / "traj.tum"
         path.write_text("1.0 0 0 0 0 0 0 2\n")
@@ -300,6 +307,20 @@ class TestPcd:
         assert np.allclose(cloud.points, [[1, 2, 3], [4, 5, 6]])
         assert cloud.normals is None
 
+    @pytest.mark.parametrize("entry, value", [
+        ("SIZE", "4 4 four"), ("COUNT", "1 one 1"), ("POINTS", "two"),
+        ("POINTS", "-2"), ("WIDTH", ""), ("HEIGHT", "1.5"),
+    ])
+    def test_non_integer_header_value(self, tmp_path, entry, value):
+        header = {"FIELDS": "x y z", "SIZE": "4 4 4", "TYPE": "F F F",
+                  "COUNT": "1 1 1", "WIDTH": "2", "HEIGHT": "1"}
+        header[entry] = value
+        path = tmp_path / "cloud.pcd"
+        path.write_text("".join(f"{k} {v}\n" for k, v in header.items())
+                        + "DATA ascii\n0 0 0\n1 1 1\n")
+        with pytest.raises(ParseError, match=f"PCD {entry} must be"):
+            read_pcd(path)
+
     def test_points_from_width_height(self, tmp_path):
         path = tmp_path / "cloud.pcd"
         path.write_text(
@@ -368,6 +389,16 @@ class TestPly:
         with pytest.raises(ParseError):
             read_ply(path)
 
+    @pytest.mark.parametrize("line", ["element vertex many", "element vertex",
+                                      "element", "format"])
+    def test_malformed_header_line(self, tmp_path, line):
+        path = tmp_path / "bad.ply"
+        path.write_text(self.CUBE.replace("element vertex 8", line, 1)
+                        if line.startswith("element")
+                        else self.CUBE.replace("format ascii 1.0", line))
+        with pytest.raises(ParseError):
+            read_ply(path)
+
     def test_nonfinite_points_dropped(self, tmp_path):
         text = self.CUBE.replace("1 0 0\n", "nan 0 0\n").replace(
             "0 1 1\n", "0 inf 1\n")
@@ -412,6 +443,13 @@ class TestImuCsv:
         with pytest.raises(ParseError) as info:
             read_imu_csv(path)
         assert info.value.line == 2
+
+    def test_undecodable_bytes_name_their_offset(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        path.write_bytes(b"t,wx,wy,wz,ax,ay,az\n0,0,0,0,0,0,9.81\xff\n")
+        with pytest.raises(ParseError) as info:
+            read_imu_csv(path)
+        assert info.value.path == path and info.value.offset == 36
 
     def test_empty(self, tmp_path):
         path = tmp_path / "imu.csv"
@@ -530,6 +568,13 @@ class TestConfig:
         with pytest.raises(ParseError) as info:
             load_config(path)
         assert info.value.line is not None
+
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(ParseError) as info:
+            load_config(path)
+        assert str(info.value) == f"{path}: not UTF-8 text (byte offset 0)"
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "cfg.json"

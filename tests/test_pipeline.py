@@ -15,7 +15,7 @@ import pytest
 from maploc import pipeline, synth
 from maploc.errors import (EmptyCloud, InitializationFailure, NoMatches,
                            NonMonotonicTimestamps, ParseError)
-from maploc.evaluate import ate
+from maploc.evaluate import Trajectory, ate
 from maploc.geometry import PointCloud, Pose, between, build_index, compose
 from maploc.io import default_config, read_pcd, read_tum, validate_report
 from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
@@ -328,6 +328,55 @@ class TestMapFactorStride:
                       groundtruth=result.gt_trajectory)
             acc[stride] = out.metrics.map_acc_cm
         assert acc[1] <= acc[4]
+
+
+class TestKeyframeAssociation:
+    """Which odometry pose each scan takes, read from run()'s output. With
+    a map factor on frame 0 only and no IMU, the trajectory is the chain of
+    the associated poses. Scans are retimed to binary-exact stamps so that
+    a tie is exact; each has two odometry poses around it, the true one
+    `before` s earlier and one raised k cm `after` s later."""
+
+    STEP = 0.125  # s
+
+    def run_room(self, room, before, after, stride=1, shift=None, n=8):
+        result, pm = room
+        times, poses = [], []
+        for k, pose in enumerate(result.gt_trajectory.poses[:n]):
+            raised = Pose(pose.rotation, pose.translation + [0, 0, 0.01 * k])
+            times += [k * self.STEP - before, k * self.STEP + after]
+            poses += [pose, raised]
+        scans = [(k * self.STEP, f.cloud) for k, f in enumerate(result.scans[:n])]
+        if shift is not None:  # move one scan out of the association gate
+            scans[shift] = (scans[shift][0] + 0.03, scans[shift][1])
+        seq = SequenceInput(scans=tuple(scans),
+                            odometry=Trajectory(np.array(times), tuple(poses)))
+        out = run(pm, seq, make_cfg(map_factor_stride=1000,
+                                    keyframe_stride=stride))
+        raised = [(p.translation - result.gt_trajectory.poses[round(
+            f["timestamp"] / self.STEP)].translation)[2] for f, p in
+            zip(out.frames, out.trajectory.poses)]
+        return out, raised
+
+    @pytest.mark.parametrize("before, after, later", [
+        (2.0 ** -10, 2.0 ** -8, False),  # the earlier pose is nearer
+        (2.0 ** -8, 2.0 ** -10, True),   # the later pose is nearer
+        (2.0 ** -8, 2.0 ** -8, True),    # a tie goes to the later pose
+    ])
+    def test_nearest_pose_and_tie(self, room, before, after, later):
+        out, raised = self.run_room(room, before, after)
+        expected = [0.01 * k if later else 0.0 for k in range(8)]
+        np.testing.assert_allclose(raised, expected, atol=1e-6)
+
+    def test_stride_and_gate(self, room, caplog):
+        out, raised = self.run_room(room, 2.0 ** -8, 2.0 ** -10, stride=2,
+                                    shift=2)
+        assert [f["timestamp"] for f in out.frames] == [0.0, 0.5, 0.75]
+        np.testing.assert_allclose(raised, [0.0, 0.04, 0.06], atol=1e-6)
+        skipped = [r.getMessage() for r in caplog.records
+                   if r.levelname == "WARNING"]
+        assert skipped == [f"scan 2 at t={2 * self.STEP + 0.03:.3f} has no "
+                           "odometry within 10 ms; skipped"]
 
 
 class TestAssociationAndErrors:
