@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 usage error, 2 malformed input data (DataError),
 3 numerical failure on valid inputs (NumericalError).
+
+A flag argparse can check on its own (a missing flag, a value that is not
+a number, `--delta` below 1) is a usage error, exit 1. A flag whose value
+parses but is not valid data (a non-finite `--pose` value or a zero
+quaternion, a `--set` override naming an unknown key or failing the config
+schema) is a DataError, exit 2, like a malformed input file.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import sys
 import numpy as np
 
 from . import io as mio
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, ParseError
 from .evaluate import ate, map_accuracy, map_completeness, rpe, rpe_per_meter
 from .geometry import Pose
 from .pipeline import (emit_reports, load_map, load_sequence, register_frame,
@@ -87,18 +93,31 @@ def _cmd_eval_map(args) -> int:
 
 
 def _cmd_degeneracy_report(args) -> int:
+    tx, ty, tz, qx, qy, qz, qw = args.pose
+    if not np.all(np.isfinite(args.pose)):
+        raise ParseError("--pose: non-finite value")
+    try:
+        pose = Pose(mio.quaternion_to_rotation(qx, qy, qz, qw),
+                    np.array([tx, ty, tz]))
+    except ValueError as exc:
+        raise ParseError(f"--pose: {exc}") from exc
     cfg = _load_cfg(args)
     prior_map = load_map(args.map, voxel_size=cfg["voxel_size"])
     scan = mio.read_cloud(args.scan)
-    tx, ty, tz, qx, qy, qz, qw = args.pose
-    pose = Pose(mio.quaternion_to_rotation(qx, qy, qz, qw),
-                np.array([tx, ty, tz]))
     result, report = register_frame(scan, prior_map, pose, cfg)
     out = dict(report.as_dict(), residual_rms=float(result.residual_rms),
                iterations=int(result.iterations),
                converged=bool(result.converged))
     print(json.dumps(mio.sanitize_json(out), indent=2, sort_keys=True))
     return 0
+
+
+def _frame_count(text) -> int:
+    """argparse type: an integer of at least 1."""
+    if not (text.isascii() and text.isdigit()) or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got '{text}'")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -132,7 +151,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-traj", help="trajectory metrics (ATE/RPE)")
     p.add_argument("--est", required=True, help="estimated trajectory (TUM)")
     p.add_argument("--ref", required=True, help="reference trajectory (TUM)")
-    p.add_argument("--delta", type=int, default=1,
+    p.add_argument("--delta", type=_frame_count, default=1,
                    help="RPE window, frames (default 1)")
     p.set_defaults(func=_cmd_eval_traj, verbose=False)
 

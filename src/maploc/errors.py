@@ -95,7 +95,7 @@ class NonMonotonicTimestamps(ParseError):
     pass
 
 
-class InvalidSpec(DataError):
+class InvalidSpec(ParseError):
     pass
 
 

@@ -88,7 +88,7 @@ def quaternion_to_rotation(qx, qy, qz, qw):
 def _names_file(reader):
     """Reader wrapper: a ParseError it raises names the file it was reading."""
     @functools.wraps(reader)
-    def read(path):
+    def read(path=None):
         try:
             return reader(path)
         except ParseError as exc:
@@ -98,15 +98,13 @@ def _names_file(reader):
 
 
 def _read_text(path) -> str:
-    """The file's UTF-8 text. Undecodable bytes are a ParseError that names
-    the file and the byte offset (the config reader has no _names_file)."""
+    """The file's UTF-8 text; undecodable bytes are a ParseError that names
+    their byte offset."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        error = ParseError("not UTF-8 text", offset=exc.start)
-        error.path = path
-        raise error from exc
+        raise ParseError("not UTF-8 text", offset=exc.start) from exc
 
 
 def _header_ints(tokens, what, line):
@@ -114,6 +112,54 @@ def _header_ints(tokens, what, line):
     if not tokens or not all(t.isascii() and t.isdigit() for t in tokens):
         raise ParseError(f"{what} must be non-negative integers", line=line)
     return [int(tok) for tok in tokens]
+
+
+def _float_rows(lines, first_line, width, sep=None, limit=None, wider=False,
+                comments=False):
+    """The data rows of `lines`, numbered from `first_line`, as an
+    (N, width) float table plus each row's line number.
+
+    Blank lines (and with `comments`, lines starting with '#') are skipped.
+    A row has `width` fields split on `sep`, or with `wider` at least that
+    many, of which the first `width` are kept. With a `limit`, parsing stops
+    after that many rows, and a body that ends short of it is an error.
+    """
+    rows = []
+    numbers = []
+    for lineno, raw in enumerate(lines, first_line):
+        if len(rows) == limit:
+            break
+        stripped = raw.strip()
+        if not stripped or comments and stripped.startswith("#"):
+            continue
+        tokens = stripped.split(sep)
+        if len(tokens) != width and not (wider and len(tokens) > width):
+            raise ParseError(f"expected {width} fields, got {len(tokens)}",
+                             line=lineno)
+        try:
+            rows.append([float(tok) for tok in tokens[:width]])
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from exc
+        numbers.append(lineno)
+    if limit is not None and len(rows) < limit:
+        raise ParseError(f"body ended after {len(rows)} of {limit} rows",
+                         line=first_line + len(lines) - 1)
+    return np.array(rows, dtype=float).reshape(-1, width), numbers
+
+
+def _check_series(table, numbers, what):
+    """A TUM or IMU table: every value finite and the timestamps (column 0)
+    strictly increasing. The first bad row's line is named."""
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ParseError("non-finite value", line=numbers[bad[0]])
+    times = table[:, 0]
+    back = np.flatnonzero(times[1:] <= times[:-1]) + 1
+    if back.size:
+        k = back[0]
+        raise NonMonotonicTimestamps(
+            f"{what} timestamp {times[k]:.9f} does not increase past "
+            f"{times[k - 1]:.9f}", line=numbers[k])
 
 
 # ---------------------------------------------------------------------------
@@ -135,32 +181,19 @@ def write_tum(path, trajectory: Trajectory):
 
 @_names_file
 def read_tum(path) -> Trajectory:
-    times = []
+    table, numbers = _float_rows(_read_text(path).splitlines(), 1, 8,
+                                 comments=True)
+    if not numbers:
+        raise ParseError("no trajectory entries")
+    _check_series(table, numbers, "trajectory")
     poses = []
-    for lineno, raw in enumerate(_read_text(path).splitlines(), 1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        tokens = stripped.split()
-        if len(tokens) != 8:
-            raise ParseError(f"expected 8 fields, got {len(tokens)}",
-                             line=lineno)
+    for row, lineno in zip(table.tolist(), numbers):
         try:
-            values = [float(tok) for tok in tokens]
-            rotation = quaternion_to_rotation(*values[4:])
+            rotation = quaternion_to_rotation(*row[4:])
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from exc
-        if not all(map(math.isfinite, values)):
-            raise ParseError("non-finite value", line=lineno)
-        if times and not values[0] > times[-1]:
-            raise NonMonotonicTimestamps(
-                f"trajectory timestamp {values[0]:.9f} does not increase past "
-                f"{times[-1]:.9f}", line=lineno)
-        times.append(values[0])
-        poses.append(Pose(rotation, np.array(values[1:4])))
-    if not times:
-        raise ParseError("no trajectory entries")
-    return Trajectory(np.array(times), tuple(poses))
+        poses.append(Pose(rotation, np.array(row[1:4])))
+    return Trajectory(table[:, 0], tuple(poses))
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +267,8 @@ def read_pcd(path) -> PointCloud:
                           line_no)
     if not len(fields) == len(sizes) == len(types) == len(counts):
         raise ParseError("inconsistent PCD field declaration", line=line_no)
+    if len(set(fields)) != len(fields):
+        raise ParseError("PCD FIELDS repeats a name", line=line_no)
     if any(c != 1 for c in counts):
         raise ParseError("PCD COUNT != 1 is not supported", line=line_no)
     for axis in ("x", "y", "z"):
@@ -252,29 +287,8 @@ def read_pcd(path) -> PointCloud:
 
     if mode == "ascii":
         text = data[pos:].decode("ascii", errors="replace")
-        rows = []
-        parsed = 0
-        for offset, raw in enumerate(text.splitlines()):
-            if parsed >= n_points:
-                break
-            stripped = raw.strip()
-            if not stripped:
-                continue
-            tokens = stripped.split()
-            if len(tokens) != len(fields):
-                raise ParseError(
-                    f"expected {len(fields)} values, got {len(tokens)}",
-                    line=line_no + 1 + offset)
-            try:
-                rows.append([float(tok) for tok in tokens])
-            except ValueError as exc:
-                raise ParseError(str(exc), line=line_no + 1 + offset) from exc
-            parsed += 1
-        if parsed < n_points:
-            raise ParseError(
-                f"PCD body ended after {parsed} of {n_points} points",
-                line=line_no + 1 + len(text.splitlines()))
-        table = np.asarray(rows, dtype=float)
+        table, _ = _float_rows(text.splitlines(), line_no + 1, len(fields),
+                               limit=n_points)
         columns = {name: table[:, k] for k, name in enumerate(fields)}
     elif mode == "binary":
         try:
@@ -289,7 +303,8 @@ def read_pcd(path) -> PointCloud:
                 f"PCD body truncated: need {expected} bytes, have "
                 f"{len(data) - pos}", offset=len(data))
         table = np.frombuffer(data, dtype=dtype, count=n_points, offset=pos)
-        columns = {name: table[name].astype(float) for name in fields}
+        with np.errstate(invalid="ignore"):  # a signalling NaN casts quietly
+            columns = {name: table[name].astype(float) for name in fields}
     else:
         raise ParseError(f"unsupported PCD DATA mode '{mode}'", line=line_no)
 
@@ -336,27 +351,9 @@ def read_ply(path) -> PointCloud:
         sel = [properties.index(axis) for axis in ("x", "y", "z")]
     except ValueError as exc:
         raise ParseError("PLY vertex element lacks x/y/z", line=body_start) from exc
-    rows = []
-    lineno = body_start
-    for raw in lines[body_start:]:
-        lineno += 1
-        if len(rows) >= n_vertices:
-            break
-        tokens = raw.strip().split()
-        if not tokens:
-            continue
-        if len(tokens) < len(properties):
-            raise ParseError(
-                f"expected {len(properties)} values, got {len(tokens)}",
-                line=lineno)
-        try:
-            rows.append([float(tokens[k]) for k in sel])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-    if len(rows) < n_vertices:
-        raise ParseError(f"PLY body ended after {len(rows)} of {n_vertices} "
-                         "vertices", line=lineno)
-    points = np.asarray(rows, dtype=float).reshape(-1, 3)
+    table, _ = _float_rows(lines[body_start:], body_start + 1,
+                           len(properties), limit=n_vertices, wider=True)
+    points = table[:, sel]
     return PointCloud(points[np.all(np.isfinite(points), axis=1)])
 
 
@@ -375,30 +372,12 @@ def read_imu_csv(path):
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != IMU_HEADER:
         raise ParseError(f"IMU CSV header must be '{IMU_HEADER}'", line=1)
-    samples = []
-    for lineno, raw in enumerate(lines[1:], 2):
-        stripped = raw.strip()
-        if not stripped:
-            continue
-        tokens = stripped.split(",")
-        if len(tokens) != 7:
-            raise ParseError(f"expected 7 fields, got {len(tokens)}",
-                             line=lineno)
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        if not all(map(math.isfinite, values)):
-            raise ParseError("non-finite value", line=lineno)
-        if samples and not values[0] > samples[-1].timestamp:
-            raise NonMonotonicTimestamps(
-                f"IMU timestamp {values[0]:.9f} does not increase past "
-                f"{samples[-1].timestamp:.9f}", line=lineno)
-        samples.append(ImuSample(values[0], np.array(values[1:4]),
-                                 np.array(values[4:7])))
-    if not samples:
+    table, numbers = _float_rows(lines[1:], 2, 7, sep=",")
+    if not numbers:
         raise ParseError("no IMU samples")
-    return samples
+    _check_series(table, numbers, "IMU")
+    return [ImuSample(t, w, a) for t, w, a in
+            zip(table[:, 0].tolist(), table[:, 1:4], table[:, 4:7])]
 
 
 def write_imu_csv(path, samples):
@@ -520,6 +499,7 @@ def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
 
+@_names_file
 def load_config(path=None) -> dict:
     """Parse, schema-validate, and merge a JSON config over the defaults."""
     if path is None:

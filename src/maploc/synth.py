@@ -226,12 +226,13 @@ def parse_scene_spec(data: dict) -> SceneSpec:
                      raw=copy.deepcopy(data))
 
 
+@mio._names_file
 def load_scene_spec(path) -> SceneSpec:
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(mio._read_text(path))
     except json.JSONDecodeError as exc:
-        raise InvalidSpec(f"scene spec is not valid JSON: {exc.msg} "
-                          f"(line {exc.lineno})") from exc
+        raise InvalidSpec(f"scene spec is not valid JSON: {exc.msg}",
+                          line=exc.lineno) from exc
     return parse_scene_spec(data)
 
 

@@ -319,6 +319,47 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
 
 
+class TestFlagErrors:
+    @pytest.mark.parametrize("pose, message", [
+        ("1 1 1 0 0 0 0", "zero-norm quaternion"),
+        ("1 nan 1 0 0 0 1", "non-finite value"),
+    ])
+    def test_invalid_pose_exits_two(self, workspace, capsys, pose, message):
+        scan = sorted((workspace / "scene" / "scans").iterdir())[0]
+        rc = main(["degeneracy-report",
+                   "--map", str(workspace / "scene" / "map.pcd"),
+                   "--scan", str(scan), "--pose", *pose.split()])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: --pose: {message}\n"
+
+    def test_delta_below_one_is_usage_error(self, workspace, capsys):
+        gt = str(workspace / "scene" / "groundtruth.tum")
+        rc = main(["eval-traj", "--est", gt, "--ref", gt, "--delta", "0"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "argument --delta: must be an integer >= 1, got '0'" in err
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\xff\xfe" + json.dumps(SPEC).encode(),
+         "not UTF-8 text (byte offset 0)"),
+        (b'{"kind": "cube-room",\n "seed": 1,}',
+         "scene spec is not valid JSON: Expecting property name enclosed in "
+         "double quotes (line 2)"),
+    ], ids=["bytes", "json"])
+    def test_malformed_spec_exits_two_naming_it(self, tmp_path, capsys, data,
+                                                message):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(data)
+        rc = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "s")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err == f"error: {spec}: {message}\n"
+
+
 def test_degeneracy_report_matches_localize_frame(tmp_path, capsys):
     """degeneracy-report on scan 0, from the odometry pose localize
     associates with it, reports what localize put in frame 0."""

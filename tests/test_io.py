@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from maploc.errors import NonMonotonicTimestamps, ParseError
+from maploc.errors import DataError, NonMonotonicTimestamps, ParseError
 from maploc.evaluate import Trajectory
 from maploc.factors import ImuSample
 from maploc.geometry import PointCloud, Pose, so3_exp
@@ -503,6 +505,95 @@ def test_parse_error_names_its_file(tmp_path, reader, name, text):
     assert str(info.value).endswith(f"(line {info.value.line})")
 
 
+_PCD_HEADER = ("VERSION 0.7\nFIELDS x y z normal_x normal_y normal_z\n"
+               "SIZE 4 4 4 4 4 4\nTYPE F F F F F F\nCOUNT 1 1 1 1 1 1\n"
+               "WIDTH {n}\nHEIGHT 1\nVIEWPOINT 0 0 0 1 0 0 0\nPOINTS {n}\n"
+               "DATA {mode}\n")
+_PLY_HEADER = ("ply\nformat ascii 1.0\ncomment c\nelement vertex {n}\n"
+               "property float x\nproperty float y\nproperty float z\n"
+               "property uchar red\nelement face 0\n"
+               "property list uchar int vertex_indices\nend_header\n")
+_ROWS = np.array([[1, 2, 3, 0, 0, 1], [4, 5, 6, 0, 1, 0]], dtype="<f4")
+
+# one small valid file per reader and format; the empty clouds are valid too
+FUZZ_SEEDS = {
+    "tum": (read_tum, "traj.tum", b"# t x y z qx qy qz qw\n"
+            b"1.0 0 0 0 0 0 0 1\n\n2.5 1 2 3 0 0 0.6 0.8\n"),
+    "imu": (read_imu_csv, "imu.csv", b"t,wx,wy,wz,ax,ay,az\n"
+            b"0.0,0,0,0,0,0,9.81\n0.005,0.1,0,-2e-3,0,0.2,9.8\n"),
+    "pcd-ascii": (read_pcd, "a.pcd", _PCD_HEADER.format(n=2, mode="ascii")
+                  .encode() + b"1 2 3 0 0 1\n4 5 6 0 1 0\n"),
+    "pcd-binary": (read_pcd, "b.pcd", _PCD_HEADER.format(n=2, mode="binary")
+                   .encode() + _ROWS.tobytes()),
+    "ply": (read_ply, "c.ply", _PLY_HEADER.format(n=2).encode()
+            + b"1 2 3 255\n4 5 6 0\n"),
+    "config": (load_config, "cfg.json",
+               b'{"voxel_size": 0.2, "degeneracy": {"s_thres": 4.0}}'),
+    "pcd-ascii-empty": (read_pcd, "e.pcd",
+                        _PCD_HEADER.format(n=0, mode="ascii").encode()),
+    "pcd-binary-empty": (read_pcd, "f.pcd",
+                         _PCD_HEADER.format(n=0, mode="binary").encode()),
+    "ply-empty": (read_ply, "g.ply", _PLY_HEADER.format(n=0).encode()),
+}
+
+_EDITS = st.lists(st.tuples(
+    st.sampled_from(["replace", "insert", "delete"]),
+    st.integers(0, 1 << 16),
+    st.one_of(st.sampled_from(b"0 1-.e#,\n\xffnai"), st.integers(0, 255))),
+    max_size=4)
+
+
+def _mutate(data, edits):
+    data = bytearray(data)
+    for op, at, byte in edits:
+        if op == "insert":
+            data.insert(at % (len(data) + 1), byte)
+        elif data and op == "replace":
+            data[at % len(data)] = byte
+        elif data:
+            del data[at % len(data)]
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@example(kind="pcd-ascii-empty", edits=[])
+@example(kind="ply-empty", edits=[])
+@given(kind=st.sampled_from(sorted(FUZZ_SEEDS)), edits=_EDITS)
+def test_readers_fail_only_with_data_errors(fuzz_dir, kind, edits):
+    """Mutated bytes either read, or raise a DataError (exit 2)."""
+    reader, name, seed = FUZZ_SEEDS[kind]
+    path = fuzz_dir / name
+    path.write_bytes(_mutate(seed, edits))
+    try:
+        reader(path)
+    except DataError:
+        pass
+
+
+@pytest.mark.parametrize("kind", ["pcd-ascii-empty", "pcd-binary-empty",
+                                  "ply-empty"])
+def test_empty_cloud_reads_as_empty(tmp_path, kind):
+    reader, name, data = FUZZ_SEEDS[kind]
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert reader(path).points.shape == (0, 3)
+
+
+@pytest.mark.parametrize("kind", ["tum", "imu", "pcd-ascii", "pcd-binary",
+                                  "ply", "config"])
+def test_fuzz_seeds_are_valid(tmp_path, kind):
+    reader, name, data = FUZZ_SEEDS[kind]
+    path = tmp_path / name
+    path.write_bytes(data)
+    expected = len(DEFAULT_CONFIG) if kind == "config" else 2
+    assert len(reader(path)) == expected
+
+
 class TestScanNames:
     def test_round_trip(self):
         for t in (0.0, 0.1, 12.5, 1234.567891234):
@@ -575,6 +666,15 @@ class TestConfig:
         with pytest.raises(ParseError) as info:
             load_config(path)
         assert str(info.value) == f"{path}: not UTF-8 text (byte offset 0)"
+
+    def test_schema_violation_names_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"threads": "four"}))
+        with pytest.raises(ParseError) as info:
+            load_config(path)
+        assert info.value.path == path
+        assert str(info.value).startswith(
+            f"{path}: config schema violation at threads")
 
     def test_non_object_root(self, tmp_path):
         path = tmp_path / "cfg.json"
