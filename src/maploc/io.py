@@ -74,10 +74,14 @@ def rotation_to_quaternion(rotation):
 
 
 def quaternion_to_rotation(qx, qy, qz, qw):
-    norm = math.sqrt(qx * qx + qy * qy + qz * qz + qw * qw)
-    if norm < 1e-12:
+    # Scaling by a power of two near the largest component keeps the norm
+    # from overflowing, and is exact, so other quaternions keep their bits.
+    exponent = math.frexp(max(abs(qx), abs(qy), abs(qz), abs(qw)))[1]
+    x, y, z, w = (math.ldexp(q, -exponent) for q in (qx, qy, qz, qw))
+    norm = math.sqrt(x * x + y * y + z * z + w * w)
+    if math.ldexp(norm, exponent) < 1e-12:
         raise ValueError("zero-norm quaternion")
-    x, y, z, w = qx / norm, qy / norm, qz / norm, qw / norm
+    x, y, z, w = x / norm, y / norm, z / norm, w / norm
     return np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
@@ -499,13 +503,19 @@ def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
 
+def _reject_constant(token):
+    """json.loads hook for the NaN and Infinity tokens Python accepts
+    beyond JSON; no config value may be non-finite."""
+    raise ParseError(f"non-finite number {token}")
+
+
 @_names_file
 def load_config(path=None) -> dict:
     """Parse, schema-validate, and merge a JSON config over the defaults."""
     if path is None:
         return default_config()
     try:
-        raw = json.loads(_read_text(path))
+        raw = json.loads(_read_text(path), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc.msg}",
                          line=exc.lineno) from exc
@@ -524,9 +534,11 @@ def apply_overrides(config: dict, assignments) -> dict:
             raise ParseError(f"override '{assignment}' must look like "
                              "section.key=value")
         try:
-            value = json.loads(raw_value)
+            value = json.loads(raw_value, parse_constant=_reject_constant)
         except json.JSONDecodeError:
             value = raw_value
+        except ParseError as exc:
+            raise ParseError(f"config key '{key.strip()}': {exc}") from exc
         node = result
         parts = key.strip().split(".")
         for part in parts[:-1]:

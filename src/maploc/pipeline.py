@@ -19,8 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .degeneracy import DegeneracyParams, detect, spectrum
-from .errors import (EmptyCloud, InitializationFailure, MaplocError,
-                     NoMatches, NonMonotonicTimestamps, ParseError)
+from .errors import (DataError, EmptyCloud, InitializationFailure,
+                     MaplocError, NoMatches, NonMonotonicTimestamps,
+                     ParseError)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
 from .factors import (BiasPriorFactor, BiasWalkFactor, GravityFactor,
                       ImuFactor, MapFactor, MIN_MEAN_ACCEL, NoMotionFactor,
@@ -84,18 +85,43 @@ class RunResult:
 
 def voxel_downsample(points, voxel, normals=None):
     """Centroid downsampling on a regular grid. Deterministic: cells are
-    processed in lexicographic key order."""
+    processed in lexicographic key order.
+
+    Each point's cell floor(p / voxel) is packed into one int64 key whose
+    order is the lexicographic (x, y, z) order, so one 1-D sort groups the
+    points. A grid too large for that key is a DataError.
+    """
     points = np.asarray(points, dtype=float)
-    keys = np.floor(points / voxel).astype(np.int64)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    counts = np.bincount(inverse, minlength=len(uniq)).astype(float)
-    centroids = np.zeros((len(uniq), 3))
-    np.add.at(centroids, inverse, points)
-    centroids /= counts[:, None]
+    if len(points) == 0:
+        return np.zeros((0, 3)), None if normals is None else np.zeros((0, 3))
+    cells = np.floor(points / voxel)
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    if not (np.all(lo > -2.0 ** 62) and np.all(hi < 2.0 ** 62)):
+        raise DataError(f"voxel grid of {voxel} m: cell indices must be "
+                        "finite and below 2^62 in magnitude")
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) > 2 ** 63:
+        raise DataError(f"voxel grid of {voxel} m spans {spans[0]} x "
+                        f"{spans[1]} x {spans[2]} cells, more than int64 keys")
+    keys = cells.astype(np.int64)
+    del cells
+    keys -= lo.astype(np.int64)
+    packed = (keys[:, 0] * spans[1] + keys[:, 1]) * spans[2] + keys[:, 2]
+    del keys
+    inverse = np.unique(packed, return_inverse=True)[1]
+    del packed
+    counts = np.bincount(inverse).astype(float)
+
+    # np.bincount adds in input order, so each voxel's sum has the bits of
+    # a sequential scatter-add
+    def sums(values):
+        return np.column_stack([np.bincount(inverse, weights=values[:, i])
+                                for i in range(3)])
+
+    centroids = sums(points) / counts[:, None]
     if normals is None:
         return centroids, None
-    summed = np.zeros((len(uniq), 3))
-    np.add.at(summed, inverse, np.asarray(normals, dtype=float))
+    summed = sums(np.asarray(normals, dtype=float))
     norms = np.linalg.norm(summed, axis=1)
     with np.errstate(invalid="ignore"):
         averaged = summed / norms[:, None]
@@ -109,12 +135,16 @@ def load_map(path, voxel_size=0.1) -> PriorMap:
     Normals present in the file are centroid-averaged per voxel; missing
     or degenerate ones are re-estimated from the downsampled cloud.
     """
-    if voxel_size <= 0:
-        raise ValueError("voxel_size must be positive")
+    if not 0 < voxel_size < math.inf:
+        raise ValueError("voxel_size must be positive and finite")
     raw = mio.read_cloud(path)
     if len(raw) == 0:
         raise EmptyCloud(f"map file {path} holds no finite points")
-    points, normals = voxel_downsample(raw.points, voxel_size, raw.normals)
+    try:
+        points, normals = voxel_downsample(raw.points, voxel_size,
+                                           raw.normals)
+    except DataError as exc:
+        raise DataError(f"map file {path}: {exc}") from exc
     if normals is not None:
         bad = ~np.all(np.isfinite(normals), axis=1)
     else:

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: alignment via
 Horn's quaternion method instead of Kabsch SVD, twists via scipy's
 generic matrix logarithm, nearest neighbors via a dense distance matrix,
-the SE(3) left Jacobian via its ad-series instead of the closed form.
+the SE(3) left Jacobian via its ad-series instead of the closed form,
+voxel grouping via row-wise np.unique and np.add.at instead of packed keys.
 """
 
 import numpy as np
@@ -96,3 +97,24 @@ def se3_left_jacobian_series(twist):
         if np.abs(term).max() < 1e-18:
             break
     return result
+
+
+def voxel_downsample_unique(points, voxel, normals=None):
+    """Voxel centroids (and averaged normals) grouped by a row-wise
+    np.unique of the (N, 3) cell keys and summed with np.add.at."""
+    points = np.asarray(points, dtype=float)
+    keys = np.floor(points / voxel).astype(np.int64)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    counts = np.bincount(inverse, minlength=len(uniq)).astype(float)
+    centroids = np.zeros((len(uniq), 3))
+    np.add.at(centroids, inverse, points)
+    centroids /= counts[:, None]
+    if normals is None:
+        return centroids, None
+    summed = np.zeros((len(uniq), 3))
+    np.add.at(summed, inverse, np.asarray(normals, dtype=float))
+    norms = np.linalg.norm(summed, axis=1)
+    with np.errstate(invalid="ignore"):
+        averaged = summed / norms[:, None]
+    averaged[norms < 1e-9] = np.nan
+    return centroids, averaged

@@ -279,6 +279,31 @@ class TestExitCodes:
                    "--set", "registration.no_such_key=1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("case", ["config-nan", "set-infinity",
+                                      "map-beyond-int64-keys"])
+    def test_non_finite_config_or_far_map_exits_two_naming_it(
+            self, workspace, tmp_path, capsys, case):
+        scene = workspace / "scene"
+        config = tmp_path / "cfg.json"
+        config.write_text('{"voxel_size": NaN}\n')
+        far_map = tmp_path / "far.pcd"
+        far_map.write_text("FIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
+                           "POINTS 2\nDATA ascii\n0 0 0\n1e19 0 0\n")
+        extra, named = {
+            "config-nan": (["--config", str(config)], f"error: {config}: "),
+            "set-infinity": (["--set", "voxel_size=Infinity"],
+                             "error: config key 'voxel_size': "),
+            "map-beyond-int64-keys": (["--map", str(far_map)],
+                                      f"error: map file {far_map}: "),
+        }[case]
+        rc = main(["localize", "--map", str(scene / "map.pcd"),
+                   "--scans", str(scene / "scans"),
+                   "--odom", str(scene / "odometry.tum"),
+                   "--out", str(tmp_path / "x")] + extra)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and named in err
+
     @pytest.mark.parametrize("name, data", [
         ("est.pcd", b"FIELDS x y z\nSIZE 4 4 four\nTYPE F F F\nPOINTS 1\n"
                     b"DATA ascii\n0 0 0\n"),

@@ -167,6 +167,15 @@ class TestTum:
         traj = read_tum(path)
         assert np.allclose(traj.poses[0].rotation, np.eye(3), atol=1e-15)
 
+    def test_huge_quaternion_normalized_on_read(self, tmp_path):
+        # the squared components overflow a float; the half turn about
+        # x + y must survive rather than read as the identity
+        path = tmp_path / "traj.tum"
+        path.write_text("1.0 0 0 0 1e200 1e200 0 0\n")
+        rotation = read_tum(path).poses[0].rotation
+        assert np.allclose(rotation, [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
+                           atol=1e-15)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", [0, 1, 7])  # timestamp, x, qw
     def test_non_finite_value_names_line(self, tmp_path, value, field):

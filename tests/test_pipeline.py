@@ -7,19 +7,24 @@ registration, degeneracy gating, ZUPT, IMU fusion, and report emission.
 
 import copy
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from maploc import pipeline, synth
-from maploc.errors import (EmptyCloud, InitializationFailure, NoMatches,
-                           NonMonotonicTimestamps, ParseError)
+from maploc.errors import (DataError, EmptyCloud, InitializationFailure,
+                           NoMatches, NonMonotonicTimestamps, ParseError)
 from maploc.evaluate import Trajectory, ate
 from maploc.geometry import PointCloud, Pose, between, build_index, compose
 from maploc.io import default_config, read_pcd, read_tum, validate_report
 from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
                              run, emit_reports, voxel_downsample)
+
+from oracles import voxel_downsample_unique
 
 SENSOR = {"n_azimuth": 90, "n_elevation": 8, "max_range": 12.0,
           "min_range": 0.3}
@@ -106,7 +111,54 @@ def brute_voxel(points, voxel):
     return np.array([np.mean(cells[k], axis=0) for k in sorted(cells)])
 
 
+@st.composite
+def voxel_clouds(draw):
+    """(points, voxel, normals): coordinates in voxel units, either whole
+    (on a cell boundary) or fractional, of either sign; the first rows
+    repeated; normals with components in {-1, 0, 1}, so they often cancel."""
+    voxel = draw(st.sampled_from([0.1, 0.25, 1.0, 3.0]))
+    unit = st.one_of(st.integers(-6, 6).map(float),
+                     st.floats(-6.0, 6.0, allow_subnormal=False))
+    rows = draw(st.lists(st.tuples(unit, unit, unit), max_size=40))
+    rows += rows[:draw(st.integers(0, 5))]
+    points = np.array(rows, dtype=float).reshape(-1, 3) * voxel
+    normals = None
+    if draw(st.booleans()):
+        sign = st.sampled_from([-1.0, 0.0, 1.0])
+        normals = np.array(draw(st.lists(
+            st.tuples(sign, sign, sign), min_size=len(rows),
+            max_size=len(rows))), dtype=float).reshape(-1, 3)
+    return points, voxel, normals
+
+
 class TestVoxelDownsample:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cloud=voxel_clouds())
+    @example(cloud=(np.zeros((0, 3)), 0.1, None))
+    @example(cloud=(np.zeros((0, 3)), 0.1, np.zeros((0, 3))))
+    @example(cloud=(np.array([[-0.05, 0.1, 0.0]]), 0.1,
+                    np.array([[0.0, 0.0, 1.0]])))
+    @example(cloud=(np.array([[0.01, 0.0, 0.0], [0.02, 0.0, 0.0]]), 1.0,
+                    np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])))
+    def test_bit_identical_to_unique_oracle(self, cloud):
+        points, voxel, normals = cloud
+        got = voxel_downsample(points, voxel, normals)
+        want = voxel_downsample_unique(points, voxel, normals)
+        assert got[0].shape == want[0].shape == (len(want[0]), 3)
+        assert np.array_equal(got[0], want[0])
+        if normals is None:
+            assert got[1] is None
+        else:
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+
+    @pytest.mark.parametrize("points", [
+        [[0, 0, 0], [1e19, 0, 0], [2e19, 0, 0], [0.05, 0, 0]],  # > 2^62 cells
+        [[0, 0, 0], [-1e17, 1e17, 1e17]],   # each axis fits, the product not
+    ], ids=["axis", "product"])
+    def test_grid_beyond_int64_keys_raises(self, points):
+        with pytest.raises(DataError, match="voxel grid of 0.1 m"):
+            voxel_downsample(np.array(points, dtype=float), 0.1)
+
     def test_matches_brute_force_oracle(self, rng):
         points = rng.uniform(-3.0, 3.0, size=(500, 3))
         got, _ = voxel_downsample(points, 0.25)
@@ -185,6 +237,11 @@ class TestLoadMap:
     def test_bad_voxel_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             load_map(tmp_path / "whatever.pcd", voxel_size=0.0)
+
+    @pytest.mark.parametrize("voxel", [math.nan, math.inf])
+    def test_non_finite_voxel_rejected(self, tmp_path, voxel):
+        with pytest.raises(ValueError):
+            load_map(tmp_path / "whatever.pcd", voxel_size=voxel)
 
     def test_file_normals_survive(self, tmp_path):
         # flat plane written with its analytic normals; the loader should
