@@ -20,11 +20,12 @@ import sys
 import numpy as np
 
 from . import io as mio
-from .errors import DataError, NumericalError, ParseError
-from .evaluate import ate, map_accuracy, map_completeness, rpe, rpe_per_meter
+from .errors import DataError, MaplocError, NumericalError, ParseError
+from .evaluate import (DEFAULT_THRESHOLD, ate, map_accuracy, map_completeness,
+                       rpe, rpe_per_meter)
 from .geometry import Pose
-from .pipeline import (emit_reports, load_map, load_sequence, register_frame,
-                       run)
+from .pipeline import (emit_reports, evaluate_run, load_map, load_sequence,
+                       register_frame, run)
 from .synth import generate, load_scene_spec, write_sequence
 
 logger = logging.getLogger("maploc")
@@ -45,7 +46,14 @@ def _cmd_localize(args) -> int:
     prior_map = load_map(args.map, voxel_size=cfg["voxel_size"])
     sequence = load_sequence(args.scans, args.odom, args.imu)
     groundtruth = mio.read_tum(args.groundtruth) if args.groundtruth else None
-    result = run(prior_map, sequence, cfg, groundtruth=groundtruth)
+    result = run(prior_map, sequence, cfg)
+    if groundtruth is not None:
+        try:
+            evaluate_run(result, groundtruth, prior_map)
+        except MaplocError as exc:
+            raise type(exc)(f"ground-truth metrics against "
+                            f"{args.groundtruth} failed: {exc}") from exc
+        mio.validate_report(result.report)
     paths = emit_reports(result, args.out)
     print(f"states: {result.report['num_states']}")
     if result.metrics is not None:
@@ -158,8 +166,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-map", help="map accuracy and completeness")
     p.add_argument("--est", required=True, help="estimated map (.pcd/.ply)")
     p.add_argument("--ref", required=True, help="reference map (.pcd/.ply)")
-    p.add_argument("--threshold", type=float, default=0.20,
-                   help="inlier distance, meters (default 0.20)")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                   help="inlier distance, meters (default %(default)s)")
     p.set_defaults(func=_cmd_eval_map, verbose=False)
 
     p = sub.add_parser("degeneracy-report",

@@ -1,12 +1,13 @@
 """Two-stage degeneracy detection for scan-to-map registration.
 
 Stage 1 scores the disagreement between the measured registration
-spectrum and a reference spectrum of the local map geometry; a large score
-rejects the frame outright, unless the spectrum is rank-deficient and stage
-2 masks an axis. Stage 2 counts the translational constraints
-each correspondence contributes per world axis and flags the starved axis
-when the count imbalance crosses a ratio threshold, so the corresponding
-residual rows can be masked instead of dropping the whole factor.
+spectrum and a reference spectrum of the local map geometry; a score above
+a fixed threshold rejects the frame outright, unless the spectrum is
+rank-deficient and stage 2 masks an axis. Stage 2 counts the translational
+constraints each correspondence contributes per world axis and flags the
+starved axis when the count imbalance crosses a ratio threshold, so the
+corresponding residual rows can be masked instead of dropping the whole
+factor.
 """
 
 from __future__ import annotations
@@ -26,18 +27,9 @@ SYMMETRY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DegeneracyParams:
-    d_e_threshold: float = math.inf  # stage-1 reject above this
-    s_thres: float = 3.0             # stage-2 count-ratio threshold
+    d_e_threshold: float = 1e-6  # stage-1 reject above this
+    s_thres: float = 3.0         # stage-2 count-ratio threshold
     min_correspondences: int = 100
-
-    @classmethod
-    def from_config(cls, section):
-        """Params from the config's degeneracy section; a null threshold
-        (not calibrated yet) rejects nothing on d_e."""
-        threshold = section["d_e_threshold"]
-        return cls(d_e_threshold=math.inf if threshold is None else threshold,
-                   s_thres=section["s_thres"],
-                   min_correspondences=section["min_correspondences"])
 
     def validate(self):
         if not self.d_e_threshold > 0:
@@ -156,12 +148,14 @@ def detect(align_result: AlignResult, reference: Spectrum,
            params: DegeneracyParams = DegeneracyParams()) -> DegeneracyReport:
     """Run both stages on a converged registration.
 
-    Stage 2 (counts, ratios, flagged axes) is always computed so reports can
-    carry it; when stage1_reject is set the caller drops the map factor and
-    the axis flags are advisory only. An exactly rank-deficient scan (a
-    perfect corridor) puts a zero eigenvalue in the spectrum and d_e takes
-    its +inf sentinel; when stage 2 flags an axis, the mask removes that
-    null direction and the factor is kept on the constrained axes.
+    Stage 1 rejects a frame with fewer than min_correspondences or a d_e
+    above d_e_threshold. Stage 2 (counts, ratios, flagged axes) is always
+    computed so reports can carry it; when stage1_reject is set the caller
+    drops the map factor and the axis flags are advisory only. An exactly
+    rank-deficient scan (a perfect corridor) puts a zero eigenvalue in the
+    spectrum and d_e takes its +inf sentinel; when stage 2 flags an axis,
+    the mask removes that null direction and the factor is kept on the
+    constrained axes.
     """
     params.validate()
     corrs = align_result.correspondences

@@ -82,9 +82,10 @@ class ImuSample:
 
 @dataclass(frozen=True)
 class ZuptParams:
-    min_duration: float = 0.5          # s
-    accel_std_threshold: float = 0.05  # m/s^2, stddev of |a|
-    gyro_mean_threshold: float = 0.02  # rad/s, mean of |w|
+    min_duration: float = 0.5            # s
+    accel_std_threshold: float = 0.05    # m/s^2, stddev of |a|
+    gyro_mean_threshold: float = 0.02    # rad/s, mean of |w|
+    max_odom_displacement: float = 0.05  # m, odometry stillness bound
 
 
 def retract_state(state: StateNode, delta) -> StateNode:

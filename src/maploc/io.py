@@ -13,16 +13,19 @@ import copy
 import functools
 import json
 import math
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 
+from .degeneracy import DegeneracyParams
 from .errors import NonMonotonicTimestamps, ParseError
 from .evaluate import Trajectory
-from .factors import ImuSample
+from .factors import ImuSample, ZuptParams
 from .geometry import PointCloud, Pose
+from .registration import RegistrationParams
 
 IMU_HEADER = "t,wx,wy,wz,ax,ay,az"
 FRAMES_CSV_HEADER = ("timestamp,d_e,count_x,count_y,count_z,"
@@ -419,25 +422,10 @@ DEFAULT_CONFIG = {
     "window": 8,
     "voxel_size": 0.1,
     "verbose": False,
-    "registration": {
-        "max_correspondence_distance": 1.0,
-        "max_iterations": 30,
-        "convergence_threshold": 1e-6,
-        "kernel_width": 0.1,
-    },
-    "degeneracy": {
-        "d_e_threshold": None,  # null: calibrate from the first frames
-        "s_thres": 3.0,
-        "min_correspondences": 100,
-        "auto_threshold_scale": 10.0,
-    },
+    "registration": asdict(RegistrationParams()),
+    "degeneracy": asdict(DegeneracyParams()),
     "optimizer": {"max_iterations": 50},
-    "zupt": {
-        "min_duration": 0.5,
-        "accel_std_threshold": 0.05,
-        "gyro_mean_threshold": 0.02,
-        "max_odom_displacement": 0.05,
-    },
+    "zupt": asdict(ZuptParams()),
     "imu": {
         "sigma_gyro": 1e-3,
         "sigma_accel": 1e-2,

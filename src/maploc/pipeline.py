@@ -13,7 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ logger = logging.getLogger("maploc.pipeline")
 
 SCAN_ODOM_MAX_DT = 0.010   # s, association gate between scans and odometry
 INIT_RESIDUAL_LIMIT = 0.5  # m, first-frame registration sanity bound
-AUTO_THRESHOLD_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -200,9 +199,11 @@ def _information(fac) -> dict:
     }
 
 
-def _keyframes(sequence: SequenceInput, stride: int) -> list:
+def _keyframes(sequence: SequenceInput, stride: int) -> tuple:
     """Every stride-th scan as (scan number, t, source, odometry pose): the
-    pose nearest in time, the later on a tie, and within SCAN_ODOM_MAX_DT."""
+    pose nearest in time, the later on a tie, and within SCAN_ODOM_MAX_DT.
+    Also returns the scans skipped for lack of such a pose, as report
+    entries {scan, timestamp}."""
     scans = sequence.scans
     if not scans:
         raise NoMatches("sequence holds no scans")
@@ -213,7 +214,7 @@ def _keyframes(sequence: SequenceInput, stride: int) -> list:
                 f"scan {_scan_name(k, b)} at t={t1:.9f} does not come after "
                 f"scan {_scan_name(k - 1, a)} at t={t0:.9f}")
     odom_times = np.asarray(sequence.odometry.timestamps)
-    keyframes = []
+    keyframes, skipped = [], []
     for k in range(0, len(scans), stride):
         t, source = scans[k]
         j = int(np.clip(np.searchsorted(odom_times, t), 0, len(odom_times) - 1))
@@ -222,63 +223,56 @@ def _keyframes(sequence: SequenceInput, stride: int) -> list:
         if abs(odom_times[j] - t) > SCAN_ODOM_MAX_DT:
             logger.warning("scan %d at t=%.3f has no odometry within "
                            "%.0f ms; skipped", k, t, SCAN_ODOM_MAX_DT * 1e3)
+            skipped.append({"scan": _scan_name(k, source),
+                            "timestamp": float(t)})
             continue
         keyframes.append((k, float(t), source, sequence.odometry.poses[j]))
     if not keyframes:
         raise NoMatches("no scan associates with odometry within the gate")
-    return keyframes
+    return keyframes, skipped
 
 
-def register_frame(cloud: PointCloud, prior_map: PriorMap, pose: Pose, cfg,
-                   deg_params: DegeneracyParams = None):
+def register_frame(cloud: PointCloud, prior_map: PriorMap, pose: Pose, cfg):
     """Register a scan to the map from `pose`, then run both degeneracy
-    stages; returns (AlignResult, DegeneracyReport). deg_params defaults to
-    the config's degeneracy section."""
-    if deg_params is None:
-        deg_params = DegeneracyParams.from_config(cfg["degeneracy"])
+    stages with the config's degeneracy section; returns (AlignResult,
+    DegeneracyReport)."""
     result = align(cloud.points, prior_map.index, pose,
                    RegistrationParams(**cfg["registration"]),
                    workers=cfg["threads"])
     reference = spectrum(reference_hessian(result.correspondences))
-    return result, detect(result, reference, deg_params)
+    return result, detect(result, reference,
+                          DegeneracyParams(**cfg["degeneracy"]))
 
 
-def _map_factor(frame, keyframe, pose, prior_map, cfg, deg_params):
-    """Fill the frame's registration fields; return its map factors and the
-    degeneracy params for later frames, whose null d_e threshold is
-    calibrated on the first finite d_e that passes stage 1."""
-    k, _, source, _ = keyframe
+def _map_factor(frame, keyframe, pose, prior_map, cfg) -> list:
+    """Fill the frame's registration fields; return its map factors."""
+    k, t, source, _ = keyframe
     first = frame["index"] == 0
     try:
         result, report = register_frame(_scan_cloud(source), prior_map, pose,
-                                        cfg, deg_params)
+                                        cfg)
     except MaplocError as exc:
         if first:
             raise InitializationFailure(
-                f"initial registration failed: {exc}") from exc
+                f"initial registration of scan {_scan_name(k, source)} at "
+                f"t={t:.9f} failed: {exc}") from exc
         logger.warning("frame %d registration skipped: %s", k, exc)
-        return [], deg_params
+        return []
     if first and result.residual_rms >= INIT_RESIDUAL_LIMIT:
         raise InitializationFailure(
-            f"initial registration residual {result.residual_rms:.3f} m "
-            f"exceeds {INIT_RESIDUAL_LIMIT} m")
+            f"initial registration of scan {_scan_name(k, source)} at "
+            f"t={t:.9f}: residual {result.residual_rms:.3f} m exceeds "
+            f"{INIT_RESIDUAL_LIMIT} m")
     frame.update(residual_rms=float(result.residual_rms),
                  correspondences=len(result.correspondences),
                  degeneracy=report.as_dict())
     if report.stage1_reject:
-        return [], deg_params
-    deg_cfg = cfg["degeneracy"]
-    if (deg_cfg["d_e_threshold"] is None and math.isfinite(report.d_e)
-            and math.isinf(deg_params.d_e_threshold)):
-        deg_params = replace(deg_params, d_e_threshold=max(
-            deg_cfg["auto_threshold_scale"] * report.d_e, AUTO_THRESHOLD_FLOOR))
-        logger.info("degeneracy threshold calibrated to %.3g",
-                    deg_params.d_e_threshold)
+        return []
     frame.update(map_factor_added=True,
                  mask=[int(a) for a in report.degenerate_axes])
     info = cfg["factors"]["map_weight"] * result.hessian
     return [MapFactor(frame["index"], result.pose, info,
-                      mask=report.degenerate_axes)], deg_params
+                      mask=report.degenerate_axes)]
 
 
 def _slice_samples(imu, lo, hi):
@@ -292,7 +286,7 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
     IMU over the trailing `span` s and odometry within `span` s both show
     the platform at rest."""
     k, t, _, odom_pose = keyframe
-    zupt = cfg["zupt"]
+    params = ZuptParams(**cfg["zupt"])
     # IMU norm statistics cannot separate constant-velocity travel from
     # rest, so odometry must also report no displacement around t before a
     # ZUPT is accepted. The check is symmetric: the run is offline, and
@@ -304,10 +298,8 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
     hi = np.searchsorted(odometry.timestamps, t + span, side="right")
     near = np.array([p.translation for p in odometry.poses[lo:hi]])
     still = len(near) > 0 and float(np.max(np.linalg.norm(
-        near - odom_pose.translation, axis=1))) <= zupt["max_odom_displacement"]
+        near - odom_pose.translation, axis=1))) <= params.max_odom_displacement
     window = _slice_samples(sequence.imu, t - span, t)
-    params = ZuptParams(zupt["min_duration"], zupt["accel_std_threshold"],
-                        zupt["gyro_mean_threshold"])
     if not (still and len(window) >= 2
             and window[-1].timestamp - window[0].timestamp > params.min_duration
             and detect_zupt(window, params)):
@@ -358,8 +350,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
     cfg = mio.default_config() if config is None else config
     mio.validate_config(cfg)
     info = _information(cfg["factors"])
-    deg_params = DegeneracyParams.from_config(cfg["degeneracy"])
-    keyframes = _keyframes(sequence, cfg["keyframe_stride"])
+    keyframes, skipped = _keyframes(sequence, cfg["keyframe_stride"])
     imu = sequence.imu
     # ZUPT windows reach 1.5 IMU periods past min_duration to strictly clear it
     zupt_span = cfg["zupt"]["min_duration"] + (
@@ -391,9 +382,8 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
                  "correspondences": 0, "map_factor_added": False,
                  "mask": [], "zupt": False, "degeneracy": None}
         if index % cfg["map_factor_stride"] == 0:
-            found, deg_params = _map_factor(frame, keyframe, state.pose,
-                                            prior_map, cfg, deg_params)
-            factors += found
+            factors += _map_factor(frame, keyframe, state.pose, prior_map,
+                                   cfg)
         if imu and index > 0:
             zupt = _zupt_factors(index, keyframe, prev_state, sequence,
                                  zupt_span, cfg, info)
@@ -416,27 +406,34 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
         np.array([s.timestamp for s in graph.states]),
         tuple(s.pose for s in graph.states))
     map_cloud = _assemble_map(graph, keyframes, cfg["voxel_size"])
-
-    metrics = None
+    result = RunResult(
+        trajectory=trajectory, map_cloud=map_cloud, frames=frames,
+        graph=graph, optimizer_records=opt_records,
+        report=mio.sanitize_json({
+            "config": cfg,
+            "num_states": len(graph.states),
+            "gravity": list(graph.gravity),
+            "frames": frames,
+            "skipped_scans": skipped,
+            "metrics": None,
+        }))
     if groundtruth is not None:
-        metrics = compute_metrics(
-            trajectory, groundtruth, delta=cfg["eval"]["rpe_delta"],
-            est_map=map_cloud, gt_map=prior_map.cloud,
-            threshold=cfg["eval"]["map_threshold"],
-            max_dt=cfg["eval"]["max_dt"], workers=cfg["threads"])
+        evaluate_run(result, groundtruth, prior_map)
+    mio.validate_report(result.report)
+    return result
 
-    report = mio.sanitize_json({
-        "config": cfg,
-        "num_states": len(graph.states),
-        "gravity": list(graph.gravity),
-        "frames": frames,
-        "metrics": metrics.as_dict() if metrics is not None else None,
-    })
-    mio.validate_report(report)
 
-    return RunResult(trajectory=trajectory, map_cloud=map_cloud,
-                     frames=frames, graph=graph, metrics=metrics,
-                     report=report, optimizer_records=opt_records)
+def evaluate_run(result: RunResult, groundtruth: Trajectory,
+                 prior_map: PriorMap):
+    """Score a finished run against ground truth and its map against the
+    prior map; sets result.metrics and the report's metrics block."""
+    cfg = result.report["config"]
+    result.metrics = compute_metrics(
+        result.trajectory, groundtruth, delta=cfg["eval"]["rpe_delta"],
+        est_map=result.map_cloud, gt_map=prior_map.cloud,
+        threshold=cfg["eval"]["map_threshold"],
+        max_dt=cfg["eval"]["max_dt"], workers=cfg["threads"])
+    result.report["metrics"] = mio.sanitize_json(result.metrics.as_dict())
 
 
 # ---------------------------------------------------------------------------

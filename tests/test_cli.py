@@ -61,6 +61,21 @@ def workspace(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def smoke(tmp_path_factory):
+    """The SMOKE_SPEC scene: 21 scans with one odometry pose each."""
+    root = tmp_path_factory.mktemp("smoke")
+    write_json(root / "spec.json", SMOKE_SPEC)
+    assert main(["synth", "--spec", str(root / "spec.json"),
+                 "--out", str(root / "scene")]) == 0
+    return root / "scene"
+
+
+def _tum_rows(path):
+    return [line for line in Path(path).read_text().splitlines(True)
+            if line.strip() and not line.startswith("#")]
+
+
 class TestLocalize:
     def test_outputs_exist(self, workspace):
         out = workspace / "run"
@@ -103,6 +118,26 @@ class TestLocalize:
                    "--set", "verbose=true"])
         assert rc == 0
         assert (tmp_path / "v" / "optimizer.csv").exists()
+
+    def test_gapped_odometry_reports_skipped_scans(self, smoke, tmp_path):
+        lines = _tum_rows(smoke / "odometry.tum")
+        cut = [2, 7, 12, 17]
+        odom = tmp_path / "odometry.tum"
+        odom.write_text("".join(line for i, line in enumerate(lines)
+                                if i not in cut))
+        assert main(["localize", "--map", str(smoke / "map.pcd"),
+                     "--scans", str(smoke / "scans"), "--odom", str(odom),
+                     "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        scans = sorted((smoke / "scans").glob("*.pcd"))
+        assert report["num_states"] == len(scans) - len(cut)
+        assert report["skipped_scans"] == [
+            {"scan": scans[i].name, "timestamp": float(scans[i].stem)}
+            for i in cut]
+
+    def test_full_odometry_skips_no_scan(self, workspace):
+        report = json.loads((workspace / "run" / "report.json").read_text())
+        assert report["skipped_scans"] == []
 
 
 class TestEvalTraj:
@@ -342,6 +377,68 @@ class TestExitCodes:
                    "--pose", "90", "90", "90", "0", "0", "0", "1"])
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["set-null", "config-auto-scale"])
+    def test_retired_threshold_settings_exit_two_naming_key(
+            self, workspace, tmp_path, capsys, case):
+        """d_e_threshold is a number only, and auto_threshold_scale is no
+        longer a key: a config that still uses either is refused."""
+        scene = workspace / "scene"
+        config = tmp_path / "cfg.json"
+        write_json(config, {"degeneracy": {"auto_threshold_scale": 10.0}})
+        extra, key = {
+            "set-null": (["--set", "degeneracy.d_e_threshold=null"],
+                         "d_e_threshold"),
+            "config-auto-scale": (["--config", str(config)],
+                                  "auto_threshold_scale"),
+        }[case]
+        rc = main(["localize", "--map", str(scene / "map.pcd"),
+                   "--scans", str(scene / "scans"),
+                   "--odom", str(scene / "odometry.tum"),
+                   "--out", str(tmp_path / "x")] + extra)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and key in err
+
+    @pytest.mark.parametrize("case, code", [("one-pose-odometry", 3),
+                                            ("shifted-groundtruth", 2)])
+    def test_failed_groundtruth_metrics_name_step_and_file(
+            self, smoke, tmp_path, capsys, case, code):
+        odom, groundtruth = smoke / "odometry.tum", smoke / "groundtruth.tum"
+        if case == "one-pose-odometry":
+            odom = tmp_path / "odometry.tum"
+            odom.write_text(_tum_rows(smoke / "odometry.tum")[0])
+        else:
+            groundtruth = tmp_path / "groundtruth.tum"
+            groundtruth.write_text("".join(
+                f"{float(t) + 1000.0:.9f} {rest}" for t, rest in
+                (row.split(maxsplit=1) for row in
+                 _tum_rows(smoke / "groundtruth.tum"))))
+        rc = main(["localize", "--map", str(smoke / "map.pcd"),
+                   "--scans", str(smoke / "scans"), "--odom", str(odom),
+                   "--groundtruth", str(groundtruth),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert (f"error: ground-truth metrics against {groundtruth} failed: "
+                in err)
+        assert not (tmp_path / "run").exists()
+
+    def test_failed_initial_registration_names_scan(self, smoke, tmp_path,
+                                                    capsys):
+        scans = tmp_path / "scans"
+        shutil.copytree(smoke / "scans", scans)
+        first = sorted(scans.glob("*.pcd"))[0]
+        first.write_text("FIELDS x y z\nSIZE 4 4 4\nTYPE F F F\n"
+                         "POINTS 0\nDATA ascii\n")
+        rc = main(["localize", "--map", str(smoke / "map.pcd"),
+                   "--scans", str(scans),
+                   "--odom", str(smoke / "odometry.tum"),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert (f"error: initial registration of scan {first.name} at "
+                f"t={float(first.stem):.9f} failed: " in err)
 
 
 class TestFlagErrors:

@@ -2,6 +2,7 @@
 
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -699,12 +700,25 @@ class TestConfig:
         assert cfg["degeneracy"]["s_thres"] == 4.5
         assert cfg["verbose"] is True
 
-    def test_override_null(self):
-        cfg = apply_overrides(default_config(),
-                              ["degeneracy.d_e_threshold=0.5"])
-        assert cfg["degeneracy"]["d_e_threshold"] == 0.5
-        cfg = apply_overrides(cfg, ["degeneracy.d_e_threshold=null"])
-        assert cfg["degeneracy"]["d_e_threshold"] is None
+    def test_schema_and_defaults_name_the_same_keys(self):
+        """Every schema key has a default and every default a schema
+        entry, so no key validates that no code reads."""
+        schema = json.loads(resources.files("maploc").joinpath(
+            "schemas", "config.schema.json").read_text())
+
+        def default_keys(node, prefix=""):
+            return {prefix + key for key in node} | {
+                k for key, value in node.items() if isinstance(value, dict)
+                for k in default_keys(value, f"{prefix}{key}.")}
+
+        def schema_keys(node, prefix=""):
+            props = node.get("properties", {})
+            return {prefix + key for key in props} | {
+                k for key, sub in props.items()
+                for k in schema_keys(sub, f"{prefix}{key}.")}
+
+        assert "degeneracy.d_e_threshold" in default_keys(DEFAULT_CONFIG)
+        assert default_keys(DEFAULT_CONFIG) == schema_keys(schema)
 
     def test_override_unknown_key(self):
         with pytest.raises(ParseError):
