@@ -6,8 +6,8 @@ a fixed threshold rejects the frame outright, unless the spectrum is
 rank-deficient and stage 2 masks an axis. Stage 2 counts the translational
 constraints each correspondence contributes per world axis and flags the
 starved axis when the count imbalance crosses a ratio threshold, so the
-corresponding residual rows can be masked instead of dropping the whole
-factor.
+map factor's weight can be zeroed along that axis instead of dropping the
+whole factor.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import NotSymmetric
 from .registration import AlignResult, Correspondences
-
-AXIS_NAMES = ("x", "y", "z")
 
 SYMMETRY_TOL = 1e-9
 
@@ -70,10 +68,6 @@ class DegeneracyReport:
     degenerate_axes: tuple  # axis indices, ascending
     stage1_reject: bool     # the map factor is dropped
     num_correspondences: int
-
-    def axis_mask(self):
-        """Boolean per-axis degeneracy mask (x, y, z)."""
-        return tuple(i in self.degenerate_axes for i in range(3))
 
     def as_dict(self):
         return {

@@ -106,22 +106,6 @@ def odometry_error(pose_i: Pose, pose_j: Pose, measured_relative: Pose):
     return log_map(compose(inverse(measured_relative), between(pose_i, pose_j)))
 
 
-def map_error(pose: Pose, map_pose: Pose, mask=()):
-    """Relative-pose residual with masked translational axes removed.
-
-    mask holds axis indices (0=x, 1=y, 2=z); the corresponding translational
-    rows of log(map_pose^-1 * pose) are deleted.
-    """
-    full = log_map(between(map_pose, pose))
-    keep = _mask_rows(mask)
-    return full[keep]
-
-
-def _mask_rows(mask):
-    keep = [0, 1, 2] + [3 + a for a in range(3) if a not in set(mask)]
-    return np.asarray(keep, dtype=int)
-
-
 def gravity_error(rotation, gravity, a_mean):
     """Norm-constrained gravity residual, 4-vector [e_dir; e_mag].
 
@@ -372,31 +356,38 @@ class NoMotionFactor(_Factor):
 
 @dataclass(frozen=True)
 class MapFactor(_Factor):
+    """Scan-to-map registration as a pose constraint.
+
+    The residual is the body-frame r = log(map_pose^-1 * pose), all 6 rows.
+    The weight is the registration Hessian, taken for a left (world-frame)
+    perturbation of the scan pose; the mask names degenerate world
+    translation axes and zeroes their rows and columns of that weight. The
+    two frames differ: see ROADMAP item 1.
+    """
+
     kind = "map"
     index: int
     map_pose: Pose
-    # the full 6x6 registration Hessian; kept as its block over the rows
-    # that survive the mask, which is what weights the residual
     information: np.ndarray
-    mask: tuple = ()         # degenerate translational axes to drop
+    mask: tuple = ()         # degenerate translational axes (0=x, 1=y, 2=z)
 
     def __post_init__(self):
         super().__post_init__()
         mask = tuple(sorted(set(self.mask)))
-        keep = _mask_rows(mask)
-        info = self.information[np.ix_(keep, keep)]
+        info = self.information.copy()
+        rows = [3 + a for a in mask]
+        info[rows] = 0.0
+        info[:, rows] = 0.0
         info.flags.writeable = False
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "information", info)
 
     def residual(self, states, gravity):
-        return map_error(states[self.index].pose, self.map_pose, self.mask)
+        return log_map(between(self.map_pose, states[self.index].pose))
 
     def linearize(self, states, gravity):
-        full = log_map(between(self.map_pose, states[self.index].pose))
-        keep = _mask_rows(self.mask)
-        jac = _pose_jacobian(full, self.map_pose)[keep]
-        return full[keep], {self.index: jac}, None
+        r = self.residual(states, gravity)
+        return r, {self.index: _pose_jacobian(r, self.map_pose)}, None
 
 
 @dataclass(frozen=True)

@@ -152,13 +152,6 @@ class Pose:
         points = np.asarray(points, dtype=float)
         return points @ self.rotation.T + self.translation
 
-    def validate(self, tol=1e-9):
-        err = np.abs(self.rotation @ self.rotation.T - np.eye(3)).max()
-        if err > tol or abs(np.linalg.det(self.rotation) - 1.0) > max(tol, 1e-9):
-            raise ValueError(f"rotation not orthonormal within {tol} (err {err:.3e})")
-        if not np.all(np.isfinite(self.translation)):
-            raise ValueError("non-finite translation")
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     return Pose(a.rotation @ b.rotation, a.rotation @ b.translation + a.translation)

@@ -316,9 +316,18 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
     return factors
 
 
-def _imu_factors(index, t, prev_state, gravity, imu, cfg, info):
+def _imu_factors(index, keyframe, prev_state, gravity, imu, period, cfg,
+                 info):
+    """IMU and bias-walk factors from the previous keyframe to this one,
+    or none when the IMU samples do not start and end within 1.5 median
+    IMU periods of the two keyframe times (a dropout)."""
+    k, t, _, _ = keyframe
     segment = _slice_samples(imu, prev_state.timestamp, t)
-    if len(segment) < 2:
+    if (len(segment) < 2
+            or segment[0].timestamp - prev_state.timestamp > 1.5 * period
+            or t - segment[-1].timestamp > 1.5 * period):
+        logger.warning("frame %d: IMU samples do not cover [%.3f, %.3f] s; "
+                       "no IMU factor", k, prev_state.timestamp, t)
         return []
     imu_cfg = cfg["imu"]
     g_body = prev_state.pose.rotation.T @ (imu_cfg["gravity_magnitude"]
@@ -352,10 +361,10 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
     info = _information(cfg["factors"])
     keyframes, skipped = _keyframes(sequence, cfg["keyframe_stride"])
     imu = sequence.imu
+    period = (float(np.median(np.diff([s.timestamp for s in imu])))
+              if len(imu) > 1 else 0.0)
     # ZUPT windows reach 1.5 IMU periods past min_duration to strictly clear it
-    zupt_span = cfg["zupt"]["min_duration"] + (
-        1.5 * float(np.median(np.diff([s.timestamp for s in imu])))
-        if len(imu) > 1 else 0.0)
+    zupt_span = cfg["zupt"]["min_duration"] + 1.5 * period
 
     graph = FactorGraph()
     frames, opt_records = [], []
@@ -388,8 +397,9 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
             zupt = _zupt_factors(index, keyframe, prev_state, sequence,
                                  zupt_span, cfg, info)
             frame["zupt"] = bool(zupt)
-            factors += zupt + _imu_factors(index, t, prev_state, graph.gravity,
-                                           imu, cfg, info)
+            factors += zupt + _imu_factors(index, keyframe, prev_state,
+                                           graph.gravity, imu, period, cfg,
+                                           info)
 
         outcome = graph.solve_incremental(
             state, factors, window=cfg["window"],

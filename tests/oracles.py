@@ -4,7 +4,8 @@ These deliberately avoid the library's own code paths: alignment via
 Horn's quaternion method instead of Kabsch SVD, twists via scipy's
 generic matrix logarithm, nearest neighbors via a dense distance matrix,
 the SE(3) left Jacobian via its ad-series instead of the closed form,
-voxel grouping via row-wise np.unique and np.add.at instead of packed keys.
+voxel grouping via row-wise np.unique and np.add.at instead of packed keys,
+the masked map factor by deleting rows instead of zeroing its weight.
 """
 
 import numpy as np
@@ -97,6 +98,26 @@ def se3_left_jacobian_series(twist):
         if np.abs(term).max() < 1e-18:
             break
     return result
+
+
+def row_deleting_map_factor(pose, map_pose, information, mask):
+    """The map factor that drops its masked translation rows.
+
+    pose and map_pose are 4x4 rigid transforms; mask names translation axes
+    (0=x, 1=y, 2=z). Returns the kept rows of r = log(map_pose^-1 * pose),
+    of its 6x6 Jacobian J^-1(r) Ad(map_pose^-1) with respect to a left pose
+    perturbation, and the information block over the kept rows.
+    """
+    keep = [0, 1, 2] + [3 + a for a in range(3) if a not in mask]
+    inv_map = np.linalg.inv(map_pose)
+    r = logm_twist(inv_map @ pose)
+    rot, trans = inv_map[:3, :3], inv_map[:3, 3]
+    t_hat = np.array([[0.0, -trans[2], trans[1]],
+                      [trans[2], 0.0, -trans[0]],
+                      [-trans[1], trans[0], 0.0]])
+    adjoint = np.block([[rot, np.zeros((3, 3))], [t_hat @ rot, rot]])
+    jac = np.linalg.solve(se3_left_jacobian_series(r), adjoint)
+    return r[keep], jac[keep], np.asarray(information)[np.ix_(keep, keep)]
 
 
 def voxel_downsample_unique(points, voxel, normals=None):

@@ -214,7 +214,6 @@ class TestDetect:
         report = detect(result, reference, DegeneracyParams(d_e_threshold=1e12))
         assert report.degenerate_axes == (0,)
         assert not report.stage1_reject
-        assert report.axis_mask() == (True, False, False)
 
     def test_corridor_without_end_walls_flags_x(self, rng):
         corrs = self.corridor_corrs(rng, n_end=0)

@@ -1,7 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maploc.errors import (
     NonMonotonicTimestamps,
@@ -24,7 +27,6 @@ from maploc.factors import (
     ZuptParams,
     detect_zupt,
     gravity_error,
-    map_error,
     no_motion_error,
     odometry_error,
     preintegrate,
@@ -42,6 +44,7 @@ from maploc.geometry import (
 )
 
 from conftest import random_pose
+from oracles import row_deleting_map_factor
 
 G_MAG = 9.81
 DOWN = np.array([0.0, 0.0, -1.0])
@@ -99,34 +102,52 @@ class TestResidualFunctions:
         assert np.allclose(zero_velocity_error([0.1, -0.2, 0.3]),
                            [0.1, -0.2, 0.3])
 
-    def test_map_error_masked_axis_offset_vanishes(self, rng):
+    def map_factor_at(self, rng, offset, mask):
+        """A map factor with a random SPD weight and a state offset from its
+        map pose by the translation `offset`, composed on the right."""
         map_pose = random_pose(rng)
-        offset = Pose(np.eye(3), np.array([0.0, 0.0, 0.3]))
-        pose = compose(map_pose, offset)
-        r = map_error(pose, map_pose, mask=(2,))
-        assert r.shape == (5,)
-        assert np.allclose(r, 0.0, atol=1e-12)
+        a = rng.normal(size=(6, 6))
+        factor = MapFactor(0, map_pose, a @ a.T + np.eye(6), mask=mask)
+        pose = compose(map_pose, Pose(np.eye(3), np.asarray(offset, float)))
+        state = StateNode.at(pose, 0.0)
+        r = factor.residual([state], DOWN)
+        return factor, r, float(r @ factor.information @ r)
+
+    def test_map_error_masked_axis_offset_vanishes(self, rng):
+        _, r, cost = self.map_factor_at(rng, [0.0, 0.0, 0.3], mask=(2,))
+        assert r.shape == (6,)
+        assert np.allclose(r, [0, 0, 0, 0, 0, 0.3], atol=1e-12)
+        assert abs(cost) < 1e-12
 
     def test_map_error_unmasked_axes_survive(self, rng):
-        map_pose = random_pose(rng)
-        offset = Pose(np.eye(3), np.array([0.0, 0.2, 0.3]))
-        pose = compose(map_pose, offset)
-        r = map_error(pose, map_pose, mask=(2,))
+        f, r, cost = self.map_factor_at(rng, [0.0, 0.2, 0.3], mask=(2,))
         assert abs(r[4] - 0.2) < 1e-12  # y row survives
+        # the y offset keeps its weight; the masked z offset adds nothing
+        assert cost == pytest.approx(0.04 * f.information[4, 4], rel=1e-9)
+        assert cost > 0.0
 
     def test_map_error_no_mask_is_full_log(self, rng):
         pose, map_pose = random_pose(rng), random_pose(rng)
-        full = map_error(pose, map_pose)
+        f = MapFactor(0, map_pose, np.eye(6))
+        full = f.residual([StateNode.at(pose, 0.0)], DOWN)
         assert full.shape == (6,)
         assert np.allclose(exp_map(full).matrix(),
                            between(map_pose, pose).matrix(), atol=1e-10)
+        assert np.array_equal(f.information, np.eye(6))
 
     def test_map_error_double_mask(self, rng):
         pose, map_pose = random_pose(rng), random_pose(rng)
-        r = map_error(pose, map_pose, mask=(0, 2))
-        full = map_error(pose, map_pose)
-        assert r.shape == (4,)
-        assert np.allclose(r, full[[0, 1, 2, 4]])
+        a = rng.normal(size=(6, 6))
+        info = a @ a.T
+        f = MapFactor(0, map_pose, info, mask=(0, 2))
+        full = f.residual([StateNode.at(pose, 0.0)], DOWN)
+        keep = [0, 1, 2, 4]
+        assert float(full @ f.information @ full) == pytest.approx(
+            float(full[keep] @ info[np.ix_(keep, keep)] @ full[keep]),
+            rel=1e-12)
+        assert f.mask == (0, 2)
+        assert not f.information[[3, 5]].any()
+        assert not f.information[:, [3, 5]].any()
 
     def test_gravity_error_level_case(self):
         r = gravity_error(np.eye(3), DOWN, np.array([0.0, 0.0, 9.81]))
@@ -474,9 +495,65 @@ class TestFactorJacobians:
         info = rng.normal(size=(6, 6))
         info = info @ info.T
         f = MapFactor(0, random_pose(rng), info, mask=(1,))
+        assert f.information.shape == (6, 6)
+        assert not f.information[4].any() and not f.information[:, 4].any()
+        kept = np.delete(np.delete(f.information, 4, axis=0), 4, axis=1)
         expected = np.delete(np.delete(info, 4, axis=0), 4, axis=1)
-        assert np.allclose(f.information, expected)
-        assert f.information.shape == (5, 5)
+        assert np.array_equal(kept, expected)
+        assert not f.information.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the weight-masked map factor against the row-deleting oracle
+
+ALL_MASKS = [m for n in range(4) for m in itertools.combinations(range(3), n)]
+
+
+@st.composite
+def map_factor_cases(draw):
+    """(pose, map pose, SPD information). The map pose has a rotation
+    below 2.5 rad and translation coordinates within 5 m; the pose sits at a twist of
+    norm 0.01 to 2.5 from it, so the residual is never round-off alone; the
+    information is A A^T + I with A's entries in [-3, 3]."""
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+    def direction(n):
+        vec = np.array(draw(st.tuples(*[unit] * n)))
+        norm = np.linalg.norm(vec)
+        return vec / norm if norm > 1e-3 else np.eye(n)[-1]
+
+    rot = direction(3) * draw(st.floats(0.0, 2.5))
+    trans = 5.0 * np.array(draw(st.tuples(unit, unit, unit)))
+    map_pose = exp_map(np.concatenate([rot, trans]))
+    pose = compose(map_pose, exp_map(direction(6) * draw(st.floats(0.01, 2.5))))
+    a = 3.0 * np.array(draw(st.lists(unit, min_size=36, max_size=36)))
+    return pose, map_pose, a.reshape(6, 6) @ a.reshape(6, 6).T + np.eye(6)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(map_factor_cases())
+def test_map_factor_weight_mask_matches_row_deletion(case):
+    """Zeroing the masked rows and columns of the weight gives the cost and
+    the J^T W J and J^T W r blocks of deleting the masked rows, for every
+    mask, to 1e-12 relative to the unmasked |W| |J| |r| scale of each."""
+    pose, map_pose, info = case
+    state = StateNode.at(pose, 0.0)
+    for mask in ALL_MASKS:
+        f = MapFactor(0, map_pose, info, mask=mask)
+        r, blocks, g_block = f.linearize([state], DOWN)
+        jac = blocks[0][:, :6]
+        r_k, jac_k, info_k = row_deleting_map_factor(
+            pose.matrix(), map_pose.matrix(), info, mask)
+        assert r.shape == (6,) and g_block is None
+        assert not blocks[0][:, 6:].any()
+        w, j, e = (np.linalg.norm(m, 2) for m in (info, jac, r))
+        for ours, oracle, scale in [
+                (r @ f.information @ r, r_k @ info_k @ r_k, w * e * e),
+                (jac.T @ f.information @ jac, jac_k.T @ info_k @ jac_k,
+                 w * j * j),
+                (jac.T @ f.information @ r, jac_k.T @ info_k @ r_k,
+                 w * j * e)]:
+            assert np.abs(ours - oracle).max() <= 1e-12 * scale
 
 
 # ---------------------------------------------------------------------------

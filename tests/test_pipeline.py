@@ -313,6 +313,33 @@ class TestCleanRoom:
             assert deg["d_e"] > 0
 
 
+class TestImuDropout:
+    """An interval whose IMU samples do not reach both of its keyframe
+    times to within 1.5 median periods gets no IMU factor: preintegrating
+    the samples it has would take a shorter span for the whole interval."""
+
+    @pytest.mark.parametrize("keep, dropped", [
+        (lambda t: not 0.65 < t < 1.85, range(7, 20)),  # gap, off-grid ends
+        (lambda t: t <= 0.35, range(4, 41)),  # stream ends mid-interval
+    ], ids=["gap", "cut"])
+    def test_uncovered_interval_gets_no_imu_factor(self, room, caplog, keep,
+                                                   dropped):
+        result, pm = room
+        seq = SequenceInput.from_synth(result)
+        seq = replace(seq, imu=tuple(s for s in seq.imu if keep(s.timestamp)))
+        out = run(pm, seq, make_cfg(), groundtruth=result.gt_trajectory)
+        imu_factors = [f for f in out.graph.factors if f.kind == "imu"]
+        assert {f.j for f in imu_factors} == (set(range(1, len(out.frames)))
+                                              - set(dropped))
+        for f in imu_factors:
+            span = out.graph.states[f.j].timestamp - out.graph.states[f.i].timestamp
+            assert f.preint.duration == pytest.approx(span, abs=1e-9)
+        warned = [r.getMessage() for r in caplog.records
+                  if "IMU samples" in r.getMessage()]
+        assert [int(m.split()[1].rstrip(":")) for m in warned] == list(dropped)
+        assert out.metrics.ate_rmse_cm < 0.2
+
+
 class TestZupt:
     def test_fires_only_while_stationary(self, dwell_run):
         result, out = dwell_run
