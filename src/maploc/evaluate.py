@@ -129,9 +129,6 @@ class AteResult:
     alignment: Pose
     pairs: int
 
-    def __float__(self):
-        return self.rmse_cm
-
 
 def ate(est: Trajectory, ref: Trajectory, max_dt=DEFAULT_MAX_DT) -> AteResult:
     """Absolute trajectory error: RMSE (cm) of translational residuals
@@ -150,9 +147,6 @@ class RpeResult:
     rmse_cm: float
     rot_rmse_rad: float
     windows: int
-
-    def __float__(self):
-        return self.rmse_cm
 
 
 def _relative_error(est, ref, first, last):

@@ -9,7 +9,7 @@ that convention. Residual twist ordering is [rot; trans] throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,11 @@ STATE_DIM = 15
 
 # gravity factors refuse windows with basically no specific force
 MIN_MEAN_ACCEL = 0.5
+
+# per-sample IMU noise (rad/s, m/s^2) and the gravity magnitude (m/s^2)
+SIGMA_GYRO = 1e-3
+SIGMA_ACCEL = 1e-2
+GRAVITY_MAGNITUDE = 9.81
 
 
 @dataclass(frozen=True)
@@ -161,14 +166,12 @@ def detect_zupt(samples, params: ZuptParams = ZuptParams()) -> bool:
 
 @dataclass(frozen=True)
 class Preintegration:
-    """Midpoint-integrated IMU deltas in the frame of the first state.
+    """Midpoint-integrated IMU deltas, expressed in the frame of state i.
 
-    The deltas include the gravity vector passed to preintegrate (expressed
-    in that same frame), which contributes exactly g*T to delta_velocity and
-    g*T^2/2 to delta_position; the IMU factor removes that term and
-    re-applies gravity from the shared state variable. Bias Jacobians are
-    the exact derivatives of this integration scheme at the linearization
-    biases.
+    The deltas integrate specific force only and hold no gravity; the IMU
+    factor applies gravity from the shared state variable. Bias Jacobians
+    are the exact derivatives of this integration scheme at the
+    linearization biases.
     """
 
     delta_rotation: np.ndarray  # (3,3)
@@ -176,23 +179,20 @@ class Preintegration:
     delta_position: np.ndarray  # (3,)
     covariance: np.ndarray      # (9,9), [rot; vel; pos]
     duration: float
-    gravity: np.ndarray         # (3,) as passed, frame of state i
     accel_bias: np.ndarray      # linearization point
     gyro_bias: np.ndarray
-    j_r_bg: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    j_v_ba: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    j_v_bg: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    j_p_ba: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
-    j_p_bg: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
+    j_r_bg: np.ndarray
+    j_v_ba: np.ndarray
+    j_v_bg: np.ndarray
+    j_p_ba: np.ndarray
+    j_p_bg: np.ndarray
 
 
-def preintegrate(samples, accel_bias, gyro_bias, gravity,
-                 sigma_gyro=1e-3, sigma_accel=1e-2) -> Preintegration:
-    """Midpoint preintegration over consecutive sample pairs.
-
-    gravity is expressed in the frame of the interval's first state and is
-    integrated into the deltas. sigma_gyro / sigma_accel are per-sample
-    standard deviations used for first-order covariance propagation.
+def preintegrate(samples, accel_bias, gyro_bias, sigma_gyro=SIGMA_GYRO,
+                 sigma_accel=SIGMA_ACCEL) -> Preintegration:
+    """Midpoint preintegration of specific force over consecutive sample
+    pairs. sigma_gyro / sigma_accel are per-sample standard deviations used
+    for first-order covariance propagation.
     """
     if len(samples) < 2:
         raise WindowTooShort("need at least 2 IMU samples to preintegrate")
@@ -201,7 +201,6 @@ def preintegrate(samples, accel_bias, gyro_bias, gravity,
         raise NonMonotonicTimestamps("IMU timestamps must strictly increase")
     accel_bias = np.asarray(accel_bias, dtype=float)
     gyro_bias = np.asarray(gyro_bias, dtype=float)
-    gravity = np.asarray(gravity, dtype=float)
 
     d_rot = np.eye(3)
     d_vel = np.zeros(3)
@@ -222,7 +221,7 @@ def preintegrate(samples, accel_bias, gyro_bias, gravity,
         d_rot_next = d_rot @ r_step
         u0 = s0.specific_force - accel_bias
         u1 = s1.specific_force - accel_bias
-        a_mid = 0.5 * (d_rot @ u0 + d_rot_next @ u1) + gravity
+        a_mid = 0.5 * (d_rot @ u0 + d_rot_next @ u1)
 
         # exact derivative of this scheme w.r.t. the linearization biases
         jr_step = so3_right_jacobian(step)
@@ -255,8 +254,7 @@ def preintegrate(samples, accel_bias, gyro_bias, gravity,
         d_rot = d_rot_next
 
     return Preintegration(d_rot, d_vel, d_pos, 0.5 * (cov + cov.T),
-                          float(times[-1] - times[0]), gravity,
-                          accel_bias, gyro_bias,
+                          float(times[-1] - times[0]), accel_bias, gyro_bias,
                           j_r, j_v_ba, j_v_bg, j_p_ba, j_p_bg)
 
 
@@ -503,7 +501,7 @@ class ImuFactor(_Factor):
     j: int
     preint: Preintegration
     information: np.ndarray
-    gravity_magnitude: float = 9.81
+    gravity_magnitude: float = GRAVITY_MAGNITUDE
 
     def _terms(self, states, gravity):
         """The residual, plus the bias-corrected delta rotation, the gyro
@@ -515,9 +513,8 @@ class ImuFactor(_Factor):
         db_g = si.gyro_bias - p.gyro_bias
         d_rot = p.delta_rotation @ so3_exp(p.j_r_bg @ db_g)
         dt = p.duration
-        d_vel = p.delta_velocity - p.gravity * dt + p.j_v_ba @ db_a + p.j_v_bg @ db_g
-        d_pos = (p.delta_position - 0.5 * p.gravity * dt * dt
-                 + p.j_p_ba @ db_a + p.j_p_bg @ db_g)
+        d_vel = p.delta_velocity + p.j_v_ba @ db_a + p.j_v_bg @ db_g
+        d_pos = p.delta_position + p.j_p_ba @ db_a + p.j_p_bg @ db_g
         g_world = np.asarray(gravity, dtype=float) * self.gravity_magnitude
         rit = si.pose.rotation.T
         w_vec = sj.velocity - si.velocity - g_world * dt

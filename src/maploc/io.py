@@ -22,9 +22,11 @@ import numpy as np
 
 from .degeneracy import DegeneracyParams
 from .errors import NonMonotonicTimestamps, ParseError
-from .evaluate import Trajectory
-from .factors import ImuSample, ZuptParams
+from .evaluate import DEFAULT_MAX_DT, DEFAULT_THRESHOLD, Trajectory
+from .factors import (GRAVITY_MAGNITUDE, SIGMA_ACCEL, SIGMA_GYRO, ImuSample,
+                      ZuptParams)
 from .geometry import PointCloud, Pose
+from .graph import MAX_ITERATIONS
 from .registration import RegistrationParams
 
 IMU_HEADER = "t,wx,wy,wz,ax,ay,az"
@@ -424,12 +426,12 @@ DEFAULT_CONFIG = {
     "verbose": False,
     "registration": asdict(RegistrationParams()),
     "degeneracy": asdict(DegeneracyParams()),
-    "optimizer": {"max_iterations": 50},
+    "optimizer": {"max_iterations": MAX_ITERATIONS},
     "zupt": asdict(ZuptParams()),
     "imu": {
-        "sigma_gyro": 1e-3,
-        "sigma_accel": 1e-2,
-        "gravity_magnitude": 9.81,
+        "sigma_gyro": SIGMA_GYRO,
+        "sigma_accel": SIGMA_ACCEL,
+        "gravity_magnitude": GRAVITY_MAGNITUDE,
     },
     "factors": {
         "prior_rot_sigma": 0.01,
@@ -446,7 +448,8 @@ DEFAULT_CONFIG = {
         "bias_prior_sigma": 0.1,
         "imu_weight": 1.0,
     },
-    "eval": {"rpe_delta": 1, "map_threshold": 0.2, "max_dt": 0.05},
+    "eval": {"rpe_delta": 1, "map_threshold": DEFAULT_THRESHOLD,
+             "max_dt": DEFAULT_MAX_DT},
 }
 
 _SCHEMA_CACHE = {}

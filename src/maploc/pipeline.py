@@ -24,8 +24,8 @@ from .errors import (DataError, EmptyCloud, InitializationFailure,
                      ParseError)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
 from .factors import (BiasPriorFactor, BiasWalkFactor, GravityFactor,
-                      ImuFactor, MapFactor, MIN_MEAN_ACCEL, NoMotionFactor,
-                      OdometryFactor, PriorFactor, StateNode,
+                      ImuFactor, ImuSample, MapFactor, MIN_MEAN_ACCEL,
+                      NoMotionFactor, OdometryFactor, PriorFactor, StateNode,
                       ZeroVelocityFactor, ZuptParams, detect_zupt,
                       preintegrate)
 from .geometry import (PointCloud, Pose, between, build_index, compose,
@@ -281,6 +281,17 @@ def _slice_samples(imu, lo, hi):
     return imu[a:b]
 
 
+def _sample_at(imu, t) -> ImuSample:
+    """The IMU sample at time t, linearly interpolated between the two
+    samples around it; past either end of the stream, the end sample."""
+    b = min(max(bisect_left(imu, t, key=lambda s: s.timestamp), 1),
+            len(imu) - 1)
+    s0, s1 = imu[b - 1], imu[b]
+    w = min(max((t - s0.timestamp) / (s1.timestamp - s0.timestamp), 0.0), 1.0)
+    return ImuSample(t, (1 - w) * s0.angular_velocity + w * s1.angular_velocity,
+                     (1 - w) * s0.specific_force + w * s1.specific_force)
+
+
 def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
     """Zero-velocity, no-motion and gravity factors at a keyframe where the
     IMU over the trailing `span` s and odometry within `span` s both show
@@ -316,11 +327,12 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
     return factors
 
 
-def _imu_factors(index, keyframe, prev_state, gravity, imu, period, cfg,
-                 info):
+def _imu_factors(index, keyframe, prev_state, imu, period, cfg, info):
     """IMU and bias-walk factors from the previous keyframe to this one,
     or none when the IMU samples do not start and end within 1.5 median
-    IMU periods of the two keyframe times (a dropout)."""
+    IMU periods of the two keyframe times (a dropout). The preintegrated
+    span is exactly the keyframe interval: an end sample off its keyframe
+    time gets a sample interpolated at that time put beside it."""
     k, t, _, _ = keyframe
     segment = _slice_samples(imu, prev_state.timestamp, t)
     if (len(segment) < 2
@@ -329,11 +341,13 @@ def _imu_factors(index, keyframe, prev_state, gravity, imu, period, cfg,
         logger.warning("frame %d: IMU samples do not cover [%.3f, %.3f] s; "
                        "no IMU factor", k, prev_state.timestamp, t)
         return []
+    if segment[0].timestamp > prev_state.timestamp + 1e-9:
+        segment = [_sample_at(imu, prev_state.timestamp), *segment]
+    if segment[-1].timestamp < t - 1e-9:
+        segment = [*segment, _sample_at(imu, t)]
     imu_cfg = cfg["imu"]
-    g_body = prev_state.pose.rotation.T @ (imu_cfg["gravity_magnitude"]
-                                           * gravity)
     pre = preintegrate(segment, prev_state.accel_bias, prev_state.gyro_bias,
-                       g_body, sigma_gyro=imu_cfg["sigma_gyro"],
+                       sigma_gyro=imu_cfg["sigma_gyro"],
                        sigma_accel=imu_cfg["sigma_accel"])
     imu_info = cfg["factors"]["imu_weight"] * np.linalg.inv(
         pre.covariance + 1e-12 * np.eye(9))
@@ -398,8 +412,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
                                  zupt_span, cfg, info)
             frame["zupt"] = bool(zupt)
             factors += zupt + _imu_factors(index, keyframe, prev_state,
-                                           graph.gravity, imu, period, cfg,
-                                           info)
+                                           imu, period, cfg, info)
 
         outcome = graph.solve_incremental(
             state, factors, window=cfg["window"],

@@ -245,20 +245,22 @@ class TestZupt:
 
 class TestPreintegrate:
     def test_stationary_deltas_are_identity(self):
+        # at rest the accelerometer reads -g; the deltas integrate that
+        # specific force alone: v = a T, p = a T^2 / 2
         times = np.arange(101) / 100.0
-        samples = make_window(times, [0, 0, 0], [0, 0, 9.81])
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3),
-                           gravity=np.array([0, 0, -9.81]))
+        a = np.array([0, 0, 9.81])
+        samples = make_window(times, [0, 0, 0], a)
+        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
         assert np.allclose(pre.delta_rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(pre.delta_velocity, 0.0, atol=1e-12)
-        assert np.allclose(pre.delta_position, 0.0, atol=1e-12)
+        assert np.allclose(pre.delta_velocity, a * 1.0, atol=1e-12)
+        assert np.allclose(pre.delta_position, 0.5 * a * 1.0 ** 2, atol=1e-12)
         assert abs(pre.duration - 1.0) < 1e-12
 
     def test_constant_acceleration_kinematics(self):
         # 1 m/s^2 along x for 1 s from rest: v = a t, p = a t^2 / 2
         times = np.linspace(0.0, 1.0, 101)
         samples = make_window(times, [0, 0, 0], [1.0, 0, 0])
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3), gravity=np.zeros(3))
+        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
         assert np.allclose(pre.delta_velocity, [1.0, 0, 0], atol=1e-12)
         assert np.allclose(pre.delta_position, [0.5, 0, 0], atol=1e-12)
         assert np.allclose(pre.delta_rotation, np.eye(3), atol=1e-12)
@@ -266,57 +268,40 @@ class TestPreintegrate:
     def test_pure_rotation_half_turn(self):
         times = np.linspace(0.0, math.pi, 301)
         samples = make_window(times, [0, 0, 1.0], [0, 0, 0])
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3), gravity=np.zeros(3))
+        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
         assert np.allclose(so3_log(pre.delta_rotation), [0, 0, math.pi], atol=1e-9)
 
     def test_bias_subtraction(self):
         ba = np.array([0.05, -0.02, 0.01])
         bg = np.array([0.002, 0.001, -0.003])
         times = np.arange(51) / 100.0
-        samples = make_window(times, bg, ba + [0, 0, 9.81])
-        pre = preintegrate(samples, ba, bg, gravity=np.array([0, 0, -9.81]))
+        a = np.array([0, 0, 9.81])
+        samples = make_window(times, bg, ba + a)
+        pre = preintegrate(samples, ba, bg)
         assert np.allclose(pre.delta_rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(pre.delta_velocity, 0.0, atol=1e-12)
-        assert np.allclose(pre.delta_position, 0.0, atol=1e-12)
-
-    def test_gravity_contribution_is_exact(self):
-        # deltas with gravity differ from deltas without it by exactly
-        # g*T and g*T^2/2 for any (irregular) step sizes
-        rng = np.random.default_rng(3)
-        times = np.cumsum(rng.uniform(0.002, 0.02, size=60))
-        samples = [ImuSample(t, 0.5 * rng.normal(size=3), rng.normal(size=3))
-                   for t in times]
-        g = np.array([0.3, -0.4, -9.7])
-        pre_g = preintegrate(samples, np.zeros(3), np.zeros(3), gravity=g)
-        pre_0 = preintegrate(samples, np.zeros(3), np.zeros(3), gravity=np.zeros(3))
-        span = times[-1] - times[0]
-        assert np.allclose(pre_g.delta_velocity,
-                           pre_0.delta_velocity + g * span, atol=1e-12)
-        assert np.allclose(pre_g.delta_position,
-                           pre_0.delta_position + 0.5 * g * span ** 2, atol=1e-12)
-        assert np.allclose(pre_g.delta_rotation, pre_0.delta_rotation, atol=1e-12)
+        assert np.allclose(pre.delta_velocity, a * 0.5, atol=1e-12)
+        assert np.allclose(pre.delta_position, 0.5 * a * 0.5 ** 2, atol=1e-12)
 
     def test_requires_two_samples(self):
         with pytest.raises(WindowTooShort):
             preintegrate([ImuSample(0.0, np.zeros(3), np.zeros(3))],
-                         np.zeros(3), np.zeros(3), np.zeros(3))
+                         np.zeros(3), np.zeros(3))
 
     def test_non_monotonic_raises(self):
         samples = make_window([0.0, 0.2, 0.1], [0, 0, 0], [0, 0, 0])
         with pytest.raises(NonMonotonicTimestamps):
-            preintegrate(samples, np.zeros(3), np.zeros(3), np.zeros(3))
+            preintegrate(samples, np.zeros(3), np.zeros(3))
 
     def test_bias_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(11)
         window = random_window(rng)
         ba = np.array([0.03, -0.01, 0.02])
         bg = np.array([0.004, 0.002, -0.001])
-        g = np.array([0.1, -0.2, -9.8])
-        pre = preintegrate(window, ba, bg, gravity=g)
+        pre = preintegrate(window, ba, bg)
         eps = 1e-5
 
         def deltas(ba_, bg_):
-            p = preintegrate(window, ba_, bg_, gravity=g)
+            p = preintegrate(window, ba_, bg_)
             return p.delta_rotation, p.delta_velocity, p.delta_position
 
         for c in range(3):
@@ -344,11 +329,10 @@ class TestPreintegrate:
             window = random_window(rng, duration=0.5)
             ba = 0.05 * rng.normal(size=3)
             bg = 0.01 * rng.normal(size=3)
-            g = np.array([0.0, 0.0, -9.81])
-            pre = preintegrate(window, ba, bg, gravity=g)
+            pre = preintegrate(window, ba, bg)
             da = 1e-3 * rng.normal(size=3)
             dg = 1e-3 * rng.normal(size=3)
-            re = preintegrate(window, ba + da, bg + dg, gravity=g)
+            re = preintegrate(window, ba + da, bg + dg)
             rot_corr = pre.delta_rotation @ so3_exp(pre.j_r_bg @ dg)
             assert np.linalg.norm(so3_log(rot_corr.T @ re.delta_rotation)) < 1e-5
             vel_corr = pre.delta_velocity + pre.j_v_ba @ da + pre.j_v_bg @ dg
@@ -359,21 +343,19 @@ class TestPreintegrate:
     def test_covariance_properties(self):
         rng = np.random.default_rng(5)
         window = random_window(rng, duration=0.5)
-        pre = preintegrate(window, np.zeros(3), np.zeros(3),
-                           gravity=np.array([0, 0, -9.81]))
+        pre = preintegrate(window, np.zeros(3), np.zeros(3))
         cov = pre.covariance
         assert np.allclose(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() > -1e-18
         assert cov.trace() > 0
         # longer windows accumulate more uncertainty
-        half = preintegrate(window[:len(window) // 2], np.zeros(3), np.zeros(3),
-                            gravity=np.array([0, 0, -9.81]))
+        half = preintegrate(window[:len(window) // 2], np.zeros(3), np.zeros(3))
         assert half.covariance.trace() < cov.trace()
 
     def test_zero_noise_zero_covariance(self):
         rng = np.random.default_rng(5)
         window = random_window(rng)
-        pre = preintegrate(window, np.zeros(3), np.zeros(3), gravity=np.zeros(3),
+        pre = preintegrate(window, np.zeros(3), np.zeros(3),
                            sigma_gyro=0.0, sigma_accel=0.0)
         assert np.allclose(pre.covariance, 0.0)
 
@@ -478,8 +460,7 @@ class TestFactorJacobians:
             window = random_window(rng)
             pre = preintegrate(window,
                                0.05 * rng.normal(size=3),
-                               0.01 * rng.normal(size=3),
-                               gravity=rng.normal(size=3) + [0, 0, -9.8])
+                               0.01 * rng.normal(size=3))
             states = [random_state(rng), random_state(rng, t=pre.duration)]
             gravity = DOWN + 0.05 * rng.normal(size=3)
             f = ImuFactor(0, 1, pre, np.eye(9), gravity_magnitude=G_MAG)
@@ -565,8 +546,7 @@ class TestImuFactorConsistency:
         g_world = G_MAG * DOWN
         times = np.arange(51) / 100.0
         samples = make_window(times, [0, 0, 0], -rot.T @ g_world)
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3),
-                           gravity=rot.T @ g_world)
+        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
         pose = Pose(rot, np.array([1.0, -2.0, 0.5]))
         si = StateNode(pose, np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
         sj = StateNode(pose, np.zeros(3), np.zeros(3), np.zeros(3), 0.5)
@@ -581,8 +561,7 @@ class TestImuFactorConsistency:
         duration = 0.5
         times = np.arange(101) / 200.0
         samples = make_window(times, [0, 0, 0], rot.T @ (a_world - g_world))
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3),
-                           gravity=rot.T @ g_world)
+        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
         t0 = np.array([1.0, 2.0, 3.0])
         v0 = np.array([0.5, 0.0, -0.2])
         tj = t0 + v0 * duration + 0.5 * a_world * duration ** 2
@@ -596,15 +575,14 @@ class TestImuFactorConsistency:
         # residual with a shifted state bias ~ residual of a fresh
         # preintegration at that bias (first order)
         window = random_window(rng, duration=0.4)
-        g_body = rng.normal(size=3) + [0, 0, -9.8]
-        pre = preintegrate(window, np.zeros(3), np.zeros(3), gravity=g_body)
+        pre = preintegrate(window, np.zeros(3), np.zeros(3))
         states = [random_state(rng), random_state(rng, t=pre.duration)]
         da = 2e-3 * rng.normal(size=3)
         dg = 2e-3 * rng.normal(size=3)
         si = StateNode(states[0].pose, states[0].velocity, da, dg, 0.0)
         shifted = [si, states[1]]
         f_lin = ImuFactor(0, 1, pre, np.eye(9))
-        pre_exact = preintegrate(window, da, dg, gravity=g_body)
+        pre_exact = preintegrate(window, da, dg)
         f_exact = ImuFactor(0, 1, pre_exact, np.eye(9))
         r_lin = f_lin.residual(shifted, DOWN)
         r_exact = f_exact.residual(shifted, DOWN)

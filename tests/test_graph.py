@@ -265,8 +265,7 @@ class TestAssemblyOracle:
             graph.add_factor(OdometryFactor(k, k + 1, between(gt[k], gt[k + 1]),
                                             1e2 * np.eye(6)))
             window = stationary_window(gt[k].rotation, dt * k, duration=dt)
-            pre = preintegrate(window, np.zeros(3), np.zeros(3),
-                               gravity=gt[k].rotation.T @ G_WORLD)
+            pre = preintegrate(window, np.zeros(3), np.zeros(3))
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e1 * np.eye(9),
                                        gravity_magnitude=G_MAG))
             graph.add_factor(BiasWalkFactor(k, k + 1, 1e2 * np.eye(6)))
@@ -434,8 +433,7 @@ class TestFullStateEstimation:
             graph.add_factor(NoMotionFactor(k, k + 1, 1e4 * np.eye(6)))
             graph.add_factor(BiasWalkFactor(k, k + 1, 1e6 * np.eye(6)))
             window = stationary_window(rot, dt * k, duration=dt)
-            pre = preintegrate(window, np.zeros(3), np.zeros(3),
-                               gravity=rot.T @ G_WORLD)
+            pre = preintegrate(window, np.zeros(3), np.zeros(3))
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e2 * np.eye(9),
                                        gravity_magnitude=G_MAG))
         result = graph.optimize()
@@ -471,8 +469,7 @@ class TestFullStateEstimation:
             m = int(dt * rate) + 1
             samples = [ImuSample(dt * k + i / rate, np.zeros(3), a_body)
                        for i in range(m)]
-            pre = preintegrate(samples, np.zeros(3), np.zeros(3),
-                               gravity=G_WORLD)
+            pre = preintegrate(samples, np.zeros(3), np.zeros(3))
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e1 * np.eye(9),
                                        gravity_magnitude=G_MAG))
         result = graph.optimize()
@@ -496,8 +493,7 @@ class TestFullStateEstimation:
         graph.add_factor(PriorFactor(0, Pose.identity(), 1e6 * np.eye(6)))
         for k in range(3):
             window = stationary_window(np.eye(3), dt * k, duration=dt)
-            pre = preintegrate(window, np.zeros(3), np.zeros(3),
-                               gravity=G_WORLD)
+            pre = preintegrate(window, np.zeros(3), np.zeros(3))
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e2 * np.eye(9),
                                        gravity_magnitude=G_MAG))
         graph.optimize()
