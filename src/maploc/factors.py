@@ -103,44 +103,6 @@ def retract_state(state: StateNode, delta) -> StateNode:
                      state.gyro_bias + delta[BG], state.timestamp)
 
 
-# ---------------------------------------------------------------------------
-# residual functions (spec operations)
-
-def odometry_error(pose_i: Pose, pose_j: Pose, measured_relative: Pose):
-    """r = log(measured_relative^-1 * between(pose_i, pose_j)), 6-vector."""
-    return log_map(compose(inverse(measured_relative), between(pose_i, pose_j)))
-
-
-def gravity_error(rotation, gravity, a_mean):
-    """Norm-constrained gravity residual, 4-vector [e_dir; e_mag].
-
-    a_mean is the bias-corrected mean specific force over a stationary
-    window (body frame); a stationary accelerometer measures -g, so the
-    normalized world-frame specific force should cancel the gravity
-    direction: e_dir = a_w/|a_w| + g, e_mag = |g| - 1.
-    """
-    a_mean = np.asarray(a_mean, dtype=float)
-    norm = np.linalg.norm(a_mean)
-    if norm < MIN_MEAN_ACCEL:
-        raise ZeroAcceleration(
-            f"mean specific force {norm:.3f} m/s^2 is too small for a gravity factor")
-    a_w = np.asarray(rotation, dtype=float) @ a_mean
-    u = np.linalg.norm(a_w)
-    gravity = np.asarray(gravity, dtype=float)
-    e_dir = a_w / u + gravity
-    e_mag = np.linalg.norm(gravity) - 1.0
-    return np.concatenate([e_dir, [e_mag]])
-
-
-def zero_velocity_error(velocity):
-    return np.asarray(velocity, dtype=float).copy()
-
-
-def no_motion_error(pose_i: Pose, pose_j: Pose):
-    """r = log(between(pose_i, pose_j)), zero iff the poses coincide."""
-    return log_map(between(pose_i, pose_j))
-
-
 def detect_zupt(samples, params: ZuptParams = ZuptParams()) -> bool:
     """Stationarity test over an IMU window.
 
@@ -327,8 +289,9 @@ class OdometryFactor(_Factor):
     information: np.ndarray
 
     def residual(self, states, gravity):
-        return odometry_error(states[self.i].pose, states[self.j].pose,
-                              self.measurement)
+        """r = log(measurement^-1 * between(pose_i, pose_j))."""
+        return log_map(compose(inverse(self.measurement),
+                               between(states[self.i].pose, states[self.j].pose)))
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
@@ -344,7 +307,8 @@ class NoMotionFactor(_Factor):
     information: np.ndarray
 
     def residual(self, states, gravity):
-        return no_motion_error(states[self.i].pose, states[self.j].pose)
+        """r = log(between(pose_i, pose_j)), zero iff the poses coincide."""
+        return log_map(between(states[self.i].pose, states[self.j].pose))
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
@@ -390,6 +354,16 @@ class MapFactor(_Factor):
 
 @dataclass(frozen=True)
 class GravityFactor(_Factor):
+    """Norm-constrained gravity residual, 4-vector [e_dir; e_mag].
+
+    a_mean is the bias-corrected mean specific force over a stationary
+    window (body frame); a stationary accelerometer measures -g, so the
+    normalized world-frame specific force should cancel the gravity
+    direction: e_dir = a_w/|a_w| + g, e_mag = |g| - 1. A window with
+    |a_mean| below MIN_MEAN_ACCEL has no direction to measure and is
+    refused with ZeroAcceleration.
+    """
+
     kind = "gravity"
     dim = 4
     index: int
@@ -399,11 +373,17 @@ class GravityFactor(_Factor):
     def __post_init__(self):
         super().__post_init__()
         a_mean = np.ascontiguousarray(self.a_mean, dtype=float)
+        norm = np.linalg.norm(a_mean)
+        if norm < MIN_MEAN_ACCEL:
+            raise ZeroAcceleration(f"mean specific force {norm:.3f} m/s^2 "
+                                   "is too small for a gravity factor")
         a_mean.flags.writeable = False
         object.__setattr__(self, "a_mean", a_mean)
 
     def residual(self, states, gravity):
-        return gravity_error(states[self.index].pose.rotation, gravity, self.a_mean)
+        a_w = states[self.index].pose.rotation @ self.a_mean
+        e_dir = a_w / np.linalg.norm(a_w) + gravity
+        return np.concatenate([e_dir, [np.linalg.norm(gravity) - 1.0]])
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
@@ -428,7 +408,7 @@ class ZeroVelocityFactor(_Factor):
     information: np.ndarray
 
     def residual(self, states, gravity):
-        return zero_velocity_error(states[self.index].velocity)
+        return states[self.index].velocity.copy()
 
     def linearize(self, states, gravity):
         jac = np.zeros((3, STATE_DIM))

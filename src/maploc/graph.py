@@ -2,7 +2,8 @@
 
 Each node contributes 15 tangent columns ([rot, trans, vel, accel bias,
 gyro bias]); the shared gravity direction appends 3 more when a
-gravity-measuring factor is active. States outside the free set stay fixed: factors
+gravity-measuring factor is active. A solve frees a trailing window, the
+states from one index onward; the states before it stay fixed. Factors
 touching at least one free state are still evaluated, their fixed-state
 blocks just drop out of the normal equations.
 """
@@ -78,29 +79,23 @@ class FactorGraph:
                     f"graph has {len(self.states)}")
         self.factors.append(factor)
 
-    def optimize(self, free=None, max_iterations=MAX_ITERATIONS) -> OptimizeResult:
-        if not self.states:
+    def optimize(self, first=0, max_iterations=MAX_ITERATIONS) -> OptimizeResult:
+        """Levenberg-Marquardt over the states from index `first` onward;
+        first == len(states) frees none and only evaluates the cost."""
+        n = len(self.states)
+        if not n:
             raise NotAnchored("graph has no states")
-        if free is None:
-            free_set = set(range(len(self.states)))
-        else:
-            free_set = {int(i) for i in free}
-            for i in free_set:
-                if not 0 <= i < len(self.states):
-                    raise IndexOutOfRange(f"free index {i} out of range")
-        if len(free_set) == len(self.states) \
-                and not any(f.kind == "prior" for f in self.factors):
+        if not 0 <= first <= n:
+            raise IndexOutOfRange(f"first free index {first} out of range")
+        if first == 0 and not any(f.kind == "prior" for f in self.factors):
             raise NotAnchored("no prior factor and no fixed state")
 
-        active = [f for f in self.factors
-                  if any(i in free_set for i in f.indices)]
+        active = [f for f in self.factors if max(f.indices) >= first]
         if not active:  # no free state, or none that a factor touches
             c = _cost(self.factors, self.states, self.gravity)
             return OptimizeResult(c, c, 0, True, [])
-        free_order = sorted(free_set)
-        grav_col = STATE_DIM * len(free_order)
-        cols_of = dict(zip(free_order,
-                           np.arange(grav_col).reshape(-1, STATE_DIM)))
+        grav_col = STATE_DIM * (n - first)
+        cols = np.arange(grav_col).reshape(-1, STATE_DIM)
         # Gravity becomes a variable only when a factor that measures it is
         # active. IMU factors couple to gravity but cannot anchor it: with
         # biases free the pair is a gauge and both would drift together.
@@ -110,8 +105,8 @@ class FactorGraph:
         # Each active factor adds one dense block J^T W J over its free
         # states' columns and gravity's (zeros if it has no gravity block)
         # while gravity is a variable; where the blocks land is fixed here.
-        free_of = [[i for i in f.indices if i in free_set] for f in active]
-        spans = [np.concatenate([cols_of[i] for i in free]
+        free_of = [[i for i in f.indices if i >= first] for f in active]
+        spans = [np.concatenate([cols[i - first] for i in free]
                                 + [np.arange(grav_col, n_cols)])
                  for free in free_of]
         h_rows = np.concatenate([np.repeat(c, len(c)) for c in spans])
@@ -145,8 +140,8 @@ class FactorGraph:
 
         def apply_step(delta):
             new_states = list(states)
-            for s in free_order:
-                new_states[s] = retract_state(states[s], delta[cols_of[s]])
+            for s in range(first, n):
+                new_states[s] = retract_state(states[s], delta[cols[s - first]])
             new_gravity = gravity
             if use_gravity:
                 new_gravity = gravity + delta[grav_col:grav_col + 3]
@@ -196,7 +191,7 @@ class FactorGraph:
                 if not solver_produced_step:
                     diag = h_mat.diagonal()
                     worst = int(np.argmin(diag))
-                    idx = free_order[worst // STATE_DIM] \
+                    idx = first + worst // STATE_DIM \
                         if worst < grav_col else None
                     raise SingularSystem("linear solve failed at all damping "
                                          "levels", state_index=idx)
@@ -219,7 +214,5 @@ class FactorGraph:
         self.add_state(state)
         for f in factors:
             self.add_factor(f)
-        free = None
-        if window and window > 0:
-            free = range(max(0, len(self.states) - window), len(self.states))
-        return self.optimize(free=free, max_iterations=max_iterations)
+        first = max(0, len(self.states) - window) if window > 0 else 0
+        return self.optimize(first, max_iterations=max_iterations)

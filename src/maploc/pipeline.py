@@ -21,11 +21,11 @@ import numpy as np
 from .degeneracy import DegeneracyParams, detect, spectrum
 from .errors import (DataError, EmptyCloud, InitializationFailure,
                      MaplocError, NoMatches, NonMonotonicTimestamps,
-                     ParseError)
+                     ParseError, ZeroAcceleration)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
 from .factors import (BiasPriorFactor, BiasWalkFactor, GravityFactor,
-                      ImuFactor, ImuSample, MapFactor, MIN_MEAN_ACCEL,
-                      NoMotionFactor, OdometryFactor, PriorFactor, StateNode,
+                      ImuFactor, ImuSample, MapFactor, NoMotionFactor,
+                      OdometryFactor, PriorFactor, StateNode,
                       ZeroVelocityFactor, ZuptParams, detect_zupt,
                       preintegrate)
 from .geometry import (PointCloud, Pose, between, build_index, compose,
@@ -319,9 +319,9 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
                NoMotionFactor(index - 1, index, info["no_motion"])]
     a_mean = np.mean([s.specific_force for s in window],
                      axis=0) - prev_state.accel_bias
-    if np.linalg.norm(a_mean) >= MIN_MEAN_ACCEL:
+    try:
         factors.append(GravityFactor(index, a_mean, info["gravity"]))
-    else:
+    except ZeroAcceleration:
         logger.warning("frame %d: mean acceleration too small for a gravity "
                        "factor", k)
     return factors

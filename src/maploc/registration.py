@@ -88,8 +88,10 @@ def find_correspondences(scan: np.ndarray, map_index: SpatialIndex, pose: Pose,
 
 
 def _residuals(corrs: Correspondences, pose: Pose):
+    """Signed point-to-plane distances at pose, and the world points."""
     world = pose.transform(corrs.source_points)
-    return np.einsum("ij,ij->i", corrs.target_normals, world - corrs.target_points)
+    return (np.einsum("ij,ij->i", corrs.target_normals,
+                      world - corrs.target_points), world)
 
 
 def _plane_system(world, normals, weights=None):
@@ -122,18 +124,11 @@ def assemble_system(corrs: Correspondences, pose: Pose, kernel_width: float):
     Returns (H, b, cost): H = sum w J^T J, b = sum w J^T r (the exact cost
     gradient), cost = sum of Huber losses. Associations stay fixed.
     """
-    r = _residuals(corrs, pose)
+    r, world = _residuals(corrs, pose)
     w = _huber_weights(r, kernel_width)
-    jac, hessian = _plane_system(pose.transform(corrs.source_points),
-                                 corrs.target_normals, w)
+    jac, hessian = _plane_system(world, corrs.target_normals, w)
     gradient = jac.T @ (w * r)
     return hessian, gradient, _huber_cost(r, kernel_width)
-
-
-def unit_hessian(corrs: Correspondences, pose: Pose):
-    """Gauss-Newton Hessian with unit weights, for degeneracy analysis."""
-    return _plane_system(pose.transform(corrs.source_points),
-                         corrs.target_normals)[1]
 
 
 def reference_hessian(corrs: Correspondences):
@@ -173,7 +168,8 @@ def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,
             step = np.linalg.solve(hessian + damping * np.eye(6), -gradient)
             trial = compose(exp_map(step), pose)
             trial = Pose(orthonormalize(trial.rotation), trial.translation)
-            trial_cost = _huber_cost(_residuals(corrs, trial), params.kernel_width)
+            trial_cost = _huber_cost(_residuals(corrs, trial)[0],
+                                     params.kernel_width)
             if trial_cost < cost:
                 break
             damping *= 10.0
@@ -188,5 +184,7 @@ def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,
                          between(before, trial))) < params.convergence_threshold))
         before, pose = pose, trial
     rms = float(np.sqrt(np.mean(corrs.residuals ** 2)))
-    return AlignResult(pose, unit_hessian(corrs, pose), rms, corrs,
-                       iterations, converged, tuple(trace))
+    hessian = _plane_system(pose.transform(corrs.source_points),
+                            corrs.target_normals)[1]
+    return AlignResult(pose, hessian, rms, corrs, iterations, converged,
+                       tuple(trace))

@@ -6,6 +6,8 @@ generic matrix logarithm, nearest neighbors via a dense distance matrix,
 the SE(3) left Jacobian via its ad-series instead of the closed form,
 voxel grouping via row-wise np.unique and np.add.at instead of packed keys,
 the masked map factor by deleting rows instead of zeroing its weight.
+The unit-weight registration Hessian is spelled out from its rows, as
+align computes it, so tests can compare it bit for bit.
 """
 
 import numpy as np
@@ -139,3 +141,13 @@ def voxel_downsample_unique(points, voxel, normals=None):
         averaged = summed / norms[:, None]
     averaged[norms < 1e-9] = np.nan
     return centroids, averaged
+
+
+def unit_hessian(corrs, pose):
+    """Unit-weight point-to-plane Hessian J^T J, symmetrized, of the rows
+    J = [p x n, n] at the world points p = pose * source."""
+    world = pose.transform(corrs.source_points)
+    normals = corrs.target_normals
+    jac = np.hstack([np.cross(world, normals), normals])
+    hessian = jac.T @ jac
+    return 0.5 * (hessian + hessian.T)

@@ -16,7 +16,8 @@ import pytest
 
 import maploc
 from maploc.cli import main
-from maploc.io import read_cloud, read_tum, write_json
+from maploc.geometry import PointCloud
+from maploc.io import read_cloud, read_tum, write_json, write_pcd
 
 SPEC = {
     "kind": "cube-room", "seed": 21, "size": [5.0, 5.0, 3.0],
@@ -118,6 +119,21 @@ class TestLocalize:
                    "--set", "verbose=true"])
         assert rc == 0
         assert (tmp_path / "v" / "optimizer.csv").exists()
+
+    def test_map_with_nan_normals_localizes(self, smoke, tmp_path):
+        # load_map re-estimates the file normals left NaN for x < 2.5 m
+        cloud = read_cloud(smoke / "map.pcd")
+        normals = cloud.normals.copy()
+        normals[cloud.points[:, 0] < 2.5] = np.nan
+        write_pcd(tmp_path / "map.pcd", PointCloud(cloud.points, normals))
+        assert main(["localize", "--map", str(tmp_path / "map.pcd"),
+                     "--scans", str(smoke / "scans"),
+                     "--odom", str(smoke / "odometry.tum"),
+                     "--imu", str(smoke / "imu.csv"),
+                     "--groundtruth", str(smoke / "groundtruth.tum"),
+                     "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["metrics"]["ate_rmse_cm"] < 0.2
 
     def test_gapped_odometry_reports_skipped_scans(self, smoke, tmp_path):
         lines = _tum_rows(smoke / "odometry.tum")

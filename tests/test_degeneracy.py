@@ -19,8 +19,9 @@ from maploc.registration import (
     Correspondences,
     find_correspondences,
     reference_hessian,
-    unit_hessian,
 )
+
+from oracles import unit_hessian
 
 
 def random_spectrum(rng, lam_range=(0.1, 10.0)):

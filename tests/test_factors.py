@@ -26,12 +26,8 @@ from maploc.factors import (
     ZeroVelocityFactor,
     ZuptParams,
     detect_zupt,
-    gravity_error,
-    no_motion_error,
-    odometry_error,
     preintegrate,
     retract_state,
-    zero_velocity_error,
 )
 from maploc.geometry import (
     Pose,
@@ -73,33 +69,42 @@ def random_window(rng, duration=0.25, rate=200.0):
             for t in times]
 
 
+def pose_states(*poses):
+    return [StateNode.at(p, 0.0) for p in poses]
+
+
 # ---------------------------------------------------------------------------
-# residual functions
+# factor residuals
 
 class TestResidualFunctions:
     def test_odometry_error_zero_when_consistent(self, rng):
         a = random_pose(rng)
         rel = random_pose(rng)
         b = compose(a, rel)
-        assert np.allclose(odometry_error(a, b, rel), 0.0, atol=1e-12)
+        r = OdometryFactor(0, 1, rel, np.eye(6)).residual(pose_states(a, b), DOWN)
+        assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_odometry_error_matches_group_definition(self, rng):
         for _ in range(20):
             a, b, z = (random_pose(rng) for _ in range(3))
-            r = odometry_error(a, b, z)
+            r = OdometryFactor(0, 1, z, np.eye(6)).residual(pose_states(a, b),
+                                                            DOWN)
             # definition: exp(r) must reproduce the error transform exactly
             err = compose(inverse(z), between(a, b))
             assert np.allclose(exp_map(r).matrix(), err.matrix(), atol=1e-10)
 
     def test_no_motion_error(self, rng):
+        factor = NoMotionFactor(0, 1, np.eye(6))
         p = random_pose(rng)
-        assert np.allclose(no_motion_error(p, p), 0.0, atol=1e-12)
+        assert np.allclose(factor.residual(pose_states(p, p), DOWN), 0.0,
+                           atol=1e-12)
         q = compose(p, exp_map(np.array([0, 0, 0, 0.1, 0, 0])))
-        r = no_motion_error(p, q)
+        r = factor.residual(pose_states(p, q), DOWN)
         assert np.allclose(r, [0, 0, 0, 0.1, 0, 0], atol=1e-12)
 
     def test_zero_velocity_error(self):
-        assert np.allclose(zero_velocity_error([0.1, -0.2, 0.3]),
+        state = StateNode.at(Pose.identity(), 0.0, velocity=[0.1, -0.2, 0.3])
+        assert np.allclose(ZeroVelocityFactor(0, np.eye(3)).residual([state], DOWN),
                            [0.1, -0.2, 0.3])
 
     def map_factor_at(self, rng, offset, mask):
@@ -149,25 +154,30 @@ class TestResidualFunctions:
         assert not f.information[[3, 5]].any()
         assert not f.information[:, [3, 5]].any()
 
+    @staticmethod
+    def gravity_error(rotation, gravity, a_mean):
+        state = StateNode.at(Pose(rotation, np.zeros(3)), 0.0)
+        return GravityFactor(0, a_mean, np.eye(4)).residual([state], gravity)
+
     def test_gravity_error_level_case(self):
-        r = gravity_error(np.eye(3), DOWN, np.array([0.0, 0.0, 9.81]))
+        r = self.gravity_error(np.eye(3), DOWN, np.array([0.0, 0.0, 9.81]))
         assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_gravity_error_quarter_roll(self):
         # tilted body: 90 deg about x maps the measured direction back to +z
         rot = so3_exp(np.array([-math.pi / 2, 0.0, 0.0]))
-        r = gravity_error(rot, DOWN, np.array([0.0, -1.0, 0.0]))
+        r = self.gravity_error(rot, DOWN, np.array([0.0, -1.0, 0.0]))
         assert np.allclose(r, 0.0, atol=1e-12)
 
     def test_gravity_error_magnitude_row(self):
         g = np.array([0.0, 0.0, -1.1])
-        r = gravity_error(np.eye(3), g, np.array([0.0, 0.0, 5.0]))
+        r = self.gravity_error(np.eye(3), g, np.array([0.0, 0.0, 5.0]))
         assert abs(r[3] - 0.1) < 1e-12
         assert np.allclose(r[:3], [0, 0, 1] + g)
 
     def test_gravity_error_rejects_small_accel(self):
         with pytest.raises(ZeroAcceleration):
-            gravity_error(np.eye(3), DOWN, np.array([0.0, 0.0, 0.4]))
+            GravityFactor(0, [0.0, 0.0, 0.4], np.eye(4))
 
     def test_retract_state_zero_is_identity(self, rng):
         s = random_state(rng)

@@ -25,6 +25,7 @@ from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
                              run, emit_reports, voxel_downsample)
 
 from oracles import voxel_downsample_unique
+from test_registration import SMOKE_SPEC
 
 SENSOR = {"n_azimuth": 90, "n_elevation": 8, "max_range": 12.0,
           "min_range": 0.3}
@@ -256,6 +257,29 @@ class TestLoadMap:
         pm = load_map(path, voxel_size=0.3)
         assert np.allclose(np.abs(pm.cloud.normals[:, 2]), 1.0, atol=1e-6)
 
+    def test_nan_file_normals_are_reestimated(self, tmp_path):
+        # the smoke map with its normals NaN for x < 2.5 m: those voxels get
+        # estimated normals, except on edges that fail the flatness gate of
+        # estimate_normals and stay NaN; every other voxel keeps its file
+        # normal bit for bit
+        from maploc.io import write_pcd
+        write_pcd(tmp_path / "map.pcd",
+                  synth.generate(synth.parse_scene_spec(SMOKE_SPEC)).gt_map)
+        cloud = read_pcd(tmp_path / "map.pcd")  # float32 as the file has it
+        normals = cloud.normals.copy()
+        normals[cloud.points[:, 0] < 2.5] = np.nan
+        write_pcd(tmp_path / "nan.pcd", PointCloud(cloud.points, normals))
+        clean = load_map(tmp_path / "map.pcd")
+        pm = load_map(tmp_path / "nan.pcd")
+        assert np.array_equal(pm.cloud.points, clean.cloud.points)
+        region = pm.cloud.points[:, 0] < 2.5
+        assert np.array_equal(pm.cloud.normals[~region],
+                              clean.cloud.normals[~region])
+        finite = np.all(np.isfinite(pm.cloud.normals), axis=1)
+        assert 0.9 < finite[region].mean() < 1.0
+        assert np.allclose(np.linalg.norm(pm.cloud.normals[finite], axis=1),
+                           1.0, atol=1e-12)
+
 
 class TestLoadSequence:
     def test_roundtrip_from_synth_layout(self, room, tmp_path):
@@ -371,6 +395,23 @@ class TestZupt:
     def test_trajectory_still_accurate(self, dwell_run):
         _, out = dwell_run
         assert out.metrics.ate_rmse_cm < 0.3
+
+    def test_weak_gravity_warns_and_adds_no_gravity_factor(self, caplog):
+        # at 0.3 m/s^2 of gravity a stationary window's mean specific force
+        # is below MIN_MEAN_ACCEL, so GravityFactor refuses it; the ZUPT
+        # still adds its zero-velocity and no-motion factors
+        result, pm = scene(dict(SMOKE_SPEC, imu={"gravity_magnitude": 0.3}))
+        cfg = default_config()
+        cfg["imu"]["gravity_magnitude"] = 0.3
+        out = run(pm, SequenceInput.from_synth(result), cfg,
+                  groundtruth=result.gt_trajectory)
+        kinds = [f.kind for f in out.graph.factors]
+        zupt = sum(f["zupt"] for f in out.frames)
+        warned = [r for r in caplog.records if "mean acceleration too small "
+                  "for a gravity factor" in r.getMessage()]
+        assert zupt == len(warned) == kinds.count("zero_velocity") == 6
+        assert kinds.count("gravity") == 0
+        assert out.metrics.ate_rmse_cm < 0.2
 
 
 class TestDriftCorrection:
@@ -509,14 +550,27 @@ class TestAssociationAndErrors:
         with pytest.raises(InitializationFailure):
             run(pm, seq, make_cfg())
 
-    def test_empty_scan_mid_run_is_skipped(self, room):
+    @pytest.mark.parametrize("fault, matched", [
+        (lambda c: PointCloud(np.empty((0, 3))), 0),
+        (lambda c: PointCloud(c.points + [1000.0, 0.0, 0.0]), 0),
+        (lambda c: PointCloud(c.points[:5]), 5),
+    ], ids=["empty", "off-map", "five-points"])
+    def test_empty_scan_mid_run_is_skipped(self, room, fault, matched):
+        # a scan that matches nothing is skipped before degeneracy analysis;
+        # one with too few matches is rejected by stage 1
         result, pm = room
         scans = [(f.timestamp, f.cloud) for f in result.scans]
-        scans[5] = (scans[5][0], PointCloud(np.empty((0, 3))))
+        scans[5] = (scans[5][0], fault(scans[5][1]))
         seq = SequenceInput(scans=tuple(scans), odometry=result.odometry)
         out = run(pm, seq, make_cfg(), groundtruth=result.gt_trajectory)
         assert len(out.frames) == len(result.scans)
-        assert out.frames[5]["map_factor_added"] is False
+        frame = out.frames[5]
+        assert frame["map_factor_added"] is False
+        assert frame["correspondences"] == matched
+        if matched:
+            assert frame["degeneracy"]["stage1_reject"] is True
+        else:
+            assert frame["degeneracy"] is None
         assert out.frames[6]["map_factor_added"] is True
         assert out.metrics.ate_rmse_cm < 0.2  # odometry bridges the gap
 

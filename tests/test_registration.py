@@ -20,11 +20,11 @@ from maploc.registration import (
     assemble_system,
     find_correspondences,
     reference_hessian,
-    unit_hessian,
 )
 from maploc.pipeline import voxel_downsample
 
 from conftest import random_pose
+from oracles import unit_hessian
 
 # the benchmark's smoke scene (perfbench/workloads.py). In scans 0 and 20 two
 # points lie within ~1e-8 m of equidistant from two map points, so their
