@@ -21,8 +21,8 @@ import numpy as np
 
 from . import io as mio
 from .errors import DataError, MaplocError, NumericalError, ParseError
-from .evaluate import (DEFAULT_THRESHOLD, ate, map_accuracy, map_completeness,
-                       rpe, rpe_per_meter)
+from .evaluate import (DEFAULT_THRESHOLD, compute_metrics, map_accuracy,
+                       map_completeness)
 from .geometry import Pose
 from .pipeline import (emit_reports, evaluate_run, load_map, load_sequence,
                        register_frame, run)
@@ -76,17 +76,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval_traj(args) -> int:
-    est = mio.read_tum(args.est)
-    ref = mio.read_tum(args.ref)
-    a = ate(est, ref)
-    r = rpe(est, ref, delta=args.delta)
-    per_meter = rpe_per_meter(est, ref)
-    print(f"ate_rmse_cm: {a.rmse_cm:.9g}")
-    print(f"rpe_rmse_cm: {r.rmse_cm:.9g}")
-    print(f"rpe_rot_rmse_rad: {r.rot_rmse_rad:.9g}")
-    print("rpe_per_meter_cm: "
-          + ("n/a" if per_meter is None else f"{per_meter:.9g}"))
-    print(f"matched_pairs: {a.pairs}")
+    m = compute_metrics(mio.read_tum(args.est), mio.read_tum(args.ref),
+                        delta=args.delta)
+    print(f"ate_rmse_cm: {m.ate_rmse_cm:.9g}")
+    print(f"rpe_rmse_cm: {m.rpe_rmse_cm:.9g}")
+    print(f"rpe_rot_rmse_rad: {m.rpe_rot_rmse_rad:.9g}")
+    print("rpe_per_meter_cm: " + ("n/a" if m.rpe_per_meter_cm is None
+                                  else f"{m.rpe_per_meter_cm:.9g}"))
+    print(f"matched_pairs: {m.matched_pairs}")
     return 0
 
 

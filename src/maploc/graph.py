@@ -170,13 +170,23 @@ class FactorGraph:
                     damping *= 10.0
                     continue
                 solver_produced_step = True
-                # Converged: the step or its predicted decrease is negligible
-                predicted = -(delta @ b_vec + 0.5 * delta @ (h_mat @ delta))
-                if np.abs(delta).max() < STEP_TOL \
-                        or predicted <= REL_COST_TOL * cost:
-                    break
-                trial_states, trial_gravity = apply_step(delta)
-                trial_cost = _cost(active, trial_states, trial_gravity)
+                # The current states were just linearized, so a step whose
+                # predicted decrease or trial cost overflows, or raises a
+                # ValueError (LinAlgError included), is too large: it is
+                # rejected like a trial with a non-finite cost.
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        # Converged: the step or its predicted decrease is
+                        # negligible
+                        predicted = -(delta @ b_vec
+                                      + 0.5 * delta @ (h_mat @ delta))
+                        if np.abs(delta).max() < STEP_TOL \
+                                or predicted <= REL_COST_TOL * cost:
+                            break
+                        trial_states, trial_gravity = apply_step(delta)
+                        trial_cost = _cost(active, trial_states, trial_gravity)
+                except (ValueError, FloatingPointError):
+                    trial_cost = np.inf
                 if np.isfinite(trial_cost) and trial_cost < cost:
                     states, gravity = trial_states, trial_gravity
                     step_norm = float(np.abs(delta).max())

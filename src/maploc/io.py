@@ -452,20 +452,51 @@ DEFAULT_CONFIG = {
              "max_dt": DEFAULT_MAX_DT},
 }
 
-_SCHEMA_CACHE = {}
+# Each config key takes its default's type. An integer is a count (at
+# least 1), and any other number a magnitude in [1e-100, 1e100], which keeps
+# every sigma^2, 1/sigma^2 and weight finite; so a float key keeps a float
+# literal default (2500.0, not 2500). The exceptions, by dotted key:
+_CONFIG_BOUNDS = {
+    "window": {"minimum": 0},                   # 0 is a full batch solve
+    "degeneracy.s_thres": {"exclusiveMinimum": 1},
+}
 
 
-def _schema(name):
-    if name not in _SCHEMA_CACHE:
-        text = resources.files("maploc").joinpath(
-            "schemas", f"{name}.schema.json").read_text()
-        _SCHEMA_CACHE[name] = json.loads(text)
-    return _SCHEMA_CACHE[name]
+def _config_schema(defaults, prefix=""):
+    """The JSON schema of a config section, built from its defaults."""
+    properties = {}
+    for key, default in defaults.items():
+        name = prefix + key
+        if isinstance(default, dict):
+            rule = _config_schema(default, name + ".")
+        elif isinstance(default, bool):
+            rule = {"type": "boolean"}
+        elif isinstance(default, int):
+            rule = {"type": "integer", "minimum": 1}
+        else:
+            rule = {"type": "number", "minimum": 1e-100, "maximum": 1e100}
+        rule.update(_CONFIG_BOUNDS.get(name, {}))
+        properties[key] = rule
+    return {"type": "object", "additionalProperties": False,
+            "properties": properties}
+
+
+_SCHEMAS = {
+    "config": _config_schema(DEFAULT_CONFIG),
+    "report": json.loads(resources.files("maploc").joinpath(
+        "schemas", "report.schema.json").read_text()),
+}
+
+# Draft 7 also takes 2.0 as an integer, but a config count is used as an
+# index or a range bound; draft 4's types take only integers.
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft7Validator,
+    type_checker=jsonschema.Draft4Validator.TYPE_CHECKER)
 
 
 def _validate(payload, schema_name):
     try:
-        jsonschema.validate(payload, _schema(schema_name))
+        jsonschema.validate(payload, _SCHEMAS[schema_name], cls=_Validator)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise ParseError(f"{schema_name} schema violation at {path}: "

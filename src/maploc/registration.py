@@ -68,9 +68,12 @@ def find_correspondences(scan: np.ndarray, map_index: SpatialIndex, pose: Pose,
     """Nearest map point per transformed scan point, within max_distance.
 
     Map points without a valid normal are skipped. Raises NoCorrespondences
-    when nothing matches. Output order follows scan point order.
+    when the scan is empty or nothing matches. Output order follows scan
+    point order.
     """
     scan = np.asarray(scan, dtype=float)
+    if not len(scan):
+        raise NoCorrespondences("scan holds no points")
     world = pose.transform(scan)
     dist, idx = map_index.nearest(world, workers=workers)
     normals = map_index.cloud.normals

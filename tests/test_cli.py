@@ -456,6 +456,28 @@ class TestExitCodes:
         assert (f"error: initial registration of scan {first.name} at "
                 f"t={float(first.stem):.9f} failed: " in err)
 
+    @pytest.mark.parametrize("assignment, code", [
+        ("factors.prior_rot_sigma=1e200", 2),   # was an OverflowError
+        ("factors.odom_trans_sigma=1e-200", 2),  # was a ZeroDivisionError
+        ("imu.sigma_accel=1e200", 2),           # was an OverflowError
+        ("factors.map_weight=1e308", 2),        # was a failed solve, exit 3
+        # inside the bounds; its LM trials overflow and are rejected
+        ("factors.odom_trans_sigma=1e-100", 0),
+    ])
+    def test_extreme_magnitudes_exit_cleanly(self, smoke, tmp_path, capsys,
+                                             assignment, code):
+        rc = main(["localize", "--map", str(smoke / "map.pcd"),
+                   "--scans", str(smoke / "scans"),
+                   "--odom", str(smoke / "odometry.tum"),
+                   "--imu", str(smoke / "imu.csv"),
+                   "--out", str(tmp_path / "run"), "--set", assignment])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert "Traceback" not in err
+        if code:
+            key = assignment.split("=")[0].replace(".", "/")
+            assert f"error: config schema violation at {key}: " in err
+
 
 class TestFlagErrors:
     @pytest.mark.parametrize("pose, message", [

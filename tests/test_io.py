@@ -2,7 +2,6 @@
 
 import json
 import math
-from importlib import resources
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from maploc.errors import DataError, NonMonotonicTimestamps, ParseError
 from maploc.evaluate import Trajectory
 from maploc.factors import ImuSample
 from maploc.geometry import PointCloud, Pose, so3_exp
-from maploc.io import (DEFAULT_CONFIG, FRAMES_CSV_HEADER, apply_overrides,
+from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER, apply_overrides,
                        default_config, load_config, quaternion_to_rotation,
                        read_imu_csv, read_pcd, read_ply, read_tum,
                        rotation_to_quaternion, sanitize_json, scan_filename,
@@ -700,26 +699,6 @@ class TestConfig:
         assert cfg["degeneracy"]["s_thres"] == 4.5
         assert cfg["verbose"] is True
 
-    def test_schema_and_defaults_name_the_same_keys(self):
-        """Every schema key has a default and every default a schema
-        entry, so no key validates that no code reads."""
-        schema = json.loads(resources.files("maploc").joinpath(
-            "schemas", "config.schema.json").read_text())
-
-        def default_keys(node, prefix=""):
-            return {prefix + key for key in node} | {
-                k for key, value in node.items() if isinstance(value, dict)
-                for k in default_keys(value, f"{prefix}{key}.")}
-
-        def schema_keys(node, prefix=""):
-            props = node.get("properties", {})
-            return {prefix + key for key in props} | {
-                k for key, sub in props.items()
-                for k in schema_keys(sub, f"{prefix}{key}.")}
-
-        assert "degeneracy.d_e_threshold" in default_keys(DEFAULT_CONFIG)
-        assert default_keys(DEFAULT_CONFIG) == schema_keys(schema)
-
     def test_override_unknown_key(self):
         with pytest.raises(ParseError):
             apply_overrides(default_config(), ["degeneracy.nope=1"])
@@ -738,6 +717,69 @@ class TestConfig:
         cfg = default_config()
         apply_overrides(cfg, ["threads=8"])
         assert cfg["threads"] == 1
+
+
+def _leaf_keys(node, prefix=""):
+    """(dotted key, default) for every leaf of a config tree."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
+LEAF_KEYS = dict(_leaf_keys(DEFAULT_CONFIG))
+
+
+def _set(key, value):
+    """The default config with one key set, as `--set` does it."""
+    return apply_overrides(default_config(), [f"{key}={json.dumps(value)}"])
+
+
+def _wrong_types(default):
+    if isinstance(default, bool):
+        return ["yes", 1]
+    if isinstance(default, int):
+        return ["1", True, 2.5, 2.0]
+    return ["1.0", True, None]
+
+
+def _past_bounds(key, default):
+    """The first values outside the key's range, below and above."""
+    if isinstance(default, bool):
+        return []
+    if key == "window":
+        return [-1]
+    if key == "degeneracy.s_thres":
+        return [1.0, 1e101]
+    if isinstance(default, int):
+        return [0]
+    return [0.0, 1e-101, 1e101]
+
+
+@pytest.mark.parametrize("key", sorted(LEAF_KEYS))
+class TestConfigSchema:
+    """The config schema is built from DEFAULT_CONFIG: each key takes its
+    default's type, and numbers and counts are bounded."""
+
+    def test_default_validates(self, key):
+        validate_config(_set(key, LEAF_KEYS[key]))
+
+    def test_wrong_type_fails_naming_the_key(self, key):
+        for value in _wrong_types(LEAF_KEYS[key]):
+            with pytest.raises(ParseError) as info:
+                _set(key, value)
+            assert f"at {key.replace('.', '/')}:" in str(info.value), value
+
+    def test_first_value_past_the_bound_fails(self, key):
+        for value in _past_bounds(key, LEAF_KEYS[key]):
+            with pytest.raises(ParseError) as info:
+                _set(key, value)
+            assert f"at {key.replace('.', '/')}:" in str(info.value), value
+
+
+def test_config_bounds_name_real_keys():
+    assert set(_CONFIG_BOUNDS) <= set(LEAF_KEYS)
 
 
 def sample_report():

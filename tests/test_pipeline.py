@@ -550,19 +550,26 @@ class TestAssociationAndErrors:
         with pytest.raises(InitializationFailure):
             run(pm, seq, make_cfg())
 
-    @pytest.mark.parametrize("fault, matched", [
-        (lambda c: PointCloud(np.empty((0, 3))), 0),
-        (lambda c: PointCloud(c.points + [1000.0, 0.0, 0.0]), 0),
-        (lambda c: PointCloud(c.points[:5]), 5),
+    @pytest.mark.parametrize("fault, matched, reason", [
+        (lambda c: PointCloud(np.empty((0, 3))), 0, "scan holds no points"),
+        (lambda c: PointCloud(c.points + [1000.0, 0.0, 0.0]), 0,
+         "no scan point within"),
+        (lambda c: PointCloud(c.points[:5]), 5, None),
     ], ids=["empty", "off-map", "five-points"])
-    def test_empty_scan_mid_run_is_skipped(self, room, fault, matched):
-        # a scan that matches nothing is skipped before degeneracy analysis;
-        # one with too few matches is rejected by stage 1
+    def test_empty_scan_mid_run_is_skipped(self, room, caplog, fault, matched,
+                                           reason):
+        # a scan that matches nothing is skipped before degeneracy analysis,
+        # with a warning that tells an empty scan from one off the map; one
+        # with too few matches is rejected by stage 1
         result, pm = room
         scans = [(f.timestamp, f.cloud) for f in result.scans]
         scans[5] = (scans[5][0], fault(scans[5][1]))
         seq = SequenceInput(scans=tuple(scans), odometry=result.odometry)
         out = run(pm, seq, make_cfg(), groundtruth=result.gt_trajectory)
+        skipped = [r.getMessage() for r in caplog.records if r.getMessage()
+                   .startswith("frame 5 registration skipped: ")]
+        assert len(skipped) == (1 if reason else 0)
+        assert all(reason in message for message in skipped)
         assert len(out.frames) == len(result.scans)
         frame = out.frames[5]
         assert frame["map_factor_added"] is False
