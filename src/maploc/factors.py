@@ -223,11 +223,12 @@ def preintegrate(samples, accel_bias, gyro_bias, sigma_gyro=SIGMA_GYRO,
 # ---------------------------------------------------------------------------
 # factor classes
 
-def _pose_jacobian(r, reference: Pose):
+def _pose_jacobian(r, reference_adjoint):
     """Jacobian of r = log(reference^-1 * pose) w.r.t. the state's left
-    pose perturbation: J^-1(r) Ad(reference^-1) in the pose columns."""
+    pose perturbation: J^-1(r) Ad(reference^-1) in the pose columns, given
+    reference_adjoint = Ad(reference^-1)."""
     jac = np.zeros((6, STATE_DIM))
-    jac[:, :6] = se3_left_jacobian_inv(r) @ se3_adjoint(inverse(reference))
+    jac[:, :6] = se3_left_jacobian_inv(r) @ reference_adjoint
     return jac
 
 
@@ -235,6 +236,14 @@ def _pose_jacobian(r, reference: Pose):
 # shared by the bias factors
 _BIAS_JACOBIAN = np.eye(6, STATE_DIM, BA.start)
 _BIAS_JACOBIAN.flags.writeable = False
+
+
+def _cache_reference(factor, reference: Pose):
+    """Store the inverse of a factor's constant reference pose and its
+    adjoint Ad(reference^-1), which every residual and linearize reuse."""
+    reference_inverse = inverse(reference)
+    object.__setattr__(factor, "_inverse", reference_inverse)
+    object.__setattr__(factor, "_adjoint", se3_adjoint(reference_inverse))
 
 
 def _check_information(info, dim):
@@ -272,12 +281,16 @@ class PriorFactor(_Factor):
     prior: Pose
     information: np.ndarray
 
+    def __post_init__(self):
+        super().__post_init__()
+        _cache_reference(self, self.prior)
+
     def residual(self, states, gravity):
-        return log_map(compose(inverse(self.prior), states[self.index].pose))
+        return log_map(compose(self._inverse, states[self.index].pose))
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
-        return r, {self.index: _pose_jacobian(r, self.prior)}, None
+        return r, {self.index: _pose_jacobian(r, self._adjoint)}, None
 
 
 @dataclass(frozen=True)
@@ -288,14 +301,19 @@ class OdometryFactor(_Factor):
     measurement: Pose  # relative pose of j in i
     information: np.ndarray
 
+    def __post_init__(self):
+        super().__post_init__()
+        _cache_reference(self, self.measurement)
+
     def residual(self, states, gravity):
         """r = log(measurement^-1 * between(pose_i, pose_j))."""
-        return log_map(compose(inverse(self.measurement),
+        return log_map(compose(self._inverse,
                                between(states[self.i].pose, states[self.j].pose)))
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
-        jac = _pose_jacobian(r, compose(states[self.i].pose, self.measurement))
+        jac = _pose_jacobian(r, se3_adjoint(inverse(
+            compose(states[self.i].pose, self.measurement))))
         return r, {self.i: -jac, self.j: jac}, None
 
 
@@ -312,7 +330,7 @@ class NoMotionFactor(_Factor):
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
-        jac = _pose_jacobian(r, states[self.i].pose)
+        jac = _pose_jacobian(r, se3_adjoint(inverse(states[self.i].pose)))
         return r, {self.i: -jac, self.j: jac}, None
 
 
@@ -343,13 +361,14 @@ class MapFactor(_Factor):
         info.flags.writeable = False
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "information", info)
+        _cache_reference(self, self.map_pose)
 
     def residual(self, states, gravity):
-        return log_map(between(self.map_pose, states[self.index].pose))
+        return log_map(compose(self._inverse, states[self.index].pose))
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
-        return r, {self.index: _pose_jacobian(r, self.map_pose)}, None
+        return r, {self.index: _pose_jacobian(r, self._adjoint)}, None
 
 
 @dataclass(frozen=True)

@@ -29,26 +29,32 @@ PI_ANGLE_MARGIN = 1e-6
 
 
 def skew(v):
-    v = np.asarray(v, dtype=float)
-    return np.array([
-        [0.0, -v[2], v[1]],
-        [v[2], 0.0, -v[0]],
-        [-v[1], v[0], 0.0],
-    ])
+    x, y, z = np.asarray(v, dtype=float).tolist()
+    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+
+
+def _so3_series(x, y, z, a, b):
+    """I + a [v]x + b [v]x^2 of v = (x, y, z), elementwise through
+    [v]x^2 = v v^T - |v|^2 I."""
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    ax, ay, az = a * x, a * y, a * z
+    return np.array([[1.0 - b * (y * y + z * z), bxy - az, bxz + ay],
+                     [bxy + az, 1.0 - b * (x * x + z * z), byz - ax],
+                     [bxz - ay, byz + ax, 1.0 - b * (x * x + y * y)]])
 
 
 def so3_exp(rotvec):
     """Rodrigues formula, series fallback below SMALL_ANGLE."""
-    rotvec = np.asarray(rotvec, dtype=float)
-    angle = float(np.linalg.norm(rotvec))
-    w = skew(rotvec)
+    x, y, z = np.asarray(rotvec, dtype=float).tolist()
+    angle2 = x * x + y * y + z * z
+    angle = math.sqrt(angle2)
     if angle < SMALL_ANGLE:
-        a = 1.0 - angle * angle / 6.0
-        b = 0.5 - angle * angle / 24.0
+        a = 1.0 - angle2 / 6.0
+        b = 0.5 - angle2 / 24.0
     else:
         a = math.sin(angle) / angle
-        b = (1.0 - math.cos(angle)) / (angle * angle)
-    return np.eye(3) + a * w + b * (w @ w)
+        b = (1.0 - math.cos(angle)) / angle2
+    return _so3_series(x, y, z, a, b)
 
 
 def so3_log(rotation):
@@ -58,16 +64,15 @@ def so3_log(rotation):
     is fixed so the leading nonzero axis component is positive.
     """
     rotation = np.asarray(rotation, dtype=float)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
     # vee = 2 sin(angle) axis and tr - 1 = 2 cos(angle): atan2 keeps the
     # angle's full precision at every angle, where acos loses it near 0 and pi
-    vee = np.array([rotation[2, 1] - rotation[1, 2],
-                    rotation[0, 2] - rotation[2, 0],
-                    rotation[1, 0] - rotation[0, 1]])
-    vee_norm = float(np.linalg.norm(vee))
-    trace = float(np.trace(rotation))
+    vx, vy, vz = r21 - r12, r02 - r20, r10 - r01
+    vee_norm = math.sqrt(vx * vx + vy * vy + vz * vz)
+    trace = r00 + r11 + r22
     angle = math.atan2(vee_norm, trace - 1.0)
     if angle < SMALL_ANGLE:
-        return 0.5 * vee  # first order
+        return np.array([0.5 * vx, 0.5 * vy, 0.5 * vz])  # first order
     if angle > math.pi - PI_ANGLE_MARGIN:
         cos_angle = max(-1.0, min(1.0, (trace - 1.0) / 2.0))
         # R = I + 2 sin^2(.) [a]x^2 near pi: diagonal gives |axis| components
@@ -85,36 +90,33 @@ def so3_log(rotation):
         norm = np.linalg.norm(axis)
         axis = axis / norm if norm > 0.0 else np.array([1.0, 0.0, 0.0])
         return axis * angle
-    return (angle / vee_norm) * vee
-
-
-def _v_coefficients(angle):
-    """Coefficients b, c of V = I + b [w]x + c [w]x^2."""
-    if angle < SMALL_ANGLE:
-        return 0.5 - angle * angle / 24.0, 1.0 / 6.0 - angle * angle / 120.0
-    return ((1.0 - math.cos(angle)) / (angle * angle),
-            (angle - math.sin(angle)) / (angle ** 3))
+    scale = angle / vee_norm
+    return np.array([scale * vx, scale * vy, scale * vz])
 
 
 def so3_left_jacobian(rotvec):
-    rotvec = np.asarray(rotvec, dtype=float)
-    angle = float(np.linalg.norm(rotvec))
-    b, c = _v_coefficients(angle)
-    w = skew(rotvec)
-    return np.eye(3) + b * w + c * (w @ w)
+    x, y, z = np.asarray(rotvec, dtype=float).tolist()
+    angle2 = x * x + y * y + z * z
+    angle = math.sqrt(angle2)
+    if angle < SMALL_ANGLE:
+        b, c = 0.5 - angle2 / 24.0, 1.0 / 6.0 - angle2 / 120.0
+    else:
+        b = (1.0 - math.cos(angle)) / angle2
+        c = (angle - math.sin(angle)) / (angle2 * angle)
+    return _so3_series(x, y, z, b, c)
 
 
 def so3_left_jacobian_inv(rotvec):
-    rotvec = np.asarray(rotvec, dtype=float)
-    angle = float(np.linalg.norm(rotvec))
-    w = skew(rotvec)
+    x, y, z = np.asarray(rotvec, dtype=float).tolist()
+    angle2 = x * x + y * y + z * z
+    angle = math.sqrt(angle2)
     if angle < 1e-4:
-        c = 1.0 / 12.0 + angle * angle / 720.0
+        c = 1.0 / 12.0 + angle2 / 720.0
     else:
         # (1 - (angle/2) * cot(angle/2)) / angle^2, smooth on (0, pi]
         half = 0.5 * angle
-        c = (1.0 - half * math.cos(half) / math.sin(half)) / (angle * angle)
-    return np.eye(3) - 0.5 * w + c * (w @ w)
+        c = (1.0 - half * math.cos(half) / math.sin(half)) / angle2
+    return _so3_series(x, y, z, -0.5, c)
 
 
 def so3_right_jacobian(rotvec):
@@ -195,25 +197,37 @@ def se3_adjoint(pose: Pose):
 def se3_left_jacobian_inv(twist):
     """Inverse left Jacobian of SE(3), [[J^-1, 0], [-J^-1 Q J^-1, J^-1]].
 
-    J is the SO(3) left Jacobian of the rotation part and Q the coupling
+    J is the SO(3) left Jacobian of the rotation part w and Q the coupling
     block of Barfoot & Furgale (2014); below SE3_TAYLOR_ANGLE Q's
     coefficients take their Taylor series, whose closed forms cancel.
+    With s = w.p for the translation part p, the skew identities
+    [w][p][w] = -s [w] and [w]^2 = w w^T - |w|^2 I reduce Q to
+    (1/2 - c2 |w|^2) [p] + (2 c2 - c1) s [w] + c1 (p w^T + w p^T)
+    - 2 c3 s w w^T + 2 s (c3 |w|^2 - c1) I, built here elementwise.
     """
-    angle = float(np.linalg.norm(twist[:3]))
+    x, y, z, u, v, w = np.asarray(twist, dtype=float).tolist()
+    angle2 = x * x + y * y + z * z
+    angle = math.sqrt(angle2)
     if angle < SE3_TAYLOR_ANGLE:
-        a2 = angle * angle
-        c1, c2, c3 = 1 / 6 - a2 / 120, 1 / 24 - a2 / 720, 1 / 120 - a2 / 2520
+        c1 = 1 / 6 - angle2 / 120
+        c2 = 1 / 24 - angle2 / 720
+        c3 = 1 / 120 - angle2 / 2520
     else:
         sin, cos = math.sin(angle), math.cos(angle)
-        c1 = (angle - sin) / angle ** 3
-        c2 = (angle * angle + 2.0 * cos - 2.0) / (2.0 * angle ** 4)
-        c3 = (2.0 * angle - 3.0 * sin + angle * cos) / (2.0 * angle ** 5)
-    w = skew(twist[:3])
-    p = skew(twist[3:])
-    wp, pw = w @ p, p @ w
-    wpw = wp @ w
-    q = (0.5 * p + c1 * (wp + pw + wpw) + c2 * (w @ wp + pw @ w - 3.0 * wpw)
-         + c3 * (wpw @ w + w @ wpw))
+        angle4 = angle2 * angle2
+        c1 = (angle - sin) / (angle2 * angle)
+        c2 = (angle2 + 2.0 * cos - 2.0) / (2.0 * angle4)
+        c3 = (2.0 * angle - 3.0 * sin + angle * cos) / (2.0 * angle4 * angle)
+    s = x * u + y * v + z * w
+    p, k = 0.5 - c2 * angle2, (2.0 * c2 - c1) * s
+    m, d = -2.0 * c3 * s, 2.0 * s * (c3 * angle2 - c1)
+    ax, ay, az = p * u + k * x, p * v + k * y, p * w + k * z
+    qxy = c1 * (x * v + y * u) + m * x * y
+    qxz = c1 * (x * w + z * u) + m * x * z
+    qyz = c1 * (y * w + z * v) + m * y * z
+    q = np.array([[2.0 * c1 * x * u + m * x * x + d, qxy - az, qxz + ay],
+                  [qxy + az, 2.0 * c1 * y * v + m * y * y + d, qyz - ax],
+                  [qxz - ay, qyz + ax, 2.0 * c1 * z * w + m * z * z + d]])
     j_inv = so3_left_jacobian_inv(twist[:3])
     out = np.zeros((6, 6))
     out[:3, :3] = out[3:, 3:] = j_inv

@@ -54,13 +54,6 @@ def _cost(factors, states, gravity) -> float:
     return total
 
 
-def _check_finite(factor, residual, jacobian):
-    if not (np.all(np.isfinite(residual)) and np.all(np.isfinite(jacobian))):
-        raise SingularSystem(
-            f"factor '{factor.kind}' produced non-finite values",
-            state_index=factor.indices[0])
-
-
 class FactorGraph:
     def __init__(self, gravity=(0.0, 0.0, -1.0)):
         self.states: list[StateNode] = []
@@ -104,13 +97,27 @@ class FactorGraph:
 
         # Each active factor adds one dense block J^T W J over its free
         # states' columns and gravity's (zeros if it has no gravity block)
-        # while gravity is a variable; where the blocks land is fixed here.
+        # while gravity is a variable. Where each block entry lands in the
+        # CSC data of H is fixed here, once per solve: entries sort by
+        # (column, row) key, the diagonal always in the pattern so that
+        # damping has a slot even in a column no factor touches.
         free_of = [[i for i in f.indices if i >= first] for f in active]
         spans = [np.concatenate([cols[i - first] for i in free]
                                 + [np.arange(grav_col, n_cols)])
                  for free in free_of]
-        h_rows = np.concatenate([np.repeat(c, len(c)) for c in spans])
-        h_cols = np.concatenate([np.tile(c, len(c)) for c in spans])
+        keys = np.concatenate([(c * n_cols + c[:, None]).ravel()
+                               for c in spans]
+                              + [np.arange(n_cols) * (n_cols + 1)])
+        # only the int32 slots and CSC indices outlive the sort
+        pattern, slots = np.unique(keys, return_inverse=True)
+        del keys
+        slots = slots.astype(np.int32)
+        entry_slots, diag_slots = slots[:-n_cols], slots[-n_cols:]
+        nnz = len(pattern)
+        indices = (pattern % n_cols).astype(np.int32)
+        indptr = np.searchsorted(pattern, np.arange(n_cols + 1) * n_cols
+                                 ).astype(np.int32)
+        del pattern
         b_rows = np.concatenate(spans)
 
         states = list(self.states)
@@ -125,17 +132,24 @@ class FactorGraph:
                 if use_gravity:
                     parts.append(np.zeros((len(r), 3)) if g_block is None
                                  else g_block)
-                jac = np.hstack(parts)
-                _check_finite(f, r, jac)
+                jac = np.concatenate(parts, axis=1)
                 jtw = jac.T @ f.information
                 h_vals.append((jtw @ jac).ravel())
                 b_vals.append(jtw @ r)
                 cost += 0.5 * float(r @ (f.information @ r))
-            h = sparse.csc_matrix(
-                (np.concatenate(h_vals), (h_rows, h_cols)),
-                shape=(n_cols, n_cols))
+            data = np.bincount(entry_slots, weights=np.concatenate(h_vals),
+                               minlength=nnz)
             b = np.bincount(b_rows, weights=np.concatenate(b_vals),
                             minlength=n_cols)
+            if not (np.isfinite(data).all() and np.isfinite(b).all()):
+                bad = next(f for f, h, g in zip(active, h_vals, b_vals)
+                           if not (np.isfinite(h).all()
+                                   and np.isfinite(g).all()))
+                raise SingularSystem(
+                    f"factor '{bad.kind}' produced non-finite values",
+                    state_index=bad.indices[0])
+            h = sparse.csc_matrix((data, indices, indptr),
+                                  shape=(n_cols, n_cols))
             return h, b, cost
 
         def apply_step(delta):
@@ -149,7 +163,6 @@ class FactorGraph:
 
         h_mat, b_vec, cost = assemble()
         initial_cost = cost
-        eye = sparse.identity(n_cols, format="csc")
         damping = DAMPING_INIT
         records = []
         converged = False
@@ -162,7 +175,9 @@ class FactorGraph:
             step_norm = 0.0
             while damping <= DAMPING_MAX:
                 try:
-                    lu = splu(h_mat + damping * eye)
+                    damped = h_mat.copy()
+                    damped.data[diag_slots] += damping
+                    lu = splu(damped)
                     delta = lu.solve(-b_vec)
                 except RuntimeError:
                     delta = None

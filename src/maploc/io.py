@@ -452,12 +452,13 @@ DEFAULT_CONFIG = {
              "max_dt": DEFAULT_MAX_DT},
 }
 
-# Each config key takes its default's type. An integer is a count (at
-# least 1), and any other number a magnitude in [1e-100, 1e100], which keeps
-# every sigma^2, 1/sigma^2 and weight finite; so a float key keeps a float
-# literal default (2500.0, not 2500). The exceptions, by dotted key:
+# Each config key takes its default's type. An integer is a count in
+# [1, 2^31 - 1], and any other number a magnitude in [1e-100, 1e100], which
+# keeps every sigma^2, 1/sigma^2 and weight finite; so a float key keeps a
+# float literal default (2500.0, not 2500). The exceptions, by dotted key:
 _CONFIG_BOUNDS = {
     "window": {"minimum": 0},                   # 0 is a full batch solve
+    "threads": {"maximum": 256},                # kd-tree query workers
     "degeneracy.s_thres": {"exclusiveMinimum": 1},
 }
 
@@ -472,7 +473,7 @@ def _config_schema(defaults, prefix=""):
         elif isinstance(default, bool):
             rule = {"type": "boolean"}
         elif isinstance(default, int):
-            rule = {"type": "integer", "minimum": 1}
+            rule = {"type": "integer", "minimum": 1, "maximum": 2 ** 31 - 1}
         else:
             rule = {"type": "number", "minimum": 1e-100, "maximum": 1e100}
         rule.update(_CONFIG_BOUNDS.get(name, {}))

@@ -21,7 +21,7 @@ import numpy as np
 from .degeneracy import DegeneracyParams, detect, spectrum
 from .errors import (DataError, EmptyCloud, InitializationFailure,
                      MaplocError, NoMatches, NonMonotonicTimestamps,
-                     ParseError, ZeroAcceleration)
+                     NumericalError, ParseError, ZeroAcceleration)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
 from .factors import (BiasPriorFactor, BiasWalkFactor, GravityFactor,
                       ImuFactor, ImuSample, MapFactor, NoMotionFactor,
@@ -82,6 +82,19 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # map loading
 
+def _key_spans(lo, hi, voxel):
+    """Cell counts per axis of the voxel grid from cell lo to cell hi. A
+    grid too large for packed int64 keys is a DataError."""
+    if not (np.all(lo > -2.0 ** 62) and np.all(hi < 2.0 ** 62)):
+        raise DataError(f"voxel grid of {voxel} m: cell indices must be "
+                        "finite and below 2^62 in magnitude")
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) > 2 ** 63:
+        raise DataError(f"voxel grid of {voxel} m spans {spans[0]} x "
+                        f"{spans[1]} x {spans[2]} cells, more than int64 keys")
+    return spans
+
+
 def voxel_downsample(points, voxel, normals=None):
     """Centroid downsampling on a regular grid. Deterministic: cells are
     processed in lexicographic key order.
@@ -94,14 +107,8 @@ def voxel_downsample(points, voxel, normals=None):
     if len(points) == 0:
         return np.zeros((0, 3)), None if normals is None else np.zeros((0, 3))
     cells = np.floor(points / voxel)
-    lo, hi = cells.min(axis=0), cells.max(axis=0)
-    if not (np.all(lo > -2.0 ** 62) and np.all(hi < 2.0 ** 62)):
-        raise DataError(f"voxel grid of {voxel} m: cell indices must be "
-                        "finite and below 2^62 in magnitude")
-    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
-    if math.prod(spans) > 2 ** 63:
-        raise DataError(f"voxel grid of {voxel} m spans {spans[0]} x "
-                        f"{spans[1]} x {spans[2]} cells, more than int64 keys")
+    lo = cells.min(axis=0)
+    spans = _key_spans(lo, cells.max(axis=0), voxel)
     keys = cells.astype(np.int64)
     del cells
     keys -= lo.astype(np.int64)
@@ -357,12 +364,31 @@ def _imu_factors(index, keyframe, prev_state, imu, period, cfg, info):
 
 
 def _assemble_map(graph: FactorGraph, keyframes, voxel: float) -> PointCloud:
+    """The keyframe scans at their optimized poses, voxel-downsampled.
+
+    An estimate that diverged from valid inputs is a NumericalError naming
+    the first keyframe whose pose is non-finite or whose points take the
+    map's voxel grid past its int64 keys.
+    """
     world_points = []
-    for index, (_, _, source, _) in enumerate(keyframes):
+    lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
+    for index, (k, t, source, _) in enumerate(keyframes):
+        pose = graph.states[index].pose
+        where = (f"estimate diverged at keyframe {index} (scan "
+                 f"{_scan_name(k, source)} at t={t:.9f})")
+        if not np.isfinite(pose.matrix()).all():
+            raise NumericalError(f"{where}: non-finite pose")
         cloud = _scan_cloud(source)
         if len(cloud):
-            world_points.append(graph.states[index].pose.transform(
-                cloud.points))
+            world = pose.transform(cloud.points)
+            cells = np.floor(world / voxel)
+            lo = np.minimum(lo, cells.min(axis=0))
+            hi = np.maximum(hi, cells.max(axis=0))
+            try:
+                _key_spans(lo, hi, voxel)
+            except DataError as exc:
+                raise NumericalError(f"{where}: {exc}") from exc
+            world_points.append(world)
     if not world_points:
         return PointCloud(np.empty((0, 3)))
     return PointCloud(voxel_downsample(np.vstack(world_points), voxel)[0])

@@ -3,12 +3,16 @@
 These deliberately avoid the library's own code paths: alignment via
 Horn's quaternion method instead of Kabsch SVD, twists via scipy's
 generic matrix logarithm, nearest neighbors via a dense distance matrix,
-the SE(3) left Jacobian via its ad-series instead of the closed form,
+the SE(3) left Jacobian via its ad-series instead of the closed form, the
+SO(3)/SE(3) kernels in their matrix form (skew products and matmuls)
+instead of the library's scalar closed forms,
 voxel grouping via row-wise np.unique and np.add.at instead of packed keys,
 the masked map factor by deleting rows instead of zeroing its weight.
 The unit-weight registration Hessian is spelled out from its rows, as
 align computes it, so tests can compare it bit for bit.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import logm
@@ -151,3 +155,94 @@ def unit_hessian(corrs, pose):
     jac = np.hstack([np.cross(world, normals), normals])
     hessian = jac.T @ jac
     return 0.5 * (hessian + hessian.T)
+
+
+# The SO(3)/SE(3) kernels as matrix expressions of the skew matrix; the
+# library computes the same formulas elementwise with the same branch
+# thresholds (1e-8, 1e-4 and 1e-2 rad).
+
+def skew_matrix(v):
+    v = np.asarray(v, dtype=float)
+    return np.array([
+        [0.0, -v[2], v[1]],
+        [v[2], 0.0, -v[0]],
+        [-v[1], v[0], 0.0],
+    ])
+
+
+def so3_exp_matrix(rotvec):
+    """I + a W + b W^2 with the Rodrigues coefficients."""
+    rotvec = np.asarray(rotvec, dtype=float)
+    angle = float(np.linalg.norm(rotvec))
+    w = skew_matrix(rotvec)
+    if angle < 1e-8:
+        a = 1.0 - angle * angle / 6.0
+        b = 0.5 - angle * angle / 24.0
+    else:
+        a = math.sin(angle) / angle
+        b = (1.0 - math.cos(angle)) / (angle * angle)
+    return np.eye(3) + a * w + b * (w @ w)
+
+
+def so3_log_matrix(rotation):
+    """Rotation vector of a rotation by less than pi - 1e-6."""
+    rotation = np.asarray(rotation, dtype=float)
+    vee = np.array([rotation[2, 1] - rotation[1, 2],
+                    rotation[0, 2] - rotation[2, 0],
+                    rotation[1, 0] - rotation[0, 1]])
+    vee_norm = float(np.linalg.norm(vee))
+    angle = math.atan2(vee_norm, float(np.trace(rotation)) - 1.0)
+    if angle < 1e-8:
+        return 0.5 * vee
+    assert angle <= math.pi - 1e-6
+    return (angle / vee_norm) * vee
+
+
+def so3_left_jacobian_matrix(rotvec):
+    rotvec = np.asarray(rotvec, dtype=float)
+    angle = float(np.linalg.norm(rotvec))
+    if angle < 1e-8:
+        b, c = 0.5 - angle * angle / 24.0, 1.0 / 6.0 - angle * angle / 120.0
+    else:
+        b = (1.0 - math.cos(angle)) / (angle * angle)
+        c = (angle - math.sin(angle)) / angle ** 3
+    w = skew_matrix(rotvec)
+    return np.eye(3) + b * w + c * (w @ w)
+
+
+def so3_left_jacobian_inv_matrix(rotvec):
+    rotvec = np.asarray(rotvec, dtype=float)
+    angle = float(np.linalg.norm(rotvec))
+    w = skew_matrix(rotvec)
+    if angle < 1e-4:
+        c = 1.0 / 12.0 + angle * angle / 720.0
+    else:
+        half = 0.5 * angle
+        c = (1.0 - half * math.cos(half) / math.sin(half)) / (angle * angle)
+    return np.eye(3) - 0.5 * w + c * (w @ w)
+
+
+def se3_left_jacobian_inv_matrix(twist):
+    """[[J^-1, 0], [-J^-1 Q J^-1, J^-1]] with Barfoot & Furgale's Q as the
+    sum of its skew-matrix products."""
+    twist = np.asarray(twist, dtype=float)
+    angle = float(np.linalg.norm(twist[:3]))
+    if angle < 1e-2:
+        a2 = angle * angle
+        c1, c2, c3 = 1 / 6 - a2 / 120, 1 / 24 - a2 / 720, 1 / 120 - a2 / 2520
+    else:
+        sin, cos = math.sin(angle), math.cos(angle)
+        c1 = (angle - sin) / angle ** 3
+        c2 = (angle * angle + 2.0 * cos - 2.0) / (2.0 * angle ** 4)
+        c3 = (2.0 * angle - 3.0 * sin + angle * cos) / (2.0 * angle ** 5)
+    w = skew_matrix(twist[:3])
+    p = skew_matrix(twist[3:])
+    wp, pw = w @ p, p @ w
+    wpw = wp @ w
+    q = (0.5 * p + c1 * (wp + pw + wpw) + c2 * (w @ wp + pw @ w - 3.0 * wpw)
+         + c3 * (wpw @ w + w @ wpw))
+    j_inv = so3_left_jacobian_inv_matrix(twist[:3])
+    out = np.zeros((6, 6))
+    out[:3, :3] = out[3:, 3:] = j_inv
+    out[3:, :3] = -j_inv @ q @ j_inv
+    return out

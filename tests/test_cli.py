@@ -6,6 +6,7 @@ Everything runs main() in-process except one subprocess check of the
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -477,6 +478,34 @@ class TestExitCodes:
         if code:
             key = assignment.split("=")[0].replace(".", "/")
             assert f"error: config schema violation at {key}: " in err
+
+    def test_diverged_estimate_exits_three_naming_keyframe(self, smoke,
+                                                          tmp_path, capsys):
+        """A gravity of 1e30 m/s^2 is valid config that throws the estimate
+        ~1e10 m off; the map assembly names the first keyframe whose scan
+        no longer fits the voxel grid's keys, instead of a malformed map."""
+        rc = main(["localize", "--map", str(smoke / "map.pcd"),
+                   "--scans", str(smoke / "scans"),
+                   "--odom", str(smoke / "odometry.tum"),
+                   "--imu", str(smoke / "imu.csv"),
+                   "--out", str(tmp_path / "run"),
+                   "--set", "imu.gravity_magnitude=1e30"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "Traceback" not in err
+        assert re.search(r"error: estimate diverged at keyframe \d+ \(scan "
+                         r"\S+\.pcd at t=", err), err[-500:]
+
+    def test_huge_thread_count_exits_two_naming_it(self, tmp_path, capsys):
+        # the map does not exist: a count that got past the schema would
+        # end at the map, never in a localize run with that many workers
+        rc = main(["localize", "--map", str(tmp_path / "unread.pcd"),
+                   "--scans", str(tmp_path), "--odom", str(tmp_path / "o.tum"),
+                   "--out", str(tmp_path / "run"),
+                   "--set", "threads=100000000000000000000"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: config schema violation at threads: " in err
 
 
 class TestFlagErrors:

@@ -16,14 +16,27 @@ from maploc.geometry import (
     inverse,
     log_map,
     orthonormalize,
+    PI_ANGLE_MARGIN,
     SE3_TAYLOR_ANGLE,
+    SMALL_ANGLE,
     se3_left_jacobian_inv,
+    skew,
     so3_exp,
+    so3_left_jacobian,
+    so3_left_jacobian_inv,
     so3_log,
 )
 
 from conftest import random_pose, random_twist
-from oracles import se3_left_jacobian_series
+from oracles import (
+    se3_left_jacobian_inv_matrix,
+    se3_left_jacobian_series,
+    skew_matrix,
+    so3_exp_matrix,
+    so3_left_jacobian_inv_matrix,
+    so3_left_jacobian_matrix,
+    so3_log_matrix,
+)
 
 
 def brute_force_knn(points, query, k):
@@ -155,6 +168,55 @@ class TestSE3:
         np.testing.assert_allclose(fixed @ fixed.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(fixed) > 0
         assert np.abs(fixed - pose.rotation).max() < 1e-3
+
+
+# Each kernel's branch switches, approached from both sides
+SWITCH_ANGLES = [angle * (1.0 + side)
+                 for angle in (SMALL_ANGLE, 1e-4, SE3_TAYLOR_ANGLE,
+                               np.pi - PI_ANGLE_MARGIN)
+                 for side in (-1e-9, 1e-9)]
+
+
+def oracle_twists():
+    """Twists at 0, at every switch angle and uniform in [0, pi], about
+    random axes, with translations in [-3, 3]^3."""
+    rng = np.random.default_rng(14)
+    angles = np.concatenate([np.repeat([0.0] + SWITCH_ANGLES, 50),
+                             rng.uniform(0.0, np.pi, 3000)])
+    axes = rng.normal(size=(len(angles), 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return np.hstack([axes * angles[:, None],
+                      rng.uniform(-3.0, 3.0, (len(angles), 3))])
+
+
+def assert_kernel_matches(kernel, oracle, inputs):
+    np.testing.assert_allclose([kernel(x) for x in inputs],
+                               [oracle(x) for x in inputs],
+                               rtol=0.0, atol=1e-12)
+
+
+class TestKernelOracles:
+    """The scalar SO(3)/SE(3) kernels against their matrix forms."""
+
+    @pytest.mark.parametrize("kernel, oracle", [
+        (skew, skew_matrix),
+        (so3_exp, so3_exp_matrix),
+        (so3_left_jacobian, so3_left_jacobian_matrix),
+        (so3_left_jacobian_inv, so3_left_jacobian_inv_matrix),
+    ], ids=lambda f: getattr(f, "__name__", ""))
+    def test_so3_kernel_matches_matrix_form(self, kernel, oracle):
+        assert_kernel_matches(kernel, oracle, oracle_twists()[:, :3])
+
+    def test_se3_left_jacobian_inv_matches_matrix_form(self):
+        assert_kernel_matches(se3_left_jacobian_inv,
+                              se3_left_jacobian_inv_matrix, oracle_twists())
+
+    def test_so3_log_matches_matrix_form_below_the_pi_branch(self):
+        rotvecs = [w for w in oracle_twists()[:, :3]
+                   if np.linalg.norm(w) < np.pi - PI_ANGLE_MARGIN]
+        assert len(rotvecs) > 3000
+        assert_kernel_matches(so3_log, so3_log_matrix,
+                              [so3_exp_matrix(w) for w in rotvecs])
 
 
 class TestSpatialIndex:

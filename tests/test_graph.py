@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from maploc.errors import IndexOutOfRange, NotAnchored, SingularSystem
 from maploc.factors import (
@@ -312,6 +313,55 @@ class TestAssemblyOracle:
                 np.testing.assert_allclose(getattr(got, name),
                                            getattr(want, name), atol=1e-10)
         np.testing.assert_allclose(graph.gravity, gravity, atol=1e-10)
+
+    @pytest.mark.parametrize("first", [1, 0])
+    def test_fixed_pattern_matches_coo_assembly(self, rng, monkeypatch,
+                                                first):
+        """The first damped H handed to splu against the COO matrix of the
+        same blocks, entry for entry to rounding, with gravity's columns
+        and a free state no factor touches, whose diagonal is still in the
+        pattern."""
+        graph = self.mixed_graph(rng)
+        lone = graph.states[3]
+        graph.add_state(StateNode.at(lone.pose, lone.timestamp + 0.5))
+        n_cols = STATE_DIM * (len(graph.states) - first) + 3
+        gravity_cols = np.arange(n_cols - 3, n_cols)
+        rows, cols, vals = [], [], []
+        for f in graph.factors:
+            free = [i for i in f.indices if i >= first]
+            if not free:
+                continue
+            r, blocks, g_block = f.linearize(graph.states, graph.gravity)
+            span = np.concatenate([STATE_DIM * (i - first)
+                                   + np.arange(STATE_DIM) for i in free]
+                                  + [gravity_cols])
+            jac = np.hstack([blocks[i] for i in free]
+                            + [np.zeros((len(r), 3)) if g_block is None
+                               else g_block])
+            rows.append(np.repeat(span, len(span)))
+            cols.append(np.tile(span, len(span)))
+            vals.append((jac.T @ f.information @ jac).ravel())
+        expected = sparse.csc_matrix(
+            (np.concatenate(vals),
+             (np.concatenate(rows), np.concatenate(cols))),
+            shape=(n_cols, n_cols))
+        expected = expected + DAMPING_INIT * sparse.identity(n_cols)
+
+        solves = []
+        real_splu = graph_module.splu
+        monkeypatch.setattr(graph_module, "splu",
+                            lambda a: solves.append(a.copy()) or real_splu(a))
+        graph.optimize(first=first, max_iterations=1)
+        got = solves[0]
+        assert got.format == "csc" and got.has_canonical_format
+        # duplicates are summed in another order: ulps of the largest entry
+        expected = expected.toarray()
+        np.testing.assert_allclose(got.toarray(), expected, rtol=0.0,
+                                   atol=1e-14 * np.abs(expected).max())
+        for j in range(n_cols):
+            assert j in got.indices[got.indptr[j]:got.indptr[j + 1]]
+        lone_col = STATE_DIM * (4 - first)
+        assert got[lone_col, lone_col] == DAMPING_INIT
 
     @pytest.mark.parametrize("first", [4, 0])
     def test_free_state_without_factor_converges(self, rng, first):

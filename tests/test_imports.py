@@ -1,7 +1,9 @@
-"""Every module in src/maploc uses each name it imports.
+"""Every module in src/maploc uses each name it imports, and every private
+module-level name it defines is read somewhere in the package.
 
 No linter is installed, so this stands in for one: an import left behind
-when the code that used it moves fails here. `from __future__ import
+when the code that used it moves fails here, and so does a private helper
+or constant that a change left with no caller. `from __future__ import
 annotations` is exempt; it binds no name.
 """
 
@@ -38,3 +40,44 @@ def test_guard_finds_an_unused_import():
                          ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(sources):
+    """(module, line, name) of each module-level _name, defined in one of
+    sources (module name -> source text), that no module reads, by name or
+    as an attribute. Dunder names are exempt."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target,
+                                                                ast.Name):
+                names = [node.target.id]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.endswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(d for d in defined if d[2] not in read)
+
+
+def test_guard_finds_an_unused_private_name():
+    sources = {"a": "_used = 1\n_dead = 2\n__version__ = '1'\n"
+                    "def _helper():\n    return _used\n",
+               "b": "import a\nclass _Gone:\n    pass\nx = a._helper()\n"}
+    assert unused_private_names(sources) == [("a", 2, "_dead"),
+                                             ("b", 2, "_Gone")]
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert unused_private_names(sources) == []

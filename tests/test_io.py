@@ -713,6 +713,17 @@ class TestConfig:
         with pytest.raises(ParseError):
             apply_overrides(default_config(), ["threads"])
 
+    def test_counts_are_bounded_above(self):
+        """A count fits an int32, and threads, the kd-tree's worker count,
+        stays at most 256; validation alone refuses a larger one."""
+        validate_config(_set("threads", 256))
+        validate_config(_set("registration.max_iterations", 2 ** 31 - 1))
+        for key, value in [("threads", 257), ("threads", 10 ** 20),
+                           ("registration.max_iterations", 2 ** 31)]:
+            with pytest.raises(ParseError) as info:
+                _set(key, value)
+            assert f"at {key.replace('.', '/')}:" in str(info.value)
+
     def test_override_leaves_input_unchanged(self):
         cfg = default_config()
         apply_overrides(cfg, ["threads=8"])
@@ -749,11 +760,13 @@ def _past_bounds(key, default):
     if isinstance(default, bool):
         return []
     if key == "window":
-        return [-1]
+        return [-1, 2 ** 31]
+    if key == "threads":
+        return [0, 257]
     if key == "degeneracy.s_thres":
         return [1.0, 1e101]
     if isinstance(default, int):
-        return [0]
+        return [0, 2 ** 31]
     return [0.0, 1e-101, 1e101]
 
 
