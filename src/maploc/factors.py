@@ -21,7 +21,6 @@ from .geometry import (
     exp_map,
     inverse,
     log_map,
-    orthonormalize,
     se3_adjoint,
     se3_left_jacobian_inv,
     skew,
@@ -96,9 +95,8 @@ class ZuptParams:
 def retract_state(state: StateNode, delta) -> StateNode:
     """Apply a 15-dim tangent step; shared by the optimizer and FD tests."""
     delta = np.asarray(delta, dtype=float)
-    pose = compose(exp_map(delta[:6]), state.pose)
-    pose = Pose(orthonormalize(pose.rotation), pose.translation)
-    return StateNode(pose, state.velocity + delta[VEL],
+    return StateNode(compose(exp_map(delta[:6]), state.pose),
+                     state.velocity + delta[VEL],
                      state.accel_bias + delta[BA],
                      state.gyro_bias + delta[BG], state.timestamp)
 

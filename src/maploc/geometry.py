@@ -235,17 +235,6 @@ def se3_left_jacobian_inv(twist):
     return out
 
 
-def orthonormalize(rotation):
-    """Nearest rotation matrix by polar decomposition."""
-    u, _, vt = np.linalg.svd(np.asarray(rotation, dtype=float))
-    r = u @ vt
-    if np.linalg.det(r) < 0.0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return r
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Points (N,3) with optional per-point unit normals.

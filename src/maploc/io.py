@@ -463,53 +463,74 @@ _CONFIG_BOUNDS = {
 }
 
 
-def _config_schema(defaults, prefix=""):
-    """The JSON schema of a config section, built from its defaults."""
+def _schema(defaults, bounds, number_rule, prefix=""):
+    """The JSON schema of an object whose keys take their defaults' types:
+    a bool is a boolean, an int a count, a list that many numbers, and any
+    other number follows `number_rule`. `bounds` amends a rule by dotted
+    key."""
     properties = {}
     for key, default in defaults.items():
         name = prefix + key
         if isinstance(default, dict):
-            rule = _config_schema(default, name + ".")
+            rule = _schema(default, bounds, number_rule, name + ".")
         elif isinstance(default, bool):
             rule = {"type": "boolean"}
         elif isinstance(default, int):
             rule = {"type": "integer", "minimum": 1, "maximum": 2 ** 31 - 1}
+        elif isinstance(default, list):
+            rule = {"type": "array", "items": number_rule,
+                    "minItems": len(default), "maxItems": len(default)}
         else:
-            rule = {"type": "number", "minimum": 1e-100, "maximum": 1e100}
-        rule.update(_CONFIG_BOUNDS.get(name, {}))
+            rule = dict(number_rule)
+        rule.update(bounds.get(name, {}))
         properties[key] = rule
     return {"type": "object", "additionalProperties": False,
             "properties": properties}
 
 
 _SCHEMAS = {
-    "config": _config_schema(DEFAULT_CONFIG),
+    "config": _schema(DEFAULT_CONFIG, _CONFIG_BOUNDS,
+                      {"type": "number", "minimum": 1e-100, "maximum": 1e100}),
     "report": json.loads(resources.files("maploc").joinpath(
         "schemas", "report.schema.json").read_text()),
 }
 
+
+_DRAFT4_TYPES = jsonschema.Draft4Validator.TYPE_CHECKER
+
+
+def _finite_number(checker, value):
+    try:
+        return _DRAFT4_TYPES.is_type(value, "number") and math.isfinite(value)
+    except (OverflowError, TypeError):  # an int past float range, a complex
+        return False
+
+
 # Draft 7 also takes 2.0 as an integer, but a config count is used as an
-# index or a range bound; draft 4's types take only integers.
+# index or a range bound; draft 4's types take only integers. A number must
+# also be finite: NaN passes every bound, as each comparison with it fails.
 _Validator = jsonschema.validators.extend(
     jsonschema.Draft7Validator,
-    type_checker=jsonschema.Draft4Validator.TYPE_CHECKER)
+    type_checker=_DRAFT4_TYPES.redefine("number", _finite_number))
 
 
-def _validate(payload, schema_name):
+def _validate(payload, schema, name, error=ParseError):
+    """Raise `error` naming the first key of `payload` that `schema`
+    refuses."""
     try:
-        jsonschema.validate(payload, _SCHEMAS[schema_name], cls=_Validator)
+        jsonschema.validate(payload, schema, cls=_Validator)
     except jsonschema.ValidationError as exc:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ParseError(f"{schema_name} schema violation at {path}: "
-                         f"{exc.message}") from exc
+        raise error(f"{name} schema violation at {path}: "
+                    f"{exc.message}") from exc
 
 
 def validate_config(config: dict):
-    _validate(config, "config")
+    _validate(config, _SCHEMAS["config"], "config")
 
 
 def validate_report(report: dict):
-    _validate(report, "report")
+    _validate(report, _SCHEMAS["report"], "report")
 
 
 def _deep_merge(base, override):

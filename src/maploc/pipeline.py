@@ -21,7 +21,8 @@ import numpy as np
 from .degeneracy import DegeneracyParams, detect, spectrum
 from .errors import (DataError, EmptyCloud, InitializationFailure,
                      MaplocError, NoMatches, NonMonotonicTimestamps,
-                     NumericalError, ParseError, ZeroAcceleration)
+                     NumericalError, ParseError, SingularSystem,
+                     ZeroAcceleration)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
 from .factors import (BiasPriorFactor, BiasWalkFactor, GravityFactor,
                       ImuFactor, ImuSample, MapFactor, NoMotionFactor,
@@ -363,6 +364,20 @@ def _imu_factors(index, keyframe, prev_state, imu, period, cfg, info):
             BiasWalkFactor(index - 1, index, info["bias_walk"])]
 
 
+def _keyframe_name(keyframes, index) -> str:
+    k, t, source, _ = keyframes[index]
+    return f"keyframe {index} (scan {_scan_name(k, source)} at t={t:.9f})"
+
+
+def _failed_solve(exc: SingularSystem, solve, keyframes, index=None):
+    """A SingularSystem from the window or final solve, named after the
+    keyframe of the state it blames, else keyframe `index`."""
+    blamed = index if exc.state_index is None else exc.state_index
+    at = "" if blamed is None else f" at {_keyframe_name(keyframes, blamed)}"
+    return SingularSystem(f"{solve} solve{at} failed: {exc}",
+                          state_index=exc.state_index)
+
+
 def _assemble_map(graph: FactorGraph, keyframes, voxel: float) -> PointCloud:
     """The keyframe scans at their optimized poses, voxel-downsampled.
 
@@ -372,10 +387,9 @@ def _assemble_map(graph: FactorGraph, keyframes, voxel: float) -> PointCloud:
     """
     world_points = []
     lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
-    for index, (k, t, source, _) in enumerate(keyframes):
+    for index, (_, _, source, _) in enumerate(keyframes):
         pose = graph.states[index].pose
-        where = (f"estimate diverged at keyframe {index} (scan "
-                 f"{_scan_name(k, source)} at t={t:.9f})")
+        where = f"estimate diverged at {_keyframe_name(keyframes, index)}"
         if not np.isfinite(pose.matrix()).all():
             raise NumericalError(f"{where}: non-finite pose")
         cloud = _scan_cloud(source)
@@ -440,15 +454,22 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
             factors += zupt + _imu_factors(index, keyframe, prev_state,
                                            imu, period, cfg, info)
 
-        outcome = graph.solve_incremental(
-            state, factors, window=cfg["window"],
-            max_iterations=cfg["optimizer"]["max_iterations"])
+        try:
+            outcome = graph.solve_incremental(
+                state, factors, window=cfg["window"],
+                max_iterations=cfg["optimizer"]["max_iterations"])
+        except SingularSystem as exc:
+            raise _failed_solve(exc, "window", keyframes, index) from exc
         frame["iterations"] = int(outcome.iterations)
         frame["converged"] = bool(outcome.converged)
         frames.append(frame)
         opt_records.append((str(index), outcome.records))
 
-    final = graph.optimize(max_iterations=cfg["optimizer"]["max_iterations"])
+    try:
+        final = graph.optimize(
+            max_iterations=cfg["optimizer"]["max_iterations"])
+    except SingularSystem as exc:
+        raise _failed_solve(exc, "final", keyframes) from exc
     opt_records.append(("final", final.records))
 
     trajectory = Trajectory(

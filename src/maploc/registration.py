@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NoCorrespondences
-from .geometry import (Pose, SpatialIndex, between, compose, exp_map, log_map,
-                       orthonormalize)
+from .geometry import Pose, SpatialIndex, between, compose, exp_map, log_map
 
 # Levenberg damping bounds for the inner step loop.
 _DAMPING_INIT = 1e-6
@@ -170,7 +169,6 @@ def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,
         while damping <= _DAMPING_MAX:
             step = np.linalg.solve(hessian + damping * np.eye(6), -gradient)
             trial = compose(exp_map(step), pose)
-            trial = Pose(orthonormalize(trial.rotation), trial.translation)
             trial_cost = _huber_cost(_residuals(corrs, trial)[0],
                                      params.kernel_width)
             if trial_cost < cost:

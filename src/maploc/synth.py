@@ -29,31 +29,47 @@ from . import io as mio
 
 SCENE_KINDS = ("cube-room", "corridor", "L-corridor", "plane-only")
 
-_SENSOR_DEFAULTS = {
-    "n_azimuth": 180,
-    "n_elevation": 16,
-    "fov_up": 30.0,    # degrees
-    "fov_down": -30.0,
-    "max_range": 50.0,
-    "min_range": 0.3,
+# A spec's optional keys and their defaults; the spec schema gives each key
+# its default's type (see io._schema), and every number must be finite.
+_SPEC_DEFAULTS = {
+    "density": 200.0,           # map points per square meter
+    "scan_rate": 10.0,          # Hz
+    "imu_rate": 200.0,          # Hz
+    "range_noise_sigma": 0.0,   # m
+    "sensor": {
+        "n_azimuth": 180,
+        "n_elevation": 16,
+        "fov_up": 30.0,         # degrees
+        "fov_down": -30.0,
+        "max_range": 50.0,
+        "min_range": 0.3,
+    },
+    "odometry": {
+        "drift_per_frame": [0.0] * 6,  # twist [rot; trans], right-applied
+        "rot_noise_sigma": 0.0,
+        "trans_noise_sigma": 0.0,
+    },
+    "imu": {
+        "gyro_noise_sigma": 1e-3,
+        "accel_noise_sigma": 1e-2,
+        "gyro_bias": [0.0, 0.0, 0.0],
+        "accel_bias": [0.0, 0.0, 0.0],
+        "gravity_magnitude": 9.81,
+    },
 }
 
-_ODOMETRY_DEFAULTS = {
-    "drift_per_frame": [0.0] * 6,  # twist [rot; trans], right-applied
-    "rot_noise_sigma": 0.0,
-    "trans_noise_sigma": 0.0,
-}
+_WAYPOINT_DEFAULTS = {"yaw": 0.0, "speed": 1.0, "dwell": 0.0}
 
-_IMU_DEFAULTS = {
-    "gyro_noise_sigma": 1e-3,
-    "accel_noise_sigma": 1e-2,
-    "gyro_bias": [0.0, 0.0, 0.0],
-    "accel_bias": [0.0, 0.0, 0.0],
-    "gravity_magnitude": 9.81,
+# The numbers bounded below, by dotted key ("trajectory." for a waypoint's)
+_SPEC_BOUNDS = {
+    **dict.fromkeys(["density", "scan_rate", "imu_rate",
+                     "imu.gravity_magnitude", "trajectory.speed"],
+                    {"exclusiveMinimum": 0}),
+    **dict.fromkeys(["range_noise_sigma", "sensor.min_range",
+                     "odometry.rot_noise_sigma", "odometry.trans_noise_sigma",
+                     "imu.gyro_noise_sigma", "imu.accel_noise_sigma",
+                     "trajectory.dwell"], {"minimum": 0}),
 }
-
-_TOP_KEYS = {"kind", "seed", "size", "density", "scan_rate", "imu_rate",
-             "range_noise_sigma", "sensor", "odometry", "imu", "trajectory"}
 
 _SIZE_LEN = {"cube-room": 3, "corridor": 3, "L-corridor": 4, "plane-only": 2}
 
@@ -112,118 +128,64 @@ class SynthResult:
 # ---------------------------------------------------------------------------
 # spec parsing
 
-def _need_number(data, key, minimum=None, exclusive=False):
-    value = data.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool) \
-            or not math.isfinite(value):
-        raise InvalidSpec(f"'{key}' must be a finite number")
-    if minimum is not None:
-        if exclusive and not value > minimum:
-            raise InvalidSpec(f"'{key}' must be > {minimum}")
-        if not exclusive and not value >= minimum:
-            raise InvalidSpec(f"'{key}' must be >= {minimum}")
-    return float(value)
+def _spec_schema():
+    number = {"type": "number"}
+    schema = mio._schema(_SPEC_DEFAULTS, _SPEC_BOUNDS, number)
+    waypoint = mio._schema(_WAYPOINT_DEFAULTS, _SPEC_BOUNDS, number,
+                           "trajectory.")
+    waypoint["properties"]["pos"] = {"type": "array", "items": number,
+                                     "minItems": 3, "maxItems": 3}
+    waypoint["required"] = ["pos"]
+    schema["properties"].update(
+        kind={"enum": list(SCENE_KINDS)},
+        seed={"type": "integer", "minimum": 0},
+        size={"type": "array", "items": dict(number, exclusiveMinimum=0)},
+        trajectory={"type": "array", "minItems": 1, "items": waypoint})
+    schema["required"] = ["kind", "seed", "size", "trajectory"]
+    return schema
 
 
-def _need_vector(data, key, length):
-    value = data.get(key)
-    arr = np.asarray(value, dtype=float) if value is not None else None
-    if arr is None or arr.shape != (length,) or not np.all(np.isfinite(arr)):
-        raise InvalidSpec(f"'{key}' must be {length} finite numbers")
-    return arr
+_SPEC_SCHEMA = _spec_schema()
 
 
-def _merge_block(data, key, defaults):
-    block = data.get(key, {})
-    if not isinstance(block, dict):
-        raise InvalidSpec(f"'{key}' must be an object")
-    unknown = set(block) - set(defaults)
-    if unknown:
-        raise InvalidSpec(f"unknown keys in '{key}': {sorted(unknown)}")
-    merged = copy.deepcopy(defaults)
-    merged.update(block)
-    return merged
+def _filled(data, defaults):
+    """`data` over `defaults`: numbers as floats, lists as arrays."""
+    out = {}
+    for key, default in defaults.items():
+        value = data.get(key, default)
+        if isinstance(default, dict):
+            value = _filled(value, default)
+        elif isinstance(default, list):
+            value = np.array(value, dtype=float)
+        elif isinstance(default, float):
+            value = float(value)
+        out[key] = value
+    return out
 
 
 def parse_scene_spec(data: dict) -> SceneSpec:
     """Validate a spec dict and fill defaults. Raises InvalidSpec."""
-    if not isinstance(data, dict):
-        raise InvalidSpec("scene spec must be a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise InvalidSpec(f"unknown spec keys: {sorted(unknown)}")
-
-    kind = data.get("kind")
-    if kind not in SCENE_KINDS:
-        raise InvalidSpec(f"kind must be one of {SCENE_KINDS}, got {kind!r}")
-    seed = data.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise InvalidSpec("seed is mandatory and must be a non-negative "
-                          "integer")
-
-    size = _need_vector(data, "size", _SIZE_LEN[kind])
-    if np.any(size <= 0):
-        raise InvalidSpec("'size' entries must be positive")
+    mio._validate(data, _SPEC_SCHEMA, "scene spec", InvalidSpec)
+    kind, size = data["kind"], tuple(float(s) for s in data["size"])
+    if len(size) != _SIZE_LEN[kind]:
+        raise InvalidSpec(f"'size' of a {kind} must be {_SIZE_LEN[kind]} "
+                          "numbers")
     if kind == "L-corridor":
         arm_a, arm_b, width, _height = size
         if width >= arm_a or width >= arm_b:
             raise InvalidSpec("L-corridor width must be smaller than both "
                               "arm lengths")
-
-    density = _need_number({"density": data.get("density", 200.0)},
-                           "density", 0, exclusive=True)
-    scan_rate = _need_number({"scan_rate": data.get("scan_rate", 10.0)},
-                             "scan_rate", 0, exclusive=True)
-    imu_rate = _need_number({"imu_rate": data.get("imu_rate", 200.0)},
-                            "imu_rate", 0, exclusive=True)
-    noise = _need_number(
-        {"range_noise_sigma": data.get("range_noise_sigma", 0.0)},
-        "range_noise_sigma", 0)
-
-    sensor = _merge_block(data, "sensor", _SENSOR_DEFAULTS)
-    for key in ("n_azimuth", "n_elevation"):
-        if not isinstance(sensor[key], int) or sensor[key] < 1:
-            raise InvalidSpec(f"sensor '{key}' must be a positive integer")
+    spec = _filled(data, _SPEC_DEFAULTS)
+    sensor = spec["sensor"]
     if not sensor["fov_up"] > sensor["fov_down"]:
         raise InvalidSpec("sensor fov_up must exceed fov_down")
-    if not 0 <= sensor["min_range"] < sensor["max_range"]:
-        raise InvalidSpec("sensor ranges must satisfy 0 <= min < max")
-
-    odometry = _merge_block(data, "odometry", _ODOMETRY_DEFAULTS)
-    odometry["drift_per_frame"] = _need_vector(odometry, "drift_per_frame", 6)
-    _need_number(odometry, "rot_noise_sigma", 0)
-    _need_number(odometry, "trans_noise_sigma", 0)
-
-    imu = _merge_block(data, "imu", _IMU_DEFAULTS)
-    _need_number(imu, "gyro_noise_sigma", 0)
-    _need_number(imu, "accel_noise_sigma", 0)
-    _need_number(imu, "gravity_magnitude", 0, exclusive=True)
-    imu["gyro_bias"] = _need_vector(imu, "gyro_bias", 3)
-    imu["accel_bias"] = _need_vector(imu, "accel_bias", 3)
-
-    waypoints = data.get("trajectory")
-    if not isinstance(waypoints, list) or not waypoints:
-        raise InvalidSpec("'trajectory' must be a non-empty waypoint list")
-    parsed = []
-    for k, wp in enumerate(waypoints):
-        if not isinstance(wp, dict) or "pos" not in wp:
-            raise InvalidSpec(f"waypoint {k} must be an object with 'pos'")
-        extra = set(wp) - {"pos", "yaw", "speed", "dwell"}
-        if extra:
-            raise InvalidSpec(f"waypoint {k} has unknown keys {sorted(extra)}")
-        entry = {"pos": _need_vector(wp, "pos", 3),
-                 "yaw": _need_number({"yaw": wp.get("yaw", 0.0)}, "yaw"),
-                 "speed": _need_number({"speed": wp.get("speed", 1.0)},
-                                       "speed", 0, exclusive=True),
-                 "dwell": _need_number({"dwell": wp.get("dwell", 0.0)},
-                                       "dwell", 0)}
-        parsed.append(entry)
-
-    return SceneSpec(kind=kind, seed=seed, size=tuple(float(s) for s in size),
-                     density=density, scan_rate=scan_rate, imu_rate=imu_rate,
-                     range_noise_sigma=noise, sensor=sensor,
-                     odometry=odometry, imu=imu, waypoints=tuple(parsed),
-                     raw=copy.deepcopy(data))
+    if not sensor["min_range"] < sensor["max_range"]:
+        raise InvalidSpec("sensor ranges must satisfy min_range < max_range")
+    waypoints = tuple(dict(_filled(wp, _WAYPOINT_DEFAULTS),
+                           pos=np.array(wp["pos"], dtype=float))
+                      for wp in data["trajectory"])
+    return SceneSpec(kind=kind, seed=data["seed"], size=size,
+                     waypoints=waypoints, raw=copy.deepcopy(data), **spec)
 
 
 @mio._names_file

@@ -18,6 +18,15 @@ def random_pose(rng, rot_scale=1.0, trans_scale=1.0) -> Pose:
     return exp_map(random_twist(rng, rot_scale, trans_scale))
 
 
+def leaf_keys(node, prefix=""):
+    """(dotted key, default) for every leaf of a config or spec tree."""
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from leaf_keys(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key, value
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

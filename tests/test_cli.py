@@ -5,6 +5,7 @@ Everything runs main() in-process except one subprocess check of the
 """
 
 import json
+import math
 import os
 import re
 import shutil
@@ -17,7 +18,9 @@ import pytest
 
 import maploc
 from maploc.cli import main
+from maploc.errors import SingularSystem
 from maploc.geometry import PointCloud
+from maploc.graph import FactorGraph
 from maploc.io import read_cloud, read_tum, write_json, write_pcd
 
 SPEC = {
@@ -496,6 +499,35 @@ class TestExitCodes:
         assert re.search(r"error: estimate diverged at keyframe \d+ \(scan "
                          r"\S+\.pcd at t=", err), err[-500:]
 
+    @pytest.mark.parametrize("fail_on_call, state_index, solve, keyframe", [
+        (4, 1, "window", 1),    # the solve that adds keyframe 3
+        (22, 5, "final", 5),    # after the 21 window solves
+    ])
+    def test_failed_solve_exits_three_naming_keyframe(
+            self, smoke, tmp_path, capsys, monkeypatch, fail_on_call,
+            state_index, solve, keyframe):
+        calls = []
+        optimize = FactorGraph.optimize
+
+        def failing(graph, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == fail_on_call:
+                raise SingularSystem("linear solve failed at all damping "
+                                     "levels", state_index=state_index)
+            return optimize(graph, *args, **kwargs)
+
+        monkeypatch.setattr(FactorGraph, "optimize", failing)
+        rc = main(["localize", "--map", str(smoke / "map.pcd"),
+                   "--scans", str(smoke / "scans"),
+                   "--odom", str(smoke / "odometry.tum"),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        scan = sorted((smoke / "scans").glob("*.pcd"))[keyframe]
+        assert rc == 3
+        assert err == (f"error: {solve} solve at keyframe {keyframe} (scan "
+                       f"{scan.name} at t={float(scan.stem):.9f}) failed: "
+                       "linear solve failed at all damping levels\n")
+
     def test_huge_thread_count_exits_two_naming_it(self, tmp_path, capsys):
         # the map does not exist: a count that got past the schema would
         # end at the map, never in a localize run with that many workers
@@ -537,7 +569,16 @@ class TestFlagErrors:
         (b'{"kind": "cube-room",\n "seed": 1,}',
          "scene spec is not valid JSON: Expecting property name enclosed in "
          "double quotes (line 2)"),
-    ], ids=["bytes", "json"])
+        *[(json.dumps(dict(SPEC, sensor=dict(SPEC["sensor"], **{key: value})))
+           .encode(), f"scene spec schema violation at sensor/{key}: {error}")
+          for key, value, error in [
+              ("fov_up", "a", "'a' is not of type 'number'"),
+              ("max_range", None, "None is not of type 'number'"),
+              ("n_azimuth", True, "True is not of type 'integer'"),
+              # json.dumps writes the token Infinity
+              ("fov_up", math.inf, "inf is not of type 'number'")]],
+    ], ids=["bytes", "json", "fov-string", "range-null", "count-bool",
+            "fov-infinity"])
     def test_malformed_spec_exits_two_naming_it(self, tmp_path, capsys, data,
                                                 message):
         spec = tmp_path / "spec.json"

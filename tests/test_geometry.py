@@ -15,7 +15,6 @@ from maploc.geometry import (
     exp_map,
     inverse,
     log_map,
-    orthonormalize,
     PI_ANGLE_MARGIN,
     SE3_TAYLOR_ANGLE,
     SMALL_ANGLE,
@@ -26,6 +25,10 @@ from maploc.geometry import (
     so3_left_jacobian_inv,
     so3_log,
 )
+
+from maploc.io import default_config
+from maploc.pipeline import PriorMap, SequenceInput, run
+from maploc.synth import generate, parse_scene_spec
 
 from conftest import random_pose, random_twist
 from oracles import (
@@ -161,13 +164,24 @@ class TestSE3:
                   - log_map(compose(exp_map(-delta), pose))) / (2.0 * eps)
             np.testing.assert_allclose(fd, jl_inv[:, col], atol=1e-8)
 
-    def test_orthonormalize(self, rng):
-        pose = random_pose(rng)
-        noisy = pose.rotation + rng.normal(scale=1e-4, size=(3, 3))
-        fixed = orthonormalize(noisy)
-        np.testing.assert_allclose(fixed @ fixed.T, np.eye(3), atol=1e-12)
-        assert np.linalg.det(fixed) > 0
-        assert np.abs(fixed - pose.rotation).max() < 1e-3
+    def test_run_keeps_rotations_orthonormal(self):
+        """Retraction composes exact SO(3) exponentials and no rotation is
+        re-projected: after a run with IMU, a dwell and turns, every state
+        rotation is orthonormal to 1e-12."""
+        result = generate(parse_scene_spec({
+            "kind": "cube-room", "seed": 7, "size": [5.0, 5.0, 3.0],
+            "density": 200.0, "scan_rate": 5.0,
+            "sensor": {"n_azimuth": 60, "n_elevation": 6, "max_range": 10.0},
+            "trajectory": [{"pos": [1.5, 1.5, 1.5]},
+                           {"pos": [2.5, 1.5, 1.5], "yaw": 0.8, "dwell": 1.0},
+                           {"pos": [2.5, 2.5, 1.5], "yaw": 2.0}]}))
+        prior = PriorMap(result.gt_map, build_index(result.gt_map), 0.1)
+        cfg = default_config()
+        cfg["degeneracy"]["min_correspondences"] = 50
+        out = run(prior, SequenceInput.from_synth(result), cfg)
+        errors = [np.abs(s.pose.rotation.T @ s.pose.rotation - np.eye(3)).max()
+                  for s in out.graph.states]
+        assert len(errors) > 10 and max(errors) <= 1e-12
 
 
 # Each kernel's branch switches, approached from both sides

@@ -12,7 +12,8 @@ from maploc.errors import DataError, NonMonotonicTimestamps, ParseError
 from maploc.evaluate import Trajectory
 from maploc.factors import ImuSample
 from maploc.geometry import PointCloud, Pose, so3_exp
-from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER, apply_overrides,
+from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER,
+                       apply_overrides,
                        default_config, load_config, quaternion_to_rotation,
                        read_imu_csv, read_pcd, read_ply, read_tum,
                        rotation_to_quaternion, sanitize_json, scan_filename,
@@ -20,7 +21,8 @@ from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER, apply_
                        write_frames_csv, write_imu_csv, write_json,
                        write_metrics_csv, write_pcd, write_tum)
 
-from conftest import random_pose
+from conftest import leaf_keys, random_pose
+from maploc.synth import _SPEC_BOUNDS, _SPEC_DEFAULTS, _WAYPOINT_DEFAULTS
 from oracles import quat_to_rot
 
 
@@ -730,16 +732,7 @@ class TestConfig:
         assert cfg["threads"] == 1
 
 
-def _leaf_keys(node, prefix=""):
-    """(dotted key, default) for every leaf of a config tree."""
-    for key, value in node.items():
-        if isinstance(value, dict):
-            yield from _leaf_keys(value, f"{prefix}{key}.")
-        else:
-            yield prefix + key, value
-
-
-LEAF_KEYS = dict(_leaf_keys(DEFAULT_CONFIG))
+LEAF_KEYS = dict(leaf_keys(DEFAULT_CONFIG))
 
 
 def _set(key, value):
@@ -791,8 +784,31 @@ class TestConfigSchema:
             assert f"at {key.replace('.', '/')}:" in str(info.value), value
 
 
+@pytest.mark.parametrize(
+    "key", sorted(k for k, v in LEAF_KEYS.items() if isinstance(v, float)))
+def test_non_finite_number_fails_naming_the_key(key):
+    """validate_config, which pipeline.run calls on a config from the
+    Python API, refuses NaN and infinities. NaN would pass every bound, as
+    each comparison with it is false."""
+    *sections, leaf = key.split(".")
+    for value in (math.nan, math.inf, -math.inf):
+        cfg = default_config()
+        node = cfg
+        for section in sections:
+            node = node[section]
+        node[leaf] = value
+        with pytest.raises(ParseError) as info:
+            validate_config(cfg)
+        assert f"at {key.replace('.', '/')}:" in str(info.value), value
+
+
 def test_config_bounds_name_real_keys():
+    """Every entry of the config and scene-spec bounds tables names a key
+    that exists, so none is a silent no-op."""
     assert set(_CONFIG_BOUNDS) <= set(LEAF_KEYS)
+    spec_keys = set(dict(leaf_keys(_SPEC_DEFAULTS))) | {
+        f"trajectory.{key}" for key in _WAYPOINT_DEFAULTS}
+    assert set(_SPEC_BOUNDS) <= spec_keys
 
 
 def sample_report():

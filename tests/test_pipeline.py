@@ -17,9 +17,11 @@ from hypothesis import strategies as st
 
 from maploc import pipeline, synth
 from maploc.errors import (DataError, EmptyCloud, InitializationFailure,
-                           NoMatches, NonMonotonicTimestamps, ParseError)
+                           NoMatches, NonMonotonicTimestamps, ParseError,
+                           SingularSystem)
 from maploc.evaluate import Trajectory, ate
 from maploc.geometry import PointCloud, Pose, between, build_index, compose
+from maploc.graph import FactorGraph
 from maploc.io import default_config, read_pcd, read_tum, validate_report
 from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
                              run, emit_reports, voxel_downsample)
@@ -590,6 +592,29 @@ class TestAssociationAndErrors:
         cfg["registration"]["nonsense"] = 1
         with pytest.raises(ParseError):
             run(pm, seq, cfg)
+
+    @pytest.mark.parametrize("state_index, blamed", [(1, 1), (None, 2)])
+    def test_failed_solve_names_keyframe(self, room, monkeypatch,
+                                         state_index, blamed):
+        """A failed window solve names the keyframe of the state it blames,
+        else the keyframe it was adding, and keeps state_index."""
+        result, pm = room
+        optimize = FactorGraph.optimize
+
+        def fail_at_third_state(graph, *args, **kwargs):
+            if len(graph.states) == 3:
+                raise SingularSystem("linear solve failed at all damping "
+                                     "levels", state_index=state_index)
+            return optimize(graph, *args, **kwargs)
+
+        monkeypatch.setattr(FactorGraph, "optimize", fail_at_third_state)
+        with pytest.raises(SingularSystem) as info:
+            run(pm, SequenceInput.from_synth(result), make_cfg())
+        t = result.scans[blamed].timestamp
+        assert str(info.value) == (
+            f"window solve at keyframe {blamed} (scan {blamed} at t={t:.9f}) "
+            "failed: linear solve failed at all damping levels")
+        assert info.value.state_index == state_index
 
 
 class TestEmitAndDeterminism:

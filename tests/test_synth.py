@@ -1,5 +1,6 @@
 """Scene generator: spec validation, surfaces, ray casting, sequences."""
 
+import copy
 import json
 import math
 
@@ -12,9 +13,12 @@ from maploc.factors import detect_zupt
 from maploc.geometry import build_index
 from maploc.io import read_imu_csv, read_pcd, read_tum
 from maploc.registration import RegistrationParams, align, reference_hessian
-from maploc.synth import (ScanFrame, generate, load_scene_spec,
-                          parse_scene_spec, ray_grid, raycast, sample_map,
-                          scene_surfaces, trajectory_splines, write_sequence)
+from maploc.synth import (_SPEC_DEFAULTS, _WAYPOINT_DEFAULTS, ScanFrame,
+                          generate, load_scene_spec, parse_scene_spec,
+                          ray_grid, raycast, sample_map, scene_surfaces,
+                          trajectory_splines, write_sequence)
+
+from conftest import leaf_keys
 
 
 def make_spec(**over):
@@ -61,7 +65,7 @@ class TestSpecValidation:
             make_spec(kind="sphere")
 
     def test_unknown_keys(self):
-        with pytest.raises(InvalidSpec, match="unknown spec keys"):
+        with pytest.raises(InvalidSpec, match="extra"):
             make_spec(extra=1)
         with pytest.raises(InvalidSpec, match="sensor"):
             make_spec(sensor={"beams": 64})
@@ -112,6 +116,101 @@ class TestSpecValidation:
         path.write_text("{broken")
         with pytest.raises(InvalidSpec):
             load_scene_spec(path)
+
+
+# The required keys only; every other key takes its default
+MINIMAL_SPEC = {"kind": "cube-room", "seed": 3, "size": [4.0, 4.0, 2.0],
+                "trajectory": [{"pos": [1.0, 2.0, 1.0]},
+                               {"pos": [3.0, 2.0, 1.0]}]}
+
+SPEC_LEAF_KEYS = {**dict(leaf_keys(_SPEC_DEFAULTS)),
+                  **{f"trajectory.{key}": default
+                     for key, default in _WAYPOINT_DEFAULTS.items()}}
+
+
+def _spec_with(key, value):
+    """MINIMAL_SPEC with one dotted key set ("trajectory." on waypoint 0)."""
+    data = copy.deepcopy(MINIMAL_SPEC)
+    *sections, leaf = key.split(".")
+    node = data
+    for section in sections:
+        node = (node[section][0] if section == "trajectory"
+                else node.setdefault(section, {}))
+    node[leaf] = value
+    return data
+
+
+def _filled_value(spec, key):
+    section, _, leaf = key.rpartition(".")
+    if section == "trajectory":
+        return spec.waypoints[0][leaf]
+    return getattr(spec, section)[leaf] if section else getattr(spec, leaf)
+
+
+def _spec_wrong_types(default):
+    if isinstance(default, int):
+        return [True, 2.5, 2.0, "1", None]
+    if isinstance(default, list):
+        return [None, [0.0] * (len(default) + 1), [math.nan] * len(default),
+                ["0"] * len(default)]
+    return ["1.0", True, None, math.nan, math.inf, -math.inf]
+
+
+# Each bound restated: a key is positive, non-negative, or any finite number
+POSITIVE = {"density", "scan_rate", "imu_rate", "imu.gravity_magnitude",
+            "trajectory.speed"}
+NON_NEGATIVE = {"range_noise_sigma", "sensor.min_range",
+                "odometry.rot_noise_sigma", "odometry.trans_noise_sigma",
+                "imu.gyro_noise_sigma", "imu.accel_noise_sigma",
+                "trajectory.dwell"}
+
+
+def _spec_past_bounds(key, default):
+    """The first values outside the key's range."""
+    if isinstance(default, int):
+        return [0, 2 ** 31]
+    if key in POSITIVE:
+        return [0.0]
+    if key in NON_NEGATIVE:
+        return [-5e-324]
+    return []
+
+
+def _fails_naming(data, key):
+    path = key.replace("trajectory.", "trajectory/0/").replace(".", "/")
+    with pytest.raises(InvalidSpec) as info:
+        parse_scene_spec(data)
+    assert f"schema violation at {path}" in str(info.value)
+
+
+@pytest.mark.parametrize("key", sorted(SPEC_LEAF_KEYS))
+class TestSpecSchema:
+    """The spec schema is built from _SPEC_DEFAULTS and _WAYPOINT_DEFAULTS:
+    each key takes its default's type, and every number is finite."""
+
+    def test_default_validates_and_is_filled(self, key):
+        default = SPEC_LEAF_KEYS[key]
+        parse_scene_spec(_spec_with(key, default))
+        np.testing.assert_array_equal(
+            _filled_value(parse_scene_spec(MINIMAL_SPEC), key), default)
+
+    def test_wrong_type_fails_naming_the_key(self, key):
+        for value in _spec_wrong_types(SPEC_LEAF_KEYS[key]):
+            _fails_naming(_spec_with(key, value), key)
+
+    def test_first_value_past_the_bound_fails(self, key):
+        for value in _spec_past_bounds(key, SPEC_LEAF_KEYS[key]):
+            _fails_naming(_spec_with(key, value), key)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kind", "sphere"), ("seed", True), ("seed", -1), ("seed", 1.5),
+    ("size", "big"), ("size", [4.0, 0.0, 2.0]), ("size", [4.0, math.inf, 2.0]),
+    ("trajectory", []), ("trajectory", {"pos": [1.0, 2.0, 1.0]}),
+    ("trajectory.pos", [1.0, 2.0]), ("trajectory.pos", [1.0, math.nan, 2.0]),
+])
+def test_required_key_fails_naming_it(key, value):
+    _fails_naming(_spec_with(key, value), key)
 
 
 class TestSurfaces:
