@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 usage error, 2 malformed input data (DataError),
 3 numerical failure on valid inputs (NumericalError).
 
 A flag argparse can check on its own (a missing flag, a value that is not
-a number, `--delta` below 1) is a usage error, exit 1. A flag whose value
-parses but is not valid data (a non-finite `--pose` value or a zero
-quaternion, a `--set` override naming an unknown key or failing the config
-schema) is a DataError, exit 2, like a malformed input file.
+a number, `--delta` below 1, a `--threshold` that is not a finite number
+above 0) is a usage error, exit 1. A flag whose value parses but is not
+valid data (a non-finite `--pose` value or a zero quaternion, a `--set`
+override naming an unknown key or failing the config schema) is a
+DataError, exit 2, like a malformed input file.
 """
 
 from __future__ import annotations
@@ -125,6 +126,18 @@ def _frame_count(text) -> int:
     return int(text)
 
 
+def _distance(text) -> float:
+    """argparse type: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got '{text}'")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="maploc",
@@ -163,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-map", help="map accuracy and completeness")
     p.add_argument("--est", required=True, help="estimated map (.pcd/.ply)")
     p.add_argument("--ref", required=True, help="reference map (.pcd/.ply)")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", type=_distance, default=DEFAULT_THRESHOLD,
                    help="inlier distance, meters (default %(default)s)")
     p.set_defaults(func=_cmd_eval_map, verbose=False)
 

@@ -1,10 +1,11 @@
 """Factor residuals and analytic Jacobians for the fusion graph.
 
 Per-node state is [rotation; translation; velocity; accel bias; gyro bias]
-(15 tangent dimensions); gravity is a single shared 3-vector (unit-norm
-direction) appended after all nodes. Pose perturbations are left-applied,
-pose <- exp_map(xi) @ pose, so every Jacobian here is taken with respect to
-that convention. Residual twist ordering is [rot; trans] throughout.
+(15 tangent dimensions); gravity is a single shared unit direction on S^2,
+appended after all nodes, whose Jacobian blocks here are in its 3 ambient
+coordinates. Pose perturbations are left-applied, pose <- exp_map(xi) @
+pose, so every Jacobian here is taken with respect to that convention.
+Residual twist ordering is [rot; trans] throughout.
 """
 
 from __future__ import annotations
@@ -371,18 +372,18 @@ class MapFactor(_Factor):
 
 @dataclass(frozen=True)
 class GravityFactor(_Factor):
-    """Norm-constrained gravity residual, 4-vector [e_dir; e_mag].
+    """Gravity direction residual, 3-vector e = a_w/|a_w| + g.
 
     a_mean is the bias-corrected mean specific force over a stationary
     window (body frame); a stationary accelerometer measures -g, so the
-    normalized world-frame specific force should cancel the gravity
-    direction: e_dir = a_w/|a_w| + g, e_mag = |g| - 1. A window with
-    |a_mean| below MIN_MEAN_ACCEL has no direction to measure and is
-    refused with ZeroAcceleration.
+    normalized world-frame specific force should cancel the unit gravity
+    direction. The graph keeps g on the unit sphere, so the factor has no
+    norm row. A window with |a_mean| below MIN_MEAN_ACCEL has no direction
+    to measure and is refused with ZeroAcceleration.
     """
 
     kind = "gravity"
-    dim = 4
+    dim = 3
     index: int
     a_mean: np.ndarray  # bias-corrected mean specific force, body frame
     information: np.ndarray
@@ -399,22 +400,15 @@ class GravityFactor(_Factor):
 
     def residual(self, states, gravity):
         a_w = states[self.index].pose.rotation @ self.a_mean
-        e_dir = a_w / np.linalg.norm(a_w) + gravity
-        return np.concatenate([e_dir, [np.linalg.norm(gravity) - 1.0]])
+        return a_w / np.linalg.norm(a_w) + gravity
 
     def linearize(self, states, gravity):
         r = self.residual(states, gravity)
-        rotation = states[self.index].pose.rotation
-        a_w = rotation @ self.a_mean
-        u = np.linalg.norm(a_w)
-        unit = a_w / u
-        d_dir_da = (np.eye(3) - np.outer(unit, unit)) / u
-        jac = np.zeros((4, STATE_DIM))
-        jac[:3, ROT] = d_dir_da @ (-skew(a_w))
-        g_block = np.zeros((4, 3))
-        g_block[:3] = np.eye(3)
-        g_block[3] = gravity / np.linalg.norm(gravity)
-        return r, {self.index: jac}, g_block
+        # u = a_w/|a_w| = r - g moves by (I - u u^T)(-[a_w]x)/|a_w| = -[u]x,
+        # as u^T [u]x = 0
+        jac = np.zeros((3, STATE_DIM))
+        jac[:, ROT] = -skew(r - gravity)
+        return r, {self.index: jac}, np.eye(3)
 
 
 @dataclass(frozen=True)

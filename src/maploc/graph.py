@@ -1,8 +1,9 @@
 """Factor-graph state estimation with sparse Levenberg-Marquardt.
 
 Each node contributes 15 tangent columns ([rot, trans, vel, accel bias,
-gyro bias]); the shared gravity direction appends 3 more when a
-gravity-measuring factor is active. A solve frees a trailing window, the
+gyro bias]); the shared gravity direction, a point on the unit sphere,
+appends 2 more along a basis of its tangent plane when a gravity-measuring
+factor is active (Qin, Li & Shen 2018). A solve frees a trailing window, the
 states from one index onward; the states before it stay fixed. Factors
 touching at least one free state are still evaluated, their fixed-state
 blocks just drop out of the normal equations.
@@ -18,6 +19,7 @@ from scipy.sparse.linalg import splu
 
 from .errors import IndexOutOfRange, NotAnchored, SingularSystem
 from .factors import STATE_DIM, StateNode, retract_state
+from .geometry import so3_exp
 
 DAMPING_INIT = 1e-6
 DAMPING_MIN = 1e-9
@@ -54,11 +56,31 @@ def _cost(factors, states, gravity) -> float:
     return total
 
 
+def gravity_basis(g):
+    """3x2 orthonormal basis B of the plane orthogonal to the unit vector g:
+    its cross products with the axis that g is least aligned with."""
+    b1 = np.cross(g, np.eye(3)[np.argmin(np.abs(g))])
+    b1 /= np.linalg.norm(b1)
+    return np.column_stack([b1, np.cross(g, b1)])
+
+
+def retract_gravity(g, delta):
+    """The box-plus of S^2 (Hertzberg et al. 2013): g turned by
+    exp([g x B delta]x), whose derivative at delta = 0 is B."""
+    g = so3_exp(np.cross(g, gravity_basis(g) @ delta)) @ g
+    return g / np.linalg.norm(g)
+
+
 class FactorGraph:
     def __init__(self, gravity=(0.0, 0.0, -1.0)):
         self.states: list[StateNode] = []
         self.factors: list = []
-        self.gravity = np.asarray(gravity, dtype=float).copy()
+        g = np.asarray(gravity, dtype=float)
+        norm = np.linalg.norm(g) if g.shape == (3,) else 0.0
+        if not 0.0 < norm < np.inf:
+            raise ValueError(f"gravity must be a 3-vector of finite non-zero "
+                             f"norm, got {gravity!r}")
+        self.gravity = g / norm
 
     def add_state(self, state: StateNode) -> int:
         self.states.append(state)
@@ -93,7 +115,7 @@ class FactorGraph:
         # active. IMU factors couple to gravity but cannot anchor it: with
         # biases free the pair is a gauge and both would drift together.
         use_gravity = any(f.kind == "gravity" for f in active)
-        n_cols = grav_col + (3 if use_gravity else 0)
+        n_cols = grav_col + (2 if use_gravity else 0)
 
         # Each active factor adds one dense block J^T W J over its free
         # states' columns and gravity's (zeros if it has no gravity block)
@@ -126,12 +148,13 @@ class FactorGraph:
         def assemble():
             h_vals, b_vals = [], []
             cost = 0.0
+            basis = gravity_basis(gravity) if use_gravity else None
             for f, free in zip(active, free_of):
                 r, blocks, g_block = f.linearize(states, gravity)
                 parts = [blocks[i] for i in free]
                 if use_gravity:
-                    parts.append(np.zeros((len(r), 3)) if g_block is None
-                                 else g_block)
+                    parts.append(np.zeros((len(r), 2)) if g_block is None
+                                 else g_block @ basis)
                 jac = np.concatenate(parts, axis=1)
                 jtw = jac.T @ f.information
                 h_vals.append((jtw @ jac).ravel())
@@ -158,7 +181,7 @@ class FactorGraph:
                 new_states[s] = retract_state(states[s], delta[cols[s - first]])
             new_gravity = gravity
             if use_gravity:
-                new_gravity = gravity + delta[grav_col:grav_col + 3]
+                new_gravity = retract_gravity(gravity, delta[grav_col:])
             return new_states, new_gravity
 
         h_mat, b_vec, cost = assemble()

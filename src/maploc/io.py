@@ -443,7 +443,6 @@ DEFAULT_CONFIG = {
         "no_motion_rot_sigma": 0.002,
         "no_motion_trans_sigma": 0.002,
         "gravity_direction_sigma": 0.05,
-        "gravity_magnitude_weight": 1e6,
         "bias_walk_sigma": 1e-3,
         "bias_prior_sigma": 0.1,
         "imu_weight": 1.0,

@@ -200,8 +200,7 @@ def _information(fac) -> dict:
         "odometry": diag("odom_rot_sigma", "odom_trans_sigma"),
         "no_motion": diag("no_motion_rot_sigma", "no_motion_trans_sigma"),
         "zero_velocity": np.eye(3) / fac["zero_velocity_sigma"] ** 2,
-        "gravity": np.diag([1.0 / fac["gravity_direction_sigma"] ** 2] * 3
-                           + [fac["gravity_magnitude_weight"]]),
+        "gravity": np.eye(3) / fac["gravity_direction_sigma"] ** 2,
         "bias_walk": np.eye(6) / fac["bias_walk_sigma"] ** 2,
         "bias_prior": np.eye(6) / fac["bias_prior_sigma"] ** 2,
     }

@@ -124,7 +124,7 @@ def _factor_case(name, rng):
         return MapFactor(0, random_pose(rng), np.eye(6), mask=mask), [s0], gravity
     if name == "gravity":
         a_mean = rng.normal(size=3) + [0.0, 0.0, 9.5]
-        return GravityFactor(0, a_mean, np.eye(4)), [s0], gravity
+        return GravityFactor(0, a_mean, np.eye(3)), [s0], gravity
     if name == "zero_velocity":
         return ZeroVelocityFactor(0, np.eye(3)), [s0], gravity
     if name == "bias_walk":
@@ -350,8 +350,7 @@ def test_criterion_04_drift_elimination():
 def test_criterion_05_gravity_convergence():
     rng = np.random.default_rng(1005)
     fac = DEFAULT_CONFIG["factors"]
-    info = np.diag([1.0 / fac["gravity_direction_sigma"] ** 2] * 3
-                   + [fac["gravity_magnitude_weight"]])
+    info = np.eye(3) / fac["gravity_direction_sigma"] ** 2
     worst_norm = 0.0
     worst_dir = 0.0
     for _ in range(50):

@@ -398,19 +398,29 @@ class TestExitCodes:
         assert rc == 3
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("case", ["set-null", "config-auto-scale"])
+    @pytest.mark.parametrize("case", ["set-null", "config-auto-scale",
+                                      "set-gravity-magnitude-weight",
+                                      "config-gravity-magnitude-weight"])
     def test_retired_threshold_settings_exit_two_naming_key(
             self, workspace, tmp_path, capsys, case):
-        """d_e_threshold is a number only, and auto_threshold_scale is no
-        longer a key: a config that still uses either is refused."""
+        """d_e_threshold is a number only, and auto_threshold_scale and
+        gravity_magnitude_weight are no longer keys: a config that still
+        uses any of them is refused."""
         scene = workspace / "scene"
         config = tmp_path / "cfg.json"
-        write_json(config, {"degeneracy": {"auto_threshold_scale": 10.0}})
+        write_json(config, {"degeneracy": {"auto_threshold_scale": 10.0}}
+                   if case == "config-auto-scale"
+                   else {"factors": {"gravity_magnitude_weight": 1e6}})
         extra, key = {
             "set-null": (["--set", "degeneracy.d_e_threshold=null"],
                          "d_e_threshold"),
             "config-auto-scale": (["--config", str(config)],
                                   "auto_threshold_scale"),
+            "set-gravity-magnitude-weight": (
+                ["--set", "factors.gravity_magnitude_weight=1e6"],
+                "gravity_magnitude_weight"),
+            "config-gravity-magnitude-weight": (["--config", str(config)],
+                                                "gravity_magnitude_weight"),
         }[case]
         rc = main(["localize", "--map", str(scene / "map.pcd"),
                    "--scans", str(scene / "scans"),
@@ -562,6 +572,18 @@ class TestFlagErrors:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert "argument --delta: must be an integer >= 1, got '0'" in err
+
+    @pytest.mark.parametrize("threshold", ["-1", "0", "nan", "inf", "abc"])
+    def test_threshold_not_finite_positive_is_usage_error(
+            self, workspace, capsys, threshold):
+        scene_map = str(workspace / "scene" / "map.pcd")
+        rc = main(["eval-map", "--est", scene_map, "--ref", scene_map,
+                   "--threshold", threshold])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("argument --threshold: must be a finite number > 0, "
+                f"got '{threshold}'") in err
 
     @pytest.mark.parametrize("data, message", [
         (b"\xff\xfe" + json.dumps(SPEC).encode(),

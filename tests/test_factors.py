@@ -157,7 +157,7 @@ class TestResidualFunctions:
     @staticmethod
     def gravity_error(rotation, gravity, a_mean):
         state = StateNode.at(Pose(rotation, np.zeros(3)), 0.0)
-        return GravityFactor(0, a_mean, np.eye(4)).residual([state], gravity)
+        return GravityFactor(0, a_mean, np.eye(3)).residual([state], gravity)
 
     def test_gravity_error_level_case(self):
         r = self.gravity_error(np.eye(3), DOWN, np.array([0.0, 0.0, 9.81]))
@@ -169,15 +169,9 @@ class TestResidualFunctions:
         r = self.gravity_error(rot, DOWN, np.array([0.0, -1.0, 0.0]))
         assert np.allclose(r, 0.0, atol=1e-12)
 
-    def test_gravity_error_magnitude_row(self):
-        g = np.array([0.0, 0.0, -1.1])
-        r = self.gravity_error(np.eye(3), g, np.array([0.0, 0.0, 5.0]))
-        assert abs(r[3] - 0.1) < 1e-12
-        assert np.allclose(r[:3], [0, 0, 1] + g)
-
     def test_gravity_error_rejects_small_accel(self):
         with pytest.raises(ZeroAcceleration):
-            GravityFactor(0, [0.0, 0.0, 0.4], np.eye(4))
+            GravityFactor(0, [0.0, 0.0, 0.4], np.eye(3))
 
     def test_retract_state_zero_is_identity(self, rng):
         s = random_state(rng)
@@ -442,7 +436,7 @@ class TestFactorJacobians:
             a_mean = rng.normal(size=3)
             a_mean = a_mean / np.linalg.norm(a_mean) * rng.uniform(8.0, 11.0)
             gravity = DOWN + 0.05 * rng.normal(size=3)
-            f = GravityFactor(0, a_mean, np.eye(4))
+            f = GravityFactor(0, a_mean, np.eye(3))
             check_factor_jacobians(f, [states[0]], gravity)
 
     def test_zero_velocity_factor(self, rng):

@@ -25,9 +25,11 @@ from maploc.geometry import (
     exp_map,
     inverse,
     log_map,
+    so3_exp,
 )
 from maploc import graph as graph_module
-from maploc.graph import DAMPING_INIT, FactorGraph
+from maploc.graph import (DAMPING_INIT, FactorGraph, gravity_basis,
+                          retract_gravity)
 
 from conftest import random_pose, random_twist
 
@@ -115,7 +117,7 @@ class TestBatchSolve:
 
     def test_gravity_convergence(self, rng):
         graph = FactorGraph(gravity=(0.3, -0.2, -0.93))
-        info = np.diag([1e4, 1e4, 1e4, 1e6])
+        info = 1e4 * np.eye(3)
         for k in range(3):
             pose = random_pose(rng, rot_scale=1.0)
             graph.add_state(StateNode.at(pose, 0.5 * k))
@@ -253,9 +255,10 @@ class TestAssemblyOracle:
     """One LM step against normal equations built densely, factor by
     factor, from the linearize blocks."""
 
-    def mixed_graph(self, rng, n=4, dt=0.5):
+    def mixed_graph(self, rng, n=4, dt=0.5, gravity=None):
         gt = chain_poses(n, exp_map(np.array([0.0, 0.0, 0.02, 0.1, 0.0, 0.0])))
-        graph = FactorGraph(gravity=DOWN + 0.03 * rng.normal(size=3))
+        graph = FactorGraph(gravity=DOWN + 0.03 * rng.normal(size=3)
+                            if gravity is None else gravity)
         for k in range(n):
             graph.add_state(StateNode(perturbed(gt[k], rng, 0.02, 0.05),
                                       0.02 * rng.normal(size=3),
@@ -274,16 +277,17 @@ class TestAssemblyOracle:
         graph.add_factor(MapFactor(2, perturbed(gt[2], rng, 0.01, 0.02),
                                    a @ a.T + np.eye(6), mask=(1,)))
         graph.add_factor(GravityFactor(n - 1, gt[n - 1].rotation.T @ -G_WORLD,
-                                       np.diag([1e2, 1e2, 1e2, 1e3])))
+                                       1e2 * np.eye(3)))
         return graph
 
     def test_one_step_matches_dense_normal_equations(self, rng):
         graph = self.mixed_graph(rng)
         free = [1, 2, 3]
         col = {s: STATE_DIM * k for k, s in enumerate(free)}
-        n_cols = STATE_DIM * len(free) + 3
+        n_cols = STATE_DIM * len(free) + 2
         h = np.zeros((n_cols, n_cols))
         b = np.zeros(n_cols)
+        basis = gravity_basis(graph.gravity)
         for f in graph.factors:
             if not any(i in col for i in f.indices):
                 continue
@@ -293,7 +297,7 @@ class TestAssemblyOracle:
                 if i in col:
                     jac[:, col[i]:col[i] + STATE_DIM] = block
             if g_block is not None:
-                jac[:, -3:] = g_block
+                jac[:, -2:] = g_block @ basis
             h += jac.T @ f.information @ jac
             b += jac.T @ f.information @ r
         delta = np.linalg.solve(h + DAMPING_INIT * np.eye(n_cols), -b)
@@ -301,7 +305,10 @@ class TestAssemblyOracle:
         for s in free:
             expected[s] = retract_state(expected[s],
                                         delta[col[s]:col[s] + STATE_DIM])
-        gravity = graph.gravity + delta[-3:]
+        # gravity turns about g x B delta, which moves it by B delta to
+        # first order and keeps it a unit vector
+        gravity = so3_exp(np.cross(graph.gravity, basis @ delta[-2:])) \
+            @ graph.gravity
 
         result = graph.optimize(first=1, max_iterations=1)
         assert result.records[0].accepted
@@ -324,8 +331,9 @@ class TestAssemblyOracle:
         graph = self.mixed_graph(rng)
         lone = graph.states[3]
         graph.add_state(StateNode.at(lone.pose, lone.timestamp + 0.5))
-        n_cols = STATE_DIM * (len(graph.states) - first) + 3
-        gravity_cols = np.arange(n_cols - 3, n_cols)
+        n_cols = STATE_DIM * (len(graph.states) - first) + 2
+        gravity_cols = np.arange(n_cols - 2, n_cols)
+        basis = gravity_basis(graph.gravity)
         rows, cols, vals = [], [], []
         for f in graph.factors:
             free = [i for i in f.indices if i >= first]
@@ -336,8 +344,8 @@ class TestAssemblyOracle:
                                    + np.arange(STATE_DIM) for i in free]
                                   + [gravity_cols])
             jac = np.hstack([blocks[i] for i in free]
-                            + [np.zeros((len(r), 3)) if g_block is None
-                               else g_block])
+                            + [np.zeros((len(r), 2)) if g_block is None
+                               else g_block @ basis])
             rows.append(np.repeat(span, len(span)))
             cols.append(np.tile(span, len(span)))
             vals.append((jac.T @ f.information @ jac).ravel())
@@ -374,7 +382,63 @@ class TestAssemblyOracle:
                                    lone.pose.matrix(), atol=1e-12)
 
 
+def sphere_points():
+    """Unit vectors near each signed axis, and on both sides of each tie
+    between the two smallest magnitudes, where gravity_basis switches the
+    axis it crosses g with."""
+    rng = np.random.default_rng(7)
+    points = {f"{'+-'[sign < 0]}{'xyz'[a]}": sign * axis
+              + 0.05 * rng.normal(size=3)
+              for a, axis in enumerate(np.eye(3)) for sign in (1.0, -1.0)}
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        for tie, side in ((-1e-9, "below"), (0.0, "at"), (1e-9, "above")):
+            g = np.empty(3)
+            g[[i, j, k]] = 0.3, -0.3 - tie, -0.9
+            points[f"{'xyz'[i]}{'xyz'[j]}-{side}"] = g
+    return [pytest.param(g / np.linalg.norm(g), id=name)
+            for name, g in points.items()]
+
+
+@pytest.mark.parametrize("g", sphere_points())
+class TestGravitySphere:
+    """Gravity is a point on S^2: 2 tangent columns along gravity_basis, a
+    retraction that keeps it a unit vector, and solves that keep it one."""
+
+    def test_basis_is_orthonormal_and_tangent(self, g):
+        basis = gravity_basis(g)
+        assert basis.shape == (3, 2)
+        np.testing.assert_allclose(basis.T @ basis, np.eye(2), rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(g @ basis, 0.0, rtol=0, atol=1e-15)
+
+    def test_retraction_keeps_unit_norm(self, g):
+        rng = np.random.default_rng(11)
+        for scale in (1e-9, 1e-4, 0.1, 1.0, 3.0):
+            moved = retract_gravity(g, scale * rng.normal(size=2))
+            assert abs(np.linalg.norm(moved) - 1.0) <= 1e-15
+
+    def test_retraction_derivative_is_basis(self, g, eps=1e-6):
+        fd = np.column_stack([
+            (retract_gravity(g, eps * e) - retract_gravity(g, -eps * e))
+            / (2 * eps) for e in np.eye(2)])
+        np.testing.assert_allclose(fd, gravity_basis(g), rtol=0, atol=1e-8)
+
+    def test_every_solve_keeps_gravity_on_the_sphere(self, g, rng):
+        graph = TestAssemblyOracle().mixed_graph(rng, gravity=g)
+        for first in (3, 2, 0, 0):
+            graph.optimize(first=first, max_iterations=3)
+            assert abs(np.linalg.norm(graph.gravity) - 1.0) <= 1e-14
+
+
 class TestErrors:
+    @pytest.mark.parametrize("gravity", [
+        (0.0, 0.0, 0.0), (np.nan, 0.0, -1.0), (0.0, np.inf, -1.0),
+        (1e-200, 0.0, 0.0), (0.0, -1.0), (0.0, 0.0, -1.0, 0.0),
+        [[0.0, 0.0, -1.0]]])
+    def test_bad_gravity_raises_naming_it(self, gravity):
+        with pytest.raises(ValueError, match="^gravity must be"):
+            FactorGraph(gravity=gravity)
+
     def test_not_anchored(self, rng):
         graph = FactorGraph()
         graph.add_state(StateNode.at(random_pose(rng), 0.0))
@@ -474,7 +538,7 @@ class TestFullStateEstimation:
                 0.005 * rng.normal(size=3),
                 dt * k))
         graph.add_factor(PriorFactor(0, gt_pose, 1e6 * np.eye(6)))
-        grav_info = np.diag([1e4, 1e4, 1e4, 1e6])
+        grav_info = 1e4 * np.eye(3)
         a_mean = rot.T @ (-G_WORLD)
         for k in range(n):
             graph.add_factor(ZeroVelocityFactor(k, 1e4 * np.eye(3)))
@@ -547,7 +611,7 @@ class TestFullStateEstimation:
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e2 * np.eye(9),
                                        gravity_magnitude=G_MAG))
         graph.optimize()
-        assert np.array_equal(graph.gravity, g0)
+        assert np.array_equal(graph.gravity, g0 / np.linalg.norm(g0))
 
     def test_gravity_factor_frees_gravity(self, rng):
         g0 = DOWN + 0.02 * rng.normal(size=3)
@@ -555,8 +619,7 @@ class TestFullStateEstimation:
         graph.add_state(StateNode(Pose.identity(), np.zeros(3), np.zeros(3),
                                   np.zeros(3), 0.0))
         graph.add_factor(PriorFactor(0, Pose.identity(), 1e6 * np.eye(6)))
-        graph.add_factor(GravityFactor(0, -G_WORLD,
-                                       np.diag([1e4, 1e4, 1e4, 1e6])))
+        graph.add_factor(GravityFactor(0, -G_WORLD, 1e4 * np.eye(3)))
         result = graph.optimize()
         assert result.converged
         assert abs(np.linalg.norm(graph.gravity) - 1.0) < 1e-6

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -810,6 +812,27 @@ def test_config_bounds_name_real_keys():
         f"trajectory.{key}" for key in _WAYPOINT_DEFAULTS}
     assert set(_SPEC_BOUNDS) <= spec_keys
 
+
+
+def readme_config_table():
+    """{dotted key: default} as README's Configuration table lists them,
+    each default read as the JSON number or boolean its cell starts with."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Configuration\n")[1].split("\n## ")[0]
+    table = {}
+    for name, keys in re.findall(r"^\| (.+) \| (.+) \|$", section,
+                                 re.MULTILINE):
+        if name in ("Section", "---"):
+            continue
+        prefix = "" if name == "top level" else name.strip("`") + "."
+        for key, default in re.findall(r"`(\w+)` \(([^)]+)\)", keys):
+            table[prefix + key] = json.loads(default.split()[0])
+    return table
+
+
+def test_readme_config_table_matches_defaults():
+    """README lists every config key with its default, and no other key."""
+    assert readme_config_table() == LEAF_KEYS
 
 def sample_report():
     return {

@@ -391,7 +391,7 @@ class TestZupt:
     def test_gravity_converges_to_unit_down(self, dwell_run):
         _, out = dwell_run
         g = out.graph.gravity
-        assert abs(np.linalg.norm(g) - 1.0) < 1e-6
+        assert abs(np.linalg.norm(g) - 1.0) <= 1e-14
         assert np.linalg.norm(g - [0.0, 0.0, -1.0]) < 5e-3
 
     def test_trajectory_still_accurate(self, dwell_run):
