@@ -130,9 +130,9 @@ class Preintegration:
     """Midpoint-integrated IMU deltas, expressed in the frame of state i.
 
     The deltas integrate specific force only and hold no gravity; the IMU
-    factor applies gravity from the shared state variable. Bias Jacobians
-    are the exact derivatives of this integration scheme at the
-    linearization biases.
+    factor applies gravity from the shared state variable. The bias
+    Jacobian is the exact derivative of this integration scheme at the
+    linearization biases, with the rotation error right-applied.
     """
 
     delta_rotation: np.ndarray  # (3,3)
@@ -140,20 +140,21 @@ class Preintegration:
     delta_position: np.ndarray  # (3,)
     covariance: np.ndarray      # (9,9), [rot; vel; pos]
     duration: float
-    accel_bias: np.ndarray      # linearization point
-    gyro_bias: np.ndarray
-    j_r_bg: np.ndarray
-    j_v_ba: np.ndarray
-    j_v_bg: np.ndarray
-    j_p_ba: np.ndarray
-    j_p_bg: np.ndarray
+    bias: np.ndarray            # (6,) linearization point [b_a; b_g]
+    bias_jacobian: np.ndarray   # (9,6), d[rot; vel; pos] / d[b_a; b_g]
 
 
 def preintegrate(samples, accel_bias, gyro_bias, sigma_gyro=SIGMA_GYRO,
                  sigma_accel=SIGMA_ACCEL) -> Preintegration:
     """Midpoint preintegration of specific force over consecutive sample
-    pairs. sigma_gyro / sigma_accel are per-sample standard deviations used
-    for first-order covariance propagation.
+    pairs.
+
+    Noise model: on each sample interval, white noise of standard deviation
+    sigma_gyro on the midpoint rate and sigma_accel on the specific force
+    (the same draw at both ends). It enters each step as the biases do, so
+    one linearization of the step, e' = phi e + g_in [db_a; db_g] over the
+    error [rot; vel; pos], carries both the bias Jacobian and the
+    covariance.
     """
     if len(samples) < 2:
         raise WindowTooShort("need at least 2 IMU samples to preintegrate")
@@ -162,16 +163,15 @@ def preintegrate(samples, accel_bias, gyro_bias, sigma_gyro=SIGMA_GYRO,
         raise NonMonotonicTimestamps("IMU timestamps must strictly increase")
     accel_bias = np.asarray(accel_bias, dtype=float)
     gyro_bias = np.asarray(gyro_bias, dtype=float)
+    noise = np.repeat([sigma_accel ** 2, sigma_gyro ** 2], 3)
 
     d_rot = np.eye(3)
     d_vel = np.zeros(3)
     d_pos = np.zeros(3)
     cov = np.zeros((9, 9))
-    j_r = np.zeros((3, 3))
-    j_v_ba = np.zeros((3, 3))
-    j_v_bg = np.zeros((3, 3))
-    j_p_ba = np.zeros((3, 3))
-    j_p_bg = np.zeros((3, 3))
+    jac = np.zeros((9, 6))
+    phi = np.eye(9)
+    g_in = np.zeros((9, 6))
 
     for k in range(len(samples) - 1):
         s0, s1 = samples[k], samples[k + 1]
@@ -180,43 +180,32 @@ def preintegrate(samples, accel_bias, gyro_bias, sigma_gyro=SIGMA_GYRO,
         step = w_mid * dt
         r_step = so3_exp(step)
         d_rot_next = d_rot @ r_step
-        u0 = s0.specific_force - accel_bias
         u1 = s1.specific_force - accel_bias
-        a_mid = 0.5 * (d_rot @ u0 + d_rot_next @ u1)
+        # a_mid = (d_rot u0 + d_rot_next u1) / 2 = d_rot u_sum / 2
+        u_sum = s0.specific_force - accel_bias + r_step @ u1
+        a_mid = 0.5 * d_rot @ u_sum
 
-        # exact derivative of this scheme w.r.t. the linearization biases
-        jr_step = so3_right_jacobian(step)
-        j_r_next = r_step.T @ j_r - jr_step * dt
-        da_dbg = -0.5 * (d_rot @ skew(u0) @ j_r + d_rot_next @ skew(u1) @ j_r_next)
-        da_dba = -0.5 * (d_rot + d_rot_next)
-        j_p_ba = j_p_ba + j_v_ba * dt + 0.5 * da_dba * dt * dt
-        j_p_bg = j_p_bg + j_v_bg * dt + 0.5 * da_dbg * dt * dt
-        j_v_ba = j_v_ba + da_dba * dt
-        j_v_bg = j_v_bg + da_dbg * dt
-        j_r = j_r_next
-
-        # first-order covariance propagation, [rot; vel; pos]
-        a_mat = np.eye(9)
-        a_mat[0:3, 0:3] = r_step.T
-        a_mat[3:6, 0:3] = -d_rot @ skew(u0) * dt
-        a_mat[6:9, 0:3] = -0.5 * d_rot @ skew(u0) * dt * dt
-        a_mat[6:9, 3:6] = np.eye(3) * dt
-        b_gyro = np.zeros((9, 3))
-        b_gyro[0:3] = jr_step * dt
-        b_accel = np.zeros((9, 3))
-        b_accel[3:6] = d_rot * dt
-        b_accel[6:9] = 0.5 * d_rot * dt * dt
-        cov = (a_mat @ cov @ a_mat.T
-               + b_gyro @ b_gyro.T * sigma_gyro ** 2
-               + b_accel @ b_accel.T * sigma_accel ** 2)
+        # the step's error dynamics; the rotation error is right-applied
+        jr_dt = so3_right_jacobian(step) * dt
+        da_drot = -0.5 * d_rot @ skew(u_sum)
+        phi[0:3, 0:3] = r_step.T
+        phi[3:6, 0:3] = da_drot * dt
+        phi[6:9, 0:3] = da_drot * (0.5 * dt * dt)
+        phi[6:9, 3:6] = np.eye(3) * dt
+        g_in[0:3, 3:6] = -jr_dt
+        g_in[3:6, 0:3] = -0.5 * (d_rot + d_rot_next) * dt
+        g_in[3:6, 3:6] = 0.5 * d_rot_next @ skew(u1) @ jr_dt * dt
+        g_in[6:9] = g_in[3:6] * (0.5 * dt)
+        jac = phi @ jac + g_in
+        cov = phi @ cov @ phi.T + (g_in * noise) @ g_in.T
 
         d_pos = d_pos + d_vel * dt + 0.5 * a_mid * dt * dt
         d_vel = d_vel + a_mid * dt
         d_rot = d_rot_next
 
     return Preintegration(d_rot, d_vel, d_pos, 0.5 * (cov + cov.T),
-                          float(times[-1] - times[0]), accel_bias, gyro_bias,
-                          j_r, j_v_ba, j_v_bg, j_p_ba, j_p_bg)
+                          float(times[-1] - times[0]),
+                          np.concatenate([accel_bias, gyro_bias]), jac)
 
 
 # ---------------------------------------------------------------------------
@@ -495,17 +484,17 @@ class ImuFactor(_Factor):
     gravity_magnitude: float = GRAVITY_MAGNITUDE
 
     def _terms(self, states, gravity):
-        """The residual, plus the bias-corrected delta rotation, the gyro
-        bias change and the world-frame velocity and position differences
-        (gravity removed) that the Jacobian reuses."""
+        """The residual, plus the bias-corrected delta rotation, the bias
+        correction of the deltas and the world-frame velocity and position
+        differences (gravity removed) that the Jacobian reuses."""
         si, sj = states[self.i], states[self.j]
         p = self.preint
-        db_a = si.accel_bias - p.accel_bias
-        db_g = si.gyro_bias - p.gyro_bias
-        d_rot = p.delta_rotation @ so3_exp(p.j_r_bg @ db_g)
+        corr = p.bias_jacobian @ (
+            np.concatenate([si.accel_bias, si.gyro_bias]) - p.bias)
+        d_rot = p.delta_rotation @ so3_exp(corr[0:3])
         dt = p.duration
-        d_vel = p.delta_velocity + p.j_v_ba @ db_a + p.j_v_bg @ db_g
-        d_pos = p.delta_position + p.j_p_ba @ db_a + p.j_p_bg @ db_g
+        d_vel = p.delta_velocity + corr[3:6]
+        d_pos = p.delta_position + corr[6:9]
         g_world = np.asarray(gravity, dtype=float) * self.gravity_magnitude
         rit = si.pose.rotation.T
         w_vec = sj.velocity - si.velocity - g_world * dt
@@ -513,13 +502,13 @@ class ImuFactor(_Factor):
                  - si.velocity * dt - 0.5 * g_world * dt * dt)
         r = np.concatenate([so3_log(d_rot.T @ rit @ sj.pose.rotation),
                             rit @ w_vec - d_vel, rit @ u_vec - d_pos])
-        return r, d_rot, db_g, w_vec, u_vec
+        return r, d_rot, corr, w_vec, u_vec
 
     def residual(self, states, gravity):
         return self._terms(states, gravity)[0]
 
     def linearize(self, states, gravity):
-        r, d_rot, db_g, w_vec, u_vec = self._terms(states, gravity)
+        r, d_rot, corr, w_vec, u_vec = self._terms(states, gravity)
         si, sj = states[self.i], states[self.j]
         p = self.preint
         dt = p.duration
@@ -531,30 +520,27 @@ class ImuFactor(_Factor):
 
         jl_inv = so3_left_jacobian_inv(r[0:3])
         c_mat = (ri @ d_rot).T  # (R_i * corrected_delta)^T
-        # d r_rot / d b_g through the corrected delta rotation
-        bias_rot = so3_right_jacobian(p.j_r_bg @ db_g) @ p.j_r_bg
 
         jac_i = np.zeros((9, STATE_DIM))
         jac_j = np.zeros((9, STATE_DIM))
 
         jac_i[0:3, ROT] = -jl_inv @ c_mat
         jac_j[0:3, ROT] = jl_inv @ c_mat
-        # corrected delta enters as E = exp(-G db) Ebar, so d r_rot/d b_g = -Jl_inv G
-        jac_i[0:3, BG] = -jl_inv @ bias_rot
+        # the corrected delta is Ebar exp(corr), corr = J db, so
+        # d r_rot / d b = -Jl_inv Jr(corr) J_rot
+        jac_i[0:3, BA.start:] = (-jl_inv @ so3_right_jacobian(corr[0:3])
+                                 @ p.bias_jacobian[0:3])
 
         jac_i[3:6, ROT] = rit @ skew(w_vec)
         jac_i[3:6, VEL] = -rit
         jac_j[3:6, VEL] = rit
-        jac_i[3:6, BA] = -p.j_v_ba
-        jac_i[3:6, BG] = -p.j_v_bg
 
         jac_i[6:9, ROT] = rit @ skew(u_vec + ti)
         jac_i[6:9, TRANS] = -rit
         jac_j[6:9, ROT] = -rit @ skew(tj)
         jac_j[6:9, TRANS] = rit
         jac_i[6:9, VEL] = -rit * dt
-        jac_i[6:9, BA] = -p.j_p_ba
-        jac_i[6:9, BG] = -p.j_p_bg
+        jac_i[3:9, BA.start:] = -p.bias_jacobian[3:9]
 
         g_block = np.zeros((9, 3))
         g_block[3:6] = -g_mag * dt * rit

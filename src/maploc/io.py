@@ -487,14 +487,6 @@ def _schema(defaults, bounds, number_rule, prefix=""):
             "properties": properties}
 
 
-_SCHEMAS = {
-    "config": _schema(DEFAULT_CONFIG, _CONFIG_BOUNDS,
-                      {"type": "number", "minimum": 1e-100, "maximum": 1e100}),
-    "report": json.loads(resources.files("maploc").joinpath(
-        "schemas", "report.schema.json").read_text()),
-}
-
-
 _DRAFT4_TYPES = jsonschema.Draft4Validator.TYPE_CHECKER
 
 
@@ -513,23 +505,38 @@ _Validator = jsonschema.validators.extend(
     type_checker=_DRAFT4_TYPES.redefine("number", _finite_number))
 
 
-def _validate(payload, schema, name, error=ParseError):
-    """Raise `error` naming the first key of `payload` that `schema`
+def _validator(schema):
+    """A validator of `schema`, checked against its metaschema once, here;
+    jsonschema.validate would check it again on every call."""
+    _Validator.check_schema(schema)
+    return _Validator(schema)
+
+
+def _validate(payload, validator, name, error=ParseError):
+    """Raise `error` naming the first key of `payload` that `validator`
     refuses."""
-    try:
-        jsonschema.validate(payload, schema, cls=_Validator)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(validator.iter_errors(payload))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "<root>"
         raise error(f"{name} schema violation at {path}: "
                     f"{exc.message}") from exc
 
 
+_VALIDATORS = {
+    "config": _validator(_schema(
+        DEFAULT_CONFIG, _CONFIG_BOUNDS,
+        {"type": "number", "minimum": 1e-100, "maximum": 1e100})),
+    "report": _validator(json.loads(resources.files("maploc").joinpath(
+        "schemas", "report.schema.json").read_text())),
+}
+
+
 def validate_config(config: dict):
-    _validate(config, _SCHEMAS["config"], "config")
+    _validate(config, _VALIDATORS["config"], "config")
 
 
 def validate_report(report: dict):
-    _validate(report, _SCHEMAS["report"], "report")
+    _validate(report, _VALIDATORS["report"], "report")
 
 
 def _deep_merge(base, override):

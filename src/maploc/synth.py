@@ -145,7 +145,7 @@ def _spec_schema():
     return schema
 
 
-_SPEC_SCHEMA = _spec_schema()
+_SPEC_VALIDATOR = mio._validator(_spec_schema())
 
 
 def _filled(data, defaults):
@@ -165,7 +165,7 @@ def _filled(data, defaults):
 
 def parse_scene_spec(data: dict) -> SceneSpec:
     """Validate a spec dict and fill defaults. Raises InvalidSpec."""
-    mio._validate(data, _SPEC_SCHEMA, "scene spec", InvalidSpec)
+    mio._validate(data, _SPEC_VALIDATOR, "scene spec", InvalidSpec)
     kind, size = data["kind"], tuple(float(s) for s in data["size"])
     if len(size) != _SIZE_LEN[kind]:
         raise InvalidSpec(f"'size' of a {kind} must be {_SIZE_LEN[kind]} "

@@ -7,7 +7,9 @@ the SE(3) left Jacobian via its ad-series instead of the closed form, the
 SO(3)/SE(3) kernels in their matrix form (skew products and matmuls)
 instead of the library's scalar closed forms,
 voxel grouping via row-wise np.unique and np.add.at instead of packed keys,
-the masked map factor by deleting rows instead of zeroing its weight.
+the masked map factor by deleting rows instead of zeroing its weight,
+the preintegration covariance by differencing a noisy integrator instead
+of propagating a linearized one.
 The unit-weight registration Hessian is spelled out from its rows, as
 align computes it, so tests can compare it bit for bit.
 """
@@ -246,3 +248,50 @@ def se3_left_jacobian_inv_matrix(twist):
     out[:3, :3] = out[3:, 3:] = j_inv
     out[3:, :3] = -j_inv @ q @ j_inv
     return out
+
+
+def noisy_midpoint_deltas(samples, accel_bias, gyro_bias, noise):
+    """The midpoint integrator's (rotation, velocity, position) deltas with
+    interval k's white noise noise[k] = [n_a; n_g] added to the specific
+    force at both of its samples and to its midpoint rate."""
+    d_rot, d_vel, d_pos = np.eye(3), np.zeros(3), np.zeros(3)
+    for k in range(len(samples) - 1):
+        s0, s1 = samples[k], samples[k + 1]
+        dt = s1.timestamp - s0.timestamp
+        n_a, n_g = noise[k, :3], noise[k, 3:]
+        rate = 0.5 * (s0.angular_velocity + s1.angular_velocity) - gyro_bias
+        d_rot_next = d_rot @ so3_exp_matrix((rate + n_g) * dt)
+        accel = 0.5 * (d_rot @ (s0.specific_force - accel_bias + n_a)
+                       + d_rot_next @ (s1.specific_force - accel_bias + n_a))
+        d_pos = d_pos + d_vel * dt + 0.5 * accel * dt * dt
+        d_vel = d_vel + accel * dt
+        d_rot = d_rot_next
+    return d_rot, d_vel, d_pos
+
+
+def preintegration_covariance(samples, accel_bias, gyro_bias, sigma_accel,
+                              sigma_gyro, eps=1e-5):
+    """sum_k J_k Q J_k^T over the sample intervals k, with Q =
+    diag(sigma_accel^2 I, sigma_gyro^2 I) and J_k the central difference of
+    the final deltas' error [log(R0^T R); v - v0; p - p0] with respect to
+    interval k's noise [n_a; n_g]."""
+    zero = np.zeros((len(samples) - 1, 6))
+    rot0, vel0, pos0 = noisy_midpoint_deltas(samples, accel_bias, gyro_bias,
+                                             zero)
+
+    def error(noise):
+        rot, vel, pos = noisy_midpoint_deltas(samples, accel_bias, gyro_bias,
+                                              noise)
+        return np.concatenate([so3_log_matrix(rot0.T @ rot), vel - vel0,
+                               pos - pos0])
+
+    q = np.repeat([sigma_accel ** 2, sigma_gyro ** 2], 3)
+    cov = np.zeros((9, 9))
+    for k in range(len(zero)):
+        jac = np.zeros((9, 6))
+        for c in range(6):
+            step = zero.copy()
+            step[k, c] = eps
+            jac[:, c] = (error(step) - error(-step)) / (2 * eps)
+        cov += (jac * q) @ jac.T
+    return cov

@@ -40,7 +40,7 @@ from maploc.geometry import (
 )
 
 from conftest import random_pose
-from oracles import row_deleting_map_factor
+from oracles import preintegration_covariance, row_deleting_map_factor
 
 G_MAG = 9.81
 DOWN = np.array([0.0, 0.0, -1.0])
@@ -301,7 +301,7 @@ class TestPreintegrate:
         window = random_window(rng)
         ba = np.array([0.03, -0.01, 0.02])
         bg = np.array([0.004, 0.002, -0.001])
-        pre = preintegrate(window, ba, bg)
+        jac = preintegrate(window, ba, bg).bias_jacobian
         eps = 1e-5
 
         def deltas(ba_, bg_):
@@ -313,17 +313,18 @@ class TestPreintegrate:
             step[c] = eps
             rp, vp, pp = deltas(ba + step, bg)
             rm, vm, pm = deltas(ba - step, bg)
-            assert np.allclose((vp - vm) / (2 * eps), pre.j_v_ba[:, c], atol=1e-6)
-            assert np.allclose((pp - pm) / (2 * eps), pre.j_p_ba[:, c], atol=1e-6)
+            assert np.allclose((vp - vm) / (2 * eps), jac[3:6, c], atol=1e-6)
+            assert np.allclose((pp - pm) / (2 * eps), jac[6:9, c], atol=1e-6)
             assert np.allclose(so3_log(rp.T @ rm), 0.0, atol=1e-12)  # rot ignores b_a
+            assert np.all(jac[0:3, c] == 0.0)
 
             rp, vp, pp = deltas(ba, bg + step)
             rm, vm, pm = deltas(ba, bg - step)
-            fd_rot = (so3_log(pre.delta_rotation.T @ rp)
-                      - so3_log(pre.delta_rotation.T @ rm)) / (2 * eps)
-            assert np.allclose(fd_rot, pre.j_r_bg[:, c], atol=1e-6)
-            assert np.allclose((vp - vm) / (2 * eps), pre.j_v_bg[:, c], atol=1e-6)
-            assert np.allclose((pp - pm) / (2 * eps), pre.j_p_bg[:, c], atol=1e-6)
+            rot = deltas(ba, bg)[0]
+            fd_rot = (so3_log(rot.T @ rp) - so3_log(rot.T @ rm)) / (2 * eps)
+            assert np.allclose(fd_rot, jac[0:3, 3 + c], atol=1e-6)
+            assert np.allclose((vp - vm) / (2 * eps), jac[3:6, 3 + c], atol=1e-6)
+            assert np.allclose((pp - pm) / (2 * eps), jac[6:9, 3 + c], atol=1e-6)
 
     def test_bias_update_first_order_consistency(self):
         # re-integrating at a shifted bias matches the Jacobian correction
@@ -337,11 +338,14 @@ class TestPreintegrate:
             da = 1e-3 * rng.normal(size=3)
             dg = 1e-3 * rng.normal(size=3)
             re = preintegrate(window, ba + da, bg + dg)
-            rot_corr = pre.delta_rotation @ so3_exp(pre.j_r_bg @ dg)
+            jac = pre.bias_jacobian
+            rot_corr = pre.delta_rotation @ so3_exp(jac[0:3, 3:6] @ dg)
             assert np.linalg.norm(so3_log(rot_corr.T @ re.delta_rotation)) < 1e-5
-            vel_corr = pre.delta_velocity + pre.j_v_ba @ da + pre.j_v_bg @ dg
+            vel_corr = (pre.delta_velocity + jac[3:6, 0:3] @ da
+                        + jac[3:6, 3:6] @ dg)
             assert np.linalg.norm(vel_corr - re.delta_velocity) < 1e-5
-            pos_corr = pre.delta_position + pre.j_p_ba @ da + pre.j_p_bg @ dg
+            pos_corr = (pre.delta_position + jac[6:9, 0:3] @ da
+                        + jac[6:9, 3:6] @ dg)
             assert np.linalg.norm(pos_corr - re.delta_position) < 1e-5
 
     def test_covariance_properties(self):
@@ -355,6 +359,21 @@ class TestPreintegrate:
         # longer windows accumulate more uncertainty
         half = preintegrate(window[:len(window) // 2], np.zeros(3), np.zeros(3))
         assert half.covariance.trace() < cov.trace()
+
+    def test_covariance_matches_noise_oracle(self):
+        # per-interval white noise on the specific force and the midpoint
+        # rate, differenced through the integrator itself; each entry is
+        # compared at the scale sqrt(cov_ii cov_jj) of its row and column
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            window = random_window(rng, duration=0.1)  # 21 samples
+            ba = 0.05 * rng.normal(size=3)
+            bg = 0.01 * rng.normal(size=3)
+            cov = preintegrate(window, ba, bg, sigma_gyro=1e-3,
+                               sigma_accel=1e-2).covariance
+            ref = preintegration_covariance(window, ba, bg, 1e-2, 1e-3)
+            scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
+            assert (np.abs(cov - ref) / scale).max() < 1e-6
 
     def test_zero_noise_zero_covariance(self):
         rng = np.random.default_rng(5)

@@ -1,8 +1,10 @@
-"""Every module in src/maploc uses each name it imports, and every private
-module-level name it defines is read somewhere in the package.
+"""Every module in src/maploc uses each name it imports, every private
+module-level name it defines is read somewhere in the package, and every
+module-level function, class or constant it defines is read somewhere in
+src/, tests/ or perfbench/ outside its own definition.
 
 No linter is installed, so this stands in for one: an import left behind
-when the code that used it moves fails here, and so does a private helper
+when the code that used it moves fails here, and so does a helper, class
 or constant that a change left with no caller. `from __future__ import
 annotations` is exempt; it binds no name.
 """
@@ -12,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "maploc"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "maploc"
 
 
 def unused_imports(source):
@@ -81,3 +84,66 @@ def test_every_private_name_is_read():
     sources = {path.stem: path.read_text()
                for path in sorted(SRC.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def _defined_names(node):
+    """The names a module-level statement defines as a function, class or
+    constant."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def _read_names(node):
+    """The names a statement reads: loaded names, attributes, and string
+    constants (a name looked up with getattr or patched by its name)."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.add(sub.value)
+    return names
+
+
+def unreferenced_names(package, sources):
+    """(module, line, name) of each module-level function, class or
+    constant defined in `package` (module name -> source text) that no
+    statement of `package` or `sources` (more texts) reads, other than the
+    statement defining it. Dunder names are exempt."""
+    defined, reads = [], []
+    for key, source in [*package.items(), *enumerate(sources)]:
+        for index, node in enumerate(ast.parse(source).body):
+            here = (key, index)
+            reads.append((here, _read_names(node)))
+            if key in package:
+                defined += [(key, node.lineno, name, here)
+                            for name in _defined_names(node)
+                            if not name.endswith("__")]
+    return sorted((module, line, name)
+                  for module, line, name, here in defined
+                  if not any(name in read for where, read in reads
+                             if where != here))
+
+
+def test_guard_finds_an_unreferenced_name():
+    package = {"a": "X = 1\nY = 2\n__version__ = '1'\n"
+                    "def f(n):\n    return f(n - 1) + X\n"
+                    "class C:\n    pass\n",
+               "b": "def g():\n    return getattr(a, 'C')\n"}
+    assert unreferenced_names(package, ["import a\nprint(a.g)\n"]) == [
+        ("a", 2, "Y"), ("a", 4, "f")]
+
+
+def test_every_module_level_name_is_read():
+    package = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text() for folder in ("tests", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unreferenced_names(package, others) == []
