@@ -1,11 +1,14 @@
 """Factor residuals and analytic Jacobians for the fusion graph.
 
-Per-node state is [rotation; translation; velocity; accel bias; gyro bias]
-(15 tangent dimensions); gravity is a single shared unit direction on S^2,
-appended after all nodes, whose Jacobian blocks here are in its 3 ambient
-coordinates. Pose perturbations are left-applied, pose <- exp_map(xi) @
-pose, so every Jacobian here is taken with respect to that convention.
-Residual twist ordering is [rot; trans] throughout.
+Per-node state is [rotation; translation; velocity; bias] (15 tangent
+dimensions), the bias being one 6-vector [b_a; b_g] of accelerometer and
+gyroscope biases from the state through preintegration to every bias
+residual. Gravity is a single shared unit direction on S^2, appended after
+all nodes, whose Jacobian blocks here are in its 3 ambient coordinates.
+Pose perturbations are left-applied, pose <- exp_map(xi) @ pose, so every
+Jacobian here is taken with respect to that convention. Residual twist
+ordering is [rot; trans] throughout. A no-motion constraint is an
+OdometryFactor whose measurement is the identity.
 """
 
 from __future__ import annotations
@@ -35,8 +38,7 @@ from .geometry import (
 ROT = slice(0, 3)
 TRANS = slice(3, 6)
 VEL = slice(6, 9)
-BA = slice(9, 12)
-BG = slice(12, 15)
+BIAS = slice(9, 15)  # [b_a; b_g]
 STATE_DIM = 15
 
 # gravity factors refuse windows with basically no specific force
@@ -48,26 +50,30 @@ SIGMA_ACCEL = 1e-2
 GRAVITY_MAGNITUDE = 9.81
 
 
+def _vector(value, name, size=3):
+    """A read-only float copy of value, of shape (size,), else ValueError."""
+    vec = np.array(value, dtype=float)
+    if vec.shape != (size,):
+        raise ValueError(f"{name} must be a {size}-vector, got shape "
+                         f"{vec.shape}")
+    vec.flags.writeable = False
+    return vec
+
+
 @dataclass(frozen=True)
 class StateNode:
     pose: Pose
     velocity: np.ndarray
-    accel_bias: np.ndarray
-    gyro_bias: np.ndarray
+    bias: np.ndarray  # (6,) [b_a; b_g]
     timestamp: float
 
     def __post_init__(self):
-        for name in ("velocity", "accel_bias", "gyro_bias"):
-            vec = np.ascontiguousarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            vec.flags.writeable = False
-            object.__setattr__(self, name, vec)
+        object.__setattr__(self, "velocity", _vector(self.velocity, "velocity"))
+        object.__setattr__(self, "bias", _vector(self.bias, "bias", 6))
 
     @staticmethod
     def at(pose: Pose, timestamp: float, velocity=(0.0, 0.0, 0.0)):
-        return StateNode(pose, np.asarray(velocity, dtype=float), np.zeros(3),
-                         np.zeros(3), float(timestamp))
+        return StateNode(pose, velocity, np.zeros(6), float(timestamp))
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,7 @@ class ImuSample:
 
     def __post_init__(self):
         for name in ("angular_velocity", "specific_force"):
-            vec = np.ascontiguousarray(getattr(self, name), dtype=float)
-            if vec.shape != (3,):
-                raise ValueError(f"{name} must be a 3-vector")
-            vec.flags.writeable = False
-            object.__setattr__(self, name, vec)
+            object.__setattr__(self, name, _vector(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,8 @@ def retract_state(state: StateNode, delta) -> StateNode:
     """Apply a 15-dim tangent step; shared by the optimizer and FD tests."""
     delta = np.asarray(delta, dtype=float)
     return StateNode(compose(exp_map(delta[:6]), state.pose),
-                     state.velocity + delta[VEL],
-                     state.accel_bias + delta[BA],
-                     state.gyro_bias + delta[BG], state.timestamp)
+                     state.velocity + delta[VEL], state.bias + delta[BIAS],
+                     state.timestamp)
 
 
 def detect_zupt(samples, params: ZuptParams = ZuptParams()) -> bool:
@@ -144,10 +145,10 @@ class Preintegration:
     bias_jacobian: np.ndarray   # (9,6), d[rot; vel; pos] / d[b_a; b_g]
 
 
-def preintegrate(samples, accel_bias, gyro_bias, sigma_gyro=SIGMA_GYRO,
+def preintegrate(samples, bias, *, sigma_gyro=SIGMA_GYRO,
                  sigma_accel=SIGMA_ACCEL) -> Preintegration:
     """Midpoint preintegration of specific force over consecutive sample
-    pairs.
+    pairs, at the bias [b_a; b_g].
 
     Noise model: on each sample interval, white noise of standard deviation
     sigma_gyro on the midpoint rate and sigma_accel on the specific force
@@ -161,8 +162,8 @@ def preintegrate(samples, accel_bias, gyro_bias, sigma_gyro=SIGMA_GYRO,
     times = np.array([s.timestamp for s in samples])
     if np.any(np.diff(times) <= 0):
         raise NonMonotonicTimestamps("IMU timestamps must strictly increase")
-    accel_bias = np.asarray(accel_bias, dtype=float)
-    gyro_bias = np.asarray(gyro_bias, dtype=float)
+    bias = _vector(bias, "bias", 6)
+    accel_bias, gyro_bias = bias[:3], bias[3:]
     noise = np.repeat([sigma_accel ** 2, sigma_gyro ** 2], 3)
 
     d_rot = np.eye(3)
@@ -204,8 +205,7 @@ def preintegrate(samples, accel_bias, gyro_bias, sigma_gyro=SIGMA_GYRO,
         d_rot = d_rot_next
 
     return Preintegration(d_rot, d_vel, d_pos, 0.5 * (cov + cov.T),
-                          float(times[-1] - times[0]),
-                          np.concatenate([accel_bias, gyro_bias]), jac)
+                          float(times[-1] - times[0]), bias, jac)
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,7 @@ def _pose_jacobian(r, reference_adjoint):
 
 # Jacobian of [b_a; b_g] w.r.t. a state (identity on its bias columns),
 # shared by the bias factors
-_BIAS_JACOBIAN = np.eye(6, STATE_DIM, BA.start)
+_BIAS_JACOBIAN = np.eye(6, STATE_DIM, BIAS.start)
 _BIAS_JACOBIAN.flags.writeable = False
 
 
@@ -283,6 +283,9 @@ class PriorFactor(_Factor):
 
 @dataclass(frozen=True)
 class OdometryFactor(_Factor):
+    """Relative pose of state j in state i. With the identity as its
+    measurement it is the no-motion constraint of a ZUPT."""
+
     kind = "odometry"
     i: int
     j: int
@@ -291,7 +294,9 @@ class OdometryFactor(_Factor):
 
     def __post_init__(self):
         super().__post_init__()
-        _cache_reference(self, self.measurement)
+        # its Jacobian's adjoint moves with pose_i, so only the inverse is
+        # constant
+        object.__setattr__(self, "_inverse", inverse(self.measurement))
 
     def residual(self, states, gravity):
         """r = log(measurement^-1 * between(pose_i, pose_j))."""
@@ -302,23 +307,6 @@ class OdometryFactor(_Factor):
         r = self.residual(states, gravity)
         jac = _pose_jacobian(r, se3_adjoint(inverse(
             compose(states[self.i].pose, self.measurement))))
-        return r, {self.i: -jac, self.j: jac}, None
-
-
-@dataclass(frozen=True)
-class NoMotionFactor(_Factor):
-    kind = "no_motion"
-    i: int
-    j: int
-    information: np.ndarray
-
-    def residual(self, states, gravity):
-        """r = log(between(pose_i, pose_j)), zero iff the poses coincide."""
-        return log_map(between(states[self.i].pose, states[self.j].pose))
-
-    def linearize(self, states, gravity):
-        r = self.residual(states, gravity)
-        jac = _pose_jacobian(r, se3_adjoint(inverse(states[self.i].pose)))
         return r, {self.i: -jac, self.j: jac}, None
 
 
@@ -424,10 +412,7 @@ class BiasWalkFactor(_Factor):
     information: np.ndarray
 
     def residual(self, states, gravity):
-        return np.concatenate([
-            states[self.j].accel_bias - states[self.i].accel_bias,
-            states[self.j].gyro_bias - states[self.i].gyro_bias,
-        ])
+        return states[self.j].bias - states[self.i].bias
 
     def linearize(self, states, gravity):
         return (self.residual(states, gravity),
@@ -445,21 +430,15 @@ class BiasPriorFactor(_Factor):
 
     kind = "bias_prior"
     index: int
-    accel_bias: np.ndarray
-    gyro_bias: np.ndarray
+    bias: np.ndarray         # (6,) [b_a; b_g]
     information: np.ndarray  # 6x6 over [b_a; b_g]
 
     def __post_init__(self):
         super().__post_init__()
-        object.__setattr__(self, "accel_bias",
-                           np.asarray(self.accel_bias, dtype=float).copy())
-        object.__setattr__(self, "gyro_bias",
-                           np.asarray(self.gyro_bias, dtype=float).copy())
+        object.__setattr__(self, "bias", _vector(self.bias, "bias", 6))
 
     def residual(self, states, gravity):
-        state = states[self.index]
-        return np.concatenate([state.accel_bias - self.accel_bias,
-                               state.gyro_bias - self.gyro_bias])
+        return states[self.index].bias - self.bias
 
     def linearize(self, states, gravity):
         return self.residual(states, gravity), {self.index: _BIAS_JACOBIAN}, None
@@ -489,8 +468,7 @@ class ImuFactor(_Factor):
         differences (gravity removed) that the Jacobian reuses."""
         si, sj = states[self.i], states[self.j]
         p = self.preint
-        corr = p.bias_jacobian @ (
-            np.concatenate([si.accel_bias, si.gyro_bias]) - p.bias)
+        corr = p.bias_jacobian @ (si.bias - p.bias)
         d_rot = p.delta_rotation @ so3_exp(corr[0:3])
         dt = p.duration
         d_vel = p.delta_velocity + corr[3:6]
@@ -528,8 +506,8 @@ class ImuFactor(_Factor):
         jac_j[0:3, ROT] = jl_inv @ c_mat
         # the corrected delta is Ebar exp(corr), corr = J db, so
         # d r_rot / d b = -Jl_inv Jr(corr) J_rot
-        jac_i[0:3, BA.start:] = (-jl_inv @ so3_right_jacobian(corr[0:3])
-                                 @ p.bias_jacobian[0:3])
+        jac_i[0:3, BIAS] = (-jl_inv @ so3_right_jacobian(corr[0:3])
+                            @ p.bias_jacobian[0:3])
 
         jac_i[3:6, ROT] = rit @ skew(w_vec)
         jac_i[3:6, VEL] = -rit
@@ -540,7 +518,7 @@ class ImuFactor(_Factor):
         jac_j[6:9, ROT] = -rit @ skew(tj)
         jac_j[6:9, TRANS] = rit
         jac_i[6:9, VEL] = -rit * dt
-        jac_i[3:9, BA.start:] = -p.bias_jacobian[3:9]
+        jac_i[3:9, BIAS] = -p.bias_jacobian[3:9]
 
         g_block = np.zeros((9, 3))
         g_block[3:6] = -g_mag * dt * rit

@@ -1,7 +1,7 @@
 """Factor-graph state estimation with sparse Levenberg-Marquardt.
 
-Each node contributes 15 tangent columns ([rot, trans, vel, accel bias,
-gyro bias]); the shared gravity direction, a point on the unit sphere,
+Each node contributes 15 tangent columns ([rot, trans, vel, bias], the bias
+being [b_a; b_g]); the shared gravity direction, a point on the unit sphere,
 appends 2 more along a basis of its tangent plane when a gravity-measuring
 factor is active (Qin, Li & Shen 2018). A solve frees a trailing window, the
 states from one index onward; the states before it stay fixed. Factors
@@ -147,7 +147,6 @@ class FactorGraph:
 
         def assemble():
             h_vals, b_vals = [], []
-            cost = 0.0
             basis = gravity_basis(gravity) if use_gravity else None
             for f, free in zip(active, free_of):
                 r, blocks, g_block = f.linearize(states, gravity)
@@ -159,7 +158,6 @@ class FactorGraph:
                 jtw = jac.T @ f.information
                 h_vals.append((jtw @ jac).ravel())
                 b_vals.append(jtw @ r)
-                cost += 0.5 * float(r @ (f.information @ r))
             data = np.bincount(entry_slots, weights=np.concatenate(h_vals),
                                minlength=nnz)
             b = np.bincount(b_rows, weights=np.concatenate(b_vals),
@@ -173,7 +171,7 @@ class FactorGraph:
                     state_index=bad.indices[0])
             h = sparse.csc_matrix((data, indices, indptr),
                                   shape=(n_cols, n_cols))
-            return h, b, cost
+            return h, b
 
         def apply_step(delta):
             new_states = list(states)
@@ -184,8 +182,8 @@ class FactorGraph:
                 new_gravity = retract_gravity(gravity, delta[grav_col:])
             return new_states, new_gravity
 
-        h_mat, b_vec, cost = assemble()
-        initial_cost = cost
+        initial_cost = cost = _cost(active, states, gravity)
+        h_mat, b_vec = assemble()
         damping = DAMPING_INIT
         records = []
         converged = False
@@ -245,7 +243,7 @@ class FactorGraph:
                                          "levels", state_index=idx)
                 converged = True  # by the step test, or out of damping
                 break
-            h_mat, b_vec, cost = assemble()
+            h_mat, b_vec = assemble()
 
         self.states = states
         self.gravity = gravity

@@ -445,7 +445,6 @@ DEFAULT_CONFIG = {
         "gravity_direction_sigma": 0.05,
         "bias_walk_sigma": 1e-3,
         "bias_prior_sigma": 0.1,
-        "imu_weight": 1.0,
     },
     "eval": {"rpe_delta": 1, "map_threshold": DEFAULT_THRESHOLD,
              "max_dt": DEFAULT_MAX_DT},

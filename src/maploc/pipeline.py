@@ -25,10 +25,9 @@ from .errors import (DataError, EmptyCloud, InitializationFailure,
                      ZeroAcceleration)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
 from .factors import (BiasPriorFactor, BiasWalkFactor, GravityFactor,
-                      ImuFactor, ImuSample, MapFactor, NoMotionFactor,
-                      OdometryFactor, PriorFactor, StateNode,
-                      ZeroVelocityFactor, ZuptParams, detect_zupt,
-                      preintegrate)
+                      ImuFactor, ImuSample, MapFactor, OdometryFactor,
+                      PriorFactor, StateNode, ZeroVelocityFactor, ZuptParams,
+                      detect_zupt, preintegrate)
 from .geometry import (PointCloud, Pose, between, build_index, compose,
                        estimate_normals)
 from .graph import FactorGraph
@@ -323,9 +322,10 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
             and detect_zupt(window, params)):
         return []
     factors = [ZeroVelocityFactor(index, info["zero_velocity"]),
-               NoMotionFactor(index - 1, index, info["no_motion"])]
+               OdometryFactor(index - 1, index, Pose.identity(),
+                              info["no_motion"])]
     a_mean = np.mean([s.specific_force for s in window],
-                     axis=0) - prev_state.accel_bias
+                     axis=0) - prev_state.bias[:3]
     try:
         factors.append(GravityFactor(index, a_mean, info["gravity"]))
     except ZeroAcceleration:
@@ -353,11 +353,10 @@ def _imu_factors(index, keyframe, prev_state, imu, period, cfg, info):
     if segment[-1].timestamp < t - 1e-9:
         segment = [*segment, _sample_at(imu, t)]
     imu_cfg = cfg["imu"]
-    pre = preintegrate(segment, prev_state.accel_bias, prev_state.gyro_bias,
+    pre = preintegrate(segment, prev_state.bias,
                        sigma_gyro=imu_cfg["sigma_gyro"],
                        sigma_accel=imu_cfg["sigma_accel"])
-    imu_info = cfg["factors"]["imu_weight"] * np.linalg.inv(
-        pre.covariance + 1e-12 * np.eye(9))
+    imu_info = np.linalg.inv(pre.covariance + 1e-12 * np.eye(9))
     return [ImuFactor(index - 1, index, pre, 0.5 * (imu_info + imu_info.T),
                       gravity_magnitude=imu_cfg["gravity_magnitude"]),
             BiasWalkFactor(index - 1, index, info["bias_walk"])]
@@ -429,7 +428,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
             state = StateNode.at(pose, t)
             factors = [PriorFactor(0, pose, info["prior"])]
             if imu:
-                factors.append(BiasPriorFactor(0, np.zeros(3), np.zeros(3),
+                factors.append(BiasPriorFactor(0, np.zeros(6),
                                                info["bias_prior"]))
         else:
             prev_state = graph.states[index - 1]

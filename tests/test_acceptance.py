@@ -37,7 +37,6 @@ from maploc.factors import (
     GravityFactor,
     ImuFactor,
     MapFactor,
-    NoMotionFactor,
     OdometryFactor,
     PriorFactor,
     StateNode,
@@ -118,7 +117,8 @@ def _factor_case(name, rng):
         return (OdometryFactor(0, 1, random_pose(rng), np.eye(6)),
                 [s0, s1], gravity)
     if name == "no_motion":
-        return NoMotionFactor(0, 1, np.eye(6)), [s0, s1], gravity
+        return (OdometryFactor(0, 1, Pose.identity(), np.eye(6)),
+                [s0, s1], gravity)
     if name == "map":
         mask = tuple(np.flatnonzero(rng.random(3) < 0.3))
         return MapFactor(0, random_pose(rng), np.eye(6), mask=mask), [s0], gravity
@@ -130,11 +130,13 @@ def _factor_case(name, rng):
     if name == "bias_walk":
         return BiasWalkFactor(0, 1, np.eye(6)), [s0, s1], gravity
     if name == "bias_prior":
-        return (BiasPriorFactor(0, 0.1 * rng.normal(size=3),
-                                0.01 * rng.normal(size=3), np.eye(6)),
+        return (BiasPriorFactor(0, np.concatenate([0.1 * rng.normal(size=3),
+                                                   0.01 * rng.normal(size=3)]),
+                                np.eye(6)),
                 [s0], gravity)
-    pre = preintegrate(random_window(rng), 0.05 * rng.normal(size=3),
-                       0.01 * rng.normal(size=3))
+    pre = preintegrate(random_window(rng),
+                       np.concatenate([0.05 * rng.normal(size=3),
+                                       0.01 * rng.normal(size=3)]))
     rng.normal(size=3)  # keeps every later sampled case on its inputs
     return ImuFactor(0, 1, pre, np.eye(9), gravity_magnitude=G_MAG), [s0, s1], gravity
 

@@ -400,17 +400,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["set-null", "config-auto-scale",
                                       "set-gravity-magnitude-weight",
-                                      "config-gravity-magnitude-weight"])
+                                      "config-gravity-magnitude-weight",
+                                      "set-imu-weight", "config-imu-weight"])
     def test_retired_threshold_settings_exit_two_naming_key(
             self, workspace, tmp_path, capsys, case):
-        """d_e_threshold is a number only, and auto_threshold_scale and
-        gravity_magnitude_weight are no longer keys: a config that still
-        uses any of them is refused."""
+        """d_e_threshold is a number only, and auto_threshold_scale,
+        gravity_magnitude_weight and imu_weight are no longer keys: a config
+        that still uses any of them is refused."""
         scene = workspace / "scene"
         config = tmp_path / "cfg.json"
-        write_json(config, {"degeneracy": {"auto_threshold_scale": 10.0}}
-                   if case == "config-auto-scale"
-                   else {"factors": {"gravity_magnitude_weight": 1e6}})
+        write_json(config, {
+            "config-auto-scale": {"degeneracy": {"auto_threshold_scale": 10.0}},
+            "config-gravity-magnitude-weight": {
+                "factors": {"gravity_magnitude_weight": 1e6}},
+            "config-imu-weight": {"factors": {"imu_weight": 2.0}},
+        }.get(case, {}))
         extra, key = {
             "set-null": (["--set", "degeneracy.d_e_threshold=null"],
                          "d_e_threshold"),
@@ -421,6 +425,9 @@ class TestExitCodes:
                 "gravity_magnitude_weight"),
             "config-gravity-magnitude-weight": (["--config", str(config)],
                                                 "gravity_magnitude_weight"),
+            "set-imu-weight": (["--set", "factors.imu_weight=2.0"],
+                               "imu_weight"),
+            "config-imu-weight": (["--config", str(config)], "imu_weight"),
         }[case]
         rc = main(["localize", "--map", str(scene / "map.pcd"),
                    "--scans", str(scene / "scans"),

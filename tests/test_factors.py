@@ -19,7 +19,6 @@ from maploc.factors import (
     ImuFactor,
     ImuSample,
     MapFactor,
-    NoMotionFactor,
     OdometryFactor,
     PriorFactor,
     StateNode,
@@ -35,6 +34,7 @@ from maploc.geometry import (
     compose,
     exp_map,
     inverse,
+    log_map,
     so3_exp,
     so3_log,
 )
@@ -49,8 +49,8 @@ DOWN = np.array([0.0, 0.0, -1.0])
 def random_state(rng, t=0.0, rot_scale=0.8):
     return StateNode(random_pose(rng, rot_scale=rot_scale, trans_scale=2.0),
                      rng.normal(size=3),
-                     0.1 * rng.normal(size=3),
-                     0.05 * rng.normal(size=3),
+                     np.concatenate([0.1 * rng.normal(size=3),
+                                     0.05 * rng.normal(size=3)]),
                      t)
 
 
@@ -94,13 +94,15 @@ class TestResidualFunctions:
             assert np.allclose(exp_map(r).matrix(), err.matrix(), atol=1e-10)
 
     def test_no_motion_error(self, rng):
-        factor = NoMotionFactor(0, 1, np.eye(6))
+        factor = OdometryFactor(0, 1, Pose.identity(), np.eye(6))
         p = random_pose(rng)
         assert np.allclose(factor.residual(pose_states(p, p), DOWN), 0.0,
                            atol=1e-12)
         q = compose(p, exp_map(np.array([0, 0, 0, 0.1, 0, 0])))
         r = factor.residual(pose_states(p, q), DOWN)
         assert np.allclose(r, [0, 0, 0, 0.1, 0, 0], atol=1e-12)
+        # composing with the identity is exact
+        assert np.array_equal(r, log_map(between(p, q)))
 
     def test_zero_velocity_error(self):
         state = StateNode.at(Pose.identity(), 0.0, velocity=[0.1, -0.2, 0.3])
@@ -187,9 +189,27 @@ class TestResidualFunctions:
         delta[12:15] = [0.0, 0.2, 0.0]
         s2 = retract_state(s, delta)
         assert np.allclose(s2.velocity, s.velocity + [1, 2, 3])
-        assert np.allclose(s2.accel_bias, s.accel_bias + [0.1, 0, 0])
-        assert np.allclose(s2.gyro_bias, s.gyro_bias + [0, 0.2, 0])
+        assert np.allclose(s2.bias, s.bias + [0.1, 0, 0, 0, 0.2, 0])
         assert np.allclose(s2.pose.matrix(), s.pose.matrix(), atol=1e-12)
+
+
+@pytest.mark.parametrize("make", [
+    lambda bias: StateNode(Pose.identity(), np.zeros(3), bias, 0.0),
+    lambda bias: BiasPriorFactor(0, bias, np.eye(6)),
+    lambda bias: preintegrate(make_window([0.0, 0.1], [0, 0, 0], [0, 0, 9.81]),
+                              bias),
+], ids=["StateNode", "BiasPriorFactor", "preintegrate"])
+def test_three_vector_bias_is_refused(make):
+    """The bias is one [b_a; b_g] 6-vector; a 3-vector left from the split
+    accel/gyro signature is refused, naming it."""
+    with pytest.raises(ValueError, match="bias must be a 6-vector"):
+        make(np.zeros(3))
+
+
+def test_preintegrate_sigmas_are_keyword_only():
+    samples = make_window([0.0, 0.1], [0, 0, 0], [0, 0, 9.81])
+    with pytest.raises(TypeError):
+        preintegrate(samples, np.zeros(3), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +274,7 @@ class TestPreintegrate:
         times = np.arange(101) / 100.0
         a = np.array([0, 0, 9.81])
         samples = make_window(times, [0, 0, 0], a)
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
+        pre = preintegrate(samples, np.zeros(6))
         assert np.allclose(pre.delta_rotation, np.eye(3), atol=1e-12)
         assert np.allclose(pre.delta_velocity, a * 1.0, atol=1e-12)
         assert np.allclose(pre.delta_position, 0.5 * a * 1.0 ** 2, atol=1e-12)
@@ -264,7 +284,7 @@ class TestPreintegrate:
         # 1 m/s^2 along x for 1 s from rest: v = a t, p = a t^2 / 2
         times = np.linspace(0.0, 1.0, 101)
         samples = make_window(times, [0, 0, 0], [1.0, 0, 0])
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
+        pre = preintegrate(samples, np.zeros(6))
         assert np.allclose(pre.delta_velocity, [1.0, 0, 0], atol=1e-12)
         assert np.allclose(pre.delta_position, [0.5, 0, 0], atol=1e-12)
         assert np.allclose(pre.delta_rotation, np.eye(3), atol=1e-12)
@@ -272,7 +292,7 @@ class TestPreintegrate:
     def test_pure_rotation_half_turn(self):
         times = np.linspace(0.0, math.pi, 301)
         samples = make_window(times, [0, 0, 1.0], [0, 0, 0])
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
+        pre = preintegrate(samples, np.zeros(6))
         assert np.allclose(so3_log(pre.delta_rotation), [0, 0, math.pi], atol=1e-9)
 
     def test_bias_subtraction(self):
@@ -281,7 +301,7 @@ class TestPreintegrate:
         times = np.arange(51) / 100.0
         a = np.array([0, 0, 9.81])
         samples = make_window(times, bg, ba + a)
-        pre = preintegrate(samples, ba, bg)
+        pre = preintegrate(samples, np.concatenate([ba, bg]))
         assert np.allclose(pre.delta_rotation, np.eye(3), atol=1e-12)
         assert np.allclose(pre.delta_velocity, a * 0.5, atol=1e-12)
         assert np.allclose(pre.delta_position, 0.5 * a * 0.5 ** 2, atol=1e-12)
@@ -289,23 +309,23 @@ class TestPreintegrate:
     def test_requires_two_samples(self):
         with pytest.raises(WindowTooShort):
             preintegrate([ImuSample(0.0, np.zeros(3), np.zeros(3))],
-                         np.zeros(3), np.zeros(3))
+                         np.zeros(6))
 
     def test_non_monotonic_raises(self):
         samples = make_window([0.0, 0.2, 0.1], [0, 0, 0], [0, 0, 0])
         with pytest.raises(NonMonotonicTimestamps):
-            preintegrate(samples, np.zeros(3), np.zeros(3))
+            preintegrate(samples, np.zeros(6))
 
     def test_bias_jacobians_match_finite_differences(self):
         rng = np.random.default_rng(11)
         window = random_window(rng)
         ba = np.array([0.03, -0.01, 0.02])
         bg = np.array([0.004, 0.002, -0.001])
-        jac = preintegrate(window, ba, bg).bias_jacobian
+        jac = preintegrate(window, np.concatenate([ba, bg])).bias_jacobian
         eps = 1e-5
 
         def deltas(ba_, bg_):
-            p = preintegrate(window, ba_, bg_)
+            p = preintegrate(window, np.concatenate([ba_, bg_]))
             return p.delta_rotation, p.delta_velocity, p.delta_position
 
         for c in range(3):
@@ -334,10 +354,10 @@ class TestPreintegrate:
             window = random_window(rng, duration=0.5)
             ba = 0.05 * rng.normal(size=3)
             bg = 0.01 * rng.normal(size=3)
-            pre = preintegrate(window, ba, bg)
+            pre = preintegrate(window, np.concatenate([ba, bg]))
             da = 1e-3 * rng.normal(size=3)
             dg = 1e-3 * rng.normal(size=3)
-            re = preintegrate(window, ba + da, bg + dg)
+            re = preintegrate(window, np.concatenate([ba + da, bg + dg]))
             jac = pre.bias_jacobian
             rot_corr = pre.delta_rotation @ so3_exp(jac[0:3, 3:6] @ dg)
             assert np.linalg.norm(so3_log(rot_corr.T @ re.delta_rotation)) < 1e-5
@@ -351,13 +371,13 @@ class TestPreintegrate:
     def test_covariance_properties(self):
         rng = np.random.default_rng(5)
         window = random_window(rng, duration=0.5)
-        pre = preintegrate(window, np.zeros(3), np.zeros(3))
+        pre = preintegrate(window, np.zeros(6))
         cov = pre.covariance
         assert np.allclose(cov, cov.T)
         assert np.linalg.eigvalsh(cov).min() > -1e-18
         assert cov.trace() > 0
         # longer windows accumulate more uncertainty
-        half = preintegrate(window[:len(window) // 2], np.zeros(3), np.zeros(3))
+        half = preintegrate(window[:len(window) // 2], np.zeros(6))
         assert half.covariance.trace() < cov.trace()
 
     def test_covariance_matches_noise_oracle(self):
@@ -369,8 +389,8 @@ class TestPreintegrate:
             window = random_window(rng, duration=0.1)  # 21 samples
             ba = 0.05 * rng.normal(size=3)
             bg = 0.01 * rng.normal(size=3)
-            cov = preintegrate(window, ba, bg, sigma_gyro=1e-3,
-                               sigma_accel=1e-2).covariance
+            cov = preintegrate(window, np.concatenate([ba, bg]),
+                               sigma_gyro=1e-3, sigma_accel=1e-2).covariance
             ref = preintegration_covariance(window, ba, bg, 1e-2, 1e-3)
             scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
             assert (np.abs(cov - ref) / scale).max() < 1e-6
@@ -378,7 +398,7 @@ class TestPreintegrate:
     def test_zero_noise_zero_covariance(self):
         rng = np.random.default_rng(5)
         window = random_window(rng)
-        pre = preintegrate(window, np.zeros(3), np.zeros(3),
+        pre = preintegrate(window, np.zeros(6),
                            sigma_gyro=0.0, sigma_accel=0.0)
         assert np.allclose(pre.covariance, 0.0)
 
@@ -440,7 +460,7 @@ class TestFactorJacobians:
     def test_no_motion_factor(self, rng):
         for _ in range(10):
             states = [random_state(rng), random_state(rng, t=0.1)]
-            f = NoMotionFactor(0, 1, np.eye(6))
+            f = OdometryFactor(0, 1, Pose.identity(), np.eye(6))
             check_factor_jacobians(f, states, DOWN.copy())
 
     def test_map_factor_all_masks(self, rng):
@@ -472,9 +492,8 @@ class TestFactorJacobians:
         state = random_state(rng)
         ba = 0.1 * rng.normal(size=3)
         bg = 0.01 * rng.normal(size=3)
-        f = BiasPriorFactor(0, ba, bg, np.eye(6))
-        expected = np.concatenate([state.accel_bias - ba,
-                                   state.gyro_bias - bg])
+        f = BiasPriorFactor(0, np.concatenate([ba, bg]), np.eye(6))
+        expected = np.concatenate([state.bias[:3] - ba, state.bias[3:] - bg])
         assert np.allclose(f.residual([state], DOWN), expected)
         check_factor_jacobians(f, [state], DOWN.copy())
 
@@ -482,8 +501,8 @@ class TestFactorJacobians:
         for _ in range(10):
             window = random_window(rng)
             pre = preintegrate(window,
-                               0.05 * rng.normal(size=3),
-                               0.01 * rng.normal(size=3))
+                               np.concatenate([0.05 * rng.normal(size=3),
+                                               0.01 * rng.normal(size=3)]))
             states = [random_state(rng), random_state(rng, t=pre.duration)]
             gravity = DOWN + 0.05 * rng.normal(size=3)
             f = ImuFactor(0, 1, pre, np.eye(9), gravity_magnitude=G_MAG)
@@ -569,10 +588,10 @@ class TestImuFactorConsistency:
         g_world = G_MAG * DOWN
         times = np.arange(51) / 100.0
         samples = make_window(times, [0, 0, 0], -rot.T @ g_world)
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
+        pre = preintegrate(samples, np.zeros(6))
         pose = Pose(rot, np.array([1.0, -2.0, 0.5]))
-        si = StateNode(pose, np.zeros(3), np.zeros(3), np.zeros(3), 0.0)
-        sj = StateNode(pose, np.zeros(3), np.zeros(3), np.zeros(3), 0.5)
+        si = StateNode(pose, np.zeros(3), np.zeros(6), 0.0)
+        sj = StateNode(pose, np.zeros(3), np.zeros(6), 0.5)
         f = ImuFactor(0, 1, pre, np.eye(9), gravity_magnitude=G_MAG)
         assert np.allclose(f.residual([si, sj], DOWN), 0.0, atol=1e-9)
 
@@ -584,13 +603,13 @@ class TestImuFactorConsistency:
         duration = 0.5
         times = np.arange(101) / 200.0
         samples = make_window(times, [0, 0, 0], rot.T @ (a_world - g_world))
-        pre = preintegrate(samples, np.zeros(3), np.zeros(3))
+        pre = preintegrate(samples, np.zeros(6))
         t0 = np.array([1.0, 2.0, 3.0])
         v0 = np.array([0.5, 0.0, -0.2])
         tj = t0 + v0 * duration + 0.5 * a_world * duration ** 2
         vj = v0 + a_world * duration
-        si = StateNode(Pose(rot, t0), v0, np.zeros(3), np.zeros(3), 0.0)
-        sj = StateNode(Pose(rot, tj), vj, np.zeros(3), np.zeros(3), duration)
+        si = StateNode(Pose(rot, t0), v0, np.zeros(6), 0.0)
+        sj = StateNode(Pose(rot, tj), vj, np.zeros(6), duration)
         f = ImuFactor(0, 1, pre, np.eye(9), gravity_magnitude=G_MAG)
         assert np.allclose(f.residual([si, sj], DOWN), 0.0, atol=1e-9)
 
@@ -598,14 +617,15 @@ class TestImuFactorConsistency:
         # residual with a shifted state bias ~ residual of a fresh
         # preintegration at that bias (first order)
         window = random_window(rng, duration=0.4)
-        pre = preintegrate(window, np.zeros(3), np.zeros(3))
+        pre = preintegrate(window, np.zeros(6))
         states = [random_state(rng), random_state(rng, t=pre.duration)]
         da = 2e-3 * rng.normal(size=3)
         dg = 2e-3 * rng.normal(size=3)
-        si = StateNode(states[0].pose, states[0].velocity, da, dg, 0.0)
+        si = StateNode(states[0].pose, states[0].velocity,
+                       np.concatenate([da, dg]), 0.0)
         shifted = [si, states[1]]
         f_lin = ImuFactor(0, 1, pre, np.eye(9))
-        pre_exact = preintegrate(window, da, dg)
+        pre_exact = preintegrate(window, np.concatenate([da, dg]))
         f_exact = ImuFactor(0, 1, pre_exact, np.eye(9))
         r_lin = f_lin.residual(shifted, DOWN)
         r_exact = f_exact.residual(shifted, DOWN)

@@ -5,12 +5,12 @@ from scipy import sparse
 from maploc.errors import IndexOutOfRange, NotAnchored, SingularSystem
 from maploc.factors import (
     STATE_DIM,
+    BiasPriorFactor,
     BiasWalkFactor,
     GravityFactor,
     ImuFactor,
     ImuSample,
     MapFactor,
-    NoMotionFactor,
     OdometryFactor,
     PriorFactor,
     StateNode,
@@ -262,14 +262,16 @@ class TestAssemblyOracle:
         for k in range(n):
             graph.add_state(StateNode(perturbed(gt[k], rng, 0.02, 0.05),
                                       0.02 * rng.normal(size=3),
-                                      0.01 * rng.normal(size=3),
-                                      0.005 * rng.normal(size=3), dt * k))
+                                      np.concatenate([
+                                          0.01 * rng.normal(size=3),
+                                          0.005 * rng.normal(size=3)]),
+                                      dt * k))
         graph.add_factor(PriorFactor(1, gt[1], 1e3 * np.eye(6)))
         for k in range(n - 1):
             graph.add_factor(OdometryFactor(k, k + 1, between(gt[k], gt[k + 1]),
                                             1e2 * np.eye(6)))
             window = stationary_window(gt[k].rotation, dt * k, duration=dt)
-            pre = preintegrate(window, np.zeros(3), np.zeros(3))
+            pre = preintegrate(window, np.zeros(6))
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e1 * np.eye(9),
                                        gravity_magnitude=G_MAG))
             graph.add_factor(BiasWalkFactor(k, k + 1, 1e2 * np.eye(6)))
@@ -316,7 +318,7 @@ class TestAssemblyOracle:
         for got, want in zip(graph.states, expected):
             np.testing.assert_allclose(got.pose.matrix(), want.pose.matrix(),
                                        atol=1e-10)
-            for name in ("velocity", "accel_bias", "gyro_bias"):
+            for name in ("velocity", "bias"):
                 np.testing.assert_allclose(getattr(got, name),
                                            getattr(want, name), atol=1e-10)
         np.testing.assert_allclose(graph.gravity, gravity, atol=1e-10)
@@ -370,6 +372,23 @@ class TestAssemblyOracle:
             assert j in got.indices[got.indptr[j]:got.indptr[j + 1]]
         lone_col = STATE_DIM * (4 - first)
         assert got[lone_col, lone_col] == DAMPING_INIT
+
+    def test_reported_costs_are_the_cost_at_the_states(self, rng):
+        """initial_cost and final_cost are _cost at the starting and the
+        returned states, bit for bit, on a graph with every factor kind."""
+        graph = self.mixed_graph(rng)
+        graph.add_factor(OdometryFactor(2, 3, Pose.identity(), 1e2 * np.eye(6)))
+        graph.add_factor(ZeroVelocityFactor(3, 1e2 * np.eye(3)))
+        graph.add_factor(BiasPriorFactor(0, np.zeros(6), 1e2 * np.eye(6)))
+        assert {f.kind for f in graph.factors} == {
+            "prior", "odometry", "map", "gravity", "zero_velocity",
+            "bias_walk", "bias_prior", "imu"}
+        start = graph_module._cost(graph.factors, graph.states, graph.gravity)
+        result = graph.optimize()
+        assert sum(r.accepted for r in result.records) > 1
+        assert result.initial_cost == start
+        assert result.final_cost == graph_module._cost(
+            graph.factors, graph.states, graph.gravity)
 
     @pytest.mark.parametrize("first", [4, 0])
     def test_free_state_without_factor_converges(self, rng, first):
@@ -470,7 +489,7 @@ class TestErrors:
         graph.add_state(StateNode.at(random_pose(rng), 0.0))
         graph.add_state(StateNode(random_pose(rng),
                                   np.array([np.nan, 0.0, 0.0]),
-                                  np.zeros(3), np.zeros(3), 0.1))
+                                  np.zeros(6), 0.1))
         graph.add_factor(PriorFactor(0, graph.states[0].pose, np.eye(6)))
         graph.add_factor(ZeroVelocityFactor(1, np.eye(3)))
         with pytest.raises(SingularSystem) as exc:
@@ -534,8 +553,8 @@ class TestFullStateEstimation:
             graph.add_state(StateNode(
                 perturbed(gt_pose, rng, 0.03, 0.05),
                 0.05 * rng.normal(size=3),
-                0.01 * rng.normal(size=3),
-                0.005 * rng.normal(size=3),
+                np.concatenate([0.01 * rng.normal(size=3),
+                                0.005 * rng.normal(size=3)]),
                 dt * k))
         graph.add_factor(PriorFactor(0, gt_pose, 1e6 * np.eye(6)))
         grav_info = 1e4 * np.eye(3)
@@ -544,10 +563,11 @@ class TestFullStateEstimation:
             graph.add_factor(ZeroVelocityFactor(k, 1e4 * np.eye(3)))
             graph.add_factor(GravityFactor(k, a_mean, grav_info))
         for k in range(n - 1):
-            graph.add_factor(NoMotionFactor(k, k + 1, 1e4 * np.eye(6)))
+            graph.add_factor(OdometryFactor(k, k + 1, Pose.identity(),
+                                            1e4 * np.eye(6)))
             graph.add_factor(BiasWalkFactor(k, k + 1, 1e6 * np.eye(6)))
             window = stationary_window(rot, dt * k, duration=dt)
-            pre = preintegrate(window, np.zeros(3), np.zeros(3))
+            pre = preintegrate(window, np.zeros(6))
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e2 * np.eye(9),
                                        gravity_magnitude=G_MAG))
         result = graph.optimize()
@@ -557,8 +577,8 @@ class TestFullStateEstimation:
         for k in range(n):
             assert pose_error(graph.states[k].pose, gt_pose) < 1e-5
             assert np.linalg.norm(graph.states[k].velocity) < 1e-5
-            assert np.linalg.norm(graph.states[k].accel_bias) < 1e-4
-            assert np.linalg.norm(graph.states[k].gyro_bias) < 1e-4
+            assert np.linalg.norm(graph.states[k].bias[:3]) < 1e-4
+            assert np.linalg.norm(graph.states[k].bias[3:]) < 1e-4
 
     def test_velocity_recovery_under_constant_acceleration(self, rng):
         a_world = np.array([0.2, 0.0, 0.0])
@@ -571,8 +591,8 @@ class TestFullStateEstimation:
 
         graph = FactorGraph(gravity=DOWN.copy())
         for k in range(n):
-            graph.add_state(StateNode(gt[k], np.zeros(3), np.zeros(3),
-                                      np.zeros(3), dt * k))
+            graph.add_state(StateNode(gt[k], np.zeros(3), np.zeros(6),
+                                      dt * k))
         graph.add_factor(PriorFactor(0, gt[0], 1e6 * np.eye(6)))
         graph.add_factor(ZeroVelocityFactor(0, 1e6 * np.eye(3)))
         a_body = a_world - G_WORLD  # identity attitude
@@ -583,7 +603,7 @@ class TestFullStateEstimation:
             m = int(dt * rate) + 1
             samples = [ImuSample(dt * k + i / rate, np.zeros(3), a_body)
                        for i in range(m)]
-            pre = preintegrate(samples, np.zeros(3), np.zeros(3))
+            pre = preintegrate(samples, np.zeros(6))
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e1 * np.eye(9),
                                        gravity_magnitude=G_MAG))
         result = graph.optimize()
@@ -603,11 +623,11 @@ class TestFullStateEstimation:
         dt = 0.5
         for k in range(4):
             graph.add_state(StateNode(Pose.identity(), np.zeros(3),
-                                      np.zeros(3), np.zeros(3), dt * k))
+                                      np.zeros(6), dt * k))
         graph.add_factor(PriorFactor(0, Pose.identity(), 1e6 * np.eye(6)))
         for k in range(3):
             window = stationary_window(np.eye(3), dt * k, duration=dt)
-            pre = preintegrate(window, np.zeros(3), np.zeros(3))
+            pre = preintegrate(window, np.zeros(6))
             graph.add_factor(ImuFactor(k, k + 1, pre, 1e2 * np.eye(9),
                                        gravity_magnitude=G_MAG))
         graph.optimize()
@@ -616,8 +636,8 @@ class TestFullStateEstimation:
     def test_gravity_factor_frees_gravity(self, rng):
         g0 = DOWN + 0.02 * rng.normal(size=3)
         graph = FactorGraph(gravity=g0.copy())
-        graph.add_state(StateNode(Pose.identity(), np.zeros(3), np.zeros(3),
-                                  np.zeros(3), 0.0))
+        graph.add_state(StateNode(Pose.identity(), np.zeros(3), np.zeros(6),
+                                  0.0))
         graph.add_factor(PriorFactor(0, Pose.identity(), 1e6 * np.eye(6)))
         graph.add_factor(GravityFactor(0, -G_WORLD, 1e4 * np.eye(3)))
         result = graph.optimize()

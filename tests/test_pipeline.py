@@ -319,8 +319,8 @@ class TestCleanRoom:
 
     def test_biases_stay_small_on_clean_data(self, run_imu):
         for state in run_imu.graph.states:
-            assert np.linalg.norm(state.accel_bias) < 5e-3
-            assert np.linalg.norm(state.gyro_bias) < 5e-3
+            assert np.linalg.norm(state.bias[:3]) < 5e-3
+            assert np.linalg.norm(state.bias[3:]) < 5e-3
 
     def test_report_complete_and_valid(self, run_noimu):
         report = run_noimu.report
