@@ -9,29 +9,34 @@ Pose perturbations are left-applied, pose <- exp_map(xi) @ pose, so every
 Jacobian here is taken with respect to that convention. Residual twist
 ordering is [rot; trans] throughout. A no-motion constraint is an
 OdometryFactor whose measurement is the identity.
+
+States are read as stacked arrays (States). Each factor class has one
+residual and one linearize, written over a leading batch axis: the graph
+stacks the active factors of a class into one instance (``stack``) and
+evaluates them all with one call, and a factor built by its constructor is
+the unbatched case of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
 from .errors import NonMonotonicTimestamps, WindowTooShort, ZeroAcceleration
 from .geometry import (
     Pose,
-    between,
-    compose,
-    exp_map,
     inverse,
-    log_map,
+    matvec,
     se3_adjoint,
+    se3_exp,
     se3_left_jacobian_inv,
+    se3_log,
     skew,
     so3_exp,
-    so3_log,
+    so3_left_jacobian,
     so3_left_jacobian_inv,
-    so3_right_jacobian,
+    so3_log,
 )
 
 # tangent-slot layout inside one node's 15 columns
@@ -95,12 +100,62 @@ class ZuptParams:
     max_odom_displacement: float = 0.05  # m, odometry stillness bound
 
 
-def retract_state(state: StateNode, delta) -> StateNode:
-    """Apply a 15-dim tangent step; shared by the optimizer and FD tests."""
+@dataclass(frozen=True)
+class States:
+    """States as arrays along a leading axis: rotation (N, 3, 3),
+    translation and velocity (N, 3), bias (N, 6) and timestamp (N,).
+
+    The graph keeps its states so and every factor reads them so. An int
+    index gives one state as a StateNode, a slice the States of its rows.
+    """
+
+    rotation: np.ndarray
+    translation: np.ndarray
+    velocity: np.ndarray
+    bias: np.ndarray
+    timestamp: np.ndarray
+
+    @staticmethod
+    def of(nodes):
+        """A sequence of StateNodes as States; States are returned as is."""
+        if isinstance(nodes, States):
+            return nodes
+        return States(
+            np.array([n.pose.rotation for n in nodes]).reshape(-1, 3, 3),
+            np.array([n.pose.translation for n in nodes]).reshape(-1, 3),
+            np.array([n.velocity for n in nodes]).reshape(-1, 3),
+            np.array([n.bias for n in nodes]).reshape(-1, 6),
+            np.array([n.timestamp for n in nodes], dtype=float))
+
+    def join(self, other: States) -> States:
+        """These states followed by other's."""
+        return States(*(np.concatenate(pair) for pair in
+                        zip(vars(self).values(), vars(other).values())))
+
+    def __len__(self):
+        return len(self.timestamp)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return States(*(a[key] for a in vars(self).values()))
+        return StateNode(Pose(self.rotation[key].copy(),
+                              self.translation[key].copy()),
+                         self.velocity[key], self.bias[key],
+                         float(self.timestamp[key]))
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
+def retract_state(states: States, delta) -> States:
+    """Apply one 15-dim tangent step per state, delta (N, 15); shared by
+    the optimizer and the FD tests."""
     delta = np.asarray(delta, dtype=float)
-    return StateNode(compose(exp_map(delta[:6]), state.pose),
-                     state.velocity + delta[VEL], state.bias + delta[BIAS],
-                     state.timestamp)
+    rotation, translation = se3_exp(delta[:, :6])
+    return States(rotation @ states.rotation,
+                  matvec(rotation, states.translation) + translation,
+                  states.velocity + delta[:, VEL], states.bias + delta[:, BIAS],
+                  states.timestamp)
 
 
 def detect_zupt(samples, params: ZuptParams = ZuptParams()) -> bool:
@@ -166,6 +221,19 @@ def preintegrate(samples, bias, *, sigma_gyro=SIGMA_GYRO,
     accel_bias, gyro_bias = bias[:3], bias[3:]
     noise = np.repeat([sigma_accel ** 2, sigma_gyro ** 2], 3)
 
+    # what each step needs of its two samples, for all steps at once
+    dts = np.diff(times)
+    gyro = np.array([s.angular_velocity for s in samples])
+    force = np.array([s.specific_force for s in samples]) - accel_bias
+    steps = (0.5 * (gyro[:-1] + gyro[1:]) - gyro_bias) * dts[:, None]
+    r_steps = so3_exp(steps)
+    # a_mid = (d_rot u0 + d_rot_next u1) / 2 = d_rot u_sum / 2
+    u_sums = force[:-1] + matvec(r_steps, force[1:])
+    # the right Jacobian Jr(v) = Jl(-v)
+    jr_dts = so3_left_jacobian(-steps) * dts[:, None, None]
+    skew_u_sums = skew(u_sums)
+    skew_u1s = skew(force[1:])
+
     d_rot = np.eye(3)
     d_vel = np.zeros(3)
     d_pos = np.zeros(3)
@@ -174,28 +242,21 @@ def preintegrate(samples, bias, *, sigma_gyro=SIGMA_GYRO,
     phi = np.eye(9)
     g_in = np.zeros((9, 6))
 
-    for k in range(len(samples) - 1):
-        s0, s1 = samples[k], samples[k + 1]
-        dt = s1.timestamp - s0.timestamp
-        w_mid = 0.5 * (s0.angular_velocity + s1.angular_velocity) - gyro_bias
-        step = w_mid * dt
-        r_step = so3_exp(step)
+    for k, dt in enumerate(dts.tolist()):
+        r_step = r_steps[k]
         d_rot_next = d_rot @ r_step
-        u1 = s1.specific_force - accel_bias
-        # a_mid = (d_rot u0 + d_rot_next u1) / 2 = d_rot u_sum / 2
-        u_sum = s0.specific_force - accel_bias + r_step @ u1
-        a_mid = 0.5 * d_rot @ u_sum
+        a_mid = 0.5 * d_rot @ u_sums[k]
 
         # the step's error dynamics; the rotation error is right-applied
-        jr_dt = so3_right_jacobian(step) * dt
-        da_drot = -0.5 * d_rot @ skew(u_sum)
+        jr_dt = jr_dts[k]
+        da_drot = -0.5 * d_rot @ skew_u_sums[k]
         phi[0:3, 0:3] = r_step.T
         phi[3:6, 0:3] = da_drot * dt
         phi[6:9, 0:3] = da_drot * (0.5 * dt * dt)
         phi[6:9, 3:6] = np.eye(3) * dt
         g_in[0:3, 3:6] = -jr_dt
         g_in[3:6, 0:3] = -0.5 * (d_rot + d_rot_next) * dt
-        g_in[3:6, 3:6] = 0.5 * d_rot_next @ skew(u1) @ jr_dt * dt
+        g_in[3:6, 3:6] = 0.5 * d_rot_next @ skew_u1s[k] @ jr_dt * dt
         g_in[6:9] = g_in[3:6] * (0.5 * dt)
         jac = phi @ jac + g_in
         cov = phi @ cov @ phi.T + (g_in * noise) @ g_in.T
@@ -211,27 +272,36 @@ def preintegrate(samples, bias, *, sigma_gyro=SIGMA_GYRO,
 # ---------------------------------------------------------------------------
 # factor classes
 
-def _pose_jacobian(r, reference_adjoint):
+def _pose_jacobian(r, inverse_rotation, inverse_translation):
     """Jacobian of r = log(reference^-1 * pose) w.r.t. the state's left
     pose perturbation: J^-1(r) Ad(reference^-1) in the pose columns, given
-    reference_adjoint = Ad(reference^-1)."""
-    jac = np.zeros((6, STATE_DIM))
-    jac[:, :6] = se3_left_jacobian_inv(r) @ reference_adjoint
+    reference^-1 as its rotation and translation."""
+    jac = np.zeros(r.shape[:-1] + (6, STATE_DIM))
+    jac[..., :6] = se3_left_jacobian_inv(r) @ se3_adjoint(inverse_rotation,
+                                                          inverse_translation)
     return jac
 
 
-# Jacobian of [b_a; b_g] w.r.t. a state (identity on its bias columns),
-# shared by the bias factors
+# Jacobians of [b_a; b_g] and of the velocity w.r.t. a state (identity on
+# their columns), and gravity's in the gravity factor
 _BIAS_JACOBIAN = np.eye(6, STATE_DIM, BIAS.start)
-_BIAS_JACOBIAN.flags.writeable = False
+_VELOCITY_JACOBIAN = np.eye(3, STATE_DIM, VEL.start)
+_EYE3 = np.eye(3)
 
 
-def _cache_reference(factor, reference: Pose):
-    """Store the inverse of a factor's constant reference pose and its
-    adjoint Ad(reference^-1), which every residual and linearize reuse."""
+def _constant_jacobian(jac, r):
+    """jac, the same for every factor, once per row of r, as a read-only
+    view."""
+    return np.broadcast_to(jac, r.shape[:-1] + jac.shape)
+
+
+def _cache_inverse(factor, reference: Pose):
+    """Store the rotation and translation of a factor's constant reference
+    pose's inverse, which every residual and linearize reuse."""
     reference_inverse = inverse(reference)
-    object.__setattr__(factor, "_inverse", reference_inverse)
-    object.__setattr__(factor, "_adjoint", se3_adjoint(reference_inverse))
+    object.__setattr__(factor, "_inverse_rotation", reference_inverse.rotation)
+    object.__setattr__(factor, "_inverse_translation",
+                       reference_inverse.translation)
 
 
 def _check_information(info, dim):
@@ -244,13 +314,33 @@ def _check_information(info, dim):
     return info
 
 
+def _indices(factor):
+    return (factor.i, factor.j) if hasattr(factor, "j") else (factor.index,)
+
+
+def _stack(values):
+    """values along a new leading axis; a dataclass field by field."""
+    first = values[0]
+    if is_dataclass(first):
+        return type(first)(*(_stack([getattr(v, f.name) for v in values])
+                             for f in fields(first)))
+    return np.array(values)
+
+
 class _Factor:
     """The contract every factor keeps with the graph.
 
     ``information`` is the dim x dim weight of the residual, validated once
     here; ``indices`` names the states the factor touches, taken from its
     ``index`` field or its ``i``/``j`` pair. Subclasses are frozen
-    dataclasses that define ``residual`` and ``linearize``.
+    dataclasses that define ``residual`` and ``linearize``, each written
+    once for a leading batch axis: ``stack`` turns F factors of one class
+    into one instance whose fields in ``_stacked`` carry that axis, and
+    whose residual (F, dim) and Jacobians (F, dim, 15) hold one row per
+    factor. A factor built by its constructor is the unbatched case.
+
+    ``linearize`` returns (r, one Jacobian per entry of ``indices``, the
+    Jacobian w.r.t. gravity's 3 ambient coordinates or None).
     """
 
     dim = 6
@@ -258,27 +348,52 @@ class _Factor:
     def __post_init__(self):
         object.__setattr__(self, "information",
                            _check_information(self.information, self.dim))
-        object.__setattr__(self, "indices", (self.i, self.j)
-                           if hasattr(self, "j") else (self.index,))
+        object.__setattr__(self, "indices", _indices(self))
+
+    @classmethod
+    def stack(cls, factors):
+        """factors, each of class cls, as one batched instance."""
+        out = object.__new__(cls)
+        for name in cls._stacked:
+            object.__setattr__(out, name,
+                               _stack([getattr(f, name) for f in factors]))
+        object.__setattr__(out, "indices", _indices(out))
+        return out
+
+
+def _reference_residual(factor, states):
+    """log(reference^-1 * pose) of the factor's state."""
+    s = States.of(states)
+    q = factor._inverse_rotation
+    return se3_log(q @ s.rotation[factor.index],
+                   matvec(q, s.translation[factor.index])
+                   + factor._inverse_translation)
+
+
+def _reference_linearize(factor, states):
+    r = _reference_residual(factor, states)
+    return r, (_pose_jacobian(r, factor._inverse_rotation,
+                              factor._inverse_translation),), None
 
 
 @dataclass(frozen=True)
 class PriorFactor(_Factor):
     kind = "prior"
+    _stacked = ("index", "information", "_inverse_rotation",
+                "_inverse_translation")
     index: int
     prior: Pose
     information: np.ndarray
 
     def __post_init__(self):
         super().__post_init__()
-        _cache_reference(self, self.prior)
+        _cache_inverse(self, self.prior)
 
     def residual(self, states, gravity):
-        return log_map(compose(self._inverse, states[self.index].pose))
+        return _reference_residual(self, states)
 
     def linearize(self, states, gravity):
-        r = self.residual(states, gravity)
-        return r, {self.index: _pose_jacobian(r, self._adjoint)}, None
+        return _reference_linearize(self, states)
 
 
 @dataclass(frozen=True)
@@ -287,6 +402,8 @@ class OdometryFactor(_Factor):
     measurement it is the no-motion constraint of a ZUPT."""
 
     kind = "odometry"
+    _stacked = ("i", "j", "information", "_inverse_rotation",
+                "_inverse_translation")
     i: int
     j: int
     measurement: Pose  # relative pose of j in i
@@ -294,20 +411,26 @@ class OdometryFactor(_Factor):
 
     def __post_init__(self):
         super().__post_init__()
-        # its Jacobian's adjoint moves with pose_i, so only the inverse is
-        # constant
-        object.__setattr__(self, "_inverse", inverse(self.measurement))
+        _cache_inverse(self, self.measurement)
+
+    def _terms(self, states):
+        """The residual log(measurement^-1 * between(pose_i, pose_j)) and
+        the inverse of pose_i * measurement, (rotation, translation)."""
+        s = States.of(states)
+        ti = s.translation[self.i]
+        rot = self._inverse_rotation @ np.swapaxes(s.rotation[self.i], -1, -2)
+        r = se3_log(rot @ s.rotation[self.j],
+                    matvec(rot, s.translation[self.j] - ti)
+                    + self._inverse_translation)
+        return r, rot, self._inverse_translation - matvec(rot, ti)
 
     def residual(self, states, gravity):
-        """r = log(measurement^-1 * between(pose_i, pose_j))."""
-        return log_map(compose(self._inverse,
-                               between(states[self.i].pose, states[self.j].pose)))
+        return self._terms(states)[0]
 
     def linearize(self, states, gravity):
-        r = self.residual(states, gravity)
-        jac = _pose_jacobian(r, se3_adjoint(inverse(
-            compose(states[self.i].pose, self.measurement))))
-        return r, {self.i: -jac, self.j: jac}, None
+        r, rotation, translation = self._terms(states)
+        jac = _pose_jacobian(r, rotation, translation)
+        return r, (-jac, jac), None
 
 
 @dataclass(frozen=True)
@@ -322,6 +445,7 @@ class MapFactor(_Factor):
     """
 
     kind = "map"
+    _stacked = PriorFactor._stacked
     index: int
     map_pose: Pose
     information: np.ndarray
@@ -337,14 +461,13 @@ class MapFactor(_Factor):
         info.flags.writeable = False
         object.__setattr__(self, "mask", mask)
         object.__setattr__(self, "information", info)
-        _cache_reference(self, self.map_pose)
+        _cache_inverse(self, self.map_pose)
 
     def residual(self, states, gravity):
-        return log_map(compose(self._inverse, states[self.index].pose))
+        return _reference_residual(self, states)
 
     def linearize(self, states, gravity):
-        r = self.residual(states, gravity)
-        return r, {self.index: _pose_jacobian(r, self._adjoint)}, None
+        return _reference_linearize(self, states)
 
 
 @dataclass(frozen=True)
@@ -361,6 +484,7 @@ class GravityFactor(_Factor):
 
     kind = "gravity"
     dim = 3
+    _stacked = ("index", "a_mean", "information")
     index: int
     a_mean: np.ndarray  # bias-corrected mean specific force, body frame
     information: np.ndarray
@@ -375,48 +499,56 @@ class GravityFactor(_Factor):
         a_mean.flags.writeable = False
         object.__setattr__(self, "a_mean", a_mean)
 
+    def _direction(self, states):
+        """u = a_w/|a_w|, the measured world-frame direction of -g."""
+        a_w = matvec(States.of(states).rotation[self.index], self.a_mean)
+        return a_w / np.linalg.norm(a_w, axis=-1, keepdims=True)
+
     def residual(self, states, gravity):
-        a_w = states[self.index].pose.rotation @ self.a_mean
-        return a_w / np.linalg.norm(a_w) + gravity
+        return self._direction(states) + gravity
 
     def linearize(self, states, gravity):
-        r = self.residual(states, gravity)
-        # u = a_w/|a_w| = r - g moves by (I - u u^T)(-[a_w]x)/|a_w| = -[u]x,
-        # as u^T [u]x = 0
-        jac = np.zeros((3, STATE_DIM))
-        jac[:, ROT] = -skew(r - gravity)
-        return r, {self.index: jac}, np.eye(3)
+        u = self._direction(states)
+        r = u + gravity
+        # u moves by (I - u u^T)(-[a_w]x)/|a_w| = -[u]x, as u^T [u]x = 0
+        jac = np.zeros(r.shape + (STATE_DIM,))
+        jac[..., ROT] = -skew(u)
+        return r, (jac,), _constant_jacobian(_EYE3, r)
 
 
 @dataclass(frozen=True)
 class ZeroVelocityFactor(_Factor):
     kind = "zero_velocity"
     dim = 3
+    _stacked = ("index", "information")
     index: int
     information: np.ndarray
 
     def residual(self, states, gravity):
-        return states[self.index].velocity.copy()
+        return States.of(states).velocity[self.index].copy()
 
     def linearize(self, states, gravity):
-        jac = np.zeros((3, STATE_DIM))
-        jac[:, VEL] = np.eye(3)
-        return self.residual(states, gravity), {self.index: jac}, None
+        r = States.of(states).velocity[self.index].copy()
+        return r, (_constant_jacobian(_VELOCITY_JACOBIAN, r),), None
 
 
 @dataclass(frozen=True)
 class BiasWalkFactor(_Factor):
     kind = "bias_walk"
+    _stacked = ("i", "j", "information")
     i: int
     j: int
     information: np.ndarray
 
     def residual(self, states, gravity):
-        return states[self.j].bias - states[self.i].bias
+        bias = States.of(states).bias
+        return bias[self.j] - bias[self.i]
 
     def linearize(self, states, gravity):
-        return (self.residual(states, gravity),
-                {self.i: -_BIAS_JACOBIAN, self.j: _BIAS_JACOBIAN}, None)
+        bias = States.of(states).bias
+        r = bias[self.j] - bias[self.i]
+        jac = _constant_jacobian(_BIAS_JACOBIAN, r)
+        return r, (-jac, jac), None
 
 
 @dataclass(frozen=True)
@@ -429,6 +561,7 @@ class BiasPriorFactor(_Factor):
     """
 
     kind = "bias_prior"
+    _stacked = ("index", "bias", "information")
     index: int
     bias: np.ndarray         # (6,) [b_a; b_g]
     information: np.ndarray  # 6x6 over [b_a; b_g]
@@ -438,10 +571,11 @@ class BiasPriorFactor(_Factor):
         object.__setattr__(self, "bias", _vector(self.bias, "bias", 6))
 
     def residual(self, states, gravity):
-        return states[self.index].bias - self.bias
+        return States.of(states).bias[self.index] - self.bias
 
     def linearize(self, states, gravity):
-        return self.residual(states, gravity), {self.index: _BIAS_JACOBIAN}, None
+        r = States.of(states).bias[self.index] - self.bias
+        return r, (_constant_jacobian(_BIAS_JACOBIAN, r),), None
 
 
 @dataclass(frozen=True)
@@ -456,6 +590,7 @@ class ImuFactor(_Factor):
 
     kind = "imu"
     dim = 9
+    _stacked = ("i", "j", "preint", "information", "gravity_magnitude")
     i: int
     j: int
     preint: Preintegration
@@ -466,20 +601,23 @@ class ImuFactor(_Factor):
         """The residual, plus the bias-corrected delta rotation, the bias
         correction of the deltas and the world-frame velocity and position
         differences (gravity removed) that the Jacobian reuses."""
-        si, sj = states[self.i], states[self.j]
+        s = States.of(states)
         p = self.preint
-        corr = p.bias_jacobian @ (si.bias - p.bias)
-        d_rot = p.delta_rotation @ so3_exp(corr[0:3])
-        dt = p.duration
-        d_vel = p.delta_velocity + corr[3:6]
-        d_pos = p.delta_position + corr[6:9]
-        g_world = np.asarray(gravity, dtype=float) * self.gravity_magnitude
-        rit = si.pose.rotation.T
-        w_vec = sj.velocity - si.velocity - g_world * dt
-        u_vec = (sj.pose.translation - si.pose.translation
-                 - si.velocity * dt - 0.5 * g_world * dt * dt)
-        r = np.concatenate([so3_log(d_rot.T @ rit @ sj.pose.rotation),
-                            rit @ w_vec - d_vel, rit @ u_vec - d_pos])
+        corr = matvec(p.bias_jacobian, s.bias[self.i] - p.bias)
+        d_rot = p.delta_rotation @ so3_exp(corr[..., 0:3])
+        dt = np.asarray(p.duration)[..., None]
+        g_world = np.asarray(gravity, dtype=float) \
+            * np.asarray(self.gravity_magnitude)[..., None]
+        vi = s.velocity[self.i]
+        w_vec = s.velocity[self.j] - vi - g_world * dt
+        u_vec = (s.translation[self.j] - s.translation[self.i] - vi * dt
+                 - 0.5 * g_world * dt * dt)
+        rit = np.swapaxes(s.rotation[self.i], -1, -2)
+        r = np.concatenate([
+            so3_log(np.swapaxes(d_rot, -1, -2) @ rit @ s.rotation[self.j]),
+            matvec(rit, w_vec) - (p.delta_velocity + corr[..., 3:6]),
+            matvec(rit, u_vec) - (p.delta_position + corr[..., 6:9])],
+            axis=-1)
         return r, d_rot, corr, w_vec, u_vec
 
     def residual(self, states, gravity):
@@ -487,40 +625,40 @@ class ImuFactor(_Factor):
 
     def linearize(self, states, gravity):
         r, d_rot, corr, w_vec, u_vec = self._terms(states, gravity)
-        si, sj = states[self.i], states[self.j]
+        s = States.of(states)
         p = self.preint
-        dt = p.duration
-        g_mag = self.gravity_magnitude
-        ri = si.pose.rotation
-        rit = ri.T
-        ti = si.pose.translation
-        tj = sj.pose.translation
+        dt = np.asarray(p.duration)[..., None, None]
+        g_dt = np.asarray(self.gravity_magnitude)[..., None, None] * dt
+        ri = s.rotation[self.i]
+        rit = np.swapaxes(ri, -1, -2)
+        ti = s.translation[self.i]
+        tj = s.translation[self.j]
 
-        jl_inv = so3_left_jacobian_inv(r[0:3])
-        c_mat = (ri @ d_rot).T  # (R_i * corrected_delta)^T
+        jl_inv = so3_left_jacobian_inv(r[..., 0:3])
+        c_mat = np.swapaxes(ri @ d_rot, -1, -2)  # (R_i * corrected_delta)^T
 
-        jac_i = np.zeros((9, STATE_DIM))
-        jac_j = np.zeros((9, STATE_DIM))
+        jac_i = np.zeros(r.shape + (STATE_DIM,))
+        jac_j = np.zeros(r.shape + (STATE_DIM,))
 
-        jac_i[0:3, ROT] = -jl_inv @ c_mat
-        jac_j[0:3, ROT] = jl_inv @ c_mat
+        jac_i[..., 0:3, ROT] = -jl_inv @ c_mat
+        jac_j[..., 0:3, ROT] = jl_inv @ c_mat
         # the corrected delta is Ebar exp(corr), corr = J db, so
-        # d r_rot / d b = -Jl_inv Jr(corr) J_rot
-        jac_i[0:3, BIAS] = (-jl_inv @ so3_right_jacobian(corr[0:3])
-                            @ p.bias_jacobian[0:3])
+        # d r_rot / d b = -Jl_inv Jr(corr) J_rot, Jr(v) being Jl(-v)
+        jac_i[..., 0:3, BIAS] = (-jl_inv @ so3_left_jacobian(-corr[..., 0:3])
+                                 @ p.bias_jacobian[..., 0:3, :])
 
-        jac_i[3:6, ROT] = rit @ skew(w_vec)
-        jac_i[3:6, VEL] = -rit
-        jac_j[3:6, VEL] = rit
+        jac_i[..., 3:6, ROT] = rit @ skew(w_vec)
+        jac_i[..., 3:6, VEL] = -rit
+        jac_j[..., 3:6, VEL] = rit
 
-        jac_i[6:9, ROT] = rit @ skew(u_vec + ti)
-        jac_i[6:9, TRANS] = -rit
-        jac_j[6:9, ROT] = -rit @ skew(tj)
-        jac_j[6:9, TRANS] = rit
-        jac_i[6:9, VEL] = -rit * dt
-        jac_i[3:9, BIAS] = -p.bias_jacobian[3:9]
+        jac_i[..., 6:9, ROT] = rit @ skew(u_vec + ti)
+        jac_i[..., 6:9, TRANS] = -rit
+        jac_j[..., 6:9, ROT] = -rit @ skew(tj)
+        jac_j[..., 6:9, TRANS] = rit
+        jac_i[..., 6:9, VEL] = -rit * dt
+        jac_i[..., 3:9, BIAS] = -p.bias_jacobian[..., 3:9, :]
 
-        g_block = np.zeros((9, 3))
-        g_block[3:6] = -g_mag * dt * rit
-        g_block[6:9] = -0.5 * g_mag * dt * dt * rit
-        return r, {self.i: jac_i, self.j: jac_j}, g_block
+        g_block = np.zeros(r.shape + (3,))
+        g_block[..., 3:6, :] = -g_dt * rit
+        g_block[..., 6:9, :] = -0.5 * g_dt * dt * rit
+        return r, (jac_i, jac_j), g_block

@@ -4,6 +4,9 @@ Conventions used everywhere in this package:
   * poses are world_from_body rigid transforms (rotation matrix + translation),
   * twists are 6-vectors ordered [rotation; translation],
   * perturbations are applied on the left: pose <- exp_map(xi) @ pose.
+
+The SO(3)/SE(3) kernels broadcast over leading axes, so the factor graph
+evaluates a whole stack of factors with one call of each.
 """
 
 from __future__ import annotations
@@ -27,100 +30,176 @@ SE3_TAYLOR_ANGLE = 1e-2
 # Angles within this margin of pi take the axis-extraction branch of the log.
 PI_ANGLE_MARGIN = 1e-6
 
+# Below this rotation angle the inverse SO(3) Jacobian's coefficient takes
+# its Taylor series; its closed form is 0/0 at zero.
+JL_INV_TAYLOR_ANGLE = 1e-4
+
+# The SO(3)/SE(3) kernels below take arrays with any leading axes, each row
+# independent: a (3,) or (6,) input is the unbatched case of the same code.
+
+# [v]x = v @ _SKEW_GENERATORS, reshaped to 3x3
+_SKEW_GENERATORS = np.array([[0, 0, 0, 0, 0, -1, 0, 1, 0],
+                             [0, 0, 1, 0, 0, 0, -1, 0, 0],
+                             [0, -1, 0, 1, 0, 0, 0, 0, 0]], dtype=float)
+_EYE3 = np.eye(3)
+
+
+def matvec(matrices, vectors):
+    """matrices (..., m, n) times vectors (..., n), row by row."""
+    return (matrices @ vectors[..., None])[..., 0]
+
 
 def skew(v):
-    x, y, z = np.asarray(v, dtype=float).tolist()
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    v = np.asarray(v, dtype=float)
+    return (v @ _SKEW_GENERATORS).reshape(v.shape[:-1] + (3, 3))
 
 
-def _so3_series(x, y, z, a, b):
-    """I + a [v]x + b [v]x^2 of v = (x, y, z), elementwise through
-    [v]x^2 = v v^T - |v|^2 I."""
-    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    ax, ay, az = a * x, a * y, a * z
-    return np.array([[1.0 - b * (y * y + z * z), bxy - az, bxz + ay],
-                     [bxy + az, 1.0 - b * (x * x + z * z), byz - ax],
-                     [bxz - ay, byz + ax, 1.0 - b * (x * x + y * y)]])
+def _so3_series(v, angle2, a, b):
+    """I + a [v]x + b [v]x^2 of each row, through [v]x^2 = v v^T - |v|^2 I."""
+    a, b = a[..., None, None], b[..., None, None]
+    return (a * skew(v) + b * (v[..., :, None] * v[..., None, :])
+            + (1.0 - b * angle2[..., None, None]) * _EYE3)
+
+
+def _angles(v, below):
+    """|v|^2, the rows whose |v| is under the switch angle `below`, and |v|
+    and |v|^2 with those rows set to 1, safe to divide by."""
+    angle2 = np.einsum("...i,...i->...", v, v)
+    angle = np.sqrt(angle2)
+    small = angle < below
+    return (angle2, small, np.where(small, 1.0, angle),
+            np.where(small, 1.0, angle2))
 
 
 def so3_exp(rotvec):
     """Rodrigues formula, series fallback below SMALL_ANGLE."""
-    x, y, z = np.asarray(rotvec, dtype=float).tolist()
-    angle2 = x * x + y * y + z * z
-    angle = math.sqrt(angle2)
-    if angle < SMALL_ANGLE:
-        a = 1.0 - angle2 / 6.0
-        b = 0.5 - angle2 / 24.0
-    else:
-        a = math.sin(angle) / angle
-        b = (1.0 - math.cos(angle)) / angle2
-    return _so3_series(x, y, z, a, b)
+    v = np.asarray(rotvec, dtype=float)
+    angle2, small, t, t2 = _angles(v, SMALL_ANGLE)
+    return _so3_series(v, angle2,
+                         np.where(small, 1.0 - angle2 / 6.0, np.sin(t) / t),
+                         np.where(small, 0.5 - angle2 / 24.0,
+                                  (1.0 - np.cos(t)) / t2))
+
+
+def so3_left_jacobian(rotvec):
+    v = np.asarray(rotvec, dtype=float)
+    angle2, small, t, t2 = _angles(v, SMALL_ANGLE)
+    return _so3_series(v, angle2,
+                         np.where(small, 0.5 - angle2 / 24.0,
+                                  (1.0 - np.cos(t)) / t2),
+                         np.where(small, 1.0 / 6.0 - angle2 / 120.0,
+                                  (t - np.sin(t)) / (t2 * t)))
+
+
+def so3_left_jacobian_inv(rotvec):
+    v = np.asarray(rotvec, dtype=float)
+    angle2, small, t, t2 = _angles(v, JL_INV_TAYLOR_ANGLE)
+    half = 0.5 * t
+    c = np.where(small, 1.0 / 12.0 + angle2 / 720.0,
+                 (1.0 - half * np.cos(half) / np.sin(half)) / t2)
+    return _so3_series(v, angle2, np.full_like(c, -0.5), c)
 
 
 def so3_log(rotation):
     """Rotation vector of a rotation matrix.
 
-    The angle-pi branch extracts the axis from the symmetric part; the sign
-    is fixed so the leading nonzero axis component is positive.
+    vee = 2 sin(angle) axis and tr - 1 = 2 cos(angle): atan2 keeps the
+    angle's full precision at every angle, where acos loses it near 0 and
+    pi. Angles within PI_ANGLE_MARGIN of pi take the axis-extraction branch.
     """
+    rot = np.asarray(rotation, dtype=float)
+    vee = (rot - np.swapaxes(rot, -1, -2)).reshape(rot.shape[:-2] + (9,))
+    vee = vee[..., [7, 2, 3]]
+    vee_norm = np.sqrt(np.einsum("...i,...i->...", vee, vee))
+    trace = np.trace(rot, axis1=-2, axis2=-1)
+    angle = np.arctan2(vee_norm, trace - 1.0)
+    # vee_norm is zero only at angle 0 and pi, whose rows take a branch
+    scale = np.where(angle < SMALL_ANGLE, 0.5,
+                     angle / np.where(vee_norm > 0.0, vee_norm, 1.0))
+    out = scale[..., None] * vee
+    near = angle > math.pi - PI_ANGLE_MARGIN
+    if near.any():
+        out[near] = _so3_log_near_pi(rot[near], trace[near], angle[near])
+    return out
+
+
+def _so3_log_near_pi(rot, trace, angle):
+    """so3_log's angle-pi branch on rows (m, 3, 3): the axis from the
+    symmetric part, with the leading nonzero component positive."""
+    cos_angle = np.clip((trace - 1.0) / 2.0, -1.0, 1.0)[:, None]
+    diag = np.diagonal(rot, axis1=1, axis2=2)
+    axis = np.sqrt(np.clip((diag - cos_angle) / (1.0 - cos_angle), 0.0, None))
+    # relative signs from the largest component's off-diagonal products
+    k = axis.argmax(axis=1)
+    rows = np.arange(len(axis))
+    sym = rot[rows, k] + rot[rows, :, k]
+    flip = (sym < 0.0) & (np.arange(3) != k[:, None]) \
+        & (axis[rows, k] > 0.0)[:, None]
+    axis = np.where(flip, -axis, axis)
+    nonzero = np.abs(axis) > 1e-12
+    lead = axis[rows, nonzero.argmax(axis=1)]
+    axis = np.where((nonzero.any(axis=1) & (lead < 0.0))[:, None], -axis, axis)
+    norm = np.linalg.norm(axis, axis=1, keepdims=True)
+    axis = np.where(norm > 0.0, axis / np.where(norm > 0.0, norm, 1.0),
+                    [1.0, 0.0, 0.0])
+    return axis * angle[:, None]
+
+
+def se3_exp(twist):
+    """exp_map of each [rot; trans] twist, as (rotations, translations)."""
+    twist = np.asarray(twist, dtype=float)
+    return (so3_exp(twist[..., :3]),
+            matvec(so3_left_jacobian(twist[..., :3]), twist[..., 3:]))
+
+
+def se3_log(rotation, translation):
+    """log_map of each pose given as rotations and translations."""
+    rotvec = so3_log(rotation)
+    return np.concatenate([rotvec, matvec(so3_left_jacobian_inv(rotvec),
+                                          translation)], axis=-1)
+
+
+def se3_adjoint(rotation, translation):
+    """Adjoint of each pose in [rot; trans] twist ordering."""
     rotation = np.asarray(rotation, dtype=float)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation.tolist()
-    # vee = 2 sin(angle) axis and tr - 1 = 2 cos(angle): atan2 keeps the
-    # angle's full precision at every angle, where acos loses it near 0 and pi
-    vx, vy, vz = r21 - r12, r02 - r20, r10 - r01
-    vee_norm = math.sqrt(vx * vx + vy * vy + vz * vz)
-    trace = r00 + r11 + r22
-    angle = math.atan2(vee_norm, trace - 1.0)
-    if angle < SMALL_ANGLE:
-        return np.array([0.5 * vx, 0.5 * vy, 0.5 * vz])  # first order
-    if angle > math.pi - PI_ANGLE_MARGIN:
-        cos_angle = max(-1.0, min(1.0, (trace - 1.0) / 2.0))
-        # R = I + 2 sin^2(.) [a]x^2 near pi: diagonal gives |axis| components
-        diag = np.clip((np.diag(rotation) - cos_angle) / (1.0 - cos_angle), 0.0, None)
-        axis = np.sqrt(diag)
-        # fix relative signs from the off-diagonal products via the largest component
-        k = int(np.argmax(axis))
-        if axis[k] > 0.0:
-            for i in range(3):
-                if i != k and rotation[k, i] + rotation[i, k] < 0.0:
-                    axis[i] = -axis[i]
-        nonzero = np.nonzero(np.abs(axis) > 1e-12)[0]
-        if nonzero.size and axis[nonzero[0]] < 0.0:
-            axis = -axis
-        norm = np.linalg.norm(axis)
-        axis = axis / norm if norm > 0.0 else np.array([1.0, 0.0, 0.0])
-        return axis * angle
-    scale = angle / vee_norm
-    return np.array([scale * vx, scale * vy, scale * vz])
+    ad = np.zeros(rotation.shape[:-2] + (6, 6))
+    ad[..., :3, :3] = ad[..., 3:, 3:] = rotation
+    ad[..., 3:, :3] = skew(translation) @ rotation
+    return ad
 
 
-def so3_left_jacobian(rotvec):
-    x, y, z = np.asarray(rotvec, dtype=float).tolist()
-    angle2 = x * x + y * y + z * z
-    angle = math.sqrt(angle2)
-    if angle < SMALL_ANGLE:
-        b, c = 0.5 - angle2 / 24.0, 1.0 / 6.0 - angle2 / 120.0
-    else:
-        b = (1.0 - math.cos(angle)) / angle2
-        c = (angle - math.sin(angle)) / (angle2 * angle)
-    return _so3_series(x, y, z, b, c)
+def se3_left_jacobian_inv(twist):
+    """Inverse left Jacobian of SE(3), [[J^-1, 0], [-J^-1 Q J^-1, J^-1]].
 
-
-def so3_left_jacobian_inv(rotvec):
-    x, y, z = np.asarray(rotvec, dtype=float).tolist()
-    angle2 = x * x + y * y + z * z
-    angle = math.sqrt(angle2)
-    if angle < 1e-4:
-        c = 1.0 / 12.0 + angle2 / 720.0
-    else:
-        # (1 - (angle/2) * cot(angle/2)) / angle^2, smooth on (0, pi]
-        half = 0.5 * angle
-        c = (1.0 - half * math.cos(half) / math.sin(half)) / angle2
-    return _so3_series(x, y, z, -0.5, c)
-
-
-def so3_right_jacobian(rotvec):
-    return so3_left_jacobian(-np.asarray(rotvec, dtype=float))
+    J is the SO(3) left Jacobian of the rotation part w and Q the coupling
+    block of Barfoot & Furgale (2014); below SE3_TAYLOR_ANGLE Q's
+    coefficients take their Taylor series, whose closed forms cancel.
+    With s = w.p for the translation part p, the skew identities
+    [w][p][w] = -s [w] and [w]^2 = w w^T - |w|^2 I reduce Q to
+    (1/2 - c2 |w|^2) [p] + (2 c2 - c1) s [w] + c1 (p w^T + w p^T)
+    - 2 c3 s w w^T + 2 s (c3 |w|^2 - c1) I.
+    """
+    twist = np.asarray(twist, dtype=float)
+    w, p = twist[..., :3], twist[..., 3:]
+    angle2, small, t, t2 = _angles(w, SE3_TAYLOR_ANGLE)
+    sin, cos = np.sin(t), np.cos(t)
+    c1 = np.where(small, 1 / 6 - angle2 / 120, (t - sin) / (t2 * t))
+    c2 = np.where(small, 1 / 24 - angle2 / 720,
+                  (t2 + 2.0 * cos - 2.0) / (2.0 * t2 * t2))
+    c3 = np.where(small, 1 / 120 - angle2 / 2520,
+                  (2.0 * t - 3.0 * sin + t * cos) / (2.0 * t2 * t2 * t))
+    s = np.einsum("...i,...i->...", w, p)
+    k = (2.0 * c2 - c1) * s
+    q = skew((0.5 - c2 * angle2)[..., None] * p + k[..., None] * w)
+    wp = w[..., :, None] * p[..., None, :]
+    q += c1[..., None, None] * (wp + np.swapaxes(wp, -1, -2)) \
+        - (2.0 * c3 * s)[..., None, None] * (w[..., :, None] * w[..., None, :]) \
+        + (2.0 * s * (c3 * angle2 - c1))[..., None, None] * _EYE3
+    j_inv = so3_left_jacobian_inv(w)
+    out = np.zeros(twist.shape[:-1] + (6, 6))
+    out[..., :3, :3] = out[..., 3:, 3:] = j_inv
+    out[..., 3:, :3] = -j_inv @ q @ j_inv
+    return out
 
 
 @dataclass(frozen=True)
@@ -170,69 +249,12 @@ def between(a: Pose, b: Pose) -> Pose:
 
 def exp_map(twist) -> Pose:
     """SE(3) exponential of a [rot; trans] twist."""
-    twist = np.asarray(twist, dtype=float)
-    rotvec = twist[:3]
-    rho = twist[3:]
-    rotation = so3_exp(rotvec)
-    v = so3_left_jacobian(rotvec)
-    return Pose(rotation, v @ rho)
+    return Pose(*se3_exp(twist))
 
 
 def log_map(pose: Pose):
     """Inverse of exp_map; returns a 6-vector [rot; trans]."""
-    rotvec = so3_log(pose.rotation)
-    rho = so3_left_jacobian_inv(rotvec) @ pose.translation
-    return np.concatenate([rotvec, rho])
-
-
-def se3_adjoint(pose: Pose):
-    """Adjoint of a pose in [rot; trans] twist ordering."""
-    ad = np.zeros((6, 6))
-    ad[:3, :3] = pose.rotation
-    ad[3:, :3] = skew(pose.translation) @ pose.rotation
-    ad[3:, 3:] = pose.rotation
-    return ad
-
-
-def se3_left_jacobian_inv(twist):
-    """Inverse left Jacobian of SE(3), [[J^-1, 0], [-J^-1 Q J^-1, J^-1]].
-
-    J is the SO(3) left Jacobian of the rotation part w and Q the coupling
-    block of Barfoot & Furgale (2014); below SE3_TAYLOR_ANGLE Q's
-    coefficients take their Taylor series, whose closed forms cancel.
-    With s = w.p for the translation part p, the skew identities
-    [w][p][w] = -s [w] and [w]^2 = w w^T - |w|^2 I reduce Q to
-    (1/2 - c2 |w|^2) [p] + (2 c2 - c1) s [w] + c1 (p w^T + w p^T)
-    - 2 c3 s w w^T + 2 s (c3 |w|^2 - c1) I, built here elementwise.
-    """
-    x, y, z, u, v, w = np.asarray(twist, dtype=float).tolist()
-    angle2 = x * x + y * y + z * z
-    angle = math.sqrt(angle2)
-    if angle < SE3_TAYLOR_ANGLE:
-        c1 = 1 / 6 - angle2 / 120
-        c2 = 1 / 24 - angle2 / 720
-        c3 = 1 / 120 - angle2 / 2520
-    else:
-        sin, cos = math.sin(angle), math.cos(angle)
-        angle4 = angle2 * angle2
-        c1 = (angle - sin) / (angle2 * angle)
-        c2 = (angle2 + 2.0 * cos - 2.0) / (2.0 * angle4)
-        c3 = (2.0 * angle - 3.0 * sin + angle * cos) / (2.0 * angle4 * angle)
-    s = x * u + y * v + z * w
-    p, k = 0.5 - c2 * angle2, (2.0 * c2 - c1) * s
-    m, d = -2.0 * c3 * s, 2.0 * s * (c3 * angle2 - c1)
-    ax, ay, az = p * u + k * x, p * v + k * y, p * w + k * z
-    qxy = c1 * (x * v + y * u) + m * x * y
-    qxz = c1 * (x * w + z * u) + m * x * z
-    qyz = c1 * (y * w + z * v) + m * y * z
-    q = np.array([[2.0 * c1 * x * u + m * x * x + d, qxy - az, qxz + ay],
-                  [qxy + az, 2.0 * c1 * y * v + m * y * y + d, qyz - ax],
-                  [qxz - ay, qyz + ax, 2.0 * c1 * z * w + m * z * z + d]])
-    j_inv = so3_left_jacobian_inv(twist[:3])
-    out = np.zeros((6, 6))
-    out[:3, :3] = out[3:, 3:] = j_inv
-    out[3:, :3] = -j_inv @ q @ j_inv
-    return out
+    return se3_log(pose.rotation, pose.translation)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,14 @@ factor is active (Qin, Li & Shen 2018). A solve frees a trailing window, the
 states from one index onward; the states before it stay fixed. Factors
 touching at least one free state are still evaluated, their fixed-state
 blocks just drop out of the normal equations.
+
+The states are stacked arrays (factors.States), and the graph linearizes
+by kind (Kuemmerle et al. 2011; Dellaert & Kaess 2017): per solve, the
+active factors of each class, picked by their highest state index, are
+stacked into one batched factor, so each linearization or trial cost makes
+one linearize or residual call per class. J^T W J and J^T W r come from
+batched matmuls and reach the fixed CSC slots of H through one bincount,
+and a step retracts every free state in one batched update.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from .errors import IndexOutOfRange, NotAnchored, SingularSystem
-from .factors import STATE_DIM, StateNode, retract_state
-from .geometry import so3_exp
+from .factors import STATE_DIM, StateNode, States, retract_state
+from .geometry import matvec, so3_exp
 
 DAMPING_INIT = 1e-6
 DAMPING_MIN = 1e-9
@@ -47,13 +55,38 @@ class OptimizeResult:
     records: list
 
 
-def _cost(factors, states, gravity) -> float:
-    """0.5 * sum of r^T W r over the factors, W being each one's information."""
-    total = 0.0
+def _stacks(factors):
+    """factors grouped by class, in order of first appearance, each group
+    stacked into one batched factor."""
+    groups = {}
     for f in factors:
-        r = f.residual(states, gravity)
-        total += 0.5 * float(r @ (f.information @ r))
-    return total
+        groups.setdefault(type(f), []).append(f)
+    return [cls.stack(group) for cls, group in groups.items()]
+
+
+def _total(stacks, residuals) -> float:
+    """0.5 * sum of r^T W r over the stacked factors, given their
+    residuals, W being each factor's information."""
+    return sum(0.5 * float(np.einsum("fi,fij,fj->", r, s.information, r))
+               for s, r in zip(stacks, residuals))
+
+
+def _cost(factors, states, gravity) -> float:
+    """0.5 * sum of r^T W r over the factors, one residual call per class."""
+    stacks = _stacks(factors)
+    return _total(stacks, [s.residual(states, gravity) for s in stacks])
+
+
+def _nonfinite(stacks, h_vals, b_vals) -> SingularSystem:
+    """The error naming the first factor, by class and then by row of its
+    class's stack, whose J^T W J or J^T W r block is not finite."""
+    for stack, h, g in zip(stacks, h_vals, b_vals):
+        bad = ~(np.isfinite(h).all(axis=(1, 2)) & np.isfinite(g).all(axis=1))
+        if bad.any():
+            return SingularSystem(
+                f"factor '{stack.kind}' produced non-finite values",
+                state_index=int(stack.indices[0][np.argmax(bad)]))
+    return SingularSystem("normal equations overflowed")  # finite blocks
 
 
 def gravity_basis(g):
@@ -73,8 +106,11 @@ def retract_gravity(g, delta):
 
 class FactorGraph:
     def __init__(self, gravity=(0.0, 0.0, -1.0)):
-        self.states: list[StateNode] = []
+        self.states = States.of([])
         self.factors: list = []
+        # per factor class, in the order first added: its factors and the
+        # highest state index of each, which selects the active ones
+        self._kinds: dict = {}
         g = np.asarray(gravity, dtype=float)
         norm = np.linalg.norm(g) if g.shape == (3,) else 0.0
         if not 0.0 < norm < np.inf:
@@ -83,7 +119,7 @@ class FactorGraph:
         self.gravity = g / norm
 
     def add_state(self, state: StateNode) -> int:
-        self.states.append(state)
+        self.states = self.states.join(States.of([state]))
         return len(self.states) - 1
 
     def add_factor(self, factor):
@@ -93,6 +129,9 @@ class FactorGraph:
                     f"factor '{factor.kind}' references state {idx}, "
                     f"graph has {len(self.states)}")
         self.factors.append(factor)
+        members, last = self._kinds.setdefault(type(factor), ([], []))
+        members.append(factor)
+        last.append(max(factor.indices))
 
     def optimize(self, first=0, max_iterations=MAX_ITERATIONS) -> OptimizeResult:
         """Levenberg-Marquardt over the states from index `first` onward;
@@ -102,88 +141,98 @@ class FactorGraph:
             raise NotAnchored("graph has no states")
         if not 0 <= first <= n:
             raise IndexOutOfRange(f"first free index {first} out of range")
-        if first == 0 and not any(f.kind == "prior" for f in self.factors):
+        if first == 0 and not any(cls.kind == "prior" for cls in self._kinds):
             raise NotAnchored("no prior factor and no fixed state")
 
-        active = [f for f in self.factors if max(f.indices) >= first]
-        if not active:  # no free state, or none that a factor touches
+        # the factors touching a free state, one batched factor per class
+        stacks = []
+        for cls, (members, last) in self._kinds.items():
+            rows = np.flatnonzero(np.asarray(last) >= first)
+            if rows.size:
+                stacks.append(cls.stack([members[k] for k in rows]))
+        if not stacks:  # no free state, or none that a factor touches
             c = _cost(self.factors, self.states, self.gravity)
             return OptimizeResult(c, c, 0, True, [])
         grav_col = STATE_DIM * (n - first)
-        cols = np.arange(grav_col).reshape(-1, STATE_DIM)
         # Gravity becomes a variable only when a factor that measures it is
         # active. IMU factors couple to gravity but cannot anchor it: with
         # biases free the pair is a gauge and both would drift together.
-        use_gravity = any(f.kind == "gravity" for f in active)
+        use_gravity = any(s.kind == "gravity" for s in stacks)
         n_cols = grav_col + (2 if use_gravity else 0)
 
-        # Each active factor adds one dense block J^T W J over its free
-        # states' columns and gravity's (zeros if it has no gravity block)
-        # while gravity is a variable. Where each block entry lands in the
-        # CSC data of H is fixed here, once per solve: entries sort by
-        # (column, row) key, the diagonal always in the pattern so that
-        # damping has a slot even in a column no factor touches.
-        free_of = [[i for i in f.indices if i >= first] for f in active]
-        spans = [np.concatenate([cols[i - first] for i in free]
-                                + [np.arange(grav_col, n_cols)])
-                 for free in free_of]
-        keys = np.concatenate([(c * n_cols + c[:, None]).ravel()
-                               for c in spans]
-                              + [np.arange(n_cols) * (n_cols + 1)])
+        # Each factor adds one dense block J^T W J over its states' columns
+        # and gravity's (zeros if it has no gravity block) while gravity is
+        # a variable. Where each block entry lands in the CSC data of H is
+        # fixed here, once per solve: entries sort by (column, row) key, the
+        # diagonal always in the pattern so that damping has a slot even in
+        # a column no factor touches. A fixed state's columns are `outside`,
+        # which puts every key with them at or past it: those entries land
+        # in slot nnz, after the pattern, and their b rows in row n_cols,
+        # and both are dropped.
+        outside = n_cols * n_cols
+        spans = []
+        for stack in stacks:
+            slot_cols = [np.where((idx >= first)[:, None], (idx - first)[:, None]
+                                  * STATE_DIM + np.arange(STATE_DIM), outside)
+                         for idx in stack.indices]
+            if use_gravity:
+                slot_cols.append(np.broadcast_to(
+                    np.arange(grav_col, n_cols), (len(slot_cols[0]), 2)))
+            spans.append(np.concatenate(slot_cols, axis=1))
+        keys = np.minimum(np.concatenate(
+            [(c[:, None, :] * n_cols + c[:, :, None]).ravel() for c in spans]
+            + [np.arange(n_cols) * (n_cols + 1)]), outside)
         # only the int32 slots and CSC indices outlive the sort
         pattern, slots = np.unique(keys, return_inverse=True)
         del keys
         slots = slots.astype(np.int32)
         entry_slots, diag_slots = slots[:-n_cols], slots[-n_cols:]
-        nnz = len(pattern)
-        indices = (pattern % n_cols).astype(np.int32)
-        indptr = np.searchsorted(pattern, np.arange(n_cols + 1) * n_cols
+        nnz = int(np.searchsorted(pattern, outside))
+        indices = (pattern[:nnz] % n_cols).astype(np.int32)
+        indptr = np.searchsorted(pattern[:nnz], np.arange(n_cols + 1) * n_cols
                                  ).astype(np.int32)
         del pattern
-        b_rows = np.concatenate(spans)
+        b_rows = np.minimum(np.concatenate([c.ravel() for c in spans]), n_cols)
 
-        states = list(self.states)
+        states = self.states
         gravity = self.gravity.copy()
 
         def assemble():
-            h_vals, b_vals = [], []
+            """H, b and each stack's residuals at the current states."""
             basis = gravity_basis(gravity) if use_gravity else None
-            for f, free in zip(active, free_of):
-                r, blocks, g_block = f.linearize(states, gravity)
-                parts = [blocks[i] for i in free]
+            residuals, h_vals, b_vals = [], [], []
+            for stack in stacks:
+                r, jacs, g_block = stack.linearize(states, gravity)
+                parts = list(jacs)
                 if use_gravity:
-                    parts.append(np.zeros((len(r), 2)) if g_block is None
+                    parts.append(np.zeros(r.shape + (2,)) if g_block is None
                                  else g_block @ basis)
-                jac = np.concatenate(parts, axis=1)
-                jtw = jac.T @ f.information
-                h_vals.append((jtw @ jac).ravel())
-                b_vals.append(jtw @ r)
-            data = np.bincount(entry_slots, weights=np.concatenate(h_vals),
-                               minlength=nnz)
-            b = np.bincount(b_rows, weights=np.concatenate(b_vals),
-                            minlength=n_cols)
+                jac = np.concatenate(parts, axis=-1)
+                jtw = np.swapaxes(jac, -1, -2) @ stack.information
+                residuals.append(r)
+                h_vals.append(jtw @ jac)
+                b_vals.append(matvec(jtw, r))
+            data = np.bincount(entry_slots, minlength=nnz + 1, weights=
+                               np.concatenate([h.ravel() for h in h_vals]))
+            b = np.bincount(b_rows, minlength=n_cols + 1, weights=
+                            np.concatenate([g.ravel() for g in b_vals]))
+            data, b = data[:nnz], b[:n_cols]
             if not (np.isfinite(data).all() and np.isfinite(b).all()):
-                bad = next(f for f, h, g in zip(active, h_vals, b_vals)
-                           if not (np.isfinite(h).all()
-                                   and np.isfinite(g).all()))
-                raise SingularSystem(
-                    f"factor '{bad.kind}' produced non-finite values",
-                    state_index=bad.indices[0])
+                raise _nonfinite(stacks, h_vals, b_vals)
             h = sparse.csc_matrix((data, indices, indptr),
                                   shape=(n_cols, n_cols))
-            return h, b
+            return h, b, residuals
 
         def apply_step(delta):
-            new_states = list(states)
-            for s in range(first, n):
-                new_states[s] = retract_state(states[s], delta[cols[s - first]])
+            moved = retract_state(states[first:],
+                                  delta[:grav_col].reshape(-1, STATE_DIM))
             new_gravity = gravity
             if use_gravity:
                 new_gravity = retract_gravity(gravity, delta[grav_col:])
-            return new_states, new_gravity
+            return states[:first].join(moved), new_gravity
 
-        initial_cost = cost = _cost(active, states, gravity)
-        h_mat, b_vec = assemble()
+        h_mat, b_vec, residuals = assemble()
+        initial_cost = cost = _total(stacks, residuals)
         damping = DAMPING_INIT
         records = []
         converged = False
@@ -220,7 +269,9 @@ class FactorGraph:
                                 or predicted <= REL_COST_TOL * cost:
                             break
                         trial_states, trial_gravity = apply_step(delta)
-                        trial_cost = _cost(active, trial_states, trial_gravity)
+                        trial_cost = _total(stacks, [
+                            s.residual(trial_states, trial_gravity)
+                            for s in stacks])
                 except (ValueError, FloatingPointError):
                     trial_cost = np.inf
                 if np.isfinite(trial_cost) and trial_cost < cost:
@@ -243,7 +294,7 @@ class FactorGraph:
                                          "levels", state_index=idx)
                 converged = True  # by the step test, or out of damping
                 break
-            h_mat, b_vec = assemble()
+            h_mat, b_vec, _ = assemble()
 
         self.states = states
         self.gravity = gravity

@@ -200,6 +200,40 @@ def so3_log_matrix(rotation):
     return (angle / vee_norm) * vee
 
 
+def so3_log_scalar(rotation):
+    """Rotation vector of any rotation, one component at a time; within
+    1e-6 of pi the axis comes from the symmetric part, the relative signs
+    from the largest component's off-diagonal sums, and the leading nonzero
+    component is made positive."""
+    rotation = np.asarray(rotation, dtype=float)
+    vee = np.array([rotation[2, 1] - rotation[1, 2],
+                    rotation[0, 2] - rotation[2, 0],
+                    rotation[1, 0] - rotation[0, 1]])
+    vee_norm = math.sqrt(float(vee @ vee))
+    trace = float(np.trace(rotation))
+    angle = math.atan2(vee_norm, trace - 1.0)
+    if angle < 1e-8:
+        return 0.5 * vee
+    if angle <= math.pi - 1e-6:
+        return (angle / vee_norm) * vee
+    cos_angle = max(-1.0, min(1.0, (trace - 1.0) / 2.0))
+    axis = np.array([math.sqrt(max(0.0, (rotation[i, i] - cos_angle)
+                                   / (1.0 - cos_angle))) for i in range(3)])
+    k = int(np.argmax(axis))
+    if axis[k] > 0.0:
+        for i in range(3):
+            if i != k and rotation[k, i] + rotation[i, k] < 0.0:
+                axis[i] = -axis[i]
+    for component in axis:
+        if abs(component) > 1e-12:
+            if component < 0.0:
+                axis = -axis
+            break
+    norm = float(np.linalg.norm(axis))
+    axis = axis / norm if norm > 0.0 else np.array([1.0, 0.0, 0.0])
+    return axis * angle
+
+
 def so3_left_jacobian_matrix(rotvec):
     rotvec = np.asarray(rotvec, dtype=float)
     angle = float(np.linalg.norm(rotvec))

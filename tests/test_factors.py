@@ -22,6 +22,7 @@ from maploc.factors import (
     OdometryFactor,
     PriorFactor,
     StateNode,
+    States,
     ZeroVelocityFactor,
     ZuptParams,
     detect_zupt,
@@ -35,6 +36,8 @@ from maploc.geometry import (
     exp_map,
     inverse,
     log_map,
+    matvec,
+    se3_log,
     so3_exp,
     so3_log,
 )
@@ -101,8 +104,11 @@ class TestResidualFunctions:
         q = compose(p, exp_map(np.array([0, 0, 0, 0.1, 0, 0])))
         r = factor.residual(pose_states(p, q), DOWN)
         assert np.allclose(r, [0, 0, 0, 0.1, 0, 0], atol=1e-12)
-        # composing with the identity is exact
-        assert np.array_equal(r, log_map(between(p, q)))
+        # composing with the identity is exact: the residual is the log of
+        # between(p, q) as the factor forms it, R_p^T R_q and R_p^T (t_q - t_p)
+        rt = np.ascontiguousarray(p.rotation.T)
+        assert np.array_equal(r, se3_log(
+            rt @ q.rotation, matvec(rt, q.translation - p.translation)))
 
     def test_zero_velocity_error(self):
         state = StateNode.at(Pose.identity(), 0.0, velocity=[0.1, -0.2, 0.3])
@@ -177,20 +183,36 @@ class TestResidualFunctions:
 
     def test_retract_state_zero_is_identity(self, rng):
         s = random_state(rng)
-        s2 = retract_state(s, np.zeros(STATE_DIM))
+        [s2] = retract_state(States.of([s]), np.zeros((1, STATE_DIM)))
         assert np.allclose(s2.pose.matrix(), s.pose.matrix(), atol=1e-12)
         assert np.allclose(s2.velocity, s.velocity)
 
     def test_retract_state_slots(self, rng):
         s = random_state(rng)
-        delta = np.zeros(STATE_DIM)
-        delta[6:9] = [1.0, 2.0, 3.0]
-        delta[9:12] = [0.1, 0.0, 0.0]
-        delta[12:15] = [0.0, 0.2, 0.0]
-        s2 = retract_state(s, delta)
+        delta = np.zeros((1, STATE_DIM))
+        delta[0, 6:9] = [1.0, 2.0, 3.0]
+        delta[0, 9:12] = [0.1, 0.0, 0.0]
+        delta[0, 12:15] = [0.0, 0.2, 0.0]
+        [s2] = retract_state(States.of([s]), delta)
         assert np.allclose(s2.velocity, s.velocity + [1, 2, 3])
         assert np.allclose(s2.bias, s.bias + [0.1, 0, 0, 0, 0.2, 0])
         assert np.allclose(s2.pose.matrix(), s.pose.matrix(), atol=1e-12)
+
+    def test_retract_state_rows_are_independent(self, rng):
+        """One batched step moves each state by its own row of delta, as
+        exp_map(delta[:6]) * pose plus the velocity and bias slots."""
+        nodes = [random_state(rng, t=0.1 * k) for k in range(4)]
+        delta = 0.3 * rng.normal(size=(4, STATE_DIM))
+        for node, row, got in zip(nodes, delta,
+                                  retract_state(States.of(nodes), delta)):
+            np.testing.assert_allclose(
+                got.pose.matrix(),
+                compose(exp_map(row[:6]), node.pose).matrix(), atol=1e-14)
+            np.testing.assert_allclose(got.velocity, node.velocity + row[6:9],
+                                       atol=1e-15)
+            np.testing.assert_allclose(got.bias, node.bias + row[9:],
+                                       atol=1e-15)
+            assert got.timestamp == node.timestamp
 
 
 @pytest.mark.parametrize("make", [
@@ -407,17 +429,18 @@ class TestPreintegrate:
 # factor Jacobians against central finite differences
 
 def fd_blocks(factor, states, gravity, eps=1e-6):
+    """Central differences of the residual, by state index and for
+    gravity's 3 ambient coordinates."""
+    states = States.of(states)
     r0 = factor.residual(states, gravity)
     blocks = {}
     for idx in factor.indices:
         jac = np.zeros((len(r0), STATE_DIM))
         for c in range(STATE_DIM):
-            delta = np.zeros(STATE_DIM)
-            delta[c] = eps
-            plus = list(states)
-            plus[idx] = retract_state(states[idx], delta)
-            minus = list(states)
-            minus[idx] = retract_state(states[idx], -delta)
+            delta = np.zeros((len(states), STATE_DIM))
+            delta[idx, c] = eps
+            plus = retract_state(states, delta)
+            minus = retract_state(states, -delta)
             jac[:, c] = (factor.residual(plus, gravity)
                          - factor.residual(minus, gravity)) / (2 * eps)
         blocks[idx] = jac
@@ -432,6 +455,7 @@ def fd_blocks(factor, states, gravity, eps=1e-6):
 
 def check_factor_jacobians(factor, states, gravity, tol=2e-5):
     r, blocks, g_block = factor.linearize(states, gravity)
+    blocks = dict(zip(factor.indices, blocks))
     assert np.allclose(r, factor.residual(states, gravity), atol=1e-12)
     fd, fd_grav = fd_blocks(factor, states, gravity)
     for idx in factor.indices:
@@ -524,6 +548,83 @@ class TestFactorJacobians:
         expected = np.delete(np.delete(info, 4, axis=0), 4, axis=1)
         assert np.array_equal(kept, expected)
         assert not f.information.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# a stack of factors against the same factors one at a time
+
+def random_information(rng, dim):
+    a = rng.normal(size=(dim, dim))
+    return a @ a.T + np.eye(dim)
+
+
+def random_factor(kind, rng, n_states):
+    """A factor of the given kind on random states among n_states, the
+    pair ones on consecutive states."""
+    k = int(rng.integers(n_states - 1))
+    if kind == "prior":
+        return PriorFactor(k, random_pose(rng), random_information(rng, 6))
+    if kind == "odometry":
+        return OdometryFactor(k, k + 1, random_pose(rng),
+                              random_information(rng, 6))
+    if kind == "map":
+        mask = tuple(np.flatnonzero(rng.random(3) < 0.3))
+        return MapFactor(k, random_pose(rng), random_information(rng, 6),
+                         mask=mask)
+    if kind == "gravity":
+        return GravityFactor(k, rng.normal(size=3) + [0.0, 0.0, 9.5],
+                             random_information(rng, 3))
+    if kind == "zero_velocity":
+        return ZeroVelocityFactor(k, random_information(rng, 3))
+    if kind == "bias_walk":
+        return BiasWalkFactor(k, k + 1, random_information(rng, 6))
+    if kind == "bias_prior":
+        return BiasPriorFactor(k, 0.1 * rng.normal(size=6),
+                               random_information(rng, 6))
+    pre = preintegrate(random_window(rng), 0.05 * rng.normal(size=6))
+    return ImuFactor(k, k + 1, pre, random_information(rng, 9),
+                     gravity_magnitude=G_MAG)
+
+
+FACTOR_KINDS = ("prior", "odometry", "map", "gravity", "zero_velocity",
+                "bias_walk", "bias_prior", "imu")
+
+
+@pytest.mark.parametrize("kind", FACTOR_KINDS)
+def test_stack_matches_single_factors(kind):
+    """One batched residual and linearize over F = 5 stacked factors give,
+    row for row, what the 5 factors give one at a time, to 1e-14 of each
+    array's scale."""
+    rng = np.random.default_rng(23)
+    states = States.of([random_state(rng, t=0.25 * k) for k in range(8)])
+    gravity = DOWN + 0.05 * rng.normal(size=3)
+    factors = [random_factor(kind, rng, len(states)) for _ in range(5)]
+    stack = type(factors[0]).stack(factors)
+    assert {f.kind for f in factors} == {stack.kind} == {kind}
+
+    r, jacs, g_block = stack.linearize(states, gravity)
+    assert np.array_equal(r, stack.residual(states, gravity))
+    assert r.shape == (5, stack.dim)
+    for idx, col in zip(stack.indices, zip(*[f.indices for f in factors])):
+        assert np.array_equal(idx, col)
+
+    def close(batched, single):
+        np.testing.assert_allclose(
+            batched, single, rtol=0.0,
+            atol=1e-14 * max(1.0, np.abs(single).max()))
+
+    for row, f in enumerate(factors):
+        r_f, jacs_f, g_f = f.linearize(states, gravity)
+        close(r[row], r_f)
+        close(stack.residual(states, gravity)[row],
+              f.residual(states, gravity))
+        assert len(jacs) == len(jacs_f) == len(f.indices)
+        for jac, jac_f in zip(jacs, jacs_f):
+            assert jac.shape == (5,) + jac_f.shape
+            close(jac[row], jac_f)
+        assert (g_block is None) == (g_f is None)
+        if g_f is not None:
+            close(g_block[row], g_f)
 
 
 # ---------------------------------------------------------------------------

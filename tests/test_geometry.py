@@ -15,10 +15,13 @@ from maploc.geometry import (
     exp_map,
     inverse,
     log_map,
+    JL_INV_TAYLOR_ANGLE,
     PI_ANGLE_MARGIN,
     SE3_TAYLOR_ANGLE,
     SMALL_ANGLE,
+    se3_exp,
     se3_left_jacobian_inv,
+    se3_log,
     skew,
     so3_exp,
     so3_left_jacobian,
@@ -39,6 +42,7 @@ from oracles import (
     so3_left_jacobian_inv_matrix,
     so3_left_jacobian_matrix,
     so3_log_matrix,
+    so3_log_scalar,
 )
 
 
@@ -186,7 +190,7 @@ class TestSE3:
 
 # Each kernel's branch switches, approached from both sides
 SWITCH_ANGLES = [angle * (1.0 + side)
-                 for angle in (SMALL_ANGLE, 1e-4, SE3_TAYLOR_ANGLE,
+                 for angle in (SMALL_ANGLE, JL_INV_TAYLOR_ANGLE, SE3_TAYLOR_ANGLE,
                                np.pi - PI_ANGLE_MARGIN)
                  for side in (-1e-9, 1e-9)]
 
@@ -231,6 +235,83 @@ class TestKernelOracles:
         assert len(rotvecs) > 3000
         assert_kernel_matches(so3_log, so3_log_matrix,
                               [so3_exp_matrix(w) for w in rotvecs])
+
+
+def pi_rotations():
+    """Rotations by pi about random axes and about each coordinate axis
+    and diagonal, where the log takes its axis-extraction branch."""
+    rng = np.random.default_rng(15)
+    axes = np.vstack([rng.normal(size=(200, 3)), np.eye(3), -np.eye(3),
+                      [[1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 1.0, 1.0]]])
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    return np.array([so3_exp(np.pi * axis) for axis in axes])
+
+
+class TestBatchedKernels:
+    """The kernels on a stack of inputs against their matrix forms, or the
+    scalar log, row by row over the oracle twists: zero, both sides of
+    every switch angle and uniform in [0, pi]. Each row of a stack is the
+    kernel's unbatched result."""
+
+    @pytest.mark.parametrize("kernel, oracle", [
+        (skew, skew_matrix),
+        (so3_exp, so3_exp_matrix),
+        (so3_left_jacobian, so3_left_jacobian_matrix),
+        (so3_left_jacobian_inv, so3_left_jacobian_inv_matrix),
+    ], ids=lambda f: getattr(f, "__name__", ""))
+    def test_so3_kernel_stack_matches_matrix_form(self, kernel, oracle):
+        rotvecs = oracle_twists()[:, :3]
+        stacked = kernel(rotvecs)
+        np.testing.assert_allclose(stacked, [oracle(w) for w in rotvecs],
+                                   rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(
+            kernel(rotvecs.reshape(-1, 2, 3)).reshape(stacked.shape), stacked)
+        np.testing.assert_allclose([kernel(w) for w in rotvecs[::50]],
+                                   stacked[::50], rtol=0.0, atol=1e-15)
+
+    def test_se3_left_jacobian_inv_stack_matches_matrix_form(self):
+        twists = oracle_twists()
+        stacked = se3_left_jacobian_inv(twists)
+        np.testing.assert_allclose(
+            stacked, [se3_left_jacobian_inv_matrix(x) for x in twists],
+            rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            [se3_left_jacobian_inv(x) for x in twists[::50]], stacked[::50],
+            rtol=0.0, atol=1e-15)
+
+    def test_so3_log_stack_matches_scalar_on_both_sides_of_pi_branch(self):
+        rotations = np.vstack([[so3_exp_matrix(w)
+                                for w in oracle_twists()[:, :3]],
+                               pi_rotations()])
+        expected = [so3_log_scalar(r) for r in rotations]
+        angles = np.linalg.norm(expected, axis=1)
+        assert (angles > np.pi - PI_ANGLE_MARGIN).sum() > 250
+        assert (np.abs(angles - (np.pi - PI_ANGLE_MARGIN)) < 1e-8).sum() >= 100
+        stacked = so3_log(rotations)
+        np.testing.assert_allclose(stacked, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose([so3_log(r) for r in rotations[::50]],
+                                   stacked[::50], rtol=0.0, atol=1e-15)
+
+    def test_se3_exp_and_log_stack_match_matrix_forms(self):
+        """The SE(3) exp and log that the retraction and the pose factors
+        use: exp(w, p) = (exp(w), Jl(w) p) and log(R, t) = (log(R),
+        Jl^-1(log R) t)."""
+        twists = oracle_twists()
+        rotations, translations = se3_exp(twists)
+        np.testing.assert_allclose(
+            rotations, [so3_exp_matrix(x[:3]) for x in twists],
+            rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(
+            translations, [so3_left_jacobian_matrix(x[:3]) @ x[3:]
+                           for x in twists], rtol=0.0, atol=1e-12)
+        rotations = np.array([so3_exp_matrix(x[:3]) for x in twists])
+        expected = []
+        for rotation, x in zip(rotations, twists):
+            w = so3_log_scalar(rotation)
+            expected.append(np.concatenate(
+                [w, so3_left_jacobian_inv_matrix(w) @ x[3:]]))
+        np.testing.assert_allclose(se3_log(rotations, twists[:, 3:]),
+                                   expected, rtol=0.0, atol=1e-12)
 
 
 class TestSpatialIndex:

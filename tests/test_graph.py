@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -196,9 +198,9 @@ class TestBatchSolve:
         if redundant:
             # a step above STEP_TOL whose predicted decrease is still
             # negligible against the cost the map factors leave
-            nudge = np.zeros(STATE_DIM)
-            nudge[:6] = 1e-8
-            graph.states[3] = retract_state(graph.states[3], nudge)
+            nudge = np.zeros((len(graph.states), STATE_DIM))
+            nudge[3, :6] = 1e-8
+            graph.states = retract_state(graph.states, nudge)
         solves = []
         real_splu = graph_module.splu
         monkeypatch.setattr(graph_module, "splu",
@@ -230,7 +232,7 @@ class TestBatchSolve:
         map_info = a @ a.T + np.eye(6)
         map_pose = perturbed(gt[2], rng)
         graph.add_factor(MapFactor(2, map_pose, map_info, mask=(1,)))
-        states = list(graph.states)
+        states = graph.states
         gravity = graph.gravity.copy()
 
         r_prior = log_map(compose(inverse(gt[0]), init[0]))
@@ -247,7 +249,7 @@ class TestBatchSolve:
         assert result.iterations == 0 and result.records == []
         assert result.initial_cost == result.final_cost
         assert result.final_cost == pytest.approx(expected, rel=1e-12)
-        assert all(a is b for a, b in zip(graph.states, states))
+        assert graph.states is states
         assert np.array_equal(graph.gravity, gravity)
 
 
@@ -295,7 +297,7 @@ class TestAssemblyOracle:
                 continue
             r, blocks, g_block = f.linearize(graph.states, graph.gravity)
             jac = np.zeros((len(r), n_cols))
-            for i, block in blocks.items():
+            for i, block in zip(f.indices, blocks):
                 if i in col:
                     jac[:, col[i]:col[i] + STATE_DIM] = block
             if g_block is not None:
@@ -303,10 +305,8 @@ class TestAssemblyOracle:
             h += jac.T @ f.information @ jac
             b += jac.T @ f.information @ r
         delta = np.linalg.solve(h + DAMPING_INIT * np.eye(n_cols), -b)
-        expected = list(graph.states)
-        for s in free:
-            expected[s] = retract_state(expected[s],
-                                        delta[col[s]:col[s] + STATE_DIM])
+        expected = graph.states[:1].join(retract_state(
+            graph.states[1:], delta[:-2].reshape(-1, STATE_DIM)))
         # gravity turns about g x B delta, which moves it by B delta to
         # first order and keeps it a unit vector
         gravity = so3_exp(np.cross(graph.gravity, basis @ delta[-2:])) \
@@ -342,6 +342,7 @@ class TestAssemblyOracle:
             if not free:
                 continue
             r, blocks, g_block = f.linearize(graph.states, graph.gravity)
+            blocks = dict(zip(f.indices, blocks))
             span = np.concatenate([STATE_DIM * (i - first)
                                    + np.arange(STATE_DIM) for i in free]
                                   + [gravity_cols])
@@ -389,6 +390,36 @@ class TestAssemblyOracle:
         assert result.initial_cost == start
         assert result.final_cost == graph_module._cost(
             graph.factors, graph.states, graph.gravity)
+
+    def test_residual_once_per_kind_per_trial(self, rng, monkeypatch):
+        """Each factor class's residual runs once per trial cost and not
+        for the initial cost, which the first linearization gives; its
+        linearize runs once per assembly, the first and one per accepted
+        step."""
+        graph = self.mixed_graph(rng)
+        graph.add_factor(OdometryFactor(2, 3, Pose.identity(), 1e2 * np.eye(6)))
+        graph.add_factor(ZeroVelocityFactor(3, 1e2 * np.eye(3)))
+        graph.add_factor(BiasPriorFactor(0, np.zeros(6), 1e2 * np.eye(6)))
+        classes = {type(f) for f in graph.factors}
+        assert len(classes) == 8
+        calls = Counter()
+        for cls in classes:
+            for name in ("residual", "linearize"):
+                def counted(self, *args, _method=cls.__dict__[name],
+                            _key=(cls.kind, name)):
+                    calls[_key] += 1
+                    return _method(self, *args)
+                monkeypatch.setattr(cls, name, counted)
+        trials = []
+        real_retract = graph_module.retract_state
+        monkeypatch.setattr(graph_module, "retract_state",
+                            lambda *a: trials.append(a) or real_retract(*a))
+        result = graph.optimize()
+        accepted = sum(r.accepted for r in result.records)
+        assert len(trials) >= accepted > 1
+        for cls in classes:
+            assert calls[cls.kind, "residual"] == len(trials)
+            assert calls[cls.kind, "linearize"] == 1 + accepted
 
     @pytest.mark.parametrize("first", [4, 0])
     def test_free_state_without_factor_converges(self, rng, first):
@@ -495,6 +526,23 @@ class TestErrors:
         with pytest.raises(SingularSystem) as exc:
             graph.optimize()
         assert exc.value.state_index == 1
+
+
+    def test_nonfinite_blames_first_bad_row_of_a_stack(self, rng):
+        """Five zero-velocity factors form one stack; the error names the
+        state of its first non-finite row, not the stack's first state."""
+        graph = FactorGraph()
+        for k in range(5):
+            velocity = [np.nan, 0.0, 0.0] if k >= 3 else np.zeros(3)
+            graph.add_state(StateNode(random_pose(rng), velocity, np.zeros(6),
+                                      0.1 * k))
+        graph.add_factor(PriorFactor(0, graph.states[0].pose, np.eye(6)))
+        for k in range(5):
+            graph.add_factor(ZeroVelocityFactor(k, np.eye(3)))
+        with pytest.raises(SingularSystem) as exc:
+            graph.optimize()
+        assert exc.value.state_index == 3
+        assert "zero_velocity" in str(exc.value)
 
 
 class TestIncremental:
