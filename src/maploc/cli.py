@@ -99,14 +99,13 @@ def _cmd_eval_map(args) -> int:
 
 
 def _cmd_degeneracy_report(args) -> int:
-    tx, ty, tz, qx, qy, qz, qw = args.pose
     if not np.all(np.isfinite(args.pose)):
         raise ParseError("--pose: non-finite value")
     try:
-        pose = Pose(mio.quaternion_to_rotation(qx, qy, qz, qw),
-                    np.array([tx, ty, tz]))
+        rotation = mio.quaternion_to_rotation(args.pose[3:])
     except ValueError as exc:
-        raise ParseError(f"--pose: {exc}") from exc
+        raise ParseError(f"--pose: {exc.args[0]}") from exc
+    pose = Pose(rotation, args.pose[:3])
     cfg = _load_cfg(args)
     prior_map = load_map(args.map, voxel_size=cfg["voxel_size"])
     scan = mio.read_cloud(args.scan)

@@ -117,9 +117,7 @@ class States:
 
     @staticmethod
     def of(nodes):
-        """A sequence of StateNodes as States; States are returned as is."""
-        if isinstance(nodes, States):
-            return nodes
+        """A sequence of StateNodes as States."""
         return States(
             np.array([n.pose.rotation for n in nodes]).reshape(-1, 3, 3),
             np.array([n.pose.translation for n in nodes]).reshape(-1, 3),
@@ -361,9 +359,8 @@ class _Factor:
         return out
 
 
-def _reference_residual(factor, states):
+def _reference_residual(factor, s):
     """log(reference^-1 * pose) of the factor's state."""
-    s = States.of(states)
     q = factor._inverse_rotation
     return se3_log(q @ s.rotation[factor.index],
                    matvec(q, s.translation[factor.index])
@@ -413,10 +410,9 @@ class OdometryFactor(_Factor):
         super().__post_init__()
         _cache_inverse(self, self.measurement)
 
-    def _terms(self, states):
+    def _terms(self, s):
         """The residual log(measurement^-1 * between(pose_i, pose_j)) and
         the inverse of pose_i * measurement, (rotation, translation)."""
-        s = States.of(states)
         ti = s.translation[self.i]
         rot = self._inverse_rotation @ np.swapaxes(s.rotation[self.i], -1, -2)
         r = se3_log(rot @ s.rotation[self.j],
@@ -501,7 +497,7 @@ class GravityFactor(_Factor):
 
     def _direction(self, states):
         """u = a_w/|a_w|, the measured world-frame direction of -g."""
-        a_w = matvec(States.of(states).rotation[self.index], self.a_mean)
+        a_w = matvec(states.rotation[self.index], self.a_mean)
         return a_w / np.linalg.norm(a_w, axis=-1, keepdims=True)
 
     def residual(self, states, gravity):
@@ -525,10 +521,10 @@ class ZeroVelocityFactor(_Factor):
     information: np.ndarray
 
     def residual(self, states, gravity):
-        return States.of(states).velocity[self.index].copy()
+        return states.velocity[self.index].copy()
 
     def linearize(self, states, gravity):
-        r = States.of(states).velocity[self.index].copy()
+        r = states.velocity[self.index].copy()
         return r, (_constant_jacobian(_VELOCITY_JACOBIAN, r),), None
 
 
@@ -541,11 +537,11 @@ class BiasWalkFactor(_Factor):
     information: np.ndarray
 
     def residual(self, states, gravity):
-        bias = States.of(states).bias
+        bias = states.bias
         return bias[self.j] - bias[self.i]
 
     def linearize(self, states, gravity):
-        bias = States.of(states).bias
+        bias = states.bias
         r = bias[self.j] - bias[self.i]
         jac = _constant_jacobian(_BIAS_JACOBIAN, r)
         return r, (-jac, jac), None
@@ -571,10 +567,10 @@ class BiasPriorFactor(_Factor):
         object.__setattr__(self, "bias", _vector(self.bias, "bias", 6))
 
     def residual(self, states, gravity):
-        return States.of(states).bias[self.index] - self.bias
+        return states.bias[self.index] - self.bias
 
     def linearize(self, states, gravity):
-        r = States.of(states).bias[self.index] - self.bias
+        r = states.bias[self.index] - self.bias
         return r, (_constant_jacobian(_BIAS_JACOBIAN, r),), None
 
 
@@ -597,11 +593,10 @@ class ImuFactor(_Factor):
     information: np.ndarray
     gravity_magnitude: float = GRAVITY_MAGNITUDE
 
-    def _terms(self, states, gravity):
+    def _terms(self, s, gravity):
         """The residual, plus the bias-corrected delta rotation, the bias
         correction of the deltas and the world-frame velocity and position
         differences (gravity removed) that the Jacobian reuses."""
-        s = States.of(states)
         p = self.preint
         corr = matvec(p.bias_jacobian, s.bias[self.i] - p.bias)
         d_rot = p.delta_rotation @ so3_exp(corr[..., 0:3])
@@ -625,14 +620,13 @@ class ImuFactor(_Factor):
 
     def linearize(self, states, gravity):
         r, d_rot, corr, w_vec, u_vec = self._terms(states, gravity)
-        s = States.of(states)
         p = self.preint
         dt = np.asarray(p.duration)[..., None, None]
         g_dt = np.asarray(self.gravity_magnitude)[..., None, None] * dt
-        ri = s.rotation[self.i]
+        ri = states.rotation[self.i]
         rit = np.swapaxes(ri, -1, -2)
-        ti = s.translation[self.i]
-        tj = s.translation[self.j]
+        ti = states.translation[self.i]
+        tj = states.translation[self.j]
 
         jl_inv = so3_left_jacobian_inv(r[..., 0:3])
         c_mat = np.swapaxes(ri @ d_rot, -1, -2)  # (R_i * corrected_delta)^T

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
+from scipy.spatial.transform import Rotation
 
 from .errors import EmptyCloud
 
@@ -27,7 +28,7 @@ SMALL_ANGLE = 1e-8
 # its Taylor series; its closed form loses ~eps/angle^2 to cancellation.
 SE3_TAYLOR_ANGLE = 1e-2
 
-# Angles within this margin of pi take the axis-extraction branch of the log.
+# Angles within this margin of pi take the log's axis from scipy's Rotation.
 PI_ANGLE_MARGIN = 1e-6
 
 # Below this rotation angle the inverse SO(3) Jacobian's coefficient takes
@@ -105,7 +106,11 @@ def so3_log(rotation):
 
     vee = 2 sin(angle) axis and tr - 1 = 2 cos(angle): atan2 keeps the
     angle's full precision at every angle, where acos loses it near 0 and
-    pi. Angles within PI_ANGLE_MARGIN of pi take the axis-extraction branch.
+    pi. Within PI_ANGLE_MARGIN of pi, vee is too short to carry the axis,
+    and scipy's Rotation takes it from the symmetric part, with its sign
+    from vee. A row whose |vee| is below 1e-12 is a half turn to within
+    rounding, the sign of its axis is arbitrary, and its leading nonzero
+    component is made positive.
     """
     rot = np.asarray(rotation, dtype=float)
     vee = (rot - np.swapaxes(rot, -1, -2)).reshape(rot.shape[:-2] + (9,))
@@ -119,30 +124,12 @@ def so3_log(rotation):
     out = scale[..., None] * vee
     near = angle > math.pi - PI_ANGLE_MARGIN
     if near.any():
-        out[near] = _so3_log_near_pi(rot[near], trace[near], angle[near])
+        rotvec = Rotation.from_matrix(rot[near]).as_rotvec()
+        lead = np.take_along_axis(
+            rotvec, (np.abs(rotvec) > 1e-12).argmax(axis=1)[:, None], axis=1)
+        half_turn = (vee_norm[near] < 1e-12)[:, None]
+        out[near] = np.where(half_turn & (lead < 0.0), -rotvec, rotvec)
     return out
-
-
-def _so3_log_near_pi(rot, trace, angle):
-    """so3_log's angle-pi branch on rows (m, 3, 3): the axis from the
-    symmetric part, with the leading nonzero component positive."""
-    cos_angle = np.clip((trace - 1.0) / 2.0, -1.0, 1.0)[:, None]
-    diag = np.diagonal(rot, axis1=1, axis2=2)
-    axis = np.sqrt(np.clip((diag - cos_angle) / (1.0 - cos_angle), 0.0, None))
-    # relative signs from the largest component's off-diagonal products
-    k = axis.argmax(axis=1)
-    rows = np.arange(len(axis))
-    sym = rot[rows, k] + rot[rows, :, k]
-    flip = (sym < 0.0) & (np.arange(3) != k[:, None]) \
-        & (axis[rows, k] > 0.0)[:, None]
-    axis = np.where(flip, -axis, axis)
-    nonzero = np.abs(axis) > 1e-12
-    lead = axis[rows, nonzero.argmax(axis=1)]
-    axis = np.where((nonzero.any(axis=1) & (lead < 0.0))[:, None], -axis, axis)
-    norm = np.linalg.norm(axis, axis=1, keepdims=True)
-    axis = np.where(norm > 0.0, axis / np.where(norm > 0.0, norm, 1.0),
-                    [1.0, 0.0, 0.0])
-    return axis * angle[:, None]
 
 
 def se3_exp(twist):

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import jsonschema
 import numpy as np
+from scipy.spatial.transform import Rotation
 
 from .degeneracy import DegeneracyParams
 from .errors import NonMonotonicTimestamps, ParseError
@@ -43,55 +44,29 @@ _PCD_DTYPES = {
 
 
 # ---------------------------------------------------------------------------
-# quaternions (Hamilton convention, components returned w-last)
+# quaternions (Hamilton convention, components w-last), converted by scipy
 
-def rotation_to_quaternion(rotation):
-    """(qx, qy, qz, qw) with a deterministic sign: qw > 0, or if qw == 0
-    the first nonzero vector component is positive."""
-    m = np.asarray(rotation, dtype=float)
-    trace = m[0, 0] + m[1, 1] + m[2, 2]
-    if trace > 0:
-        s = 2.0 * math.sqrt(trace + 1.0)
-        q = np.array([(m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s,
-                      (m[1, 0] - m[0, 1]) / s, 0.25 * s])
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2])
-        q = np.array([0.25 * s, (m[0, 1] + m[1, 0]) / s,
-                      (m[0, 2] + m[2, 0]) / s, (m[2, 1] - m[1, 2]) / s])
-    elif m[1, 1] >= m[2, 2]:
-        s = 2.0 * math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2])
-        q = np.array([(m[0, 1] + m[1, 0]) / s, 0.25 * s,
-                      (m[1, 2] + m[2, 1]) / s, (m[0, 2] - m[2, 0]) / s])
-    else:
-        s = 2.0 * math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1])
-        q = np.array([(m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s,
-                      0.25 * s, (m[1, 0] - m[0, 1]) / s])
-    q = q / np.linalg.norm(q)
-    if q[3] < 0:
-        q = -q
-    elif q[3] == 0:
-        for component in q[:3]:
-            if component != 0:
-                if component < 0:
-                    q = -q
-                break
-    return q
+def rotation_to_quaternion(rotations):
+    """(qx, qy, qz, qw) of each rotation matrix (..., 3, 3), with a
+    deterministic sign: qw > 0, or if qw == 0 the first nonzero vector
+    component is positive."""
+    return Rotation.from_matrix(rotations).as_quat(canonical=True)
 
 
-def quaternion_to_rotation(qx, qy, qz, qw):
+def quaternion_to_rotation(quaternions):
+    """The rotation matrix of each (qx, qy, qz, qw) row (..., 4), of any
+    norm above 1e-12. Otherwise raises ValueError(message, the flat index
+    of the first zero-norm row)."""
+    q = np.asarray(quaternions, dtype=float)
     # Scaling by a power of two near the largest component keeps the norm
     # from overflowing, and is exact, so other quaternions keep their bits.
-    exponent = math.frexp(max(abs(qx), abs(qy), abs(qz), abs(qw)))[1]
-    x, y, z, w = (math.ldexp(q, -exponent) for q in (qx, qy, qz, qw))
-    norm = math.sqrt(x * x + y * y + z * z + w * w)
-    if math.ldexp(norm, exponent) < 1e-12:
-        raise ValueError("zero-norm quaternion")
-    x, y, z, w = x / norm, y / norm, z / norm, w / norm
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    exponent = np.frexp(np.abs(q).max(axis=-1, keepdims=True))[1]
+    q = np.ldexp(q, -exponent)
+    norm = np.ldexp(np.linalg.norm(q, axis=-1, keepdims=True), exponent)
+    zero = np.flatnonzero(norm < 1e-12)
+    if zero.size:
+        raise ValueError("zero-norm quaternion", int(zero[0]))
+    return Rotation.from_quat(q).as_matrix()
 
 
 def _names_file(reader):
@@ -179,12 +154,11 @@ def _fmt(value: float) -> str:
 
 
 def write_tum(path, trajectory: Trajectory):
-    lines = []
-    for t, pose in zip(trajectory.timestamps, trajectory.poses):
-        q = rotation_to_quaternion(pose.rotation)
-        x, y, z = pose.translation
-        lines.append(" ".join([f"{t:.9f}", _fmt(x), _fmt(y), _fmt(z),
-                               _fmt(q[0]), _fmt(q[1]), _fmt(q[2]), _fmt(q[3])]))
+    quaternions = rotation_to_quaternion(
+        np.reshape([pose.rotation for pose in trajectory.poses], (-1, 3, 3)))
+    lines = [" ".join([f"{t:.9f}", *map(_fmt, [*pose.translation, *q])])
+             for t, pose, q in zip(trajectory.timestamps, trajectory.poses,
+                                   quaternions)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -195,14 +169,12 @@ def read_tum(path) -> Trajectory:
     if not numbers:
         raise ParseError("no trajectory entries")
     _check_series(table, numbers, "trajectory")
-    poses = []
-    for row, lineno in zip(table.tolist(), numbers):
-        try:
-            rotation = quaternion_to_rotation(*row[4:])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from exc
-        poses.append(Pose(rotation, np.array(row[1:4])))
-    return Trajectory(table[:, 0], tuple(poses))
+    try:
+        rotations = quaternion_to_rotation(table[:, 4:])
+    except ValueError as exc:
+        message, row = exc.args
+        raise ParseError(message, line=numbers[row]) from exc
+    return Trajectory(table[:, 0], tuple(map(Pose, rotations, table[:, 1:4])))
 
 
 # ---------------------------------------------------------------------------

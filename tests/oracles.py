@@ -202,9 +202,10 @@ def so3_log_matrix(rotation):
 
 def so3_log_scalar(rotation):
     """Rotation vector of any rotation, one component at a time; within
-    1e-6 of pi the axis comes from the symmetric part, the relative signs
-    from the largest component's off-diagonal sums, and the leading nonzero
-    component is made positive."""
+    1e-6 of pi the axis comes from the symmetric part and the relative signs
+    from the largest component's off-diagonal sums. Its overall sign is
+    vee's, or, where |vee| < 1e-12 leaves a half turn to within rounding,
+    the one that makes the leading nonzero component positive."""
     rotation = np.asarray(rotation, dtype=float)
     vee = np.array([rotation[2, 1] - rotation[1, 2],
                     rotation[0, 2] - rotation[2, 0],
@@ -224,11 +225,15 @@ def so3_log_scalar(rotation):
         for i in range(3):
             if i != k and rotation[k, i] + rotation[i, k] < 0.0:
                 axis[i] = -axis[i]
-    for component in axis:
-        if abs(component) > 1e-12:
-            if component < 0.0:
-                axis = -axis
-            break
+    if vee_norm >= 1e-12:
+        if axis @ vee < 0.0:
+            axis = -axis
+    else:
+        for component in axis:
+            if abs(component) > 1e-12:
+                if component < 0.0:
+                    axis = -axis
+                break
     norm = float(np.linalg.norm(axis))
     axis = axis / norm if norm > 0.0 else np.array([1.0, 0.0, 0.0])
     return axis * angle

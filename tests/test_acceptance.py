@@ -40,6 +40,7 @@ from maploc.factors import (
     OdometryFactor,
     PriorFactor,
     StateNode,
+    States,
     ZeroVelocityFactor,
     ZuptParams,
     detect_zupt,
@@ -142,6 +143,7 @@ def _factor_case(name, rng):
 
 
 def _factor_rel_error(factor, states, gravity):
+    states = States.of(states)
     r, blocks, g_block = factor.linearize(states, gravity)
     fd, fd_grav = fd_blocks(factor, states, gravity)
     worst = 0.0

@@ -73,7 +73,7 @@ def random_window(rng, duration=0.25, rate=200.0):
 
 
 def pose_states(*poses):
-    return [StateNode.at(p, 0.0) for p in poses]
+    return States.of([StateNode.at(p, 0.0) for p in poses])
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +112,8 @@ class TestResidualFunctions:
 
     def test_zero_velocity_error(self):
         state = StateNode.at(Pose.identity(), 0.0, velocity=[0.1, -0.2, 0.3])
-        assert np.allclose(ZeroVelocityFactor(0, np.eye(3)).residual([state], DOWN),
-                           [0.1, -0.2, 0.3])
+        r = ZeroVelocityFactor(0, np.eye(3)).residual(States.of([state]), DOWN)
+        assert np.allclose(r, [0.1, -0.2, 0.3])
 
     def map_factor_at(self, rng, offset, mask):
         """A map factor with a random SPD weight and a state offset from its
@@ -123,7 +123,7 @@ class TestResidualFunctions:
         factor = MapFactor(0, map_pose, a @ a.T + np.eye(6), mask=mask)
         pose = compose(map_pose, Pose(np.eye(3), np.asarray(offset, float)))
         state = StateNode.at(pose, 0.0)
-        r = factor.residual([state], DOWN)
+        r = factor.residual(States.of([state]), DOWN)
         return factor, r, float(r @ factor.information @ r)
 
     def test_map_error_masked_axis_offset_vanishes(self, rng):
@@ -142,7 +142,7 @@ class TestResidualFunctions:
     def test_map_error_no_mask_is_full_log(self, rng):
         pose, map_pose = random_pose(rng), random_pose(rng)
         f = MapFactor(0, map_pose, np.eye(6))
-        full = f.residual([StateNode.at(pose, 0.0)], DOWN)
+        full = f.residual(States.of([StateNode.at(pose, 0.0)]), DOWN)
         assert full.shape == (6,)
         assert np.allclose(exp_map(full).matrix(),
                            between(map_pose, pose).matrix(), atol=1e-10)
@@ -153,7 +153,7 @@ class TestResidualFunctions:
         a = rng.normal(size=(6, 6))
         info = a @ a.T
         f = MapFactor(0, map_pose, info, mask=(0, 2))
-        full = f.residual([StateNode.at(pose, 0.0)], DOWN)
+        full = f.residual(States.of([StateNode.at(pose, 0.0)]), DOWN)
         keep = [0, 1, 2, 4]
         assert float(full @ f.information @ full) == pytest.approx(
             float(full[keep] @ info[np.ix_(keep, keep)] @ full[keep]),
@@ -165,7 +165,8 @@ class TestResidualFunctions:
     @staticmethod
     def gravity_error(rotation, gravity, a_mean):
         state = StateNode.at(Pose(rotation, np.zeros(3)), 0.0)
-        return GravityFactor(0, a_mean, np.eye(3)).residual([state], gravity)
+        return GravityFactor(0, a_mean, np.eye(3)).residual(
+            States.of([state]), gravity)
 
     def test_gravity_error_level_case(self):
         r = self.gravity_error(np.eye(3), DOWN, np.array([0.0, 0.0, 9.81]))
@@ -431,7 +432,6 @@ class TestPreintegrate:
 def fd_blocks(factor, states, gravity, eps=1e-6):
     """Central differences of the residual, by state index and for
     gravity's 3 ambient coordinates."""
-    states = States.of(states)
     r0 = factor.residual(states, gravity)
     blocks = {}
     for idx in factor.indices:
@@ -454,6 +454,7 @@ def fd_blocks(factor, states, gravity, eps=1e-6):
 
 
 def check_factor_jacobians(factor, states, gravity, tol=2e-5):
+    states = States.of(states)
     r, blocks, g_block = factor.linearize(states, gravity)
     blocks = dict(zip(factor.indices, blocks))
     assert np.allclose(r, factor.residual(states, gravity), atol=1e-12)
@@ -518,7 +519,7 @@ class TestFactorJacobians:
         bg = 0.01 * rng.normal(size=3)
         f = BiasPriorFactor(0, np.concatenate([ba, bg]), np.eye(6))
         expected = np.concatenate([state.bias[:3] - ba, state.bias[3:] - bg])
-        assert np.allclose(f.residual([state], DOWN), expected)
+        assert np.allclose(f.residual(States.of([state]), DOWN), expected)
         check_factor_jacobians(f, [state], DOWN.copy())
 
     def test_imu_factor(self, rng):
@@ -664,7 +665,7 @@ def test_map_factor_weight_mask_matches_row_deletion(case):
     state = StateNode.at(pose, 0.0)
     for mask in ALL_MASKS:
         f = MapFactor(0, map_pose, info, mask=mask)
-        r, blocks, g_block = f.linearize([state], DOWN)
+        r, blocks, g_block = f.linearize(States.of([state]), DOWN)
         jac = blocks[0][:, :6]
         r_k, jac_k, info_k = row_deleting_map_factor(
             pose.matrix(), map_pose.matrix(), info, mask)
@@ -694,7 +695,8 @@ class TestImuFactorConsistency:
         si = StateNode(pose, np.zeros(3), np.zeros(6), 0.0)
         sj = StateNode(pose, np.zeros(3), np.zeros(6), 0.5)
         f = ImuFactor(0, 1, pre, np.eye(9), gravity_magnitude=G_MAG)
-        assert np.allclose(f.residual([si, sj], DOWN), 0.0, atol=1e-9)
+        r = f.residual(States.of([si, sj]), DOWN)
+        assert np.allclose(r, 0.0, atol=1e-9)
 
     def test_constant_acceleration_zero_residual(self, rng):
         # body frame fixed at rotation R, constant world acceleration
@@ -712,7 +714,8 @@ class TestImuFactorConsistency:
         si = StateNode(Pose(rot, t0), v0, np.zeros(6), 0.0)
         sj = StateNode(Pose(rot, tj), vj, np.zeros(6), duration)
         f = ImuFactor(0, 1, pre, np.eye(9), gravity_magnitude=G_MAG)
-        assert np.allclose(f.residual([si, sj], DOWN), 0.0, atol=1e-9)
+        r = f.residual(States.of([si, sj]), DOWN)
+        assert np.allclose(r, 0.0, atol=1e-9)
 
     def test_bias_correction_tracks_reintegration(self, rng):
         # residual with a shifted state bias ~ residual of a fresh
@@ -724,7 +727,7 @@ class TestImuFactorConsistency:
         dg = 2e-3 * rng.normal(size=3)
         si = StateNode(states[0].pose, states[0].velocity,
                        np.concatenate([da, dg]), 0.0)
-        shifted = [si, states[1]]
+        shifted = States.of([si, states[1]])
         f_lin = ImuFactor(0, 1, pre, np.eye(9))
         pre_exact = preintegrate(window, np.concatenate([da, dg]))
         f_exact = ImuFactor(0, 1, pre_exact, np.eye(9))

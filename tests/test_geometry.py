@@ -96,6 +96,21 @@ class TestSE3:
             np.testing.assert_allclose(back.rotation, pose.rotation, atol=1e-6)
             np.testing.assert_allclose(back.translation, pose.translation, atol=1e-6)
 
+    def test_log_near_pi_keeps_a_negative_leading_axis(self):
+        # Short of a half turn the axis's sign is vee's, so exp(log R) is R
+        # also where the leading component is negative.
+        rng = np.random.default_rng(20)
+        axes = np.vstack([rng.normal(size=(400, 3)), [[-0.6, 0.8, 0.0]]])
+        axes[:, 0] = -np.abs(axes[:, 0])
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        angles = np.pi - np.concatenate([10.0 ** rng.uniform(-12, -6, 398),
+                                         [1e-6, 1e-12, 5e-7]])
+        rotations = so3_exp(axes * angles[:, None])
+        back = so3_exp(so3_log(rotations))
+        # |A - B|_F = 2 sqrt(2) sin(angle / 2) for the angle between them
+        error = np.linalg.norm(back - rotations, axis=(1, 2)) / np.sqrt(2.0)
+        assert error.max() <= 1e-9
+
     def test_tiny_angle_no_nan(self):
         xi = np.array([1e-12, -2e-13, 3e-13, 0.1, 0.2, 0.3])
         pose = exp_map(xi)

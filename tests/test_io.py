@@ -45,7 +45,7 @@ class TestQuaternions:
             rotation = random_pose(rng, rot_scale=3.0).rotation
             q = rotation_to_quaternion(rotation)
             assert abs(np.linalg.norm(q) - 1) < 1e-12
-            back = quaternion_to_rotation(*q)
+            back = quaternion_to_rotation(list(q))
             assert np.allclose(back, rotation, atol=1e-12)
 
     def test_agrees_with_oracle(self, rng):
@@ -60,7 +60,7 @@ class TestQuaternions:
         for _ in range(50):
             rotation = random_pose(rng, rot_scale=3.0).rotation
             q = rotation_to_quaternion(rotation)
-            again = rotation_to_quaternion(quaternion_to_rotation(*(-q)))
+            again = rotation_to_quaternion(quaternion_to_rotation(list(-q)))
             assert np.allclose(q, again, atol=1e-12)
             assert q[3] >= 0
 
@@ -80,15 +80,15 @@ class TestQuaternions:
             angle_axis[axis] = 0.999 * math.pi
             rotation = so3_exp(angle_axis)
             q = rotation_to_quaternion(rotation)
-            assert np.allclose(quaternion_to_rotation(*q), rotation,
+            assert np.allclose(quaternion_to_rotation(list(q)), rotation,
                                atol=1e-12)
 
     def test_zero_quaternion_rejected(self):
         with pytest.raises(ValueError):
-            quaternion_to_rotation(0.0, 0.0, 0.0, 0.0)
+            quaternion_to_rotation([0.0, 0.0, 0.0, 0.0])
 
     def test_unnormalized_input_normalized(self):
-        rotation = quaternion_to_rotation(0.0, 0.0, 0.0, 2.0)
+        rotation = quaternion_to_rotation([0.0, 0.0, 0.0, 2.0])
         assert np.allclose(rotation, np.eye(3), atol=1e-15)
 
 
@@ -139,10 +139,14 @@ class TestTum:
         assert info.value.line == 2
 
     def test_zero_quaternion_line(self, tmp_path):
+        # the whole file converts at once; the first zero row is named
         path = tmp_path / "traj.tum"
-        path.write_text("1.0 0 0 0 0 0 0 0\n")
-        with pytest.raises(ParseError):
+        path.write_text("1.0 0 0 0 0 0 0 1\n# gap\n2.0 0 0 0 0 0 0 0\n"
+                        "3.0 0 0 0 0 0 0 1\n4.0 0 0 0 0 0 0 0\n")
+        with pytest.raises(ParseError) as info:
             read_tum(path)
+        assert info.value.line == 3
+        assert str(info.value) == f"{path}: zero-norm quaternion (line 3)"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "traj.tum"
@@ -175,10 +179,14 @@ class TestTum:
         # the squared components overflow a float; the half turn about
         # x + y must survive rather than read as the identity
         path = tmp_path / "traj.tum"
-        path.write_text("1.0 0 0 0 1e200 1e200 0 0\n")
-        rotation = read_tum(path).poses[0].rotation
-        assert np.allclose(rotation, [[0, 1, 0], [1, 0, 0], [0, 0, -1]],
-                           atol=1e-15)
+        path.write_text("1.0 0 0 0 0 0 0 1\n2.0 0 0 0 1e200 1e200 0 0\n"
+                        "3.0 0 0 0 0 0 0 3e-12\n")
+        poses = read_tum(path).poses
+        assert np.allclose(poses[1].rotation,
+                           [[0, 1, 0], [1, 0, 0], [0, 0, -1]], atol=1e-15)
+        # each row is scaled by its own power of two
+        assert np.array_equal(poses[0].rotation, np.eye(3))
+        assert np.array_equal(poses[2].rotation, np.eye(3))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", [0, 1, 7])  # timestamp, x, qw
