@@ -81,15 +81,18 @@ class StateNode:
         return StateNode(pose, velocity, np.zeros(6), float(timestamp))
 
 
-@dataclass(frozen=True)
-class ImuSample:
-    timestamp: float
-    angular_velocity: np.ndarray  # rad/s, body frame
-    specific_force: np.ndarray    # m/s^2, body frame
+_IMU_DTYPE = np.dtype([("timestamp", float), ("angular_velocity", float, 3),
+                       ("specific_force", float, 3)])
 
-    def __post_init__(self):
-        for name in ("angular_velocity", "specific_force"):
-            object.__setattr__(self, name, _vector(getattr(self, name), name))
+
+def imu_samples(timestamp, angular_velocity, specific_force) -> np.recarray:
+    """An IMU stream as one read-only record array of fields timestamp (N,),
+    angular_velocity (N, 3; rad/s, body frame) and specific_force (N, 3;
+    m/s^2, body frame). Rows, slices and fields read as attributes."""
+    samples = np.rec.fromarrays([timestamp, angular_velocity, specific_force],
+                                dtype=_IMU_DTYPE)
+    samples.flags.writeable = False
+    return samples
 
 
 @dataclass(frozen=True)
@@ -164,14 +167,14 @@ def detect_zupt(samples, params: ZuptParams = ZuptParams()) -> bool:
     """
     if len(samples) < 2:
         raise WindowTooShort("need at least 2 samples")
-    times = np.array([s.timestamp for s in samples])
+    times = samples.timestamp
     if np.any(np.diff(times) <= 0):
         raise NonMonotonicTimestamps("IMU window timestamps must increase")
     if times[-1] - times[0] < params.min_duration:
         raise WindowTooShort(
             f"window spans {times[-1] - times[0]:.3f} s < {params.min_duration} s")
-    accel_norms = np.array([np.linalg.norm(s.specific_force) for s in samples])
-    gyro_norms = np.array([np.linalg.norm(s.angular_velocity) for s in samples])
+    accel_norms = np.linalg.norm(samples.specific_force, axis=1)
+    gyro_norms = np.linalg.norm(samples.angular_velocity, axis=1)
     return bool(accel_norms.std() < params.accel_std_threshold
                 and gyro_norms.mean() < params.gyro_mean_threshold)
 
@@ -212,7 +215,7 @@ def preintegrate(samples, bias, *, sigma_gyro=SIGMA_GYRO,
     """
     if len(samples) < 2:
         raise WindowTooShort("need at least 2 IMU samples to preintegrate")
-    times = np.array([s.timestamp for s in samples])
+    times = samples.timestamp
     if np.any(np.diff(times) <= 0):
         raise NonMonotonicTimestamps("IMU timestamps must strictly increase")
     bias = _vector(bias, "bias", 6)
@@ -221,8 +224,8 @@ def preintegrate(samples, bias, *, sigma_gyro=SIGMA_GYRO,
 
     # what each step needs of its two samples, for all steps at once
     dts = np.diff(times)
-    gyro = np.array([s.angular_velocity for s in samples])
-    force = np.array([s.specific_force for s in samples]) - accel_bias
+    gyro = samples.angular_velocity
+    force = samples.specific_force - accel_bias
     steps = (0.5 * (gyro[:-1] + gyro[1:]) - gyro_bias) * dts[:, None]
     r_steps = so3_exp(steps)
     # a_mid = (d_rot u0 + d_rot_next u1) / 2 = d_rot u_sum / 2

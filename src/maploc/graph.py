@@ -55,26 +55,11 @@ class OptimizeResult:
     records: list
 
 
-def _stacks(factors):
-    """factors grouped by class, in order of first appearance, each group
-    stacked into one batched factor."""
-    groups = {}
-    for f in factors:
-        groups.setdefault(type(f), []).append(f)
-    return [cls.stack(group) for cls, group in groups.items()]
-
-
 def _total(stacks, residuals) -> float:
     """0.5 * sum of r^T W r over the stacked factors, given their
     residuals, W being each factor's information."""
     return sum(0.5 * float(np.einsum("fi,fij,fj->", r, s.information, r))
                for s, r in zip(stacks, residuals))
-
-
-def _cost(factors, states, gravity) -> float:
-    """0.5 * sum of r^T W r over the factors, one residual call per class."""
-    stacks = _stacks(factors)
-    return _total(stacks, [s.residual(states, gravity) for s in stacks])
 
 
 def _nonfinite(stacks, h_vals, b_vals) -> SingularSystem:
@@ -151,7 +136,10 @@ class FactorGraph:
             if rows.size:
                 stacks.append(cls.stack([members[k] for k in rows]))
         if not stacks:  # no free state, or none that a factor touches
-            c = _cost(self.factors, self.states, self.gravity)
+            stacks = [cls.stack(members)
+                      for cls, (members, _) in self._kinds.items()]
+            c = _total(stacks, [s.residual(self.states, self.gravity)
+                                for s in stacks])
             return OptimizeResult(c, c, 0, True, [])
         grav_col = STATE_DIM * (n - first)
         # Gravity becomes a variable only when a factor that measures it is

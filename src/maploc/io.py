@@ -24,8 +24,8 @@ from scipy.spatial.transform import Rotation
 from .degeneracy import DegeneracyParams
 from .errors import NonMonotonicTimestamps, ParseError
 from .evaluate import DEFAULT_MAX_DT, DEFAULT_THRESHOLD, Trajectory
-from .factors import (GRAVITY_MAGNITUDE, SIGMA_ACCEL, SIGMA_GYRO, ImuSample,
-                      ZuptParams)
+from .factors import (GRAVITY_MAGNITUDE, SIGMA_ACCEL, SIGMA_GYRO,
+                      ZuptParams, imu_samples)
 from .geometry import PointCloud, Pose
 from .graph import MAX_ITERATIONS
 from .registration import RegistrationParams
@@ -357,18 +357,14 @@ def read_imu_csv(path):
     if not numbers:
         raise ParseError("no IMU samples")
     _check_series(table, numbers, "IMU")
-    return [ImuSample(t, w, a) for t, w, a in
-            zip(table[:, 0].tolist(), table[:, 1:4], table[:, 4:7])]
+    return imu_samples(table[:, 0], table[:, 1:4], table[:, 4:7])
 
 
 def write_imu_csv(path, samples):
-    lines = [IMU_HEADER]
-    for s in samples:
-        w = s.angular_velocity
-        a = s.specific_force
-        lines.append(",".join([f"{s.timestamp:.9f}"]
-                              + [_fmt(v) for v in (*w, *a)]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    values = np.hstack([samples.angular_velocity, samples.specific_force])
+    lines = [",".join([f"{t:.9f}", *map(_fmt, row)])
+             for t, row in zip(samples.timestamp.tolist(), values.tolist())]
+    Path(path).write_text("\n".join([IMU_HEADER, *lines]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +374,16 @@ def scan_filename(timestamp: float) -> str:
     return f"{timestamp:017.9f}.pcd"
 
 
+@_names_file
 def scan_timestamp(path) -> float:
     stem = Path(path).stem
     try:
-        return float(stem)
+        timestamp = float(stem)
     except ValueError as exc:
         raise ParseError(f"scan filename '{stem}' is not a timestamp") from exc
+    if not math.isfinite(timestamp):
+        raise ParseError(f"scan filename '{stem}' is not a finite timestamp")
+    return timestamp
 
 
 # ---------------------------------------------------------------------------

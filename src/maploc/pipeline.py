@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,9 +24,9 @@ from .errors import (DataError, EmptyCloud, InitializationFailure,
                      ZeroAcceleration)
 from .evaluate import MetricsReport, Trajectory, compute_metrics
 from .factors import (BiasPriorFactor, BiasWalkFactor, GravityFactor,
-                      ImuFactor, ImuSample, MapFactor, OdometryFactor,
+                      ImuFactor, MapFactor, OdometryFactor,
                       PriorFactor, StateNode, ZeroVelocityFactor, ZuptParams,
-                      detect_zupt, preintegrate)
+                      detect_zupt, imu_samples, preintegrate)
 from .geometry import (PointCloud, Pose, between, build_index, compose,
                        estimate_normals)
 from .graph import FactorGraph
@@ -52,19 +51,20 @@ class SequenceInput:
     """One localization input: scans with timestamps, odometry, IMU.
 
     Scan sources may be PointClouds (in memory) or paths loaded on demand.
+    The IMU stream is a factors.imu_samples record array, or () for none.
     The odometry trajectory is expressed in the map frame at its first
     pose; initial_pose overrides that anchor when given.
     """
 
     scans: tuple            # ((timestamp, PointCloud | path), ...)
     odometry: Trajectory
-    imu: tuple = ()
+    imu: np.recarray = ()
     initial_pose: Pose = None
 
     @classmethod
     def from_synth(cls, result, initial_pose=None):
         return cls(scans=tuple((f.timestamp, f.cloud) for f in result.scans),
-                   odometry=result.odometry, imu=tuple(result.imu),
+                   odometry=result.odometry, imu=result.imu,
                    initial_pose=initial_pose)
 
 
@@ -168,12 +168,15 @@ def load_map(path, voxel_size=0.1) -> PriorMap:
 
 
 def load_sequence(scans_dir, odom_path, imu_path=None) -> SequenceInput:
+    """The scans under scans_dir in timestamp order (equal timestamps in
+    name order), odometry, and the IMU stream if imu_path is given."""
     files = sorted(Path(scans_dir).glob("*.pcd"))
     if not files:
         raise ParseError(f"no .pcd scans under {scans_dir}")
-    scans = tuple((mio.scan_timestamp(f), f) for f in files)
+    scans = tuple(sorted(((mio.scan_timestamp(f), f) for f in files),
+                         key=lambda scan: scan[0]))
     odometry = mio.read_tum(odom_path)
-    imu = tuple(mio.read_imu_csv(imu_path)) if imu_path else ()
+    imu = mio.read_imu_csv(imu_path) if imu_path else ()
     return SequenceInput(scans=scans, odometry=odometry, imu=imu)
 
 
@@ -281,21 +284,24 @@ def _map_factor(frame, keyframe, pose, prior_map, cfg) -> list:
                       mask=report.degenerate_axes)]
 
 
+def _imu_period(imu) -> float:
+    """The median IMU sample period, 0 for fewer than two samples. A stream
+    whose timestamps do not strictly increase is refused up front, naming
+    the first sample that does not come after its predecessor."""
+    steps = np.diff(imu.timestamp) if len(imu) else np.empty(0)
+    bad = np.flatnonzero(~(steps > 0))
+    if bad.size:
+        t0, t1 = imu.timestamp[bad[0]:bad[0] + 2]
+        raise NonMonotonicTimestamps(
+            f"IMU sample {bad[0] + 1} at t={t1:.9f} does not come after "
+            f"the sample at t={t0:.9f}")
+    return float(np.median(steps)) if steps.size else 0.0
+
+
 def _slice_samples(imu, lo, hi):
-    a = bisect_left(imu, lo - 1e-9, key=lambda s: s.timestamp)
-    b = bisect_right(imu, hi + 1e-9, key=lambda s: s.timestamp)
-    return imu[a:b]
-
-
-def _sample_at(imu, t) -> ImuSample:
-    """The IMU sample at time t, linearly interpolated between the two
-    samples around it; past either end of the stream, the end sample."""
-    b = min(max(bisect_left(imu, t, key=lambda s: s.timestamp), 1),
-            len(imu) - 1)
-    s0, s1 = imu[b - 1], imu[b]
-    w = min(max((t - s0.timestamp) / (s1.timestamp - s0.timestamp), 0.0), 1.0)
-    return ImuSample(t, (1 - w) * s0.angular_velocity + w * s1.angular_velocity,
-                     (1 - w) * s0.specific_force + w * s1.specific_force)
+    times = imu.timestamp
+    return imu[np.searchsorted(times, lo - 1e-9, side="left"):
+               np.searchsorted(times, hi + 1e-9, side="right")]
 
 
 def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
@@ -318,14 +324,13 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
         near - odom_pose.translation, axis=1))) <= params.max_odom_displacement
     window = _slice_samples(sequence.imu, t - span, t)
     if not (still and len(window) >= 2
-            and window[-1].timestamp - window[0].timestamp > params.min_duration
+            and window.timestamp[-1] - window.timestamp[0] > params.min_duration
             and detect_zupt(window, params)):
         return []
     factors = [ZeroVelocityFactor(index, info["zero_velocity"]),
                OdometryFactor(index - 1, index, Pose.identity(),
                               info["no_motion"])]
-    a_mean = np.mean([s.specific_force for s in window],
-                     axis=0) - prev_state.bias[:3]
+    a_mean = window.specific_force.mean(axis=0) - prev_state.bias[:3]
     try:
         factors.append(GravityFactor(index, a_mean, info["gravity"]))
     except ZeroAcceleration:
@@ -339,19 +344,24 @@ def _imu_factors(index, keyframe, prev_state, imu, period, cfg, info):
     or none when the IMU samples do not start and end within 1.5 median
     IMU periods of the two keyframe times (a dropout). The preintegrated
     span is exactly the keyframe interval: an end sample off its keyframe
-    time gets a sample interpolated at that time put beside it."""
+    time gets a sample interpolated at that time put beside it (past either
+    end of the stream, the end sample)."""
     k, t, _, _ = keyframe
-    segment = _slice_samples(imu, prev_state.timestamp, t)
-    if (len(segment) < 2
-            or segment[0].timestamp - prev_state.timestamp > 1.5 * period
-            or t - segment[-1].timestamp > 1.5 * period):
+    t0 = prev_state.timestamp
+    segment = _slice_samples(imu, t0, t)
+    times = segment.timestamp
+    if (len(segment) < 2 or times[0] - t0 > 1.5 * period
+            or t - times[-1] > 1.5 * period):
         logger.warning("frame %d: IMU samples do not cover [%.3f, %.3f] s; "
-                       "no IMU factor", k, prev_state.timestamp, t)
+                       "no IMU factor", k, t0, t)
         return []
-    if segment[0].timestamp > prev_state.timestamp + 1e-9:
-        segment = [_sample_at(imu, prev_state.timestamp), *segment]
-    if segment[-1].timestamp < t - 1e-9:
-        segment = [*segment, _sample_at(imu, t)]
+    head = [t0] if times[0] > t0 + 1e-9 else []
+    tail = [t] if times[-1] < t - 1e-9 else []
+    if head or tail:
+        times = np.concatenate([head, times, tail])
+        segment = imu_samples(times, *(
+            np.column_stack([np.interp(times, imu.timestamp, c) for c in v.T])
+            for v in (imu.angular_velocity, imu.specific_force)))
     imu_cfg = cfg["imu"]
     pre = preintegrate(segment, prev_state.bias,
                        sigma_gyro=imu_cfg["sigma_gyro"],
@@ -413,8 +423,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
     info = _information(cfg["factors"])
     keyframes, skipped = _keyframes(sequence, cfg["keyframe_stride"])
     imu = sequence.imu
-    period = (float(np.median(np.diff([s.timestamp for s in imu])))
-              if len(imu) > 1 else 0.0)
+    period = _imu_period(imu)
     # ZUPT windows reach 1.5 IMU periods past min_duration to strictly clear it
     zupt_span = cfg["zupt"]["min_duration"] + 1.5 * period
 
@@ -427,7 +436,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
                     else sequence.initial_pose)
             state = StateNode.at(pose, t)
             factors = [PriorFactor(0, pose, info["prior"])]
-            if imu:
+            if len(imu):
                 factors.append(BiasPriorFactor(0, np.zeros(6),
                                                info["bias_prior"]))
         else:
@@ -445,7 +454,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
         if index % cfg["map_factor_stride"] == 0:
             factors += _map_factor(frame, keyframe, state.pose, prior_map,
                                    cfg)
-        if imu and index > 0:
+        if len(imu) and index > 0:
             zupt = _zupt_factors(index, keyframe, prev_state, sequence,
                                  zupt_span, cfg, info)
             frame["zupt"] = bool(zupt)

@@ -23,7 +23,7 @@ from scipy.interpolate import PchipInterpolator
 
 from .errors import InvalidSpec
 from .evaluate import Trajectory
-from .factors import ImuSample
+from .factors import imu_samples
 from .geometry import PointCloud, Pose, compose, between, exp_map, so3_exp
 from . import io as mio
 
@@ -120,7 +120,7 @@ class SynthResult:
     gt_trajectory: Trajectory
     odometry: Trajectory
     scans: tuple
-    imu: tuple
+    imu: np.recarray  # factors.imu_samples
     gt_map: PointCloud
     surfaces: tuple
 
@@ -411,15 +411,13 @@ def generate(spec: SceneSpec) -> SynthResult:
     force = force + spec.imu["accel_bias"] + accel_noise
     omega = np.column_stack([np.zeros(n_imu), np.zeros(n_imu), yaw_rate])
     omega = omega + spec.imu["gyro_bias"] + gyro_noise
-    samples = tuple(ImuSample(float(t), omega[j], force[j])
-                    for j, t in enumerate(imu_times))
 
     return SynthResult(
         spec=spec,
         gt_trajectory=Trajectory(scan_times, gt_poses),
         odometry=Trajectory(scan_times, tuple(odom_poses)),
         scans=tuple(scans),
-        imu=samples,
+        imu=imu_samples(imu_times, omega, force),
         gt_map=gt_map,
         surfaces=surfaces,
     )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maploc.factors import imu_samples
 from maploc.geometry import Pose, exp_map
 
 
@@ -16,6 +17,14 @@ def random_twist(rng, rot_scale=1.0, trans_scale=1.0):
 
 def random_pose(rng, rot_scale=1.0, trans_scale=1.0) -> Pose:
     return exp_map(random_twist(rng, rot_scale, trans_scale))
+
+
+def imu_stream(times, gyro, accel):
+    """An IMU record array at `times`; gyro and accel are broadcast to one
+    row per time, so a 3-vector holds constant."""
+    shape = (len(times), 3)
+    return imu_samples(times, np.broadcast_to(gyro, shape),
+                       np.broadcast_to(accel, shape))
 
 
 def leaf_keys(node, prefix=""):

@@ -17,7 +17,6 @@ from maploc.factors import (
     BiasWalkFactor,
     GravityFactor,
     ImuFactor,
-    ImuSample,
     MapFactor,
     OdometryFactor,
     PriorFactor,
@@ -42,7 +41,7 @@ from maploc.geometry import (
     so3_log,
 )
 
-from conftest import random_pose
+from conftest import imu_stream, random_pose
 from oracles import preintegration_covariance, row_deleting_map_factor
 
 G_MAG = 9.81
@@ -57,19 +56,12 @@ def random_state(rng, t=0.0, rot_scale=0.8):
                      t)
 
 
-def make_window(times, gyro, accel):
-    gyro = np.broadcast_to(np.asarray(gyro, dtype=float), (len(times), 3))
-    accel = np.broadcast_to(np.asarray(accel, dtype=float), (len(times), 3))
-    return [ImuSample(t, w, a) for t, w, a in zip(times, gyro, accel)]
-
-
 def random_window(rng, duration=0.25, rate=200.0):
     n = int(duration * rate) + 1
-    times = np.arange(n) / rate
-    return [ImuSample(t,
-                      np.array([0.4, -0.3, 0.5]) + 0.2 * rng.normal(size=3),
-                      np.array([0.3, -0.2, 9.8]) + 0.5 * rng.normal(size=3))
-            for t in times]
+    draws = rng.normal(size=(n, 2, 3))  # gyro, then accel, per sample
+    return imu_stream(np.arange(n) / rate,
+                      np.array([0.4, -0.3, 0.5]) + 0.2 * draws[:, 0],
+                      np.array([0.3, -0.2, 9.8]) + 0.5 * draws[:, 1])
 
 
 def pose_states(*poses):
@@ -219,7 +211,7 @@ class TestResidualFunctions:
 @pytest.mark.parametrize("make", [
     lambda bias: StateNode(Pose.identity(), np.zeros(3), bias, 0.0),
     lambda bias: BiasPriorFactor(0, bias, np.eye(6)),
-    lambda bias: preintegrate(make_window([0.0, 0.1], [0, 0, 0], [0, 0, 9.81]),
+    lambda bias: preintegrate(imu_stream([0.0, 0.1], [0, 0, 0], [0, 0, 9.81]),
                               bias),
 ], ids=["StateNode", "BiasPriorFactor", "preintegrate"])
 def test_three_vector_bias_is_refused(make):
@@ -230,7 +222,7 @@ def test_three_vector_bias_is_refused(make):
 
 
 def test_preintegrate_sigmas_are_keyword_only():
-    samples = make_window([0.0, 0.1], [0, 0, 0], [0, 0, 9.81])
+    samples = imu_stream([0.0, 0.1], [0, 0, 0], [0, 0, 9.81])
     with pytest.raises(TypeError):
         preintegrate(samples, np.zeros(3), np.zeros(3))
 
@@ -240,50 +232,44 @@ def test_preintegrate_sigmas_are_keyword_only():
 
 class TestZupt:
     def test_stationary_window_fires(self):
-        rng = np.random.default_rng(7)
-        times = np.arange(61) / 100.0
-        samples = [ImuSample(t,
-                             rng.normal(scale=0.005, size=3),
-                             np.array([0, 0, 9.81]) + rng.normal(scale=0.01, size=3))
-                   for t in times]
+        draws = np.random.default_rng(7).normal(size=(61, 2, 3))
+        samples = imu_stream(np.arange(61) / 100.0, 0.005 * draws[:, 0],
+                             np.array([0, 0, 9.81]) + 0.01 * draws[:, 1])
         assert detect_zupt(samples) is True
 
     def test_stationary_monte_carlo(self):
-        times = np.arange(61) / 100.0
         for seed in range(100):
-            rng = np.random.default_rng(seed)
-            samples = [ImuSample(t,
-                                 rng.normal(scale=0.004, size=3),
-                                 np.array([0, 0, 9.81]) + rng.normal(scale=0.01, size=3))
-                       for t in times]
+            draws = np.random.default_rng(seed).normal(size=(61, 2, 3))
+            samples = imu_stream(np.arange(61) / 100.0, 0.004 * draws[:, 0],
+                                 np.array([0, 0, 9.81]) + 0.01 * draws[:, 1])
             assert detect_zupt(samples) is True, f"seed {seed}"
 
     def test_rotating_window_rejected(self):
         times = np.arange(61) / 100.0
-        samples = make_window(times, [0.0, 0.0, 0.5], [0.0, 0.0, 9.81])
+        samples = imu_stream(times, [0.0, 0.0, 0.5], [0.0, 0.0, 9.81])
         assert detect_zupt(samples) is False
 
     def test_shaking_window_rejected(self):
         times = np.arange(61) / 100.0
         accel = np.zeros((len(times), 3))
         accel[:, 2] = 9.81 + 0.5 * np.sin(20 * times)
-        samples = [ImuSample(t, np.zeros(3), a) for t, a in zip(times, accel)]
+        samples = imu_stream(times, np.zeros(3), accel)
         assert detect_zupt(samples) is False
 
     def test_short_window_raises(self):
         times = np.arange(30) / 100.0  # 0.29 s
-        samples = make_window(times, [0, 0, 0], [0, 0, 9.81])
+        samples = imu_stream(times, [0, 0, 0], [0, 0, 9.81])
         with pytest.raises(WindowTooShort):
             detect_zupt(samples)
 
     def test_non_monotonic_raises(self):
-        samples = make_window([0.0, 0.6, 0.3], [0, 0, 0], [0, 0, 9.81])
+        samples = imu_stream([0.0, 0.6, 0.3], [0, 0, 0], [0, 0, 9.81])
         with pytest.raises(NonMonotonicTimestamps):
             detect_zupt(samples)
 
     def test_custom_params(self):
         times = np.arange(31) / 100.0
-        samples = make_window(times, [0, 0, 0], [0, 0, 9.81])
+        samples = imu_stream(times, [0, 0, 0], [0, 0, 9.81])
         assert detect_zupt(samples, ZuptParams(min_duration=0.2)) is True
 
 
@@ -296,7 +282,7 @@ class TestPreintegrate:
         # specific force alone: v = a T, p = a T^2 / 2
         times = np.arange(101) / 100.0
         a = np.array([0, 0, 9.81])
-        samples = make_window(times, [0, 0, 0], a)
+        samples = imu_stream(times, [0, 0, 0], a)
         pre = preintegrate(samples, np.zeros(6))
         assert np.allclose(pre.delta_rotation, np.eye(3), atol=1e-12)
         assert np.allclose(pre.delta_velocity, a * 1.0, atol=1e-12)
@@ -306,7 +292,7 @@ class TestPreintegrate:
     def test_constant_acceleration_kinematics(self):
         # 1 m/s^2 along x for 1 s from rest: v = a t, p = a t^2 / 2
         times = np.linspace(0.0, 1.0, 101)
-        samples = make_window(times, [0, 0, 0], [1.0, 0, 0])
+        samples = imu_stream(times, [0, 0, 0], [1.0, 0, 0])
         pre = preintegrate(samples, np.zeros(6))
         assert np.allclose(pre.delta_velocity, [1.0, 0, 0], atol=1e-12)
         assert np.allclose(pre.delta_position, [0.5, 0, 0], atol=1e-12)
@@ -314,7 +300,7 @@ class TestPreintegrate:
 
     def test_pure_rotation_half_turn(self):
         times = np.linspace(0.0, math.pi, 301)
-        samples = make_window(times, [0, 0, 1.0], [0, 0, 0])
+        samples = imu_stream(times, [0, 0, 1.0], [0, 0, 0])
         pre = preintegrate(samples, np.zeros(6))
         assert np.allclose(so3_log(pre.delta_rotation), [0, 0, math.pi], atol=1e-9)
 
@@ -323,7 +309,7 @@ class TestPreintegrate:
         bg = np.array([0.002, 0.001, -0.003])
         times = np.arange(51) / 100.0
         a = np.array([0, 0, 9.81])
-        samples = make_window(times, bg, ba + a)
+        samples = imu_stream(times, bg, ba + a)
         pre = preintegrate(samples, np.concatenate([ba, bg]))
         assert np.allclose(pre.delta_rotation, np.eye(3), atol=1e-12)
         assert np.allclose(pre.delta_velocity, a * 0.5, atol=1e-12)
@@ -331,11 +317,11 @@ class TestPreintegrate:
 
     def test_requires_two_samples(self):
         with pytest.raises(WindowTooShort):
-            preintegrate([ImuSample(0.0, np.zeros(3), np.zeros(3))],
+            preintegrate(imu_stream([0.0], np.zeros(3), np.zeros(3)),
                          np.zeros(6))
 
     def test_non_monotonic_raises(self):
-        samples = make_window([0.0, 0.2, 0.1], [0, 0, 0], [0, 0, 0])
+        samples = imu_stream([0.0, 0.2, 0.1], [0, 0, 0], [0, 0, 0])
         with pytest.raises(NonMonotonicTimestamps):
             preintegrate(samples, np.zeros(6))
 
@@ -689,7 +675,7 @@ class TestImuFactorConsistency:
         rot = random_pose(rng).rotation
         g_world = G_MAG * DOWN
         times = np.arange(51) / 100.0
-        samples = make_window(times, [0, 0, 0], -rot.T @ g_world)
+        samples = imu_stream(times, [0, 0, 0], -rot.T @ g_world)
         pre = preintegrate(samples, np.zeros(6))
         pose = Pose(rot, np.array([1.0, -2.0, 0.5]))
         si = StateNode(pose, np.zeros(3), np.zeros(6), 0.0)
@@ -705,7 +691,7 @@ class TestImuFactorConsistency:
         g_world = G_MAG * DOWN
         duration = 0.5
         times = np.arange(101) / 200.0
-        samples = make_window(times, [0, 0, 0], rot.T @ (a_world - g_world))
+        samples = imu_stream(times, [0, 0, 0], rot.T @ (a_world - g_world))
         pre = preintegrate(samples, np.zeros(6))
         t0 = np.array([1.0, 2.0, 3.0])
         v0 = np.array([0.5, 0.0, -0.2])

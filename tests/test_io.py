@@ -10,9 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maploc import synth
 from maploc.errors import DataError, NonMonotonicTimestamps, ParseError
 from maploc.evaluate import Trajectory
-from maploc.factors import ImuSample
 from maploc.geometry import PointCloud, Pose, so3_exp
 from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER,
                        apply_overrides,
@@ -23,7 +23,7 @@ from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER,
                        write_frames_csv, write_imu_csv, write_json,
                        write_metrics_csv, write_pcd, write_tum)
 
-from conftest import leaf_keys, random_pose
+from conftest import imu_stream, leaf_keys, random_pose
 from maploc.synth import _SPEC_BOUNDS, _SPEC_DEFAULTS, _WAYPOINT_DEFAULTS
 from oracles import quat_to_rot
 
@@ -434,8 +434,8 @@ class TestPly:
 
 class TestImuCsv:
     def test_round_trip(self, tmp_path, rng):
-        samples = [ImuSample(0.005 * k, rng.normal(size=3), rng.normal(size=3))
-                   for k in range(20)]
+        draws = rng.normal(size=(20, 2, 3))
+        samples = imu_stream(0.005 * np.arange(20), draws[:, 0], draws[:, 1])
         path = tmp_path / "imu.csv"
         write_imu_csv(path, samples)
         back = read_imu_csv(path)
@@ -445,6 +445,18 @@ class TestImuCsv:
             assert np.allclose(a.angular_velocity, b.angular_velocity,
                                rtol=1e-8)
             assert np.allclose(a.specific_force, b.specific_force, rtol=1e-8)
+
+    def test_rewrite_of_synth_file_is_byte_identical(self, tmp_path):
+        """The benchmark regenerates its inputs on each side, so the IMU
+        file a synth scene writes must survive a read and a rewrite."""
+        result = synth.generate(synth.parse_scene_spec({
+            "kind": "cube-room", "seed": 7, "size": [3.0, 3.0, 3.0],
+            "density": 20.0, "trajectory": [{"pos": [1.0, 1.0, 1.0]},
+                                            {"pos": [2.0, 1.0, 1.0],
+                                             "yaw": 0.5}]}))
+        path = synth.write_sequence(result, tmp_path / "scene")["imu"]
+        write_imu_csv(tmp_path / "again.csv", read_imu_csv(path))
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
     def test_header_enforced(self, tmp_path):
         path = tmp_path / "imu.csv"
@@ -630,6 +642,13 @@ class TestScanNames:
     def test_bad_stem(self):
         with pytest.raises(ParseError):
             scan_timestamp("scan_0001.pcd")
+
+    @pytest.mark.parametrize("stem", ["nan", "inf", "-inf", "Infinity"])
+    def test_non_finite_stem_names_the_file(self, tmp_path, stem):
+        path = tmp_path / f"{stem}.pcd"
+        with pytest.raises(ParseError, match="not a finite timestamp") as info:
+            scan_timestamp(path)
+        assert str(info.value).startswith(f"{path}: ")
 
 
 class TestConfig:

@@ -26,6 +26,7 @@ from maploc.io import default_config, read_pcd, read_tum, validate_report
 from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
                              run, emit_reports, voxel_downsample)
 
+from conftest import imu_stream
 from oracles import voxel_downsample_unique
 from test_registration import SMOKE_SPEC
 
@@ -295,6 +296,19 @@ class TestLoadSequence:
         assert len(seq.odometry.poses) == len(result.odometry.poses)
         assert len(seq.imu) == len(result.imu)
 
+    def test_scans_ordered_by_timestamp_not_name(self, room, tmp_path):
+        """Unpadded names do not sort by time as text (0.1.pcd comes
+        before 0.pcd); the scans still load in time order."""
+        result, _ = room
+        paths = synth.write_sequence(result, tmp_path)
+        scans = sorted(paths["scans"].glob("*.pcd"))
+        for path in scans:
+            path.rename(path.with_name(f"{float(path.stem):g}.pcd"))
+        seq = load_sequence(paths["scans"], paths["odometry"])
+        times = [t for t, _ in seq.scans]
+        assert times == sorted(times) and len(times) == len(scans)
+        assert [p.name for _, p in seq.scans[9:11]] == ["0.9.pcd", "1.pcd"]
+
     def test_missing_scans_raise(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(ParseError):
@@ -355,7 +369,7 @@ class TestImuDropout:
                                                    dropped):
         result, pm = room
         seq = SequenceInput.from_synth(result)
-        seq = replace(seq, imu=tuple(s for s in seq.imu if keep(s.timestamp)))
+        seq = replace(seq, imu=seq.imu[[keep(t) for t in seq.imu.timestamp]])
         out = run(pm, seq, make_cfg(), groundtruth=result.gt_trajectory)
         imu_factors = [f for f in out.graph.factors if f.kind == "imu"]
         assert {f.j for f in imu_factors} == (set(range(1, len(out.frames)))
@@ -536,6 +550,27 @@ class TestAssociationAndErrors:
         with pytest.raises(NonMonotonicTimestamps,
                            match=r"scan 4 at t=\S+ does not come after scan 3"):
             run(pm, seq, make_cfg())
+
+    def test_out_of_order_imu_refused_before_any_solve(self, room,
+                                                       monkeypatch):
+        """Swapped IMU samples are refused up front, naming the first
+        timestamp that does not increase, before any window solve."""
+        result, pm = room
+        imu = result.imu
+        order = np.arange(len(imu))
+        order[[40, 41]] = order[[41, 40]]
+        seq = replace(SequenceInput.from_synth(result), imu=imu_stream(
+            imu.timestamp[order], imu.angular_velocity[order],
+            imu.specific_force[order]))
+        solves = []
+        monkeypatch.setattr(FactorGraph, "solve_incremental",
+                            lambda *args, **kw: solves.append(args))
+        t0, t1 = imu.timestamp[40], imu.timestamp[41]
+        with pytest.raises(NonMonotonicTimestamps,
+                           match=rf"IMU sample 41 at t={t0:.9f} does not come "
+                                 rf"after the sample at t={t1:.9f}"):
+            run(pm, seq, make_cfg())
+        assert solves == []
 
     def test_no_scans_raises(self, room):
         result, pm = room

@@ -363,8 +363,7 @@ class TestGenerate:
             assert np.array_equal(fa.cloud.points, fb.cloud.points)
         for pa, pb in zip(a.odometry.poses, b.odometry.poses):
             assert np.array_equal(pa.matrix(), pb.matrix())
-        for sa, sb in zip(a.imu, b.imu):
-            assert np.array_equal(sa.specific_force, sb.specific_force)
+        assert np.array_equal(a.imu, b.imu)
 
     def test_seed_changes_noise(self):
         a = generate(make_spec(range_noise_sigma=0.02, seed=1))
@@ -424,19 +423,19 @@ class TestGenerate:
         first = result.gt_trajectory.poses[0].matrix()
         for pose in result.gt_trajectory.poses:
             assert np.array_equal(pose.matrix(), first)
-        force = np.array([s.specific_force for s in result.imu])
-        assert np.allclose(force.mean(axis=0), [0, 0, 9.81], atol=0.01)
-        window = [s for s in result.imu if 1.0 <= s.timestamp <= 2.5]
-        assert detect_zupt(window)
+        imu = result.imu
+        assert np.allclose(imu.specific_force.mean(axis=0), [0, 0, 9.81],
+                           atol=0.01)
+        assert detect_zupt(imu[(imu.timestamp >= 1.0) & (imu.timestamp <= 2.5)])
 
     def test_constant_velocity_imu(self):
         result = generate(make_spec())
         # interior samples: straight line at 1 m/s, no rotation
-        inner = [s for s in result.imu if 0.7 < s.timestamp < 1.3]
-        force = np.array([s.specific_force for s in inner])
-        omega = np.array([s.angular_velocity for s in inner])
-        assert np.allclose(force.mean(axis=0), [0, 0, 9.81], atol=0.02)
-        assert np.allclose(omega.mean(axis=0), 0, atol=0.005)
+        imu = result.imu
+        inner = imu[(imu.timestamp > 0.7) & (imu.timestamp < 1.3)]
+        assert np.allclose(inner.specific_force.mean(axis=0), [0, 0, 9.81],
+                           atol=0.02)
+        assert np.allclose(inner.angular_velocity.mean(axis=0), 0, atol=0.005)
 
     def test_imu_bias_applied(self):
         spec = make_spec(imu={"gyro_bias": [0.05, 0.0, 0.0],
@@ -444,8 +443,8 @@ class TestGenerate:
                               "gyro_noise_sigma": 1e-4,
                               "accel_noise_sigma": 1e-3})
         result = generate(spec)
-        omega = np.array([s.angular_velocity for s in result.imu])
-        force = np.array([s.specific_force for s in result.imu])
+        omega = result.imu.angular_velocity
+        force = result.imu.specific_force
         assert omega[:, 0].mean() == pytest.approx(0.05, abs=0.005)
         assert force[:, 1].mean() == pytest.approx(0.2, abs=0.01)
 
@@ -454,8 +453,8 @@ class TestGenerate:
                          imu={"gravity_magnitude": 3.71,
                               "accel_noise_sigma": 1e-4})
         result = generate(spec)
-        force = np.array([s.specific_force for s in result.imu])
-        assert force[:, 2].mean() == pytest.approx(3.71, abs=0.01)
+        assert result.imu.specific_force[:, 2].mean() == pytest.approx(
+            3.71, abs=0.01)
 
 
 class TestDegeneracyScenes:
