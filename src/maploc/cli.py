@@ -14,6 +14,7 @@ DataError, exit 2, like a malformed input file.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import sys
@@ -40,6 +41,15 @@ def _load_cfg(args):
     return cfg
 
 
+@contextlib.contextmanager
+def _failing(what):
+    """Re-raise a MaplocError, type and exit code kept, as `what` failed."""
+    try:
+        yield
+    except MaplocError as exc:
+        raise type(exc)(f"{what} failed: {exc}") from exc
+
+
 def _cmd_localize(args) -> int:
     cfg = _load_cfg(args)
     if args.verbose:
@@ -49,11 +59,8 @@ def _cmd_localize(args) -> int:
     groundtruth = mio.read_tum(args.groundtruth) if args.groundtruth else None
     result = run(prior_map, sequence, cfg)
     if groundtruth is not None:
-        try:
+        with _failing(f"ground-truth metrics against {args.groundtruth}"):
             evaluate_run(result, groundtruth, prior_map)
-        except MaplocError as exc:
-            raise type(exc)(f"ground-truth metrics against "
-                            f"{args.groundtruth} failed: {exc}") from exc
         mio.validate_report(result.report)
     paths = emit_reports(result, args.out)
     print(f"states: {result.report['num_states']}")
@@ -77,8 +84,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval_traj(args) -> int:
-    m = compute_metrics(mio.read_tum(args.est), mio.read_tum(args.ref),
-                        delta=args.delta)
+    est, ref = mio.read_tum(args.est), mio.read_tum(args.ref)
+    with _failing(f"metrics of {args.est} against {args.ref}"):
+        m = compute_metrics(est, ref, delta=args.delta)
     print(f"ate_rmse_cm: {m.ate_rmse_cm:.9g}")
     print(f"rpe_rmse_cm: {m.rpe_rmse_cm:.9g}")
     print(f"rpe_rot_rmse_rad: {m.rpe_rot_rmse_rad:.9g}")
@@ -91,8 +99,9 @@ def _cmd_eval_traj(args) -> int:
 def _cmd_eval_map(args) -> int:
     est = mio.read_cloud(args.est)
     ref = mio.read_cloud(args.ref)
-    acc = map_accuracy(est, ref, threshold=args.threshold)
-    com = map_completeness(est, ref, threshold=args.threshold)
+    with _failing(f"metrics of {args.est} against {args.ref}"):
+        acc = map_accuracy(est, ref, threshold=args.threshold)
+        com = map_completeness(est, ref, threshold=args.threshold)
     print(f"map_acc_cm: {acc:.9g}")
     print(f"map_com_percent: {com:.9g}")
     return 0

@@ -11,19 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DataError,
     DegenerateGeometry,
     NoInliers,
     NoMatches,
     NonMonotonicTimestamps,
 )
-from .geometry import (
-    PointCloud,
-    Pose,
-    between,
-    build_index,
-    compose,
-    log_map,
-)
+from .geometry import PointCloud, Pose, build_index, matvec, se3_log
 
 DEFAULT_MAX_DT = 0.05       # s, association gate
 DEFAULT_THRESHOLD = 0.20    # m, map accuracy / completeness gate
@@ -32,70 +26,77 @@ M_TO_CM = 100.0
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Timestamped world_from_body poses as three read-only arrays:
+    timestamps (N,), strictly increasing, rotations (N, 3, 3) and
+    translations (N, 3), all finite. An int index gives one Pose, and
+    iteration yields the Poses in time order."""
+
     timestamps: np.ndarray
-    poses: tuple
+    rotations: np.ndarray
+    translations: np.ndarray
 
     def __post_init__(self):
-        ts = np.ascontiguousarray(self.timestamps, dtype=float)
+        ts, rot, trans = (np.array(a, dtype=float) for a in
+                          (self.timestamps, self.rotations, self.translations))
         if ts.ndim != 1:
             raise ValueError("timestamps must be one-dimensional")
-        if np.any(np.diff(ts) <= 0):
-            raise NonMonotonicTimestamps("trajectory timestamps must strictly increase")
-        poses = tuple(self.poses)
-        if len(poses) != ts.shape[0]:
+        if rot.shape != (len(ts), 3, 3) or trans.shape != (len(ts), 3):
             raise ValueError("timestamp/pose count mismatch")
-        ts.flags.writeable = False
-        object.__setattr__(self, "timestamps", ts)
-        object.__setattr__(self, "poses", poses)
+        bad = np.flatnonzero(~(np.isfinite(ts) & np.r_[True, np.diff(ts) > 0]))
+        if bad.size:
+            raise NonMonotonicTimestamps(
+                f"trajectory timestamp {bad[0]} (t={ts[bad[0]]:.9f}) is not "
+                "finite or does not increase past the one before")
+        bad = np.flatnonzero(~np.isfinite(np.hstack([rot.reshape(-1, 9),
+                                                     trans])).all(axis=1))
+        if bad.size:
+            raise DataError(f"trajectory pose {bad[0]} is not finite")
+        for name, a in (("timestamps", ts), ("rotations", rot),
+                        ("translations", trans)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     def __len__(self):
         return self.timestamps.shape[0]
 
-    @property
-    def positions(self):
-        return np.array([p.translation for p in self.poses])
+    def __getitem__(self, k) -> Pose:
+        return Pose(self.rotations[k], self.translations[k])
+
+    def __iter__(self):
+        return map(Pose, self.rotations, self.translations)
 
     def transformed(self, q: Pose) -> "Trajectory":
-        return Trajectory(self.timestamps.copy(),
-                          tuple(compose(q, p) for p in self.poses))
+        """Every pose composed on the left with q."""
+        return Trajectory(self.timestamps, q.rotation @ self.rotations,
+                          self.translations @ q.rotation.T + q.translation)
 
 
 def associate(est: Trajectory, ref: Trajectory, max_dt=DEFAULT_MAX_DT):
     """Greedy nearest-timestamp pairing, each reference used at most once.
 
     Estimated entries are visited in time order; each takes the nearest
-    still-unused reference entry within max_dt.
+    still-unused reference entry within max_dt. Returns the (M, 2) int
+    array of (est row, ref row) pairs.
     """
     if len(est) == 0 or len(ref) == 0:
         raise NoMatches("cannot associate an empty trajectory")
-    ref_t = ref.timestamps
+    ref_t, est_t = ref.timestamps, est.timestamps
+    # each search window spans twice the gate, so no rounding at its ends
+    # drops a reference entry that the gate test below admits
+    lo = np.searchsorted(ref_t, est_t - 2.0 * max_dt)
+    hi = np.searchsorted(ref_t, est_t + 2.0 * max_dt, side="right")
     used = np.zeros(len(ref), dtype=bool)
     pairs = []
-    for i, t in enumerate(est.timestamps):
-        insertion = int(np.searchsorted(ref_t, t))
-        lo, hi = insertion - 1, insertion
-        # expand outward from the insertion point, nearer side first; the
-        # first unused candidate inside the gate is the nearest unused
-        while lo >= 0 or hi < len(ref_t):
-            d_lo = t - ref_t[lo] if lo >= 0 else np.inf
-            d_hi = ref_t[hi] - t if hi < len(ref_t) else np.inf
-            if min(d_lo, d_hi) > max_dt:
-                break
-            if d_lo <= d_hi:
-                if not used[lo]:
-                    used[lo] = True
-                    pairs.append((i, lo))
-                    break
-                lo -= 1
-            else:
-                if not used[hi]:
-                    used[hi] = True
-                    pairs.append((i, hi))
-                    break
-                hi += 1
+    for i, t in enumerate(est_t):
+        gap = np.abs(ref_t[lo[i]:hi[i]] - t)
+        gap[used[lo[i]:hi[i]] | (gap > max_dt)] = np.inf
+        if gap.size and gap.min() < np.inf:
+            j = lo[i] + int(np.argmin(gap))  # the earlier one on a tie
+            used[j] = True
+            pairs.append((i, j))
     if not pairs:
         raise NoMatches(f"no timestamp pairs within {max_dt} s")
-    return pairs
+    return np.array(pairs, dtype=int)
 
 
 def align_se3(source, target) -> Pose:
@@ -123,6 +124,11 @@ def align_se3(source, target) -> Pose:
     return Pose(rotation, centroid_t - rotation @ centroid_s)
 
 
+def _rms(rows) -> float:
+    """Root mean square of the rows' Euclidean norms."""
+    return float(np.sqrt(np.mean(np.sum(rows ** 2, axis=1))))
+
+
 @dataclass(frozen=True)
 class AteResult:
     rmse_cm: float
@@ -134,12 +140,11 @@ def ate(est: Trajectory, ref: Trajectory, max_dt=DEFAULT_MAX_DT) -> AteResult:
     """Absolute trajectory error: RMSE (cm) of translational residuals
     after rigid alignment of the associated positions."""
     pairs = associate(est, ref, max_dt)
-    est_pos = np.array([est.poses[i].translation for i, _ in pairs])
-    ref_pos = np.array([ref.poses[j].translation for _, j in pairs])
+    est_pos = est.translations[pairs[:, 0]]
+    ref_pos = ref.translations[pairs[:, 1]]
     q = align_se3(est_pos, ref_pos)
-    residuals = q.transform(est_pos) - ref_pos
-    rmse = float(np.sqrt(np.mean(np.sum(residuals ** 2, axis=1))))
-    return AteResult(rmse * M_TO_CM, q, len(pairs))
+    return AteResult(_rms(q.transform(est_pos) - ref_pos) * M_TO_CM, q,
+                     len(pairs))
 
 
 @dataclass(frozen=True)
@@ -149,11 +154,19 @@ class RpeResult:
     windows: int
 
 
-def _relative_error(est, ref, first, last):
-    """Relative-motion error twist between two associated (est, ref) pairs."""
-    rel_est = between(est.poses[first[0]], est.poses[last[0]])
-    rel_ref = between(ref.poses[first[1]], ref.poses[last[1]])
-    return log_map(between(rel_ref, rel_est))
+def _relative_error(est, ref, first_rows, last_rows):
+    """Relative-motion error twist of each window, from the associated
+    (est row, ref row) pairs first_rows (W, 2) to last_rows (W, 2)."""
+    def motion(traj, first, last):
+        inv_rot = np.swapaxes(traj.rotations[first], 1, 2)
+        return (inv_rot @ traj.rotations[last],
+                matvec(inv_rot, traj.translations[last]
+                       - traj.translations[first]))
+
+    est_rot, est_trans = motion(est, first_rows[:, 0], last_rows[:, 0])
+    ref_rot, ref_trans = motion(ref, first_rows[:, 1], last_rows[:, 1])
+    inv_ref = np.swapaxes(ref_rot, 1, 2)
+    return se3_log(inv_ref @ est_rot, matvec(inv_ref, est_trans - ref_trans))
 
 
 def rpe(est: Trajectory, ref: Trajectory, delta: int = 1,
@@ -165,15 +178,8 @@ def rpe(est: Trajectory, ref: Trajectory, delta: int = 1,
     pairs = associate(est, ref, max_dt)
     if len(pairs) < delta + 1:
         raise NoMatches(f"need at least {delta + 1} pairs for delta={delta}")
-    trans_sq = []
-    rot_sq = []
-    for k in range(len(pairs) - delta):
-        err = _relative_error(est, ref, pairs[k], pairs[k + delta])
-        rot_sq.append(float(err[:3] @ err[:3]))
-        trans_sq.append(float(err[3:] @ err[3:]))
-    return RpeResult(float(np.sqrt(np.mean(trans_sq))) * M_TO_CM,
-                     float(np.sqrt(np.mean(rot_sq))),
-                     len(trans_sq))
+    err = _relative_error(est, ref, pairs[:-delta], pairs[delta:])
+    return RpeResult(_rms(err[:, 3:]) * M_TO_CM, _rms(err[:, :3]), len(err))
 
 
 def rpe_per_meter(est: Trajectory, ref: Trajectory, distance: float = 1.0,
@@ -186,25 +192,18 @@ def rpe_per_meter(est: Trajectory, ref: Trajectory, distance: float = 1.0,
     Returns None when the path never accumulates `distance`.
     """
     pairs = associate(est, ref, max_dt)
-    ref_pos = np.array([ref.poses[j].translation for _, j in pairs])
-    seg = np.linalg.norm(np.diff(ref_pos, axis=0), axis=1)
+    seg = np.linalg.norm(np.diff(ref.translations[pairs[:, 1]], axis=0),
+                         axis=1)
     cumulative = np.concatenate([[0.0], np.cumsum(seg)])
-    normalized_sq = []
-    end = 0
-    for start in range(len(pairs)):
-        target = cumulative[start] + distance
-        while end < len(pairs) and cumulative[end] < target:
-            end += 1
-        if end >= len(pairs):
-            break
-        traveled = cumulative[end] - cumulative[start]
-        if traveled <= 0:
-            continue
-        err = _relative_error(est, ref, pairs[start], pairs[end])
-        normalized_sq.append(float(err[3:] @ err[3:]) / traveled ** 2)
-    if not normalized_sq:
+    end = np.searchsorted(cumulative, cumulative + distance)
+    start = np.flatnonzero(end < len(pairs))
+    end = end[start]
+    traveled = cumulative[end] - cumulative[start]
+    start, end, traveled = (a[traveled > 0] for a in (start, end, traveled))
+    if not len(start):
         return None
-    return float(np.sqrt(np.mean(normalized_sq))) * M_TO_CM
+    err = _relative_error(est, ref, pairs[start], pairs[end])
+    return _rms(err[:, 3:] / traveled[:, None]) * M_TO_CM
 
 
 def map_accuracy(est_map: PointCloud, gt_map: PointCloud,
@@ -241,19 +240,11 @@ class MetricsReport:
     map_com_percent: float | None = None
 
     def as_dict(self):
-        alignment = self.alignment
-        return {
-            "ate_rmse_cm": self.ate_rmse_cm,
-            "rpe_rmse_cm": self.rpe_rmse_cm,
-            "rpe_rot_rmse_rad": self.rpe_rot_rmse_rad,
-            "rpe_delta": self.rpe_delta,
-            "rpe_per_meter_cm": self.rpe_per_meter_cm,
-            "matched_pairs": self.matched_pairs,
-            "alignment_rotation": alignment.rotation.tolist(),
-            "alignment_translation": alignment.translation.tolist(),
-            "map_acc_cm": self.map_acc_cm,
-            "map_com_percent": self.map_com_percent,
-        }
+        """The fields, with the alignment as alignment_rotation (nested
+        lists) and alignment_translation."""
+        out = {k: v for k, v in vars(self).items() if k != "alignment"}
+        return dict(out, alignment_rotation=self.alignment.rotation.tolist(),
+                    alignment_translation=self.alignment.translation.tolist())
 
 
 def compute_metrics(est: Trajectory, ref: Trajectory, delta: int = 1,

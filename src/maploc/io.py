@@ -26,7 +26,7 @@ from .errors import NonMonotonicTimestamps, ParseError
 from .evaluate import DEFAULT_MAX_DT, DEFAULT_THRESHOLD, Trajectory
 from .factors import (GRAVITY_MAGNITUDE, SIGMA_ACCEL, SIGMA_GYRO,
                       ZuptParams, imu_samples)
-from .geometry import PointCloud, Pose
+from .geometry import PointCloud
 from .graph import MAX_ITERATIONS
 from .registration import RegistrationParams
 
@@ -154,11 +154,10 @@ def _fmt(value: float) -> str:
 
 
 def write_tum(path, trajectory: Trajectory):
-    quaternions = rotation_to_quaternion(
-        np.reshape([pose.rotation for pose in trajectory.poses], (-1, 3, 3)))
-    lines = [" ".join([f"{t:.9f}", *map(_fmt, [*pose.translation, *q])])
-             for t, pose, q in zip(trajectory.timestamps, trajectory.poses,
-                                   quaternions)]
+    values = np.hstack([trajectory.translations,
+                        rotation_to_quaternion(trajectory.rotations)])
+    lines = [" ".join([f"{t:.9f}", *map(_fmt, row)])
+             for t, row in zip(trajectory.timestamps, values)]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -174,7 +173,7 @@ def read_tum(path) -> Trajectory:
     except ValueError as exc:
         message, row = exc.args
         raise ParseError(message, line=numbers[row]) from exc
-    return Trajectory(table[:, 0], tuple(map(Pose, rotations, table[:, 1:4])))
+    return Trajectory(table[:, 0], rotations, table[:, 1:4])
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +631,5 @@ def write_frames_csv(path, frames):
 
 
 def write_metrics_csv(path, metrics: dict):
-    row = [
-        _csv_cell(metrics.get("ate_rmse_cm")),
-        _csv_cell(metrics.get("rpe_rmse_cm")),
-        _csv_cell(metrics.get("rpe_per_meter_cm")),
-        _csv_cell(metrics.get("map_acc_cm")),
-        _csv_cell(metrics.get("map_com_percent")),
-        _csv_cell(metrics.get("matched_pairs")),
-    ]
+    row = [_csv_cell(metrics.get(key)) for key in METRICS_CSV_HEADER.split(",")]
     Path(path).write_text(METRICS_CSV_HEADER + "\n" + ",".join(row) + "\n")

@@ -222,7 +222,7 @@ def _keyframes(sequence: SequenceInput, stride: int) -> tuple:
             raise NonMonotonicTimestamps(
                 f"scan {_scan_name(k, b)} at t={t1:.9f} does not come after "
                 f"scan {_scan_name(k - 1, a)} at t={t0:.9f}")
-    odom_times = np.asarray(sequence.odometry.timestamps)
+    odom_times = sequence.odometry.timestamps
     keyframes, skipped = [], []
     for k in range(0, len(scans), stride):
         t, source = scans[k]
@@ -235,7 +235,7 @@ def _keyframes(sequence: SequenceInput, stride: int) -> tuple:
             skipped.append({"scan": _scan_name(k, source),
                             "timestamp": float(t)})
             continue
-        keyframes.append((k, float(t), source, sequence.odometry.poses[j]))
+        keyframes.append((k, float(t), source, sequence.odometry[j]))
     if not keyframes:
         raise NoMatches("no scan associates with odometry within the gate")
     return keyframes, skipped
@@ -319,7 +319,7 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
     odometry = sequence.odometry
     lo = np.searchsorted(odometry.timestamps, t - span, side="left")
     hi = np.searchsorted(odometry.timestamps, t + span, side="right")
-    near = np.array([p.translation for p in odometry.poses[lo:hi]])
+    near = odometry.translations[lo:hi]
     still = len(near) > 0 and float(np.max(np.linalg.norm(
         near - odom_pose.translation, axis=1))) <= params.max_odom_displacement
     window = _slice_samples(sequence.imu, t - span, t)
@@ -479,12 +479,12 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
         raise _failed_solve(exc, "final", keyframes) from exc
     opt_records.append(("final", final.records))
 
-    trajectory = Trajectory(
-        np.array([s.timestamp for s in graph.states]),
-        tuple(s.pose for s in graph.states))
     map_cloud = _assemble_map(graph, keyframes, cfg["voxel_size"])
+    states = graph.states
     result = RunResult(
-        trajectory=trajectory, map_cloud=map_cloud, frames=frames,
+        trajectory=Trajectory(states.timestamp, states.rotation,
+                              states.translation),
+        map_cloud=map_cloud, frames=frames,
         graph=graph, optimizer_records=opt_records,
         report=mio.sanitize_json({
             "config": cfg,

@@ -24,7 +24,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import InvalidSpec
 from .evaluate import Trajectory
 from .factors import imu_samples
-from .geometry import PointCloud, Pose, compose, between, exp_map, so3_exp
+from .geometry import PointCloud, compose, between, exp_map, so3_exp
 from . import io as mio
 
 SCENE_KINDS = ("cube-room", "corridor", "L-corridor", "plane-only")
@@ -345,11 +345,6 @@ def trajectory_splines(spec: SceneSpec):
     return pos_spline, yaw_spline, float(times[-1])
 
 
-def _pose_at(pos_spline, yaw_spline, t) -> Pose:
-    return Pose(so3_exp(np.array([0.0, 0.0, float(yaw_spline(t))])),
-                np.asarray(pos_spline(t), dtype=float))
-
-
 # ---------------------------------------------------------------------------
 # sequence generation
 
@@ -361,14 +356,16 @@ def generate(spec: SceneSpec) -> SynthResult:
     pos_spline, yaw_spline, duration = trajectory_splines(spec)
     n_scans = int(math.floor(duration * spec.scan_rate)) + 1
     scan_times = np.arange(n_scans) / spec.scan_rate
-    gt_poses = tuple(_pose_at(pos_spline, yaw_spline, t) for t in scan_times)
+    gt = Trajectory(scan_times, so3_exp(np.column_stack(
+        [np.zeros((n_scans, 2)), yaw_spline(scan_times)])),
+        pos_spline(scan_times))
 
     # scans: noise is drawn for every ray so the stream shape is fixed
     dirs_body = ray_grid(spec.sensor)
     min_range = spec.sensor["min_range"]
     max_range = spec.sensor["max_range"]
     scans = []
-    for t, pose in zip(scan_times, gt_poses):
+    for t, pose in zip(scan_times, gt):
         dirs_world = dirs_body @ pose.rotation.T
         ranges = raycast(surfaces, pose.translation, dirs_world,
                          min_range, max_range)
@@ -381,12 +378,12 @@ def generate(spec: SceneSpec) -> SynthResult:
     drift = spec.odometry["drift_per_frame"]
     rot_sigma = spec.odometry["rot_noise_sigma"]
     trans_sigma = spec.odometry["trans_noise_sigma"]
-    odom_poses = [gt_poses[0]]
+    odom_poses = [gt[0]]
     for k in range(1, n_scans):
         draw = rng.normal(size=6)
         twist = drift + np.concatenate([draw[:3] * rot_sigma,
                                         draw[3:] * trans_sigma])
-        rel = between(gt_poses[k - 1], gt_poses[k])
+        rel = between(gt[k - 1], gt[k])
         odom_poses.append(compose(odom_poses[-1], compose(rel,
                                                           exp_map(twist))))
 
@@ -414,8 +411,10 @@ def generate(spec: SceneSpec) -> SynthResult:
 
     return SynthResult(
         spec=spec,
-        gt_trajectory=Trajectory(scan_times, gt_poses),
-        odometry=Trajectory(scan_times, tuple(odom_poses)),
+        gt_trajectory=gt,
+        odometry=Trajectory(scan_times,
+                            [p.rotation for p in odom_poses],
+                            [p.translation for p in odom_poses]),
         scans=tuple(scans),
         imu=imu_samples(imu_times, omega, force),
         gt_map=gt_map,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from maploc.evaluate import Trajectory
 from maploc.factors import imu_samples
 from maploc.geometry import Pose, exp_map
 
@@ -17,6 +18,14 @@ def random_twist(rng, rot_scale=1.0, trans_scale=1.0):
 
 def random_pose(rng, rot_scale=1.0, trans_scale=1.0) -> Pose:
     return exp_map(random_twist(rng, rot_scale, trans_scale))
+
+
+def trajectory(times, poses) -> Trajectory:
+    """A Trajectory of a sequence of Poses at `times`."""
+    poses = list(poses)
+    return Trajectory(times,
+                      np.reshape([p.rotation for p in poses], (-1, 3, 3)),
+                      np.reshape([p.translation for p in poses], (-1, 3)))
 
 
 def imu_stream(times, gyro, accel):

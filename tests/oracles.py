@@ -87,6 +87,50 @@ def brute_ate_cm(est_positions, ref_positions):
     return float(np.sqrt(np.mean(np.sum(residual ** 2, axis=1)))) * 100.0
 
 
+def greedy_pairs(est_times, ref_times, max_dt):
+    """Greedy association by a full scan: each estimated time in order
+    takes the nearest unused reference time within max_dt, the earlier
+    reference on a tie."""
+    used = set()
+    pairs = []
+    for i, t in enumerate(est_times):
+        best = None
+        for j, r in enumerate(ref_times):
+            if j in used or abs(r - t) > max_dt:
+                continue
+            if best is None or abs(r - t) < abs(ref_times[best] - t):
+                best = j
+        if best is not None:
+            used.add(best)
+            pairs.append([i, best])
+    return pairs
+
+
+def brute_rpe_per_meter_cm(est_matrices, ref_matrices, distance):
+    """Distance-normalized RPE (cm per meter) of two associated sequences
+    of 4x4 poses. From each start frame a linear walk sums the reference
+    step lengths up to the first frame at least `distance` meters on; that
+    window's error is the translation of logm(rel_ref^-1 rel_est) over the
+    summed length. None when no window reaches `distance`."""
+    normalized_sq = []
+    for start in range(len(ref_matrices)):
+        traveled = 0.0
+        for end in range(start + 1, len(ref_matrices)):
+            traveled += float(np.linalg.norm(ref_matrices[end][:3, 3]
+                                             - ref_matrices[end - 1][:3, 3]))
+            if traveled >= distance:
+                break
+        else:
+            continue
+        rel_est = np.linalg.inv(est_matrices[start]) @ est_matrices[end]
+        rel_ref = np.linalg.inv(ref_matrices[start]) @ ref_matrices[end]
+        xi = logm_twist(np.linalg.inv(rel_ref) @ rel_est)
+        normalized_sq.append(float(xi[3:] @ xi[3:]) / traveled ** 2)
+    if not normalized_sq:
+        return None
+    return math.sqrt(np.mean(normalized_sq)) * 100.0
+
+
 def se3_left_jacobian_series(twist):
     """SE(3) left Jacobian, [rot; trans] ordering, by the series
     sum_n ad(twist)^n / (n+1)! of the twist's little adjoint."""

@@ -25,7 +25,6 @@ from maploc.degeneracy import (
 )
 from maploc.errors import NoCorrespondences
 from maploc.evaluate import (
-    Trajectory,
     ate,
     map_accuracy,
     map_completeness,
@@ -58,7 +57,7 @@ from maploc.registration import (
 )
 from maploc.synth import generate, parse_scene_spec
 
-from conftest import random_pose
+from conftest import random_pose, trajectory
 from oracles import (
     brute_accuracy_cm,
     brute_ate_cm,
@@ -239,7 +238,7 @@ def _frame_axes(spec_dict):
     params = DegeneracyParams(d_e_threshold=math.inf, s_thres=3.0,
                               min_correspondences=100)
     axes = []
-    for frame, pose in zip(result.scans, result.gt_trajectory.poses):
+    for frame, pose in zip(result.scans, result.gt_trajectory):
         res = align(frame.cloud.points, prior.index, pose)
         reference = spectrum(reference_hessian(res.correspondences))
         axes.append(detect(res, reference, params).degenerate_axes)
@@ -253,7 +252,7 @@ def test_criterion_02_degeneracy_oracle():
     # all frames count as mid-corridor
     max_range = CORRIDOR_FLAG_SPEC["sensor"]["max_range"]
     length = CORRIDOR_FLAG_SPEC["size"][0]
-    xs = corridor.gt_trajectory.positions[:, 0]
+    xs = corridor.gt_trajectory.translations[:, 0]
     assert xs.min() > max_range and (length - xs.max()) > max_range
     n_x = sum(1 for a in corridor_axes if a == (0,))
     rate = 100.0 * n_x / len(corridor_axes)
@@ -333,7 +332,7 @@ def test_criterion_04_drift_elimination():
     opt = run(prior, seq, _cfg())
     ate_dead = ate(dead.trajectory, gt).rmse_cm
     ate_opt = ate(opt.trajectory, gt).rmse_cm
-    z_err = opt.trajectory.positions[:, 2] - gt.positions[:, 2]
+    z_err = opt.trajectory.translations[:, 2] - gt.translations[:, 2]
     z_rmse_cm = float(np.sqrt(np.mean(z_err ** 2))) * 100.0
     elapsed = time.perf_counter() - start
     ratio = ate_opt / ate_dead
@@ -431,9 +430,9 @@ def test_criterion_06_zupt():
     inside_rate = 100.0 * inside[0] / inside[1]
 
     out = run(prior, SequenceInput.from_synth(result), _cfg())
-    at_dwell = np.linalg.norm(result.gt_trajectory.positions
+    at_dwell = np.linalg.norm(result.gt_trajectory.translations
                               - np.array(ZUPT_WP), axis=1) < 1e-9
-    est = out.trajectory.positions[at_dwell]
+    est = out.trajectory.translations[at_dwell]
     diameter_mm = 1000.0 * max(float(np.linalg.norm(a - b))
                                for a in est for b in est)
     zupt_frames = sum(1 for f in out.frames if f["zupt"])
@@ -457,8 +456,8 @@ def _random_trajectory(rng, n, base=None):
         else:
             wobble = np.concatenate([0.05 * rng.normal(size=3),
                                      0.05 * rng.normal(size=3)])
-            poses.append(compose(exp_map(wobble), base.poses[k]))
-    return Trajectory(np.arange(n, dtype=float), tuple(poses))
+            poses.append(compose(exp_map(wobble), base[k]))
+    return trajectory(np.arange(n, dtype=float), poses)
 
 
 def _matrix(pose):
@@ -468,12 +467,16 @@ def _matrix(pose):
     return m
 
 
+def _positions(traj):
+    return np.array([traj[k].translation for k in range(len(traj))])
+
+
 def _brute_rpe(est, ref, delta):
     trans_sq = []
     rot_sq = []
     for k in range(len(est) - delta):
-        rel_est = np.linalg.inv(_matrix(est.poses[k])) @ _matrix(est.poses[k + delta])
-        rel_ref = np.linalg.inv(_matrix(ref.poses[k])) @ _matrix(ref.poses[k + delta])
+        rel_est = np.linalg.inv(_matrix(est[k])) @ _matrix(est[k + delta])
+        rel_ref = np.linalg.inv(_matrix(ref[k])) @ _matrix(ref[k + delta])
         xi = logm_twist(np.linalg.inv(rel_ref) @ rel_est)
         rot_sq.append(xi[:3] @ xi[:3])
         trans_sq.append(xi[3:] @ xi[3:])
@@ -489,7 +492,8 @@ def test_criterion_07_metric_oracles():
         est = _random_trajectory(rng, 300, base=ref).transformed(
             random_pose(rng, rot_scale=0.3, trans_scale=1.0))
         worst = max(worst, abs(ate(est, ref).rmse_cm
-                               - brute_ate_cm(est.positions, ref.positions)))
+                               - brute_ate_cm(_positions(est),
+                                              _positions(ref))))
         for delta in (1, 3):
             got = rpe(est, ref, delta=delta)
             want_t, want_r = _brute_rpe(est, ref, delta)
@@ -544,7 +548,7 @@ def test_criterion_08_runtime_budget():
     params = DegeneracyParams(d_e_threshold=math.inf, s_thres=3.0,
                               min_correspondences=100)
     per_frame = []
-    for frame, pose in list(zip(result.scans, result.gt_trajectory.poses))[:5]:
+    for frame, pose in list(zip(result.scans, result.gt_trajectory))[:5]:
         assert len(frame.cloud.points) == 10_000
         twist = np.concatenate([0.02 * rng.normal(size=3),
                                 0.05 * rng.normal(size=3)])

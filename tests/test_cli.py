@@ -91,9 +91,8 @@ class TestLocalize:
     def test_trajectory_tracks_groundtruth(self, workspace):
         est = read_tum(workspace / "run" / "trajectory.tum")
         ref = read_tum(workspace / "scene" / "groundtruth.tum")
-        assert len(est.poses) == len(ref.poses)
-        err = [np.linalg.norm(a.translation - b.translation)
-               for a, b in zip(est.poses, ref.poses)]
+        assert len(est) == len(ref)
+        err = np.linalg.norm(est.translations - ref.translations, axis=1)
         assert max(err) < 0.01
 
     def test_report_carries_metrics(self, workspace):
@@ -460,6 +459,38 @@ class TestExitCodes:
         assert (f"error: ground-truth metrics against {groundtruth} failed: "
                 in err)
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("case, code", [("two-rows", 3),
+                                            ("shifted", 2),
+                                            ("delta-too-large", 2),
+                                            ("far-map", 3)])
+    def test_failed_metrics_name_both_files(self, workspace, tmp_path,
+                                            capsys, case, code):
+        """An ATE or RPE failure of eval-traj, or a map without inliers in
+        eval-map, names the files it compared and keeps its exit code."""
+        scene = workspace / "scene"
+        ref = scene / "groundtruth.tum"
+        est = tmp_path / "est.tum"
+        rows = _tum_rows(ref)
+        extra = []
+        if case == "two-rows":
+            est.write_text("".join(rows[:2]))
+        elif case == "shifted":
+            est.write_text("".join(
+                f"{float(t) + 1000.0:.9f} {rest}" for t, rest in
+                (row.split(maxsplit=1) for row in rows)))
+        elif case == "delta-too-large":
+            est.write_text("".join(rows))
+            extra = ["--delta", str(len(rows))]
+        command = "eval-traj"
+        if case == "far-map":
+            ref, est, command = scene / "map.pcd", tmp_path / "est.pcd", \
+                "eval-map"
+            write_pcd(est, PointCloud(read_cloud(ref).points + 100.0))
+        rc = main([command, "--est", str(est), "--ref", str(ref)] + extra)
+        err = capsys.readouterr().err
+        assert rc == code
+        assert f"error: metrics of {est} against {ref} failed: " in err
 
     def test_failed_initial_registration_names_scan(self, smoke, tmp_path,
                                                     capsys):

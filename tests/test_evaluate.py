@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from maploc.errors import (
+    DataError,
     DegenerateGeometry,
     NoInliers,
     NoMatches,
@@ -25,12 +26,14 @@ from maploc.evaluate import (
 )
 from maploc.geometry import PointCloud, Pose, between, compose, exp_map
 
-from conftest import random_pose, random_twist
+from conftest import random_pose, random_twist, trajectory
 from oracles import (
     alignment_cost,
     brute_accuracy_cm,
     brute_ate_cm,
     brute_completeness_percent,
+    brute_rpe_per_meter_cm,
+    greedy_pairs,
     horn_align,
     logm_twist,
 )
@@ -38,9 +41,9 @@ from oracles import (
 
 def line_trajectory(n, step=0.1, start=0.0):
     ts = start + np.arange(n) * 0.1
-    poses = tuple(Pose(np.eye(3), np.array([k * step, 0.0, 0.0]))
-                  for k in range(n))
-    return Trajectory(ts, poses)
+    poses = (Pose(np.eye(3), np.array([k * step, 0.0, 0.0]))
+             for k in range(n))
+    return trajectory(ts, poses)
 
 
 def random_trajectory(rng, n, dt=0.1):
@@ -49,34 +52,77 @@ def random_trajectory(rng, n, dt=0.1):
     for _ in range(n - 1):
         poses.append(compose(poses[-1],
                              exp_map(random_twist(rng, 0.1, 0.3))))
-    return Trajectory(ts, tuple(poses))
+    return trajectory(ts, poses)
 
 
 class TestTrajectory:
     def test_monotonic_required(self):
         with pytest.raises(NonMonotonicTimestamps):
-            Trajectory(np.array([0.0, 0.2, 0.1]),
-                       (Pose.identity(),) * 3)
+            trajectory(np.array([0.0, 0.2, 0.1]), (Pose.identity(),) * 3)
 
     def test_count_mismatch(self):
         with pytest.raises(ValueError):
-            Trajectory(np.array([0.0, 0.1]), (Pose.identity(),))
+            trajectory(np.array([0.0, 0.1]), (Pose.identity(),))
 
     def test_positions(self):
         traj = line_trajectory(4)
-        assert traj.positions.shape == (4, 3)
-        assert np.allclose(traj.positions[:, 0], [0.0, 0.1, 0.2, 0.3])
+        assert traj.translations.shape == (4, 3)
+        assert traj.rotations.shape == (4, 3, 3)
+        assert np.allclose(traj.translations[:, 0], [0.0, 0.1, 0.2, 0.3])
+
+    def test_rows_read_as_poses(self, rng):
+        poses = [random_pose(rng) for _ in range(5)]
+        traj = trajectory(np.arange(5.0), poses)
+        assert len(traj) == 5
+        for got, want in zip(traj, poses, strict=True):
+            assert np.array_equal(got.matrix(), want.matrix())
+        assert np.array_equal(traj[-1].matrix(), poses[-1].matrix())
+
+    def test_arrays_are_read_only_copies(self):
+        times = np.array([0.0, 0.1])
+        translations = np.zeros((2, 3))
+        traj = Trajectory(times, np.broadcast_to(np.eye(3), (2, 3, 3)),
+                          translations)
+        translations[0, 0] = 1.0
+        assert traj.translations[0, 0] == 0.0
+        for array in (traj.timestamps, traj.rotations, traj.translations):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    @pytest.mark.parametrize("times, row", [([0.0, np.nan, 2.0], 1),
+                                            ([0.0, np.inf], 1),
+                                            ([-np.inf, 0.0], 0)])
+    def test_non_finite_timestamp_names_row(self, times, row):
+        with pytest.raises(NonMonotonicTimestamps,
+                           match=rf"timestamp {row} \(t=-?(nan|inf)\) is not "
+                                 "finite"):
+            trajectory(np.array(times), [Pose.identity()] * len(times))
+
+    def test_non_monotonic_names_row(self):
+        with pytest.raises(NonMonotonicTimestamps,
+                           match=r"timestamp 2 \(t=0.100000000\) .* does "
+                                 "not increase"):
+            trajectory(np.array([0.0, 0.2, 0.1]), (Pose.identity(),) * 3)
+
+    @pytest.mark.parametrize("field", ["rotations", "translations"])
+    def test_non_finite_pose_names_row(self, field):
+        arrays = {"rotations": np.tile(np.eye(3), (3, 1, 1)),
+                  "translations": np.zeros((3, 3))}
+        arrays[field][2].flat[1] = np.nan
+        with pytest.raises(DataError, match="pose 2 is not finite"):
+            Trajectory(np.arange(3.0), **arrays)
 
 
 class TestAssociate:
     def test_identical_timestamps_all_paired(self):
         traj = line_trajectory(20)
         pairs = associate(traj, traj)
-        assert pairs == [(i, i) for i in range(20)]
+        assert pairs.dtype.kind == "i"
+        assert np.array_equal(pairs, np.repeat(np.arange(20)[:, None], 2, 1))
 
     def test_shift_beyond_gate_raises(self):
         ref = line_trajectory(10)  # 0.1 s spacing
-        est = Trajectory(ref.timestamps + 0.04, ref.poses)  # 2x a 0.02 gate
+        est = trajectory(ref.timestamps + 0.04, ref)  # 2x a 0.02 gate
         with pytest.raises(NoMatches):
             associate(est, ref, max_dt=0.02)
 
@@ -85,18 +131,31 @@ class TestAssociate:
         rng = np.random.default_rng(0)
         ref = line_trajectory(50)
         jitter = rng.uniform(-0.025, 0.025, size=50)
-        est = Trajectory(ref.timestamps + jitter, ref.poses)
+        est = trajectory(ref.timestamps + jitter, ref)
         pairs = associate(est, ref, max_dt=0.05)
         brute = [(i, int(np.argmin(np.abs(ref.timestamps - t))))
                  for i, t in enumerate(est.timestamps)
                  if np.abs(ref.timestamps - t).min() <= 0.05]
-        assert pairs == brute
+        assert pairs.tolist() == [list(pair) for pair in brute]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_crowded_and_tied_times_match_greedy_scan(self, seed):
+        """Estimated times denser than the reference contend for the same
+        entries; on a grid of 1/8 s, distances tie exactly."""
+        rng = np.random.default_rng(seed)
+        ref_t = np.unique(rng.integers(0, 80, 30)) / 8.0
+        est_t = np.unique(rng.integers(0, 80, 60)) / 8.0
+        ref = trajectory(ref_t, [Pose.identity()] * len(ref_t))
+        est = trajectory(est_t, [Pose.identity()] * len(est_t))
+        for max_dt in (0.125, 0.25, 0.5):
+            assert associate(est, ref, max_dt).tolist() == \
+                greedy_pairs(est_t, ref_t, max_dt)
 
     def test_each_reference_used_once(self):
-        ref = Trajectory(np.array([0.0, 1.0]), (Pose.identity(),) * 2)
-        est = Trajectory(np.array([0.0, 0.001]), (Pose.identity(),) * 2)
+        ref = trajectory(np.array([0.0, 1.0]), (Pose.identity(),) * 2)
+        est = trajectory(np.array([0.0, 0.001]), (Pose.identity(),) * 2)
         pairs = associate(est, ref, max_dt=0.05)
-        assert pairs == [(0, 0)]
+        assert pairs.tolist() == [[0, 0]]
 
 
 class TestAlignSe3:
@@ -172,11 +231,11 @@ class TestAte:
         n = 101
         d = 0.10
         ref = line_trajectory(n)
-        poses = list(ref.poses)
+        poses = list(ref)
         mid = n // 2
         poses[mid] = Pose(np.eye(3),
                           poses[mid].translation + np.array([0, 0, d]))
-        est = Trajectory(ref.timestamps, tuple(poses))
+        est = trajectory(ref.timestamps, poses)
         result = ate(est, ref)
         exact = d * math.sqrt(n - 1) / n * 100.0
         assert abs(result.rmse_cm - exact) < 1e-9
@@ -186,18 +245,18 @@ class TestAte:
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(10):
             ref = random_trajectory(rng, 200)
-            noisy = tuple(compose(exp_map(random_twist(rng, 0.02, 0.05)), p)
-                          for p in ref.poses)
-            est = Trajectory(ref.timestamps, noisy)
+            noisy = (compose(exp_map(random_twist(rng, 0.02, 0.05)), p)
+                     for p in ref)
+            est = trajectory(ref.timestamps, noisy)
             mine = ate(est, ref).rmse_cm
-            brute = brute_ate_cm(est.positions, ref.positions)
+            brute = brute_ate_cm(est.translations, ref.translations)
             assert abs(mine - brute) < 1e-9
 
     def test_invariant_under_rigid_transform_of_either(self, rng):
         ref = random_trajectory(rng, 50)
-        noisy = tuple(compose(exp_map(random_twist(rng, 0.01, 0.02)), p)
-                      for p in ref.poses)
-        est = Trajectory(ref.timestamps, noisy)
+        noisy = (compose(exp_map(random_twist(rng, 0.01, 0.02)), p)
+                 for p in ref)
+        est = trajectory(ref.timestamps, noisy)
         base = ate(est, ref).rmse_cm
         q = random_pose(rng, rot_scale=2.0, trans_scale=10.0)
         assert abs(ate(est.transformed(q), ref).rmse_cm - base) < 1e-9
@@ -230,11 +289,11 @@ class TestRpe:
     def test_single_bad_step_closed_form(self):
         n = 11
         ref = line_trajectory(n)
-        poses = list(ref.poses)
+        poses = list(ref)
         for k in range(5, n):  # inflate the 4->5 step by 2 cm
             poses[k] = Pose(np.eye(3),
                             poses[k].translation + np.array([0.02, 0, 0]))
-        est = Trajectory(ref.timestamps, tuple(poses))
+        est = trajectory(ref.timestamps, poses)
         result = rpe(est, ref, delta=1)
         assert result.windows == n - 1
         expected = 0.02 / math.sqrt(n - 1) * 100.0
@@ -242,17 +301,17 @@ class TestRpe:
 
     def test_matches_logm_oracle(self, rng):
         ref = random_trajectory(rng, 25)
-        noisy = tuple(compose(exp_map(random_twist(rng, 0.05, 0.1)), p)
-                      for p in ref.poses)
-        est = Trajectory(ref.timestamps, noisy)
+        noisy = (compose(exp_map(random_twist(rng, 0.05, 0.1)), p)
+                 for p in ref)
+        est = trajectory(ref.timestamps, noisy)
         for delta in (1, 3):
             mine = rpe(est, ref, delta=delta)
             sq = []
             for k in range(25 - delta):
-                rel_est = np.linalg.inv(est.poses[k].matrix()) \
-                    @ est.poses[k + delta].matrix()
-                rel_ref = np.linalg.inv(ref.poses[k].matrix()) \
-                    @ ref.poses[k + delta].matrix()
+                rel_est = np.linalg.inv(est[k].matrix()) \
+                    @ est[k + delta].matrix()
+                rel_ref = np.linalg.inv(ref[k].matrix()) \
+                    @ ref[k + delta].matrix()
                 err = logm_twist(np.linalg.inv(rel_ref) @ rel_est)
                 sq.append(err[3:] @ err[3:])
             brute = math.sqrt(np.mean(sq)) * 100.0
@@ -278,11 +337,44 @@ class TestRpePerMeter:
         ref = line_trajectory(n)  # 0.1 m steps
         poses = [Pose(np.eye(3),
                       p.translation + np.array([0, 0, 0.001 * k]))
-                 for k, p in enumerate(ref.poses)]
-        est = Trajectory(ref.timestamps, tuple(poses))
+                 for k, p in enumerate(ref)]
+        est = trajectory(ref.timestamps, poses)
         # every 1 m window drifts 1 cm
         value = rpe_per_meter(est, ref, distance=1.0)
         assert abs(value - 1.0) < 1e-6
+
+    @staticmethod
+    def jittered_pair(rng, n):
+        """A reference with jittered timestamps and uneven step lengths,
+        and a noisy estimate stamped up to 10 ms off it, as lists of 4x4
+        matrices and as trajectories."""
+        times = np.cumsum(rng.uniform(0.05, 0.15, n))
+        ref = [Pose.identity()]
+        for _ in range(n - 1):
+            step = random_twist(rng, 0.1, rng.uniform(0.0, 0.3))
+            ref.append(compose(ref[-1], exp_map(step)))
+        est = [compose(exp_map(random_twist(rng, 0.02, 0.05)), p)
+               for p in ref]
+        return ([p.matrix() for p in est], [p.matrix() for p in ref],
+                trajectory(times + rng.uniform(-0.01, 0.01, n), est),
+                trajectory(times, ref))
+
+    @pytest.mark.parametrize("distance", [0.5, 1.0, 3.0])
+    def test_matches_linear_walk_oracle(self, distance):
+        rng = np.random.default_rng(int(10 * distance))
+        for _ in range(3):
+            est_m, ref_m, est, ref = self.jittered_pair(rng, 60)
+            want = brute_rpe_per_meter_cm(est_m, ref_m, distance)
+            assert want is not None
+            assert abs(rpe_per_meter(est, ref, distance=distance)
+                       - want) < 1e-9
+
+    def test_too_short_path_matches_oracle(self, rng):
+        est_m, ref_m, est, ref = self.jittered_pair(rng, 20)
+        path = sum(np.linalg.norm(b[:3, 3] - a[:3, 3])
+                   for a, b in zip(ref_m, ref_m[1:]))
+        assert brute_rpe_per_meter_cm(est_m, ref_m, path + 0.1) is None
+        assert rpe_per_meter(est, ref, distance=path + 0.1) is None
 
 
 def plane_cloud(n_side=40, spacing=0.02, z=0.0):
@@ -337,9 +429,9 @@ class TestMapMetrics:
 class TestComputeMetrics:
     def test_full_report(self, rng):
         ref = random_trajectory(rng, 40)
-        noisy = tuple(compose(exp_map(random_twist(rng, 0.01, 0.02)), p)
-                      for p in ref.poses)
-        est = Trajectory(ref.timestamps, noisy)
+        noisy = (compose(exp_map(random_twist(rng, 0.01, 0.02)), p)
+                 for p in ref)
+        est = trajectory(ref.timestamps, noisy)
         cloud = PointCloud(rng.uniform(0, 2, size=(200, 3)))
         report = compute_metrics(est, ref, delta=1,
                                  est_map=cloud, gt_map=cloud)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from maploc import synth
 from maploc.errors import DataError, NonMonotonicTimestamps, ParseError
-from maploc.evaluate import Trajectory
 from maploc.geometry import PointCloud, Pose, so3_exp
 from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER,
                        apply_overrides,
@@ -23,16 +22,16 @@ from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER,
                        write_frames_csv, write_imu_csv, write_json,
                        write_metrics_csv, write_pcd, write_tum)
 
-from conftest import imu_stream, leaf_keys, random_pose
+from conftest import imu_stream, leaf_keys, random_pose, trajectory
 from maploc.synth import _SPEC_BOUNDS, _SPEC_DEFAULTS, _WAYPOINT_DEFAULTS
 from oracles import quat_to_rot
 
 
 def random_trajectory(rng, n=20):
     times = np.cumsum(rng.uniform(0.05, 0.15, size=n))
-    poses = tuple(random_pose(rng, rot_scale=2.5, trans_scale=5.0)
-                  for _ in range(n))
-    return Trajectory(times, poses)
+    return trajectory(times, (random_pose(rng, rot_scale=2.5,
+                                          trans_scale=5.0)
+                              for _ in range(n)))
 
 
 class TestQuaternions:
@@ -95,7 +94,7 @@ class TestQuaternions:
 class TestTum:
     def test_identity_line_exact(self, tmp_path):
         path = tmp_path / "traj.tum"
-        write_tum(path, Trajectory(np.array([0.0]), (Pose.identity(),)))
+        write_tum(path, trajectory(np.array([0.0]), (Pose.identity(),)))
         assert path.read_text() == "0.000000000 0 0 0 0 0 0 1\n"
 
     def test_round_trip(self, tmp_path, rng):
@@ -104,9 +103,8 @@ class TestTum:
         write_tum(path, traj)
         back = read_tum(path)
         assert np.allclose(back.timestamps, traj.timestamps, atol=1e-9)
-        for a, b in zip(back.poses, traj.poses):
-            assert np.allclose(a.rotation, b.rotation, atol=1e-7)
-            assert np.allclose(a.translation, b.translation, atol=1e-6)
+        assert np.allclose(back.rotations, traj.rotations, atol=1e-7)
+        assert np.allclose(back.translations, traj.translations, atol=1e-6)
 
     def test_write_is_deterministic(self, tmp_path, rng):
         traj = random_trajectory(rng, n=10)
@@ -120,8 +118,8 @@ class TestTum:
         path.write_text("# header\n\n1.0 0 0 0 0 0 0 1\n\n"
                         "# mid\n2.0 1 2 3 0 0 0 1\n")
         traj = read_tum(path)
-        assert len(traj.poses) == 2
-        assert np.allclose(traj.poses[1].translation, [1, 2, 3])
+        assert len(traj) == 2
+        assert np.allclose(traj.translations[1], [1, 2, 3])
 
     def test_wrong_field_count(self, tmp_path):
         path = tmp_path / "traj.tum"
@@ -173,7 +171,7 @@ class TestTum:
         path = tmp_path / "traj.tum"
         path.write_text("1.0 0 0 0 0 0 0 2\n")
         traj = read_tum(path)
-        assert np.allclose(traj.poses[0].rotation, np.eye(3), atol=1e-15)
+        assert np.allclose(traj.rotations[0], np.eye(3), atol=1e-15)
 
     def test_huge_quaternion_normalized_on_read(self, tmp_path):
         # the squared components overflow a float; the half turn about
@@ -181,12 +179,12 @@ class TestTum:
         path = tmp_path / "traj.tum"
         path.write_text("1.0 0 0 0 0 0 0 1\n2.0 0 0 0 1e200 1e200 0 0\n"
                         "3.0 0 0 0 0 0 0 3e-12\n")
-        poses = read_tum(path).poses
-        assert np.allclose(poses[1].rotation,
+        rotations = read_tum(path).rotations
+        assert np.allclose(rotations[1],
                            [[0, 1, 0], [1, 0, 0], [0, 0, -1]], atol=1e-15)
         # each row is scaled by its own power of two
-        assert np.array_equal(poses[0].rotation, np.eye(3))
-        assert np.array_equal(poses[2].rotation, np.eye(3))
+        assert np.array_equal(rotations[0], np.eye(3))
+        assert np.array_equal(rotations[2], np.eye(3))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("field", [0, 1, 7])  # timestamp, x, qw

@@ -26,7 +26,7 @@ from maploc.io import default_config, read_pcd, read_tum, validate_report
 from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
                              run, emit_reports, voxel_downsample)
 
-from conftest import imu_stream
+from conftest import imu_stream, trajectory
 from oracles import voxel_downsample_unique
 from test_registration import SMOKE_SPEC
 
@@ -293,7 +293,7 @@ class TestLoadSequence:
         got_t = [t for t, _ in seq.scans]
         want_t = [f.timestamp for f in result.scans]
         assert np.allclose(got_t, want_t, atol=1e-9)
-        assert len(seq.odometry.poses) == len(result.odometry.poses)
+        assert len(seq.odometry) == len(result.odometry)
         assert len(seq.imu) == len(result.imu)
 
     def test_scans_ordered_by_timestamp_not_name(self, room, tmp_path):
@@ -392,13 +392,13 @@ class TestZupt:
         times = result.gt_trajectory.timestamps
         for f in flagged:
             k = int(np.argmin(np.abs(times - f["timestamp"])))
-            gt_pos = result.gt_trajectory.poses[k].translation
+            gt_pos = result.gt_trajectory.translations[k]
             assert np.linalg.norm(gt_pos - [4.0, 2.0, 1.5]) < 1e-6
 
     def test_intra_dwell_motion_under_1mm(self, dwell_run):
         _, out = dwell_run
         idx = [f["index"] for f in out.frames if f["zupt"]]
-        pts = np.array([out.trajectory.poses[i].translation for i in idx])
+        pts = out.trajectory.translations[idx]
         spread = np.max(np.linalg.norm(pts - pts[0], axis=1))
         assert spread < 1e-3
 
@@ -448,14 +448,13 @@ class TestDriftCorrection:
                                         for f in result.scans),
                             odometry=result.odometry)
         out = run(pm, seq, make_cfg(map_factor_stride=10 ** 9))
-        anchor = out.trajectory.poses[0]
+        anchor = out.trajectory[0]
         cum = None
-        for k in range(1, len(result.odometry.poses)):
-            rel = between(result.odometry.poses[k - 1],
-                          result.odometry.poses[k])
+        for k in range(1, len(result.odometry)):
+            rel = between(result.odometry[k - 1], result.odometry[k])
             cum = rel if cum is None else compose(cum, rel)
             pred = compose(anchor, cum)
-            got = out.trajectory.poses[k]
+            got = out.trajectory[k]
             assert np.linalg.norm(pred.translation - got.translation) < 1e-9
             assert np.abs(pred.rotation - got.rotation).max() < 1e-9
 
@@ -486,7 +485,7 @@ class TestKeyframeAssociation:
     def run_room(self, room, before, after, stride=1, shift=None, n=8):
         result, pm = room
         times, poses = [], []
-        for k, pose in enumerate(result.gt_trajectory.poses[:n]):
+        for k, pose in zip(range(n), result.gt_trajectory):
             raised = Pose(pose.rotation, pose.translation + [0, 0, 0.01 * k])
             times += [k * self.STEP - before, k * self.STEP + after]
             poses += [pose, raised]
@@ -494,12 +493,12 @@ class TestKeyframeAssociation:
         if shift is not None:  # move one scan out of the association gate
             scans[shift] = (scans[shift][0] + 0.03, scans[shift][1])
         seq = SequenceInput(scans=tuple(scans),
-                            odometry=Trajectory(np.array(times), tuple(poses)))
+                            odometry=trajectory(np.array(times), poses))
         out = run(pm, seq, make_cfg(map_factor_stride=1000,
                                     keyframe_stride=stride))
-        raised = [(p.translation - result.gt_trajectory.poses[round(
-            f["timestamp"] / self.STEP)].translation)[2] for f, p in
-            zip(out.frames, out.trajectory.poses)]
+        raised = [(p - result.gt_trajectory.translations[round(
+            f["timestamp"] / self.STEP)])[2] for f, p in
+            zip(out.frames, out.trajectory.translations)]
         return out, raised
 
     @pytest.mark.parametrize("before, after, later", [
@@ -550,6 +549,17 @@ class TestAssociationAndErrors:
         with pytest.raises(NonMonotonicTimestamps,
                            match=r"scan 4 at t=\S+ does not come after scan 3"):
             run(pm, seq, make_cfg())
+
+    def test_nan_odometry_timestamp_refused(self, room):
+        """An in-memory odometry stream with a NaN timestamp is refused
+        when built, naming its row, instead of running with a pose that
+        no scan can associate with."""
+        odometry = room[0].odometry
+        times = odometry.timestamps.copy()
+        times[5] = np.nan
+        with pytest.raises(NonMonotonicTimestamps,
+                           match=r"timestamp 5 \(t=nan\) is not finite"):
+            Trajectory(times, odometry.rotations, odometry.translations)
 
     def test_out_of_order_imu_refused_before_any_solve(self, room,
                                                        monkeypatch):
@@ -659,7 +669,7 @@ class TestEmitAndDeterminism:
             assert paths[key].exists(), key
         assert "optimizer" not in paths  # verbose off
         reloaded = read_tum(paths["trajectory"])
-        for got, want in zip(reloaded.poses, run_noimu.trajectory.poses):
+        for got, want in zip(reloaded, run_noimu.trajectory, strict=True):
             assert np.linalg.norm(got.translation - want.translation) < 1e-8
             assert np.abs(got.rotation - want.rotation).max() < 1e-7
         report = json.loads(paths["report"].read_text())

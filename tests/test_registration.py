@@ -289,7 +289,7 @@ def test_align_ends_association_cycle(smoke_scene, k):
     scene, index = smoke_scene
     params = RegistrationParams()
     result = align(scene.scans[k].cloud.points, index,
-                   scene.odometry.poses[k], params)
+                   scene.odometry[k], params)
     assert result.converged
     assert result.iterations < params.max_iterations
 
@@ -302,7 +302,7 @@ def test_align_from_perturbed_starts_reaches_truth(smoke_scene):
     errors = []
     for trial in range(40):
         k = trial % len(scene.scans)
-        truth = scene.gt_trajectory.poses[k]
+        truth = scene.gt_trajectory[k]
         offset = np.concatenate([rng.normal(size=3) * 0.06,
                                  rng.normal(size=3) * 0.4])
         result = align(scene.scans[k].cloud.points, index,

@@ -361,8 +361,9 @@ class TestGenerate:
         assert len(a.scans) == len(b.scans)
         for fa, fb in zip(a.scans, b.scans):
             assert np.array_equal(fa.cloud.points, fb.cloud.points)
-        for pa, pb in zip(a.odometry.poses, b.odometry.poses):
-            assert np.array_equal(pa.matrix(), pb.matrix())
+        assert np.array_equal(a.odometry.rotations, b.odometry.rotations)
+        assert np.array_equal(a.odometry.translations,
+                              b.odometry.translations)
         assert np.array_equal(a.imu, b.imu)
 
     def test_seed_changes_noise(self):
@@ -380,16 +381,16 @@ class TestGenerate:
 
     def test_clean_odometry_equals_ground_truth(self):
         result = generate(make_spec())
-        for odom, gt in zip(result.odometry.poses,
-                            result.gt_trajectory.poses):
+        for odom, gt in zip(result.odometry, result.gt_trajectory,
+                            strict=True):
             assert np.allclose(odom.matrix(), gt.matrix(), atol=1e-10)
 
     def test_z_drift_accumulates(self):
         drift = [0, 0, 0, 0, 0, 0.01]
         result = generate(make_spec(odometry={"drift_per_frame": drift}))
-        for k, (odom, gt) in enumerate(zip(result.odometry.poses,
-                                           result.gt_trajectory.poses)):
-            delta = odom.translation - gt.translation
+        deltas = (result.odometry.translations
+                  - result.gt_trajectory.translations)
+        for k, delta in enumerate(deltas):
             assert np.allclose(delta[:2], 0, atol=1e-9)
             assert delta[2] == pytest.approx(0.01 * k, abs=1e-9)
 
@@ -397,7 +398,7 @@ class TestGenerate:
         result = generate(make_spec())
         lx, ly, lz = result.spec.size
         frame = result.scans[5]
-        pose = result.gt_trajectory.poses[5]
+        pose = result.gt_trajectory[5]
         world = pose.transform(frame.cloud.points)
         face = np.minimum.reduce([
             np.abs(world[:, 0]), np.abs(world[:, 0] - lx),
@@ -420,8 +421,8 @@ class TestGenerate:
     def test_stationary_sequence(self):
         spec = make_spec(trajectory=[{"pos": [2.0, 2.0, 1.0], "dwell": 4.0}])
         result = generate(spec)
-        first = result.gt_trajectory.poses[0].matrix()
-        for pose in result.gt_trajectory.poses:
+        first = result.gt_trajectory[0].matrix()
+        for pose in result.gt_trajectory:
             assert np.array_equal(pose.matrix(), first)
         imu = result.imu
         assert np.allclose(imu.specific_force.mean(axis=0), [0, 0, 9.81],
@@ -461,7 +462,7 @@ class TestDegeneracyScenes:
     def run_frame(self, spec, index):
         result = generate(spec)
         frame = result.scans[index]
-        gt_pose = result.gt_trajectory.poses[index]
+        gt_pose = result.gt_trajectory[index]
         index_map = build_index(result.gt_map)
         out = align(frame.cloud.points, index_map, gt_pose,
                     RegistrationParams(max_correspondence_distance=0.5))
@@ -497,7 +498,7 @@ class TestWriteSequence:
         gt = read_tum(paths["groundtruth"])
         assert np.allclose(gt.timestamps, result.gt_trajectory.timestamps,
                            atol=1e-9)
-        for a, b in zip(gt.poses, result.gt_trajectory.poses):
+        for a, b in zip(gt, result.gt_trajectory, strict=True):
             assert np.allclose(a.matrix(), b.matrix(), atol=1e-6)
 
         scan_files = sorted(paths["scans"].glob("*.pcd"))
