@@ -139,7 +139,11 @@ class AteResult:
 def ate(est: Trajectory, ref: Trajectory, max_dt=DEFAULT_MAX_DT) -> AteResult:
     """Absolute trajectory error: RMSE (cm) of translational residuals
     after rigid alignment of the associated positions."""
-    pairs = associate(est, ref, max_dt)
+    return _ate(est, ref, associate(est, ref, max_dt))
+
+
+def _ate(est, ref, pairs) -> AteResult:
+    """ate over the (est row, ref row) pairs of associate."""
     est_pos = est.translations[pairs[:, 0]]
     ref_pos = ref.translations[pairs[:, 1]]
     q = align_se3(est_pos, ref_pos)
@@ -173,9 +177,13 @@ def rpe(est: Trajectory, ref: Trajectory, delta: int = 1,
         max_dt=DEFAULT_MAX_DT) -> RpeResult:
     """Relative pose error over windows of `delta` associated frames:
     RMSE (cm) of the translational part of the relative-motion error."""
+    return _rpe(est, ref, associate(est, ref, max_dt), delta)
+
+
+def _rpe(est, ref, pairs, delta) -> RpeResult:
+    """rpe over the (est row, ref row) pairs of associate."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    pairs = associate(est, ref, max_dt)
     if len(pairs) < delta + 1:
         raise NoMatches(f"need at least {delta + 1} pairs for delta={delta}")
     err = _relative_error(est, ref, pairs[:-delta], pairs[delta:])
@@ -191,7 +199,11 @@ def rpe_per_meter(est: Trajectory, ref: Trajectory, distance: float = 1.0,
     translational error is normalized by the actual segment length.
     Returns None when the path never accumulates `distance`.
     """
-    pairs = associate(est, ref, max_dt)
+    return _rpe_per_meter(est, ref, associate(est, ref, max_dt), distance)
+
+
+def _rpe_per_meter(est, ref, pairs, distance=1.0):
+    """rpe_per_meter over the (est row, ref row) pairs of associate."""
     seg = np.linalg.norm(np.diff(ref.translations[pairs[:, 1]], axis=0),
                          axis=1)
     cumulative = np.concatenate([[0.0], np.cumsum(seg)])
@@ -252,9 +264,10 @@ def compute_metrics(est: Trajectory, ref: Trajectory, delta: int = 1,
                     gt_map: PointCloud | None = None,
                     threshold: float = DEFAULT_THRESHOLD,
                     max_dt=DEFAULT_MAX_DT, workers: int = 1) -> MetricsReport:
-    ate_result = ate(est, ref, max_dt)
-    rpe_result = rpe(est, ref, delta, max_dt)
-    per_meter = rpe_per_meter(est, ref, max_dt=max_dt)
+    pairs = associate(est, ref, max_dt)
+    ate_result = _ate(est, ref, pairs)
+    rpe_result = _rpe(est, ref, pairs, delta)
+    per_meter = _rpe_per_meter(est, ref, pairs)
     acc = com = None
     if est_map is not None and gt_map is not None:
         acc = map_accuracy(est_map, gt_map, threshold, workers=workers)

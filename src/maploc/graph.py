@@ -1,4 +1,4 @@
-"""Factor-graph state estimation with sparse Levenberg-Marquardt.
+"""Factor-graph state estimation with banded Levenberg-Marquardt.
 
 Each node contributes 15 tangent columns ([rot, trans, vel, bias], the bias
 being [b_a; b_g]); the shared gravity direction, a point on the unit sphere,
@@ -12,9 +12,17 @@ The states are stacked arrays (factors.States), and the graph linearizes
 by kind (Kuemmerle et al. 2011; Dellaert & Kaess 2017): per solve, the
 active factors of each class, picked by their highest state index, are
 stacked into one batched factor, so each linearization or trial cost makes
-one linearize or residual call per class. J^T W J and J^T W r come from
-batched matmuls and reach the fixed CSC slots of H through one bincount,
-and a step retracts every free state in one batched update.
+one linearize or residual call per class, and a step retracts every free
+state in one batched update.
+
+Every factor touches states at most s indices apart (s = 1 in the
+pipeline), so H over the states is a band 15 (s + 1) columns wide, bordered
+by gravity's 2 columns and their 2x2 corner (Dellaert & Kaess 2006). J^T W J
+and J^T W r come from batched matmuls and reach the band, border and corner
+through one bincount, each entry's slot fixed by arithmetic on its state
+offset. Each damping trial factors the band once by a pivoted banded LU
+with the border as extra right-hand sides, and solves gravity through its
+2x2 Schur complement.
 """
 
 from __future__ import annotations
@@ -22,8 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
+# perfbench's tracer times the banded solve under this module-level name
+from scipy.linalg import solve_banded as splu
+from scipy.linalg.blas import dsbmv
 
 from .errors import IndexOutOfRange, NotAnchored, SingularSystem
 from .factors import STATE_DIM, StateNode, States, retract_state
@@ -72,6 +81,44 @@ def _nonfinite(stacks, h_vals, b_vals) -> SingularSystem:
                 f"factor '{stack.kind}' produced non-finite values",
                 state_index=int(stack.indices[0][np.argmax(bad)]))
     return SingularSystem("normal equations overflowed")  # finite blocks
+
+
+def _damped_step(lower, grav, b, damping):
+    """The step solving (H + damping I) delta = -b. H's state block is
+    symmetric, given by its lower band, lower[r - c, c] = H[r, c] for the
+    u = len(lower) - 1 diagonals below the main one, and grav = H[:, n:]
+    holds its gravity columns (None without gravity): the border over the
+    n state columns and the 2x2 corner. The band, mirrored into LAPACK's
+    general band storage, is factored once by a pivoted LU (gbsv), which
+    stays usable where the rounded H is not positive definite, with the
+    border as extra right-hand sides; gravity then comes from its 2x2
+    Schur complement and the states by back-substitution."""
+    u, n = lower.shape[0] - 1, lower.shape[1]
+    band = np.zeros((2 * u + 1, n), order="F")  # band[u + r - c, c]
+    band[u:] = lower
+    for k in range(1, u + 1):
+        band[u - k, k:] = lower[k, :-k]
+    band[u] += damping
+    # assemble() refused non-finite blocks, so the solve need not check
+    if grav is None:
+        return splu((u, u), band, -b, check_finite=False)
+    border = grav[:n]
+    x = splu((u, u), band, np.column_stack([-b[:n], border]),
+             check_finite=False)
+    g = np.linalg.solve(grav[n:] + damping * np.eye(2) - border.T @ x[:, 1:],
+                        -b[n:] - border.T @ x[:, 0])
+    return np.concatenate([x[:, 0] - x[:, 1:] @ g, g])
+
+
+def _band_matvec(lower, grav, x):
+    """H @ x for H given as _damped_step takes it."""
+    n = lower.shape[1]
+    hx = dsbmv(len(lower) - 1, 1.0, lower, x[:n], lower=1)
+    if grav is None:
+        return hx
+    border = grav[:n]
+    return np.concatenate([hx + border @ x[n:],
+                           border.T @ x[:n] + grav[n:] @ x[n:]])
 
 
 def gravity_basis(g):
@@ -141,52 +188,57 @@ class FactorGraph:
             c = _total(stacks, [s.residual(self.states, self.gravity)
                                 for s in stacks])
             return OptimizeResult(c, c, 0, True, [])
-        grav_col = STATE_DIM * (n - first)
+        n_free = STATE_DIM * (n - first)  # the band's columns
         # Gravity becomes a variable only when a factor that measures it is
         # active. IMU factors couple to gravity but cannot anchor it: with
         # biases free the pair is a gauge and both would drift together.
         use_gravity = any(s.kind == "gravity" for s in stacks)
-        n_cols = grav_col + (2 if use_gravity else 0)
+        n_cols = n_free + (2 if use_gravity else 0)
 
         # Each factor adds one dense block J^T W J over its states' columns
         # and gravity's (zeros if it has no gravity block) while gravity is
-        # a variable. Where each block entry lands in the CSC data of H is
-        # fixed here, once per solve: entries sort by (column, row) key, the
-        # diagonal always in the pattern so that damping has a slot even in
-        # a column no factor touches. A fixed state's columns are `outside`,
-        # which puts every key with them at or past it: those entries land
-        # in slot nnz, after the pattern, and their b rows in row n_cols,
-        # and both are dropped.
-        outside = n_cols * n_cols
-        spans = []
+        # a variable. A factor's states lie within `span` indices of each
+        # other, so the entries between two state columns lie within u of
+        # H's diagonal; the width is clamped to the free columns, which a
+        # factor reaching a fixed state would exceed. The entries on or
+        # below the diagonal go to the lower band, in Fortran order,
+        # lower[r - c, c] = H[r, c]; gravity's columns go to grav =
+        # H[:, n_free:], the border over the states and the 2x2 corner
+        # below it. Each entry's slot is plain arithmetic on its row r and
+        # column c. The rest goes to the dump slot past the end: entries
+        # with a fixed state's row or column, and the mirrors of lower band
+        # and border entries, which makes H exactly symmetric; so does a
+        # fixed state's b row.
+        span = max(int(np.ptp(np.stack(s.indices), axis=0).max())
+                   for s in stacks)
+        u = min(STATE_DIM * (span + 1), n_free) - 1
+        band_size = (u + 1) * n_free
+        dump = band_size + (2 * n_cols if use_gravity else 0)
+        entry_slots, b_rows = [], []
         for stack in stacks:
-            slot_cols = [np.where((idx >= first)[:, None], (idx - first)[:, None]
-                                  * STATE_DIM + np.arange(STATE_DIM), outside)
-                         for idx in stack.indices]
+            cols = [np.where((idx >= first)[:, None], (idx - first)[:, None]
+                             * STATE_DIM + np.arange(STATE_DIM), -1)
+                    for idx in stack.indices]
             if use_gravity:
-                slot_cols.append(np.broadcast_to(
-                    np.arange(grav_col, n_cols), (len(slot_cols[0]), 2)))
-            spans.append(np.concatenate(slot_cols, axis=1))
-        keys = np.minimum(np.concatenate(
-            [(c[:, None, :] * n_cols + c[:, :, None]).ravel() for c in spans]
-            + [np.arange(n_cols) * (n_cols + 1)]), outside)
-        # only the int32 slots and CSC indices outlive the sort
-        pattern, slots = np.unique(keys, return_inverse=True)
-        del keys
-        slots = slots.astype(np.int32)
-        entry_slots, diag_slots = slots[:-n_cols], slots[-n_cols:]
-        nnz = int(np.searchsorted(pattern, outside))
-        indices = (pattern[:nnz] % n_cols).astype(np.int32)
-        indptr = np.searchsorted(pattern[:nnz], np.arange(n_cols + 1) * n_cols
-                                 ).astype(np.int32)
-        del pattern
-        b_rows = np.minimum(np.concatenate([c.ravel() for c in spans]), n_cols)
+                cols.append(np.broadcast_to(np.arange(n_free, n_cols),
+                                            (len(cols[0]), 2)))
+            cols = np.concatenate(cols, axis=1)
+            r, c = cols[:, :, None], cols[:, None, :]
+            slot = np.where(c < n_free, r + u * c,
+                            band_size + 2 * r + c - n_free)
+            slot[(r < 0) | (c < 0)
+                 | ((c < n_free) & ((r < c) | (r >= n_free)))] = dump
+            entry_slots.append(slot.ravel())
+            b_rows.append(np.where(cols < 0, n_cols, cols).ravel())
+        entry_slots = np.concatenate(entry_slots)
+        b_rows = np.concatenate(b_rows)
 
         states = self.states
         gravity = self.gravity.copy()
 
         def assemble():
-            """H, b and each stack's residuals at the current states."""
+            """H's lower band and gravity columns (None without gravity),
+            b and each stack's residuals at the current states."""
             basis = gravity_basis(gravity) if use_gravity else None
             residuals, h_vals, b_vals = [], [], []
             for stack in stacks:
@@ -200,26 +252,27 @@ class FactorGraph:
                 residuals.append(r)
                 h_vals.append(jtw @ jac)
                 b_vals.append(matvec(jtw, r))
-            data = np.bincount(entry_slots, minlength=nnz + 1, weights=
+            data = np.bincount(entry_slots, minlength=dump + 1, weights=
                                np.concatenate([h.ravel() for h in h_vals]))
             b = np.bincount(b_rows, minlength=n_cols + 1, weights=
                             np.concatenate([g.ravel() for g in b_vals]))
-            data, b = data[:nnz], b[:n_cols]
+            data, b = data[:dump], b[:n_cols]
             if not (np.isfinite(data).all() and np.isfinite(b).all()):
                 raise _nonfinite(stacks, h_vals, b_vals)
-            h = sparse.csc_matrix((data, indices, indptr),
-                                  shape=(n_cols, n_cols))
-            return h, b, residuals
+            lower = data[:band_size].reshape(u + 1, n_free, order="F")
+            grav = data[band_size:].reshape(n_cols, 2) if use_gravity \
+                else None
+            return lower, grav, b, residuals
 
         def apply_step(delta):
             moved = retract_state(states[first:],
-                                  delta[:grav_col].reshape(-1, STATE_DIM))
+                                  delta[:n_free].reshape(-1, STATE_DIM))
             new_gravity = gravity
             if use_gravity:
-                new_gravity = retract_gravity(gravity, delta[grav_col:])
+                new_gravity = retract_gravity(gravity, delta[n_free:])
             return states[:first].join(moved), new_gravity
 
-        h_mat, b_vec, residuals = assemble()
+        lower, grav, b_vec, residuals = assemble()
         initial_cost = cost = _total(stacks, residuals)
         damping = DAMPING_INIT
         records = []
@@ -233,11 +286,8 @@ class FactorGraph:
             step_norm = 0.0
             while damping <= DAMPING_MAX:
                 try:
-                    damped = h_mat.copy()
-                    damped.data[diag_slots] += damping
-                    lu = splu(damped)
-                    delta = lu.solve(-b_vec)
-                except RuntimeError:
+                    delta = _damped_step(lower, grav, b_vec, damping)
+                except np.linalg.LinAlgError:
                     delta = None
                 if delta is None or not np.all(np.isfinite(delta)):
                     damping *= 10.0
@@ -251,8 +301,8 @@ class FactorGraph:
                     with np.errstate(over="raise", invalid="raise"):
                         # Converged: the step or its predicted decrease is
                         # negligible
-                        predicted = -(delta @ b_vec
-                                      + 0.5 * delta @ (h_mat @ delta))
+                        predicted = -(delta @ b_vec + 0.5 * delta
+                                      @ _band_matvec(lower, grav, delta))
                         if np.abs(delta).max() < STEP_TOL \
                                 or predicted <= REL_COST_TOL * cost:
                             break
@@ -274,15 +324,13 @@ class FactorGraph:
                                            accepted))
             if not accepted:
                 if not solver_produced_step:
-                    diag = h_mat.diagonal()
-                    worst = int(np.argmin(diag))
-                    idx = first + worst // STATE_DIM \
-                        if worst < grav_col else None
+                    worst = int(np.argmin(lower[0]))
                     raise SingularSystem("linear solve failed at all damping "
-                                         "levels", state_index=idx)
+                                         "levels",
+                                         state_index=first + worst // STATE_DIM)
                 converged = True  # by the step test, or out of damping
                 break
-            h_mat, b_vec, _ = assemble()
+            lower, grav, b_vec, _ = assemble()
 
         self.states = states
         self.gravity = gravity

@@ -24,6 +24,7 @@ from maploc.evaluate import (
     rpe,
     rpe_per_meter,
 )
+from maploc import evaluate as evaluate_module
 from maploc.geometry import PointCloud, Pose, between, compose, exp_map
 
 from conftest import random_pose, random_twist, trajectory
@@ -450,3 +451,28 @@ class TestComputeMetrics:
         assert report.map_acc_cm is None
         assert report.map_com_percent is None
         assert report.ate_rmse_cm < 1e-10
+
+    @pytest.mark.parametrize("delta", [1, 3])
+    def test_one_association_feeds_every_trajectory_metric(
+            self, rng, monkeypatch, delta):
+        """compute_metrics pairs the trajectories once, and its ATE, RPE
+        and per-meter RPE equal the standalone functions', bit for bit."""
+        ref = random_trajectory(rng, 40)
+        noisy = (compose(exp_map(random_twist(rng, 0.01, 0.02)), p)
+                 for p in ref)
+        est = trajectory(ref.timestamps + 0.01 * rng.uniform(-1, 1, 40),
+                         noisy)
+        ate_result = ate(est, ref)
+        rpe_result = rpe(est, ref, delta)
+        per_meter = rpe_per_meter(est, ref)
+        calls = []
+        real_associate = evaluate_module.associate
+        monkeypatch.setattr(evaluate_module, "associate", lambda *a:
+                            calls.append(a) or real_associate(*a))
+        report = compute_metrics(est, ref, delta=delta)
+        assert len(calls) == 1
+        assert report.ate_rmse_cm == ate_result.rmse_cm
+        assert report.matched_pairs == ate_result.pairs
+        assert report.rpe_rmse_cm == rpe_result.rmse_cm
+        assert report.rpe_rot_rmse_rad == rpe_result.rot_rmse_rad
+        assert report.rpe_per_meter_cm == per_meter

@@ -67,6 +67,62 @@ def build_chain_graph(gt, measurements, init, prior_info=1e6,
     return graph
 
 
+def band_storage(a, u):
+    """a in LAPACK's general band storage with u diagonals on each side,
+    ab[u + i - j, j] = a[i, j], and zeros where no entry of a falls."""
+    n = len(a)
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= u
+    ab = np.zeros((2 * u + 1, n))
+    ab[(u + i - j)[inside], j[inside]] = a[inside]
+    return ab
+
+
+def densify_band(ab):
+    """The square matrix that band_storage stored in ab."""
+    u, n = ab.shape[0] // 2, ab.shape[1]
+    i, j = np.indices((n, n))
+    inside = np.abs(i - j) <= u
+    a = np.zeros((n, n))
+    a[inside] = ab[(u + i - j)[inside], j[inside]]
+    return a
+
+
+def dense_normal_equations(graph, first, use_gravity):
+    """H and b over the states from `first` on, and gravity's 2 columns
+    when use_gravity, built densely factor by factor from the linearize
+    blocks."""
+    n_free = STATE_DIM * (len(graph.states) - first)
+    n_cols = n_free + (2 if use_gravity else 0)
+    h = np.zeros((n_cols, n_cols))
+    b = np.zeros(n_cols)
+    basis = gravity_basis(graph.gravity)
+    for f in graph.factors:
+        if max(f.indices) < first:
+            continue
+        r, blocks, g_block = f.linearize(graph.states, graph.gravity)
+        jac = np.zeros((len(r), n_cols))
+        for i, block in zip(f.indices, blocks):
+            if i >= first:
+                col = STATE_DIM * (i - first)
+                jac[:, col:col + STATE_DIM] = block
+        if use_gravity and g_block is not None:
+            jac[:, n_free:] = g_block @ basis
+        h += jac.T @ f.information @ jac
+        b += jac.T @ f.information @ r
+    return h, b
+
+
+def counted_splu(monkeypatch):
+    """Records the (args, kwargs) of each call to the graph's banded
+    splu."""
+    solves = []
+    real_splu = graph_module.splu
+    monkeypatch.setattr(graph_module, "splu", lambda *a, **kw:
+                        solves.append((a, kw)) or real_splu(*a, **kw))
+    return solves
+
+
 class TestBatchSolve:
     def test_exact_chain_recovery(self, rng):
         gt = chain_poses(10)
@@ -200,10 +256,7 @@ class TestBatchSolve:
             nudge = np.zeros((len(graph.states), STATE_DIM))
             nudge[3, :6] = 1e-8
             graph.states = retract_state(graph.states, nudge)
-        solves = []
-        real_splu = graph_module.splu
-        monkeypatch.setattr(graph_module, "splu",
-                            lambda a: solves.append(a) or real_splu(a))
+        solves = counted_splu(monkeypatch)
         result = graph.optimize()
         assert len(solves) == 1
         assert result.converged and result.iterations == 1
@@ -285,24 +338,9 @@ class TestAssemblyOracle:
 
     def test_one_step_matches_dense_normal_equations(self, rng):
         graph = self.mixed_graph(rng)
-        free = [1, 2, 3]
-        col = {s: STATE_DIM * k for k, s in enumerate(free)}
-        n_cols = STATE_DIM * len(free) + 2
-        h = np.zeros((n_cols, n_cols))
-        b = np.zeros(n_cols)
+        h, b = dense_normal_equations(graph, 1, use_gravity=True)
+        n_cols = len(b)
         basis = gravity_basis(graph.gravity)
-        for f in graph.factors:
-            if not any(i in col for i in f.indices):
-                continue
-            r, blocks, g_block = f.linearize(graph.states, graph.gravity)
-            jac = np.zeros((len(r), n_cols))
-            for i, block in zip(f.indices, blocks):
-                if i in col:
-                    jac[:, col[i]:col[i] + STATE_DIM] = block
-            if g_block is not None:
-                jac[:, -2:] = g_block @ basis
-            h += jac.T @ f.information @ jac
-            b += jac.T @ f.information @ r
         delta = np.linalg.solve(h + DAMPING_INIT * np.eye(n_cols), -b)
         expected = graph.states[:1].join(retract_state(
             graph.states[1:], delta[:-2].reshape(-1, STATE_DIM)))
@@ -325,10 +363,11 @@ class TestAssemblyOracle:
     @pytest.mark.parametrize("first", [1, 0])
     def test_fixed_pattern_matches_coo_assembly(self, rng, monkeypatch,
                                                 first):
-        """The first damped H handed to splu against the COO matrix of the
-        same blocks, entry for entry to rounding, with gravity's columns
-        and a free state no factor touches, whose diagonal is still in the
-        pattern."""
+        """The first damped system handed to the banded splu, densified
+        from its band, its border right-hand sides and the corner, against
+        the COO matrix of the same blocks, entry for entry to rounding, with
+        gravity's columns and a free state no factor touches, whose
+        diagonal still holds the damping."""
         graph = self.mixed_graph(rng)
         lone = graph.states[3]
         graph.add_state(StateNode.at(lone.pose, lone.timestamp + 0.5))
@@ -357,19 +396,28 @@ class TestAssemblyOracle:
             shape=(n_cols, n_cols))
         expected = expected + DAMPING_INIT * sparse.identity(n_cols)
 
-        solves = []
-        real_splu = graph_module.splu
-        monkeypatch.setattr(graph_module, "splu",
-                            lambda a: solves.append(a.copy()) or real_splu(a))
+        solves = counted_splu(monkeypatch)
+        steps = []
+        real_step = graph_module._damped_step
+        monkeypatch.setattr(graph_module, "_damped_step",
+                            lambda *a: steps.append(a) or real_step(*a))
         graph.optimize(first=first, max_iterations=1)
-        got = solves[0]
-        assert got.format == "csc" and got.has_canonical_format
+        (lower, upper), ab, rhs = solves[0][0]
+        _, grav, b, damping = steps[0]
+        n = n_cols - 2
+        assert lower == upper == 2 * STATE_DIM - 1 and ab.shape[1] == n
+        assert damping == DAMPING_INIT
+        np.testing.assert_array_equal(rhs[:, 0], -b[:n])
+        got = np.zeros((n_cols, n_cols))
+        got[:n, :n] = densify_band(ab)
+        got[:n, n:] = rhs[:, 1:]
+        got[n:, :n] = rhs[:, 1:].T
+        got[n:, n:] = grav[n:] + damping * np.eye(2)
         # duplicates are summed in another order: ulps of the largest entry
         expected = expected.toarray()
-        np.testing.assert_allclose(got.toarray(), expected, rtol=0.0,
+        np.testing.assert_allclose(got, expected, rtol=0.0,
                                    atol=1e-14 * np.abs(expected).max())
-        for j in range(n_cols):
-            assert j in got.indices[got.indptr[j]:got.indptr[j + 1]]
+        np.testing.assert_array_equal(ab, band_storage(got[:n, :n], lower))
         lone_col = STATE_DIM * (4 - first)
         assert got[lone_col, lone_col] == DAMPING_INIT
 
@@ -430,6 +478,93 @@ class TestAssemblyOracle:
         assert result.converged
         np.testing.assert_allclose(graph.states[4].pose.matrix(),
                                    lone.pose.matrix(), atol=1e-12)
+
+
+class TestBandedSolve:
+    """The band, border and corner solve against dense linear algebra."""
+
+    @staticmethod
+    def random_system(rng, n, u, n_border):
+        """A symmetric indefinite H whose first n columns are banded with u
+        diagonals on each side, bordered by n_border dense columns, and a
+        right-hand side b."""
+        a = rng.normal(size=(n + n_border,) * 2)
+        h = a + a.T
+        i, j = np.indices((n, n))
+        h[:n, :n][np.abs(i - j) > u] = 0.0
+        return h, rng.normal(size=n + n_border)
+
+    @pytest.mark.parametrize("n_border", [0, 2])
+    @pytest.mark.parametrize("n, u", [(45, 29), (30, 29), (15, 14)])
+    def test_damped_step_and_matvec_match_dense(self, rng, n, u, n_border):
+        h, b = self.random_system(rng, n, u, n_border)
+        lower = np.asfortranarray(band_storage(h[:n, :n], u)[u:])
+        grav = h[:, n:] if n_border else None
+        damping = 0.1
+        want = np.linalg.solve(h + damping * np.eye(len(b)), -b)
+        got = graph_module._damped_step(lower, grav, b, damping)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-10 * np.abs(want).max())
+        np.testing.assert_allclose(graph_module._band_matvec(lower, grav, b),
+                                   h @ b, rtol=0, atol=1e-12 * np.abs(h).max()
+                                   * np.abs(b).sum())
+
+    @staticmethod
+    def spanning_graph(rng, info):
+        """A 6-state chain plus a factor between states 0 and 3."""
+        gt = chain_poses(6)
+        rels = [compose(exp_map(random_twist(rng, 0.02, 0.05)),
+                        between(gt[k], gt[k + 1])) for k in range(5)]
+        graph = build_chain_graph(gt, rels, [perturbed(p, rng) for p in gt])
+        graph.add_factor(OdometryFactor(0, 3, between(gt[0], gt[3]),
+                                        info * np.eye(6)))
+        return graph
+
+    @pytest.mark.parametrize("first, free_states, span", [
+        (0, 6, 3),  # the band spans the factor between states 0 and 3
+        (3, 3, 3),  # that factor reaches fixed state 0: clamped to 45
+        (5, 1, 1),  # only odometry 4-5 is active: clamped to 15
+    ])
+    def test_step_matches_dense_for_wide_and_clamped_bands(
+            self, rng, monkeypatch, first, free_states, span):
+        graph = self.spanning_graph(rng, 1e3)
+        h, b = dense_normal_equations(graph, first, use_gravity=False)
+        damped = h + DAMPING_INIT * np.eye(len(b))
+        delta = np.linalg.solve(damped, -b)
+        expected = graph.states[:first].join(retract_state(
+            graph.states[first:], delta.reshape(-1, STATE_DIM)))
+        solves = counted_splu(monkeypatch)
+        result = graph.optimize(first=first, max_iterations=1)
+        assert result.records[0].accepted
+        (lower, upper), ab, _ = solves[0][0]
+        width = min(STATE_DIM * (span + 1), STATE_DIM * free_states)
+        assert lower == upper == width - 1
+        assert ab.shape == (2 * width - 1, STATE_DIM * free_states)
+        np.testing.assert_allclose(densify_band(ab), damped, rtol=0,
+                                   atol=1e-14 * np.abs(damped).max())
+        for got, want in zip(graph.states, expected):
+            np.testing.assert_allclose(got.pose.matrix(), want.pose.matrix(),
+                                       atol=1e-10)
+
+    def test_failure_at_every_damping_names_a_state(self, rng, monkeypatch):
+        """A solve whose every damping trial fails raises SingularSystem
+        naming the state with the smallest diagonal entry, after one splu
+        call per damping level."""
+        graph = TestAssemblyOracle().mixed_graph(rng)
+        lone = graph.states[3]
+        graph.add_state(StateNode.at(lone.pose, lone.timestamp + 0.5))
+        calls = []
+
+        def singular(*args, **kwargs):
+            calls.append(None)
+            raise np.linalg.LinAlgError("singular matrix")
+
+        monkeypatch.setattr(graph_module, "splu", singular)
+        with pytest.raises(SingularSystem, match="at all damping levels") \
+                as exc:
+            graph.optimize()
+        assert exc.value.state_index == 4  # no factor touches it
+        assert len(calls) == 13  # DAMPING_INIT to DAMPING_MAX by tens
 
 
 def sphere_points():
