@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoCorrespondences
+from .errors import DataError, NoCorrespondences
 from .geometry import Pose, SpatialIndex, between, compose, exp_map, log_map
 
 # Levenberg damping bounds for the inner step loop.
@@ -62,19 +62,93 @@ class AlignResult:
     cost_trace: tuple = field(default=())
 
 
+# Margin, in metres, by which a point's nearest map point must beat its
+# second nearest for _NearestMemo to keep it; it absorbs the rounding of the
+# distances, which is ~1e-16 of their size.
+_KEEP_MARGIN = 1e-9
+
+
+def _checked_scan(scan):
+    """The scan as an (N, 3) float array; DataError names a malformed one."""
+    try:
+        scan = np.asarray(scan, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"scan is not a numeric array: {exc}") from None
+    if scan.shape[:1] == (0,):
+        raise NoCorrespondences("scan holds no points")
+    if scan.ndim != 2 or scan.shape[1] != 3:
+        raise DataError(f"scan must have shape (N, 3), not {scan.shape}")
+    bad = ~np.isfinite(scan).all(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise DataError(f"scan row {row} is not finite: {scan[row].tolist()}")
+    return scan
+
+
+class _NearestMemo:
+    """Each scan point's nearest map point, kept across one align call.
+
+    For each point it holds its world position at its last k-d query (the
+    anchor), the nearest map index found there, and the nearest and second
+    nearest distances d1 and d2. A point that has since moved by m is at
+    most d1 + m from that map point and at least d2 - m from every other,
+    so while d1 + 2m < d2 (less a rounding margin) its nearest point cannot
+    have changed, ties included. Only the other points are queried again;
+    a NaN in the test counts as stale. A fresh memo has NaN everywhere, so
+    its first association queries every point.
+    """
+
+    def __init__(self, scan):
+        self.scan = _checked_scan(scan)
+        n = len(self.scan)
+        self.anchor = np.full((n, 3), np.nan)
+        self.index = np.zeros(n, dtype=np.intp)
+        self.d1 = np.full(n, np.nan)
+        self.d2 = np.full(n, np.nan)
+
+    def stale(self, world):
+        """Rows whose nearest map point may differ from the memo's."""
+        moved = world - self.anchor
+        moved = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+        return ~(self.d1 + 2.0 * moved + _KEEP_MARGIN < self.d2)
+
+    def nearest(self, world, map_index, workers):
+        """Distance and index of each world point's nearest map point, with
+        one k-d query for the stale rows. The lowest index wins a tie."""
+        stale = self.stale(world)
+        dist, idx = map_index.knn(world[stale], 2, workers=workers)
+        self.anchor[stale] = world[stale]
+        self.index[stale] = idx[:, 0]
+        self.d1[stale] = dist[:, 0]
+        # a one-point map has no second nearest point
+        self.d2[stale] = dist[:, 1] if dist.shape[1] > 1 else np.inf
+        # summed as the k-d tree sums it, so a kept distance equals a fresh one
+        kept = ~stale
+        delta = world[kept] - map_index.cloud.points[self.index[kept]]
+        distance = np.empty(len(world))
+        distance[kept] = np.sqrt(delta[:, 0] * delta[:, 0]
+                                 + delta[:, 1] * delta[:, 1]
+                                 + delta[:, 2] * delta[:, 2])
+        distance[stale] = dist[:, 0]
+        return distance, self.index
+
+
 def find_correspondences(scan: np.ndarray, map_index: SpatialIndex, pose: Pose,
-                         max_distance: float, workers: int = 1) -> Correspondences:
+                         max_distance: float, workers: int = 1,
+                         memo: _NearestMemo | None = None) -> Correspondences:
     """Nearest map point per transformed scan point, within max_distance.
 
-    Map points without a valid normal are skipped. Raises NoCorrespondences
-    when the scan is empty or nothing matches. Output order follows scan
-    point order.
+    Map points without a valid normal are skipped. Raises DataError when
+    the scan is not (N, 3) or holds a non-finite coordinate, and
+    NoCorrespondences when it is empty or nothing matches. Output order
+    follows scan point order. align passes the memo it built from this
+    scan, so that each association re-queries only the points whose nearest
+    map point may have changed; the result is the same as without it.
     """
-    scan = np.asarray(scan, dtype=float)
-    if not len(scan):
-        raise NoCorrespondences("scan holds no points")
-    world = pose.transform(scan)
-    dist, idx = map_index.nearest(world, workers=workers)
+    if memo is None:
+        memo = _NearestMemo(scan)
+    world = pose.transform(memo.scan)
+    dist, idx = memo.nearest(world, map_index, workers)
     normals = map_index.cloud.normals
     if normals is None:
         raise ValueError("map cloud carries no normals")
@@ -82,7 +156,7 @@ def find_correspondences(scan: np.ndarray, map_index: SpatialIndex, pose: Pose,
     if not np.any(valid):
         raise NoCorrespondences(
             f"no scan point within {max_distance} m of a map point with a normal")
-    source = scan[valid]
+    source = memo.scan[valid]
     target = map_index.cloud.points[idx[valid]]
     normal = normals[idx[valid]]
     residual = np.einsum("ij,ij->i", normal, world[valid] - target)
@@ -154,15 +228,19 @@ def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,
     damping gives an improving step. Every stop, the max_iterations cap
     included, comes right after an association: the result carries those
     pairs, their residuals, and the unit-weight Hessian at the final pose.
+    Re-associations query the k-d tree only for the scan points whose
+    nearest map point may have changed (_NearestMemo).
     """
     params.validate()
+    memo = _NearestMemo(scan)
     pose = before = initial_pose
     damping = _DAMPING_INIT
     converged = False
     trace = []
     for iterations in range(params.max_iterations + 1):
         corrs = find_correspondences(scan, map_index, pose,
-                                     params.max_correspondence_distance, workers)
+                                     params.max_correspondence_distance, workers,
+                                     memo)
         if converged or iterations == params.max_iterations:
             break
         hessian, gradient, cost = assemble_system(corrs, pose, params.kernel_width)

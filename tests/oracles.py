@@ -68,6 +68,14 @@ def logm_twist(matrix):
     return np.concatenate([rot, xi[:3, 3]])
 
 
+def brute_force_knn(points, query, k):
+    """The k nearest of points to one query row by exhaustive scan, ties by
+    lowest index: (distances, indices)."""
+    d = np.linalg.norm(points - query, axis=1)
+    order = np.lexsort((np.arange(len(points)), d))
+    return d[order[:k]], order[:k]
+
+
 def brute_accuracy_cm(est_points, gt_points, threshold):
     d = distance_matrix(est_points, gt_points).min(axis=1)
     inliers = d <= threshold

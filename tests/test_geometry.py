@@ -35,6 +35,7 @@ from maploc.synth import generate, parse_scene_spec
 
 from conftest import random_pose, random_twist
 from oracles import (
+    brute_force_knn,
     se3_left_jacobian_inv_matrix,
     se3_left_jacobian_series,
     skew_matrix,
@@ -44,13 +45,6 @@ from oracles import (
     so3_log_matrix,
     so3_log_scalar,
 )
-
-
-def brute_force_knn(points, query, k):
-    """Oracle: exhaustive scan, ties by lowest index."""
-    d = np.linalg.norm(points - query, axis=1)
-    order = np.lexsort((np.arange(len(points)), d))
-    return d[order[:k]], order[:k]
 
 
 class TestSE3:
@@ -365,6 +359,12 @@ class TestSpatialIndex:
         dist, idx = index.knn(np.array([[1.0, 2.0, 3.0]]), 1)
         assert idx[0, 0] == 0
         assert dist[0, 0] == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_knn_on_no_queries_returns_empty_rows(self, k):
+        index = build_index(PointCloud(np.arange(12.0).reshape(4, 3)))
+        dist, idx = index.knn(np.empty((0, 3)), k)
+        assert dist.shape == idx.shape == (0, min(k, 4))
 
     def test_radius_zero_exact_coincidence(self):
         points = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])

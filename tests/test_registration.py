@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from maploc import synth
-from maploc.errors import NoCorrespondences
+from maploc.errors import DataError, NoCorrespondences
 from maploc.geometry import (
     PointCloud,
     Pose,
@@ -16,6 +18,7 @@ from maploc.registration import (
     AlignResult,
     Correspondences,
     RegistrationParams,
+    _NearestMemo,
     align,
     assemble_system,
     find_correspondences,
@@ -24,7 +27,7 @@ from maploc.registration import (
 from maploc.pipeline import voxel_downsample
 
 from conftest import random_pose
-from oracles import unit_hessian
+from oracles import brute_force_knn, unit_hessian
 
 # the benchmark's smoke scene (perfbench/workloads.py). In scans 0 and 20 two
 # points lie within ~1e-8 m of equidistant from two map points, so their
@@ -310,3 +313,131 @@ def test_align_from_perturbed_starts_reaches_truth(smoke_scene):
         errors.append(np.linalg.norm(result.pose.translation
                                      - truth.translation))
     assert max(errors) < 2e-3
+
+
+def assert_same_correspondences(a, b):
+    for name in ("source_points", "target_points", "target_normals",
+                 "residuals"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def brute_force_correspondences(scan, cloud, pose, max_distance):
+    """find_correspondences by an exhaustive lowest-index nearest search."""
+    world = pose.transform(scan)
+    nearest = [brute_force_knn(cloud.points, q, 1) for q in world]
+    dist = np.array([d[0] for d, _ in nearest])
+    idx = np.array([i[0] for _, i in nearest])
+    valid = (dist <= max_distance) & np.isfinite(cloud.normals[idx, 0])
+    target = cloud.points[idx[valid]]
+    normal = cloud.normals[idx[valid]]
+    return Correspondences(scan[valid], target, normal, np.einsum(
+        "ij,ij->i", normal, world[valid] - target))
+
+
+def lattice_scene(rng):
+    """A 0.5 m lattice map whose floor (z = 0) is stored twice, every
+    seventh normal NaN, and a scan that sits on lattice points, halfway
+    between them (exact distance ties at exact poses), at random inside,
+    and 5 m beyond the lattice."""
+    axis = np.arange(8) * 0.5
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    points = np.vstack([lattice, lattice[lattice[:, 2] == 0.0]])
+    normals = rng.normal(size=points.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals[::7] = np.nan
+    scan = np.vstack([lattice[rng.choice(len(lattice), 12)],
+                      lattice[rng.choice(64, 6)],  # on the doubled floor
+                      lattice[rng.choice(len(lattice), 12)] + [0.25, 0, 0],
+                      rng.uniform(0.5, 3.0, (40, 3)),
+                      rng.uniform(0.5, 3.0, (5, 3)) + [8.5, 0, 0]])
+    return PointCloud(points, normals=normals), scan
+
+
+def test_memo_matches_fresh_and_brute_force_associations(rng):
+    # the reuse rule is exact: along a walk of small and large moves, the
+    # memo's associations equal a memo-less call's and an exhaustive
+    # search's, bit for bit, ties and duplicate points included
+    cloud, scan = lattice_scene(rng)
+    index = build_index(cloud)
+    queried = []
+    knn = index.knn
+
+    def counting_knn(queries, k, workers=1):
+        queried.append(len(queries))
+        return knn(queries, k, workers=workers)
+    index.knn = counting_knn
+    lifted = compose(exp_map([0.01, -0.02, 0.015, 0.0, 0.0, 0.6]),
+                     exp_map([0.0, 0.0, 0.0, 0.05, 0.03, 0.0]))
+    poses = [Pose.identity(), Pose(np.eye(3), np.array([0.5, 0.25, 0.0]))]
+    for step in range(24):
+        scale = 0.3 if step % 6 == 5 else 1e-3  # mostly small steps
+        poses.append(compose(random_pose(rng, scale, scale), poses[-1]))
+    # no scan point is nearest to a doubled point once lifted off the
+    # floor, so the repeated pose re-queries nothing
+    poses[12:12] = [lifted, lifted]
+    poses.append(Pose.identity())
+    memo = _NearestMemo(scan)
+    for step, pose in enumerate(poses):
+        corrs = find_correspondences(scan, index, pose, 1.0, memo=memo)
+        assert_same_correspondences(
+            corrs, find_correspondences(scan, index, pose, 1.0))
+        assert_same_correspondences(
+            corrs, brute_force_correspondences(scan, cloud, pose, 1.0))
+        assert 5 <= len(scan) - len(corrs) < len(scan)
+    rows = queried[::2]  # every memo call is followed by a fresh one
+    assert rows[0] == rows[1] == rows[-1] == len(scan)
+    assert rows[13] == 0
+    assert 0 < min(rows[2:12])
+
+
+def test_memo_requeries_non_finite_points(rng):
+    cloud = box_map(rng)
+    index = build_index(cloud)
+    memo = _NearestMemo(cloud.points[:50])
+    world = cloud.points[:50] + 0.1
+    memo.nearest(world, index, 1)
+    assert not memo.stale(world).any()
+    for bad in (np.nan, np.inf):
+        moved = world.copy()
+        moved[3, 1] = bad
+        np.testing.assert_array_equal(np.flatnonzero(memo.stale(moved)), [3])
+
+
+@pytest.mark.parametrize("scan, message", [
+    (np.zeros((4, 2)), r"shape \(N, 3\), not \(4, 2\)"),
+    (np.zeros(3), r"shape \(N, 3\), not \(3,\)"),
+    ([[0.0, 0.0, 0.0], [1.0, 2.0]], "not a numeric array"),
+    ([[0.0, 0, 0], [1.0, np.nan, 0], [np.inf, 0, 0]],
+     r"row 1 is not finite: \[1.0, nan, 0.0\]"),
+    ([[0.0, 0, 0], [0.0, 0, 0], [-np.inf, 0, 0]],
+     r"row 2 is not finite: \[-inf, 0.0, 0.0\]"),
+], ids=["two-columns", "one-row-1d", "ragged", "nan", "inf"])
+def test_malformed_scan_raises_data_error(rng, scan, message):
+    index = build_index(box_map(rng))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message):
+            find_correspondences(scan, index, Pose.identity(), 1.0)
+        with pytest.raises(DataError, match=message):
+            align(scan, index, Pose.identity())
+
+
+def test_align_correspondences_match_fresh_association(smoke_scene):
+    # the pairs align returns were associated through its memo; they equal
+    # a fresh association at the final pose, from the odometry start and
+    # from a criterion-8-style perturbed start
+    scene, index = smoke_scene
+    rng = np.random.default_rng(1008)
+    params = RegistrationParams()
+    for k in range(0, len(scene.scans), 4):
+        scan = scene.scans[k].cloud.points
+        twist = np.concatenate([0.02 * rng.normal(size=3),
+                                0.05 * rng.normal(size=3)])
+        for init in (scene.odometry[k],
+                     compose(exp_map(twist), scene.gt_trajectory[k])):
+            result = align(scan, index, init, params)
+            assert_same_correspondences(result.correspondences,
+                                        find_correspondences(
+                                            scan, index, result.pose,
+                                            params.max_correspondence_distance))
