@@ -17,7 +17,8 @@ from .errors import (
     NoMatches,
     NonMonotonicTimestamps,
 )
-from .geometry import PointCloud, Pose, build_index, matvec, se3_log
+from .geometry import (PointCloud, Pose, build_index, first_bad_timestamp,
+                       matvec, se3_log)
 
 DEFAULT_MAX_DT = 0.05       # s, association gate
 DEFAULT_THRESHOLD = 0.20    # m, map accuracy / completeness gate
@@ -42,11 +43,11 @@ class Trajectory:
             raise ValueError("timestamps must be one-dimensional")
         if rot.shape != (len(ts), 3, 3) or trans.shape != (len(ts), 3):
             raise ValueError("timestamp/pose count mismatch")
-        bad = np.flatnonzero(~(np.isfinite(ts) & np.r_[True, np.diff(ts) > 0]))
-        if bad.size:
+        k = first_bad_timestamp(ts)
+        if k is not None:
             raise NonMonotonicTimestamps(
-                f"trajectory timestamp {bad[0]} (t={ts[bad[0]]:.9f}) is not "
-                "finite or does not increase past the one before")
+                f"trajectory timestamp {k} (t={ts[k]:.9f}) is not finite or "
+                "does not increase past the one before")
         bad = np.flatnonzero(~np.isfinite(np.hstack([rot.reshape(-1, 9),
                                                      trans])).all(axis=1))
         if bad.size:

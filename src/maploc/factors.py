@@ -23,9 +23,11 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
-from .errors import NonMonotonicTimestamps, WindowTooShort, ZeroAcceleration
+from .errors import (DataError, NonMonotonicTimestamps, WindowTooShort,
+                     ZeroAcceleration)
 from .geometry import (
     Pose,
+    first_bad_timestamp,
     inverse,
     matvec,
     se3_adjoint,
@@ -86,11 +88,22 @@ _IMU_DTYPE = np.dtype([("timestamp", float), ("angular_velocity", float, 3),
 
 
 def imu_samples(timestamp, angular_velocity, specific_force) -> np.recarray:
-    """An IMU stream as one read-only record array of fields timestamp (N,),
-    angular_velocity (N, 3; rad/s, body frame) and specific_force (N, 3;
-    m/s^2, body frame). Rows, slices and fields read as attributes."""
+    """A read-only IMU record array: timestamp (N,), strictly increasing,
+    angular_velocity (N, 3; rad/s, body frame), specific_force (N, 3; m/s^2,
+    body frame), all finite. Rows, slices and fields read as attributes."""
     samples = np.rec.fromarrays([timestamp, angular_velocity, specific_force],
                                 dtype=_IMU_DTYPE)
+    ts = samples.timestamp
+    k = first_bad_timestamp(ts)
+    if k is not None:
+        raise NonMonotonicTimestamps(f"IMU sample {k} at t={ts[k]:.9f} " + (
+            f"does not come after the sample at t={ts[k - 1]:.9f}"
+            if np.isfinite(ts[k]) else "is not finite"))
+    bad = np.flatnonzero(~(np.isfinite(samples.angular_velocity).all(axis=1)
+                           & np.isfinite(samples.specific_force).all(axis=1)))
+    if bad.size:
+        raise DataError(f"IMU sample {bad[0]} at t={ts[bad[0]]:.9f} has a "
+                        "non-finite angular velocity or specific force")
     samples.flags.writeable = False
     return samples
 

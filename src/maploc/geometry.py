@@ -50,6 +50,12 @@ def matvec(matrices, vectors):
     return (matrices @ vectors[..., None])[..., 0]
 
 
+def first_bad_timestamp(ts):
+    """Index of the first non-finite or non-increasing timestamp, or None."""
+    bad = np.flatnonzero(~(np.isfinite(ts) & np.r_[True, np.diff(ts) > 0]))
+    return int(bad[0]) if bad.size else None
+
+
 def skew(v):
     v = np.asarray(v, dtype=float)
     return (v @ _SKEW_GENERATORS).reshape(v.shape[:-1] + (3, 3))

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 # perfbench's tracer times the banded solve under this module-level name
 from scipy.linalg import solve_banded as splu
-from scipy.linalg.blas import dsbmv
 
 from .errors import IndexOutOfRange, NotAnchored, SingularSystem
 from .factors import STATE_DIM, StateNode, States, retract_state
@@ -108,17 +107,6 @@ def _damped_step(lower, grav, b, damping):
     g = np.linalg.solve(grav[n:] + damping * np.eye(2) - border.T @ x[:, 1:],
                         -b[n:] - border.T @ x[:, 0])
     return np.concatenate([x[:, 0] - x[:, 1:] @ g, g])
-
-
-def _band_matvec(lower, grav, x):
-    """H @ x for H given as _damped_step takes it."""
-    n = lower.shape[1]
-    hx = dsbmv(len(lower) - 1, 1.0, lower, x[:n], lower=1)
-    if grav is None:
-        return hx
-    border = grav[:n]
-    return np.concatenate([hx + border @ x[n:],
-                           border.T @ x[:n] + grav[n:] @ x[n:]])
 
 
 def gravity_basis(g):
@@ -299,10 +287,12 @@ class FactorGraph:
                 # rejected like a trial with a non-finite cost.
                 try:
                     with np.errstate(over="raise", invalid="raise"):
-                        # Converged: the step or its predicted decrease is
+                        # Converged: the step or its predicted decrease,
+                        # which (H + damping I) delta = -b gives from the
+                        # step alone (Madsen et al. 2004, eq. 3.14), is
                         # negligible
-                        predicted = -(delta @ b_vec + 0.5 * delta
-                                      @ _band_matvec(lower, grav, delta))
+                        predicted = 0.5 * (damping * (delta @ delta)
+                                           - delta @ b_vec)
                         if np.abs(delta).max() < STEP_TOL \
                                 or predicted <= REL_COST_TOL * cost:
                             break

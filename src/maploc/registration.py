@@ -98,8 +98,11 @@ class _NearestMemo:
     its first association queries every point.
     """
 
-    def __init__(self, scan):
+    def __init__(self, scan, pose):
         self.scan = _checked_scan(scan)
+        # the start pose, checked once: align's later poses are finite steps
+        if not np.isfinite(pose.matrix()).all():
+            raise DataError(f"pose is not finite: {pose.matrix()[:3].tolist()}")
         n = len(self.scan)
         self.anchor = np.full((n, 3), np.nan)
         self.index = np.zeros(n, dtype=np.intp)
@@ -139,14 +142,14 @@ def find_correspondences(scan: np.ndarray, map_index: SpatialIndex, pose: Pose,
     """Nearest map point per transformed scan point, within max_distance.
 
     Map points without a valid normal are skipped. Raises DataError when
-    the scan is not (N, 3) or holds a non-finite coordinate, and
+    the scan is not (N, 3) or it or the pose is not finite, and
     NoCorrespondences when it is empty or nothing matches. Output order
     follows scan point order. align passes the memo it built from this
     scan, so that each association re-queries only the points whose nearest
     map point may have changed; the result is the same as without it.
     """
     if memo is None:
-        memo = _NearestMemo(scan)
+        memo = _NearestMemo(scan, pose)
     world = pose.transform(memo.scan)
     dist, idx = memo.nearest(world, map_index, workers)
     normals = map_index.cloud.normals
@@ -232,7 +235,7 @@ def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,
     nearest map point may have changed (_NearestMemo).
     """
     params.validate()
-    memo = _NearestMemo(scan)
+    memo = _NearestMemo(scan, initial_pose)
     pose = before = initial_pose
     damping = _DAMPING_INIT
     converged = False

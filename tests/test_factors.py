@@ -227,6 +227,21 @@ def test_preintegrate_sigmas_are_keyword_only():
         preintegrate(samples, np.zeros(3), np.zeros(3))
 
 
+class TestImuSamples:
+    @pytest.mark.parametrize("times, message", [
+        ([np.nan, 0.1, 0.2], r"IMU sample 0 at t=nan is not finite"),
+        ([0.0, np.inf, 0.2], r"IMU sample 1 at t=inf is not finite"),
+        ([0.0, 0.2, 0.2], r"IMU sample 2 at t=0\.200000000 does not come "
+                          r"after the sample at t=0\.200000000"),
+    ])
+    def test_bad_timestamp_names_sample(self, times, message):
+        with pytest.raises(NonMonotonicTimestamps, match=f"^{message}$"):
+            imu_stream(times, [0, 0, 0], [0, 0, 9.81])
+
+    def test_empty_stream(self):
+        assert len(imu_stream(np.empty(0), [0, 0, 0], [0, 0, 9.81])) == 0
+
+
 # ---------------------------------------------------------------------------
 # ZUPT detection
 
@@ -263,7 +278,9 @@ class TestZupt:
             detect_zupt(samples)
 
     def test_non_monotonic_raises(self):
-        samples = imu_stream([0.0, 0.6, 0.3], [0, 0, 0], [0, 0, 9.81])
+        # reordered after imu_samples checked it, as a fancy index can
+        samples = imu_stream([0.0, 0.3, 0.6], [0, 0, 0],
+                             [0, 0, 9.81])[[0, 2, 1]]
         with pytest.raises(NonMonotonicTimestamps):
             detect_zupt(samples)
 
@@ -321,7 +338,8 @@ class TestPreintegrate:
                          np.zeros(6))
 
     def test_non_monotonic_raises(self):
-        samples = imu_stream([0.0, 0.2, 0.1], [0, 0, 0], [0, 0, 0])
+        # reversed after imu_samples checked it, as a slice can
+        samples = imu_stream([0.0, 0.1, 0.2], [0, 0, 0], [0, 0, 0])[::-1]
         with pytest.raises(NonMonotonicTimestamps):
             preintegrate(samples, np.zeros(6))
 

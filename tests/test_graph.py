@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -264,6 +265,23 @@ class TestBatchSolve:
         assert not record.accepted and record.step_norm == 0.0
         assert record.damping == DAMPING_INIT
 
+    def test_damping_term_of_predicted_decrease_decides_the_stop(self):
+        """With information w I far below the damping, the step is about
+        -b / damping, so -delta^T b / 2 and damping |delta|^2 / 2 are each
+        about (w / damping) * cost. At w = 0.75 REL_COST_TOL DAMPING_INIT
+        the first alone is below REL_COST_TOL * cost and their sum, the
+        predicted decrease, is above it: the trial step is taken."""
+        w = 0.75 * graph_module.REL_COST_TOL * DAMPING_INIT
+        graph = FactorGraph()
+        graph.add_state(StateNode.at(Pose(np.eye(3), [1.0, -0.5, 0.25]),
+                                     0.0))
+        graph.add_factor(PriorFactor(0, Pose.identity(), w * np.eye(6)))
+        result = graph.optimize(max_iterations=1)
+        [record] = result.records
+        assert record.accepted and record.damping == 0.5 * DAMPING_INIT
+        assert result.final_cost < result.initial_cost
+        assert not result.converged
+
     def test_fixed_states_do_not_move(self, rng):
         gt = chain_poses(4)
         rels = [compose(exp_map(random_twist(rng, 0.05, 0.1)),
@@ -469,6 +487,44 @@ class TestAssemblyOracle:
             assert calls[cls.kind, "residual"] == len(trials)
             assert calls[cls.kind, "linearize"] == 1 + accepted
 
+    def test_model_decrease_from_the_step_at_every_trial(self, rng,
+                                                          monkeypatch):
+        """At every damping trial of a solve with gravity, the predicted
+        decrease from the step alone, (damping |delta|^2 - delta^T b) / 2,
+        equals -(delta^T b + delta^T H delta / 2), with H and b built
+        densely at the states that trial's system was linearized at."""
+        graph = self.mixed_graph(rng)
+        points, trials = [], []
+        real_linearize = PriorFactor.linearize
+
+        def linearize(self, states, gravity):
+            points.append(SimpleNamespace(states=states, gravity=gravity,
+                                          factors=graph.factors))
+            return real_linearize(self, states, gravity)
+
+        real_step = graph_module._damped_step
+
+        def damped_step(lower, grav, b, damping):
+            delta = real_step(lower, grav, b, damping)
+            trials.append((points[-1], delta, damping, b))
+            return delta
+
+        monkeypatch.setattr(PriorFactor, "linearize", linearize)
+        monkeypatch.setattr(graph_module, "_damped_step", damped_step)
+        result = graph.optimize(first=1)
+        assert sum(r.accepted for r in result.records) > 1
+        assert len(trials) >= len(points) > 2
+        # b falls by orders of magnitude as the solve converges; its
+        # rounding stays that of the first
+        b_scale = np.abs(trials[0][3]).max()
+        for point, delta, damping, b in trials:
+            h, dense_b = dense_normal_equations(point, 1, use_gravity=True)
+            np.testing.assert_allclose(b, dense_b, rtol=0,
+                                       atol=1e-12 * b_scale)
+            assert 0.5 * (damping * (delta @ delta) - delta @ b) \
+                == pytest.approx(-(delta @ dense_b + 0.5 * delta @ h @ delta),
+                                 rel=1e-9)
+
     @pytest.mark.parametrize("first", [4, 0])
     def test_free_state_without_factor_converges(self, rng, first):
         graph = self.mixed_graph(rng)
@@ -496,7 +552,11 @@ class TestBandedSolve:
 
     @pytest.mark.parametrize("n_border", [0, 2])
     @pytest.mark.parametrize("n, u", [(45, 29), (30, 29), (15, 14)])
-    def test_damped_step_and_matvec_match_dense(self, rng, n, u, n_border):
+    def test_damped_step_and_model_decrease_match_dense(self, rng, n, u,
+                                                        n_border):
+        """The step against a dense solve, and the predicted decrease that
+        optimize takes from it, (damping |delta|^2 - delta^T b) / 2, against
+        the model decrease -(delta^T b + delta^T H delta / 2) with dense H."""
         h, b = self.random_system(rng, n, u, n_border)
         lower = np.asfortranarray(band_storage(h[:n, :n], u)[u:])
         grav = h[:, n:] if n_border else None
@@ -505,9 +565,8 @@ class TestBandedSolve:
         got = graph_module._damped_step(lower, grav, b, damping)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-10 * np.abs(want).max())
-        np.testing.assert_allclose(graph_module._band_matvec(lower, grav, b),
-                                   h @ b, rtol=0, atol=1e-12 * np.abs(h).max()
-                                   * np.abs(b).sum())
+        assert 0.5 * (damping * (got @ got) - got @ b) == pytest.approx(
+            -(got @ b + 0.5 * got @ h @ got), rel=1e-9)
 
     @staticmethod
     def spanning_graph(rng, info):

@@ -561,26 +561,34 @@ class TestAssociationAndErrors:
                            match=r"timestamp 5 \(t=nan\) is not finite"):
             Trajectory(times, odometry.rotations, odometry.translations)
 
-    def test_out_of_order_imu_refused_before_any_solve(self, room,
-                                                       monkeypatch):
-        """Swapped IMU samples are refused up front, naming the first
-        timestamp that does not increase, before any window solve."""
-        result, pm = room
-        imu = result.imu
+    def test_out_of_order_imu_refused_before_any_solve(self, room):
+        """Swapped IMU samples are refused when the stream is built, naming
+        the first timestamp that does not increase, so no solve sees them."""
+        imu = room[0].imu
         order = np.arange(len(imu))
         order[[40, 41]] = order[[41, 40]]
-        seq = replace(SequenceInput.from_synth(result), imu=imu_stream(
-            imu.timestamp[order], imu.angular_velocity[order],
-            imu.specific_force[order]))
-        solves = []
-        monkeypatch.setattr(FactorGraph, "solve_incremental",
-                            lambda *args, **kw: solves.append(args))
         t0, t1 = imu.timestamp[40], imu.timestamp[41]
         with pytest.raises(NonMonotonicTimestamps,
                            match=rf"IMU sample 41 at t={t0:.9f} does not come "
                                  rf"after the sample at t={t1:.9f}"):
-            run(pm, seq, make_cfg())
-        assert solves == []
+            imu_stream(imu.timestamp[order], imu.angular_velocity[order],
+                       imu.specific_force[order])
+
+    @pytest.mark.parametrize("field, column", [("specific_force", 0),
+                                               ("angular_velocity", 2)])
+    def test_nan_imu_sample_refused(self, room, field, column):
+        """A NaN in an in-memory IMU stream is refused as bad data when the
+        stream is built, naming its sample, instead of ending a window
+        solve as a numerical failure."""
+        imu = room[0].imu
+        values = {name: imu[name].copy()
+                  for name in ("angular_velocity", "specific_force")}
+        values[field][150, column] = np.nan
+        with pytest.raises(DataError, match=rf"^IMU sample 150 at "
+                           rf"t={imu.timestamp[150]:.9f} has a non-finite "
+                           "angular velocity or specific force$"):
+            imu_stream(imu.timestamp, values["angular_velocity"],
+                       values["specific_force"])
 
     def test_no_scans_raises(self, room):
         result, pm = room

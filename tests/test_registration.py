@@ -377,7 +377,7 @@ def test_memo_matches_fresh_and_brute_force_associations(rng):
     # floor, so the repeated pose re-queries nothing
     poses[12:12] = [lifted, lifted]
     poses.append(Pose.identity())
-    memo = _NearestMemo(scan)
+    memo = _NearestMemo(scan, poses[0])
     for step, pose in enumerate(poses):
         corrs = find_correspondences(scan, index, pose, 1.0, memo=memo)
         assert_same_correspondences(
@@ -394,7 +394,7 @@ def test_memo_matches_fresh_and_brute_force_associations(rng):
 def test_memo_requeries_non_finite_points(rng):
     cloud = box_map(rng)
     index = build_index(cloud)
-    memo = _NearestMemo(cloud.points[:50])
+    memo = _NearestMemo(cloud.points[:50], Pose.identity())
     world = cloud.points[:50] + 0.1
     memo.nearest(world, index, 1)
     assert not memo.stale(world).any()
@@ -421,6 +421,28 @@ def test_malformed_scan_raises_data_error(rng, scan, message):
             find_correspondences(scan, index, Pose.identity(), 1.0)
         with pytest.raises(DataError, match=message):
             align(scan, index, Pose.identity())
+
+
+@pytest.mark.parametrize("rotation, translation, message", [
+    (np.eye(3), [np.nan, 0.0, 0.0], r"\[\[1.0, 0.0, 0.0, nan\], \[0.0, 1.0"),
+    (np.eye(3), [0.0, 0.0, -np.inf], r"\[0.0, 0.0, 1.0, -inf\]\]$"),
+    (np.diag([1.0, 1.0, np.nan]), np.zeros(3), r"\[0.0, 0.0, nan, 0.0\]\]$"),
+], ids=["nan", "inf", "nan-rotation"])
+def test_non_finite_pose_raises_data_error(rng, monkeypatch, rotation,
+                                           translation, message):
+    """A non-finite pose is named before any transform or k-d query."""
+    index = build_index(box_map(rng))
+    monkeypatch.setattr(index, "knn", lambda *args, **kw: pytest.fail(
+        "k-d query with a non-finite pose"))
+    scan = rng.uniform(-1.0, 1.0, size=(20, 3))
+    pose = Pose(rotation, np.array(translation))
+    message = f"^pose is not finite: .*{message}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match=message):
+            find_correspondences(scan, index, pose, 1.0)
+        with pytest.raises(DataError, match=message):
+            align(scan, index, pose)
 
 
 def test_align_correspondences_match_fresh_association(smoke_scene):
