@@ -265,10 +265,8 @@ class FactorGraph:
         damping = DAMPING_INIT
         records = []
         converged = False
-        iterations = 0
 
         for it in range(max_iterations):
-            iterations = it + 1
             accepted = False
             solver_produced_step = False
             step_norm = 0.0
@@ -320,22 +318,20 @@ class FactorGraph:
                                          state_index=first + worst // STATE_DIM)
                 converged = True  # by the step test, or out of damping
                 break
-            lower, grav, b_vec, _ = assemble()
+            if it + 1 < max_iterations:
+                lower, grav, b_vec, _ = assemble()
 
         self.states = states
         self.gravity = gravity
-        return OptimizeResult(initial_cost, cost, iterations, converged,
+        return OptimizeResult(initial_cost, cost, len(records), converged,
                               records)
 
-    def solve_incremental(self, state: StateNode, factors, window: int = 0,
-                          max_iterations=MAX_ITERATIONS) -> OptimizeResult:
-        """Append a state and its factors, then optimize a trailing window.
-
-        window is the number of most recent states left free; 0 means a
-        full batch solve.
-        """
+    def solve_incremental(self, state: StateNode, factors,
+                          window: int = 0) -> OptimizeResult:
+        """Append a state and its factors, then take one LM iteration over
+        the `window` most recent states (all when 0): a next-keyframe seed."""
         self.add_state(state)
         for f in factors:
             self.add_factor(f)
         first = max(0, len(self.states) - window) if window > 0 else 0
-        return self.optimize(first, max_iterations=max_iterations)
+        return self.optimize(first, max_iterations=1)

@@ -426,7 +426,7 @@ DEFAULT_CONFIG = {
 # keeps every sigma^2, 1/sigma^2 and weight finite; so a float key keeps a
 # float literal default (2500.0, not 2500). The exceptions, by dotted key:
 _CONFIG_BOUNDS = {
-    "window": {"minimum": 0},                   # 0 is a full batch solve
+    "window": {"minimum": 0},                   # 0 frees every state
     "threads": {"maximum": 256},                # kd-tree query workers
     "degeneracy.s_thres": {"exclusiveMinimum": 1},
 }

@@ -51,7 +51,7 @@ class SequenceInput:
     """One localization input: scans with timestamps, odometry, IMU.
 
     Scan sources may be PointClouds (in memory) or paths loaded on demand.
-    The IMU stream is a factors.imu_samples record array, or () for none.
+    The IMU stream, () for none, is rebuilt (so checked) by imu_samples.
     The odometry trajectory is expressed in the map frame at its first
     pose; initial_pose overrides that anchor when given.
     """
@@ -60,6 +60,12 @@ class SequenceInput:
     odometry: Trajectory
     imu: np.recarray = ()
     initial_pose: Pose = None
+
+    def __post_init__(self):
+        if len(self.imu):
+            object.__setattr__(self, "imu", imu_samples(
+                self.imu.timestamp, self.imu.angular_velocity,
+                self.imu.specific_force))
 
     @classmethod
     def from_synth(cls, result, initial_pose=None):
@@ -223,6 +229,8 @@ def _keyframes(sequence: SequenceInput, stride: int) -> tuple:
                 f"scan {_scan_name(k, b)} at t={t1:.9f} does not come after "
                 f"scan {_scan_name(k - 1, a)} at t={t0:.9f}")
     odom_times = sequence.odometry.timestamps
+    if not len(odom_times):
+        raise NoMatches("odometry holds no poses to associate scans with")
     keyframes, skipped = [], []
     for k in range(0, len(scans), stride):
         t, source = scans[k]
@@ -448,13 +456,10 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
                                            imu, period, cfg, info)
 
         try:
-            outcome = graph.solve_incremental(
-                state, factors, window=cfg["window"],
-                max_iterations=cfg["optimizer"]["max_iterations"])
+            outcome = graph.solve_incremental(state, factors,
+                                              window=cfg["window"])
         except SingularSystem as exc:
             raise _failed_solve(exc, "window", keyframes, index) from exc
-        frame["iterations"] = int(outcome.iterations)
-        frame["converged"] = bool(outcome.converged)
         frames.append(frame)
         opt_records.append((str(index), outcome.records))
 

@@ -124,6 +124,20 @@ def counted_splu(monkeypatch):
     return solves
 
 
+def counted_methods(monkeypatch, classes, names=("residual", "linearize")):
+    """A Counter of the calls to each class's methods, keyed by (kind,
+    method name)."""
+    calls = Counter()
+    for cls in classes:
+        for name in names:
+            def counted(self, *args, _method=cls.__dict__[name],
+                        _key=(cls.kind, name)):
+                calls[_key] += 1
+                return _method(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
 class TestBatchSolve:
     def test_exact_chain_recovery(self, rng):
         gt = chain_poses(10)
@@ -468,14 +482,7 @@ class TestAssemblyOracle:
         graph.add_factor(BiasPriorFactor(0, np.zeros(6), 1e2 * np.eye(6)))
         classes = {type(f) for f in graph.factors}
         assert len(classes) == 8
-        calls = Counter()
-        for cls in classes:
-            for name in ("residual", "linearize"):
-                def counted(self, *args, _method=cls.__dict__[name],
-                            _key=(cls.kind, name)):
-                    calls[_key] += 1
-                    return _method(self, *args)
-                monkeypatch.setattr(cls, name, counted)
+        calls = counted_methods(monkeypatch, classes)
         trials = []
         real_retract = graph_module.retract_state
         monkeypatch.setattr(graph_module, "retract_state",
@@ -486,6 +493,47 @@ class TestAssemblyOracle:
         for cls in classes:
             assert calls[cls.kind, "residual"] == len(trials)
             assert calls[cls.kind, "linearize"] == 1 + accepted
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_capped_solve_linearizes_once_per_iteration(self, rng,
+                                                        monkeypatch, cap):
+        """A solve that stops at its cap linearizes once per iteration: no
+        system is assembled after the last step, which nothing would
+        solve."""
+        graph = self.mixed_graph(rng)
+        classes = {type(f) for f in graph.factors}
+        calls = counted_methods(monkeypatch, classes, ("linearize",))
+        result = graph.optimize(max_iterations=cap)
+        assert result.iterations == cap and not result.converged
+        assert all(rec.accepted for rec in result.records)
+        for cls in classes:
+            assert calls[cls.kind, "linearize"] == cap
+
+    @pytest.mark.parametrize("window", [0, 2])
+    def test_incremental_solve_is_one_step_of_one_linearization(
+            self, rng, monkeypatch, window):
+        """solve_incremental takes one LM iteration over its window and
+        linearizes each factor class in the window once."""
+        graph = self.mixed_graph(rng)
+        gt = compose(graph.states[3].pose, exp_map(
+            np.array([0.0, 0.0, 0.02, 0.1, 0.0, 0.0])))
+        pre = preintegrate(stationary_window(gt.rotation, 1.5, duration=0.5),
+                           np.zeros(6))
+        new = [OdometryFactor(3, 4, between(graph.states[3].pose, gt),
+                              1e2 * np.eye(6)),
+               ImuFactor(3, 4, pre, 1e1 * np.eye(9), gravity_magnitude=G_MAG),
+               BiasWalkFactor(3, 4, 1e2 * np.eye(6))]
+        classes = {type(f) for f in graph.factors + new}
+        calls = counted_methods(monkeypatch, classes, ("linearize",))
+        result = graph.solve_incremental(
+            StateNode.at(perturbed(gt, rng, 0.02, 0.05), 2.0), new,
+            window=window)
+        assert result.iterations == len(result.records) == 1
+        first = 0 if window == 0 else len(graph.states) - window
+        for cls in classes:
+            active = any(max(f.indices) >= first for f in graph.factors
+                         if type(f) is cls)
+            assert calls[cls.kind, "linearize"] == int(active)
 
     def test_model_decrease_from_the_step_at_every_trial(self, rng,
                                                           monkeypatch):
@@ -762,18 +810,23 @@ class TestIncremental:
             assert pose_error(inc.states[k].pose, batch.states[k].pose) < 1e-6
             assert pose_error(inc.states[k].pose, gt[k]) < 1e-6
 
-    def test_window_zero_is_full_batch(self, rng):
+    def test_window_zero_frees_every_state(self, rng):
+        """With window 0 each incremental step moves every state, the
+        first included; the final batch solve then reaches ground truth."""
         gt = chain_poses(5)
         rels = [between(gt[k], gt[k + 1]) for k in range(4)]
         graph = FactorGraph()
         graph.add_state(StateNode.at(perturbed(gt[0], rng), 0.0))
         graph.add_factor(PriorFactor(0, gt[0], 1e6 * np.eye(6)))
         for k in range(1, 5):
+            before = graph.states.translation.copy()
             result = graph.solve_incremental(
                 StateNode.at(perturbed(gt[k], rng), 0.1 * k),
                 [OdometryFactor(k - 1, k, rels[k - 1], 1e4 * np.eye(6))],
                 window=0)
-        assert result.converged
+            assert result.iterations == 1
+            assert np.all(graph.states.translation[:k] != before)
+        assert graph.optimize().converged
         for k in range(5):
             assert pose_error(graph.states[k].pose, gt[k]) < 1e-6
 

@@ -868,7 +868,7 @@ def sample_report():
         "frames": [
             {"index": 0, "timestamp": 0.0, "residual_rms": 0.012,
              "correspondences": 240, "map_factor_added": True, "mask": [],
-             "zupt": False, "iterations": 4, "converged": True,
+             "zupt": False,
              "degeneracy": {"d_e": 0.8, "axis_counts": [40, 90, 110],
                             "ratios": [2.25, 1.22, None],
                             "degenerate_axes": [], "stage1_reject": False,

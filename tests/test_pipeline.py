@@ -574,6 +574,21 @@ class TestAssociationAndErrors:
             imu_stream(imu.timestamp[order], imu.angular_velocity[order],
                        imu.specific_force[order])
 
+    @pytest.mark.parametrize("reorder, k", [
+        (lambda imu: imu[::-1], 1),
+        (lambda imu: imu[np.r_[:40, 41, 40, 42:len(imu)]], 41),
+    ], ids=["reversed", "swapped-pair"])
+    def test_unordered_imu_refused_by_sequence_input(self, room, reorder, k):
+        """An in-memory stream that bypassed imu_samples, a reversed slice
+        or a fancy index, is checked when the SequenceInput is built, so no
+        run starts on it; the error names the first sample out of order."""
+        imu = reorder(room[0].imu)
+        ts = imu.timestamp
+        with pytest.raises(NonMonotonicTimestamps,
+                           match=rf"IMU sample {k} at t={ts[k]:.9f} does not "
+                                 rf"come after the sample at t={ts[k - 1]:.9f}"):
+            replace(SequenceInput.from_synth(room[0]), imu=imu)
+
     @pytest.mark.parametrize("field, column", [("specific_force", 0),
                                                ("angular_velocity", 2)])
     def test_nan_imu_sample_refused(self, room, field, column):
@@ -594,6 +609,14 @@ class TestAssociationAndErrors:
         result, pm = room
         seq = SequenceInput(scans=(), odometry=result.odometry)
         with pytest.raises(NoMatches):
+            run(pm, seq, make_cfg())
+
+    def test_empty_odometry_raises_naming_it(self, room):
+        result, pm = room
+        none = Trajectory(np.empty(0), np.empty((0, 3, 3)), np.empty((0, 3)))
+        seq = SequenceInput(scans=tuple((f.timestamp, f.cloud)
+                                        for f in result.scans), odometry=none)
+        with pytest.raises(NoMatches, match="^odometry holds no poses"):
             run(pm, seq, make_cfg())
 
     def test_bad_initial_pose_raises(self, room):
