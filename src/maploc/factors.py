@@ -221,66 +221,79 @@ def preintegrate(samples, bias, *, sigma_gyro=SIGMA_GYRO,
 
     Noise model: on each sample interval, white noise of standard deviation
     sigma_gyro on the midpoint rate and sigma_accel on the specific force
-    (the same draw at both ends). It enters each step as the biases do, so
-    one linearization of the step, e' = phi e + g_in [db_a; db_g] over the
-    error [rot; vel; pos], carries both the bias Jacobian and the
+    (the same draw at both ends). It enters each step k as the biases do,
+    so one linearization of the step, e' = Phi_k e + G_k [db_a; db_g] over
+    the error [rot; vel; pos], carries both the bias Jacobian and the
     covariance.
+
+    The product M_k = Phi_{n-1} ... Phi_{k+1} that carries step k's input
+    to the end of the n steps has a closed form in the prefix deltas
+    (Forster et al. 2017, "On-manifold preintegration for real-time
+    visual-inertial odometry", appendix). With D_j, dv_j and dp_j the
+    deltas after j steps and tau_k = t_n - t_{k+1}:
+
+        M_k = [[D_n^T D_{k+1},                                0,      0],
+               [-[dv_n - dv_{k+1}]x D_{k+1},                  I,      0],
+               [-[dp_n - dp_{k+1} - dv_{k+1} tau_k]x D_{k+1}, tau_k I, I]]
+
+    so bias_jacobian = sum_k M_k G_k and covariance = sum_k (M_k G_k) N
+    (M_k G_k)^T, all steps at once. Only the prefix rotations are a
+    sequential product.
     """
     if len(samples) < 2:
         raise WindowTooShort("need at least 2 IMU samples to preintegrate")
     times = samples.timestamp
-    if np.any(np.diff(times) <= 0):
+    dts = np.diff(times)
+    if np.any(dts <= 0):
         raise NonMonotonicTimestamps("IMU timestamps must strictly increase")
     bias = _vector(bias, "bias", 6)
     accel_bias, gyro_bias = bias[:3], bias[3:]
     noise = np.repeat([sigma_accel ** 2, sigma_gyro ** 2], 3)
 
-    # what each step needs of its two samples, for all steps at once
-    dts = np.diff(times)
+    # what each step needs of its two samples
+    dt = dts[:, None]
     gyro = samples.angular_velocity
     force = samples.specific_force - accel_bias
-    steps = (0.5 * (gyro[:-1] + gyro[1:]) - gyro_bias) * dts[:, None]
-    r_steps = so3_exp(steps)
-    # a_mid = (d_rot u0 + d_rot_next u1) / 2 = d_rot u_sum / 2
-    u_sums = force[:-1] + matvec(r_steps, force[1:])
-    # the right Jacobian Jr(v) = Jl(-v)
-    jr_dts = so3_left_jacobian(-steps) * dts[:, None, None]
-    skew_u_sums = skew(u_sums)
-    skew_u1s = skew(force[1:])
+    steps = (0.5 * (gyro[:-1] + gyro[1:]) - gyro_bias) * dt
+    # one kernel for both: Exp(v) = I + [v]x Jl(v), and Jr(v) = Jl(v)^T
+    jl = so3_left_jacobian(steps)
+    r_steps = _EYE3 + skew(steps) @ jl
+    rot = np.empty((len(dts) + 1, 3, 3))  # D_0 ... D_n
+    rot[0] = _EYE3
+    for k, r_step in enumerate(r_steps):
+        np.matmul(rot[k], r_step, out=rot[k + 1])
+    before, after = rot[:-1], rot[1:]
+    # a_mid = (D_k u0 + D_{k+1} u1) / 2 = D_k u_sum / 2
+    accel = matvec(0.5 * before, force[:-1] + matvec(r_steps, force[1:]))
+    vel = np.zeros((len(rot), 3))  # dv_0 ... dv_n
+    vel[1:] = np.cumsum(accel * dt, axis=0)
+    pos = np.zeros((len(rot), 3))  # dp_0 ... dp_n
+    pos[1:] = np.cumsum(vel[:-1] * dt + 0.5 * accel * dt * dt, axis=0)
 
-    d_rot = np.eye(3)
-    d_vel = np.zeros(3)
-    d_pos = np.zeros(3)
-    cov = np.zeros((9, 9))
-    jac = np.zeros((9, 6))
-    phi = np.eye(9)
-    g_in = np.zeros((9, 6))
+    # G_k; the rotation error is right-applied
+    jr_dts = jl.transpose(0, 2, 1) * dts[:, None, None]
+    g_in = np.zeros((len(dts), 9, 6))
+    g_in[:, 0:3, 3:6] = -jr_dts
+    g_in[:, 3:6, 0:3] = -0.5 * (before + after) * dts[:, None, None]
+    g_in[:, 3:6, 3:6] = (0.5 * after @ skew(force[1:]) @ jr_dts
+                         * dts[:, None, None])
+    g_in[:, 6:9] = g_in[:, 3:6] * (0.5 * dts[:, None, None])
 
-    for k, dt in enumerate(dts.tolist()):
-        r_step = r_steps[k]
-        d_rot_next = d_rot @ r_step
-        a_mid = 0.5 * d_rot @ u_sums[k]
+    # M_k, from the deltas after step k to those after step n
+    tau = times[-1] - times[1:]
+    carry = np.zeros((len(dts), 9, 9))
+    carry[:, 0:3, 0:3] = rot[-1].T @ after
+    carry[:, 3:6, 0:3] = -skew(vel[-1] - vel[1:]) @ after
+    carry[:, 6:9, 0:3] = -skew(pos[-1] - pos[1:]
+                               - vel[1:] * tau[:, None]) @ after
+    carry[:, 3:6, 3:6] = carry[:, 6:9, 6:9] = _EYE3
+    carry[:, 6:9, 3:6] = tau[:, None, None] * _EYE3
 
-        # the step's error dynamics; the rotation error is right-applied
-        jr_dt = jr_dts[k]
-        da_drot = -0.5 * d_rot @ skew_u_sums[k]
-        phi[0:3, 0:3] = r_step.T
-        phi[3:6, 0:3] = da_drot * dt
-        phi[6:9, 0:3] = da_drot * (0.5 * dt * dt)
-        phi[6:9, 3:6] = np.eye(3) * dt
-        g_in[0:3, 3:6] = -jr_dt
-        g_in[3:6, 0:3] = -0.5 * (d_rot + d_rot_next) * dt
-        g_in[3:6, 3:6] = 0.5 * d_rot_next @ skew_u1s[k] @ jr_dt * dt
-        g_in[6:9] = g_in[3:6] * (0.5 * dt)
-        jac = phi @ jac + g_in
-        cov = phi @ cov @ phi.T + (g_in * noise) @ g_in.T
-
-        d_pos = d_pos + d_vel * dt + 0.5 * a_mid * dt * dt
-        d_vel = d_vel + a_mid * dt
-        d_rot = d_rot_next
-
-    return Preintegration(d_rot, d_vel, d_pos, 0.5 * (cov + cov.T),
-                          float(times[-1] - times[0]), bias, jac)
+    inputs = carry @ g_in
+    cov = ((inputs * noise) @ inputs.transpose(0, 2, 1)).sum(axis=0)
+    return Preintegration(rot[-1], vel[-1], pos[-1], 0.5 * (cov + cov.T),
+                          float(times[-1] - times[0]), bias,
+                          inputs.sum(axis=0))
 
 
 # ---------------------------------------------------------------------------

@@ -294,11 +294,14 @@ class SpatialIndex:
         self.size = len(cloud)
         self._tree = cKDTree(cloud.points, balanced_tree=True)
 
-    def knn(self, queries, k, workers=1):
+    def knn(self, queries, k, workers=1, guard=False):
         """Indices (and distances) of the k nearest points per query row.
 
         Returns (distances (M,k), indices (M,k)), rows sorted by
-        (distance, index). k is clamped to the cloud size.
+        (distance, index). k is clamped to the cloud size. With guard=True
+        it also returns beyond (M,), each row's (k+1)-th smallest distance,
+        which every point not among its k bounds from below (inf when the
+        cloud has no more than k points).
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         k = min(int(k), self.size)
@@ -309,11 +312,15 @@ class SpatialIndex:
         dist, idx = self._tree.query(queries, k=kq, workers=workers)
         dist = dist.reshape(len(queries), kq)
         idx = idx.reshape(len(queries), kq)
-        # lexsort each row by (distance, index) so equal distances order by index
-        order = np.lexsort((idx, dist), axis=1)
-        dist = np.take_along_axis(dist, order, axis=1)
-        idx = np.take_along_axis(idx, order, axis=1)
+        # the tree sorts each row by distance; order equal distances by index
+        tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
+        if tied.size:
+            order = np.lexsort((idx[tied], dist[tied]), axis=1)
+            dist[tied] = np.take_along_axis(dist[tied], order, axis=1)
+            idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
+        beyond = np.full(len(queries), np.inf)
         if kq > k:
+            beyond = dist[:, k]
             boundary = dist[:, k] <= dist[:, k - 1]
             for row in np.nonzero(boundary)[0]:
                 # exact re-resolution: all candidates within the k-th distance
@@ -325,7 +332,7 @@ class SpatialIndex:
                 idx[row, :k] = cand[sel]
             dist = dist[:, :k]
             idx = idx[:, :k]
-        return dist, idx
+        return (dist, idx, beyond) if guard else (dist, idx)
 
     def nearest(self, queries, workers=1):
         dist, idx = self.knn(queries, 1, workers=workers)

@@ -336,16 +336,17 @@ def _zupt_factors(index, keyframe, prev_state, sequence, span, cfg, info):
 def _imu_factors(index, keyframe, prev_state, imu, period, cfg, info):
     """IMU and bias-walk factors from the previous keyframe to this one,
     or none when the IMU samples do not start and end within 1.5 median
-    IMU periods of the two keyframe times (a dropout). The preintegrated
-    span is exactly the keyframe interval: an end sample off its keyframe
-    time gets a sample interpolated at that time put beside it (past either
-    end of the stream, the end sample)."""
+    IMU periods of the two keyframe times, or leave a gap of more than 1.5
+    median periods between them (a dropout). The preintegrated span is
+    exactly the keyframe interval: an end sample off its keyframe time gets
+    a sample interpolated at that time put beside it (past either end of
+    the stream, the end sample)."""
     k, t, _, _ = keyframe
     t0 = prev_state.timestamp
     segment = _slice_samples(imu, t0, t)
     times = segment.timestamp
-    if (len(segment) < 2 or times[0] - t0 > 1.5 * period
-            or t - times[-1] > 1.5 * period):
+    if (len(segment) < 2
+            or np.diff(np.r_[t0, times, t]).max() > 1.5 * period):
         logger.warning("frame %d: IMU samples do not cover [%.3f, %.3f] s; "
                        "no IMU factor", k, t0, t)
         return []

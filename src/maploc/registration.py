@@ -90,12 +90,13 @@ class _NearestMemo:
 
     For each point it holds its world position at its last k-d query (the
     anchor), the nearest map index found there, and the nearest and second
-    nearest distances d1 and d2. A point that has since moved by m is at
-    most d1 + m from that map point and at least d2 - m from every other,
-    so while d1 + 2m < d2 (less a rounding margin) its nearest point cannot
-    have changed, ties included. Only the other points are queried again;
-    a NaN in the test counts as stale. A fresh memo has NaN everywhere, so
-    its first association queries every point.
+    nearest distances d1 and d2 (knn's guard distance, inf on a one-point
+    map). A point that has since moved by m is at most d1 + m from that map
+    point and at least d2 - m from every other, so while d1 + 2m < d2 (less
+    a rounding margin) its nearest point cannot have changed, ties
+    included. Only the other points are queried again; a NaN in the test
+    counts as stale. A fresh memo has NaN everywhere, so its first
+    association queries every point.
     """
 
     def __init__(self, scan, pose):
@@ -119,12 +120,12 @@ class _NearestMemo:
         """Distance and index of each world point's nearest map point, with
         one k-d query for the stale rows. The lowest index wins a tie."""
         stale = self.stale(world)
-        dist, idx = map_index.knn(world[stale], 2, workers=workers)
+        dist, idx, beyond = map_index.knn(world[stale], 1, workers=workers,
+                                          guard=True)
         self.anchor[stale] = world[stale]
         self.index[stale] = idx[:, 0]
         self.d1[stale] = dist[:, 0]
-        # a one-point map has no second nearest point
-        self.d2[stale] = dist[:, 1] if dist.shape[1] > 1 else np.inf
+        self.d2[stale] = beyond
         # summed as the k-d tree sums it, so a kept distance equals a fresh one
         kept = ~stale
         delta = world[kept] - map_index.cloud.points[self.index[kept]]

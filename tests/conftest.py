@@ -3,7 +3,7 @@ import pytest
 
 from maploc.evaluate import Trajectory
 from maploc.factors import imu_samples
-from maploc.geometry import Pose, exp_map
+from maploc.geometry import PointCloud, Pose, exp_map
 
 
 def random_twist(rng, rot_scale=1.0, trans_scale=1.0):
@@ -34,6 +34,26 @@ def imu_stream(times, gyro, accel):
     shape = (len(times), 3)
     return imu_samples(times, np.broadcast_to(gyro, shape),
                        np.broadcast_to(accel, shape))
+
+
+def lattice_scene(rng):
+    """A 0.5 m lattice map whose floor (z = 0) is stored twice, every
+    seventh normal NaN, and a scan that sits on lattice points, halfway
+    between them (exact distance ties at exact poses), at random inside,
+    and 5 m beyond the lattice."""
+    axis = np.arange(8) * 0.5
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    points = np.vstack([lattice, lattice[lattice[:, 2] == 0.0]])
+    normals = rng.normal(size=points.shape)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    normals[::7] = np.nan
+    scan = np.vstack([lattice[rng.choice(len(lattice), 12)],
+                      lattice[rng.choice(64, 6)],  # on the doubled floor
+                      lattice[rng.choice(len(lattice), 12)] + [0.25, 0, 0],
+                      rng.uniform(0.5, 3.0, (40, 3)),
+                      rng.uniform(0.5, 3.0, (5, 3)) + [8.5, 0, 0]])
+    return PointCloud(points, normals=normals), scan
 
 
 def leaf_keys(node, prefix=""):

@@ -9,7 +9,9 @@ instead of the library's scalar closed forms,
 voxel grouping via row-wise np.unique and np.add.at instead of packed keys,
 the masked map factor by deleting rows instead of zeroing its weight,
 the preintegration covariance by differencing a noisy integrator instead
-of propagating a linearized one.
+of propagating a linearized one, and the preintegration bias Jacobian and
+covariance by that step-by-step propagation (with the library's batched
+SO(3) kernels) instead of the closed-form sum over steps.
 The unit-weight registration Hessian is spelled out from its rows, as
 align computes it, so tests can compare it bit for bit.
 """
@@ -19,6 +21,8 @@ import math
 import numpy as np
 from scipy.linalg import logm
 from scipy.spatial import distance_matrix
+
+from maploc.geometry import matvec, skew, so3_exp, so3_left_jacobian
 
 
 def quat_to_rot(q):
@@ -386,3 +390,59 @@ def preintegration_covariance(samples, accel_bias, gyro_bias, sigma_accel,
             jac[:, c] = (error(step) - error(-step)) / (2 * eps)
         cov += (jac * q) @ jac.T
     return cov
+
+
+def preintegrate_recursive(samples, bias, *, sigma_gyro, sigma_accel):
+    """Midpoint preintegration by propagating one linearized step at a
+    time, e' = phi e + g_in [db_a; db_g]: the bias Jacobian and covariance
+    as step-by-step recursions, not as a sum over steps. Returns (delta
+    rotation, velocity, position, covariance, bias Jacobian)."""
+    times = samples.timestamp
+    accel_bias, gyro_bias = bias[:3], bias[3:]
+    noise = np.repeat([sigma_accel ** 2, sigma_gyro ** 2], 3)
+
+    # what each step needs of its two samples, for all steps at once
+    dts = np.diff(times)
+    gyro = samples.angular_velocity
+    force = samples.specific_force - accel_bias
+    steps = (0.5 * (gyro[:-1] + gyro[1:]) - gyro_bias) * dts[:, None]
+    r_steps = so3_exp(steps)
+    # a_mid = (d_rot u0 + d_rot_next u1) / 2 = d_rot u_sum / 2
+    u_sums = force[:-1] + matvec(r_steps, force[1:])
+    # the right Jacobian Jr(v) = Jl(-v)
+    jr_dts = so3_left_jacobian(-steps) * dts[:, None, None]
+    skew_u_sums = skew(u_sums)
+    skew_u1s = skew(force[1:])
+
+    d_rot = np.eye(3)
+    d_vel = np.zeros(3)
+    d_pos = np.zeros(3)
+    cov = np.zeros((9, 9))
+    jac = np.zeros((9, 6))
+    phi = np.eye(9)
+    g_in = np.zeros((9, 6))
+
+    for k, dt in enumerate(dts.tolist()):
+        r_step = r_steps[k]
+        d_rot_next = d_rot @ r_step
+        a_mid = 0.5 * d_rot @ u_sums[k]
+
+        # the step's error dynamics; the rotation error is right-applied
+        jr_dt = jr_dts[k]
+        da_drot = -0.5 * d_rot @ skew_u_sums[k]
+        phi[0:3, 0:3] = r_step.T
+        phi[3:6, 0:3] = da_drot * dt
+        phi[6:9, 0:3] = da_drot * (0.5 * dt * dt)
+        phi[6:9, 3:6] = np.eye(3) * dt
+        g_in[0:3, 3:6] = -jr_dt
+        g_in[3:6, 0:3] = -0.5 * (d_rot + d_rot_next) * dt
+        g_in[3:6, 3:6] = 0.5 * d_rot_next @ skew_u1s[k] @ jr_dt * dt
+        g_in[6:9] = g_in[3:6] * (0.5 * dt)
+        jac = phi @ jac + g_in
+        cov = phi @ cov @ phi.T + (g_in * noise) @ g_in.T
+
+        d_pos = d_pos + d_vel * dt + 0.5 * a_mid * dt * dt
+        d_vel = d_vel + a_mid * dt
+        d_rot = d_rot_next
+
+    return d_rot, d_vel, d_pos, 0.5 * (cov + cov.T), jac

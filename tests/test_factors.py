@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from maploc.errors import (
@@ -42,7 +42,8 @@ from maploc.geometry import (
 )
 
 from conftest import imu_stream, random_pose
-from oracles import preintegration_covariance, row_deleting_map_factor
+from oracles import (preintegrate_recursive, preintegration_covariance,
+                     row_deleting_map_factor)
 
 G_MAG = 9.81
 DOWN = np.array([0.0, 0.0, -1.0])
@@ -421,6 +422,35 @@ class TestPreintegrate:
             ref = preintegration_covariance(window, ba, bg, 1e-2, 1e-3)
             scale = np.sqrt(np.outer(np.diag(ref), np.diag(ref)))
             assert (np.abs(cov - ref) / scale).max() < 1e-6
+
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @example(seed=0, n=2, uneven=False, rate=1.0)
+    @example(seed=0, n=41, uneven=False, rate=1.0)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from([2, 3, 41]),
+           uneven=st.booleans(), rate=st.sampled_from([1.0, 60.0]))
+    def test_closed_form_matches_recursion(self, seed, n, uneven, rate):
+        # the sum over steps against the step-by-step propagation, on even
+        # 200 Hz or uneven 1-20 ms steps, at rates up to ~1 rad per step
+        # and random biases; each entry is compared at the scale of its row
+        # (the deltas, the bias Jacobian) or of its row and column (the
+        # covariance)
+        rng = np.random.default_rng(seed)
+        dts = (rng.uniform(1e-3, 2e-2, n - 1) if uneven
+               else np.full(n - 1, 5e-3))
+        window = imu_stream(np.r_[0.0, np.cumsum(dts)],
+                            rate * rng.normal(size=(n, 3)),
+                            [0.3, -0.2, 9.8] + 2.0 * rng.normal(size=(n, 3)))
+        bias = np.concatenate([0.1 * rng.normal(size=3),
+                               0.05 * rng.normal(size=3)])
+        pre = preintegrate(window, bias, sigma_gyro=1e-3, sigma_accel=1e-2)
+        rot, vel, pos, cov, jac = preintegrate_recursive(
+            window, bias, sigma_gyro=1e-3, sigma_accel=1e-2)
+        for got, want in [(pre.delta_rotation, rot), (pre.bias_jacobian, jac),
+                          (pre.delta_velocity, vel), (pre.delta_position, pos)]:
+            scale = np.abs(want).max(axis=-1, keepdims=True)
+            assert (np.abs(got - want) <= 1e-12 * scale).all()
+        scale = np.sqrt(np.outer(np.diag(cov), np.diag(cov)))
+        assert (np.abs(pre.covariance - cov) <= 1e-12 * scale).all()
 
     def test_zero_noise_zero_covariance(self):
         rng = np.random.default_rng(5)

@@ -33,7 +33,7 @@ from maploc.io import default_config
 from maploc.pipeline import PriorMap, SequenceInput, run
 from maploc.synth import generate, parse_scene_spec
 
-from conftest import random_pose, random_twist
+from conftest import lattice_scene, random_pose, random_twist
 from oracles import (
     brute_force_knn,
     se3_left_jacobian_inv_matrix,
@@ -354,11 +354,31 @@ class TestSpatialIndex:
         _, idx = index.knn(np.array([[1.0, 0, 0]]), 2)
         np.testing.assert_array_equal(idx[0], [0, 2])
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_guard_is_the_next_distance_ties_and_duplicates_included(self, rng,
+                                                                      k):
+        # the lattice's exact ties, its doubled floor and points out of range;
+        # brute force sorts every row by (distance, index) in full
+        cloud, scan = lattice_scene(rng)
+        index = build_index(cloud)
+        queries = np.vstack([scan, scan + [0.0, 0.25, 0.25]])
+        dist, idx, beyond = index.knn(queries, k, guard=True)
+        np.testing.assert_array_equal(
+            np.hstack(index.knn(queries, k)), np.hstack([dist, idx]))
+        for row, q in enumerate(queries):
+            bf_d, bf_i = brute_force_knn(cloud.points, q, k + 1)
+            np.testing.assert_array_equal(idx[row], bf_i[:k])
+            np.testing.assert_array_equal(dist[row], bf_d[:k])
+            assert beyond[row] == bf_d[k]
+
     def test_single_point_cloud(self):
         index = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])))
         dist, idx = index.knn(np.array([[1.0, 2.0, 3.0]]), 1)
         assert idx[0, 0] == 0
         assert dist[0, 0] == 0.0
+        _, _, beyond = index.knn(np.array([[1.0, 2.0, 3.0], [0.0, 0, 0]]), 1,
+                                 guard=True)
+        np.testing.assert_array_equal(beyond, [np.inf, np.inf])
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_knn_on_no_queries_returns_empty_rows(self, k):

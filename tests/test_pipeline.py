@@ -355,16 +355,19 @@ class TestCleanRoom:
 
 class TestImuDropout:
     """An interval whose IMU samples do not reach both of its keyframe
-    times to within 1.5 median periods gets no IMU factor: preintegrating
-    the samples it has would take a shorter span for the whole interval.
-    Every other IMU factor spans exactly its keyframe interval, also when
-    no sample falls on a keyframe time."""
+    times to within 1.5 median periods, or leave a gap of more than 1.5
+    median periods inside it, gets no IMU factor: preintegrating the
+    samples it has would take a shorter span for the whole interval, or
+    one long midpoint step under the noise of a short one. Every other IMU
+    factor spans exactly its keyframe interval, also when no sample falls
+    on a keyframe time."""
 
     @pytest.mark.parametrize("keep, dropped", [
         (lambda t: not 0.65 < t < 1.85, range(7, 20)),  # gap, off-grid ends
         (lambda t: t <= 0.35, range(4, 41)),  # stream ends mid-interval
         (lambda t: abs(10 * t - round(10 * t)) > 1e-6, ()),  # none on scans
-    ], ids=["gap", "cut", "off-scan"])
+        (lambda t: not 0.302 < t < 0.398, (4,)),  # both ends, nothing inside
+    ], ids=["gap", "cut", "off-scan", "inner-gap"])
     def test_uncovered_interval_gets_no_imu_factor(self, room, caplog, keep,
                                                    dropped):
         result, pm = room

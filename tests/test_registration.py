@@ -26,7 +26,7 @@ from maploc.registration import (
 )
 from maploc.pipeline import voxel_downsample
 
-from conftest import random_pose
+from conftest import lattice_scene, random_pose
 from oracles import brute_force_knn, unit_hessian
 
 # the benchmark's smoke scene (perfbench/workloads.py). In scans 0 and 20 two
@@ -334,26 +334,6 @@ def brute_force_correspondences(scan, cloud, pose, max_distance):
         "ij,ij->i", normal, world[valid] - target))
 
 
-def lattice_scene(rng):
-    """A 0.5 m lattice map whose floor (z = 0) is stored twice, every
-    seventh normal NaN, and a scan that sits on lattice points, halfway
-    between them (exact distance ties at exact poses), at random inside,
-    and 5 m beyond the lattice."""
-    axis = np.arange(8) * 0.5
-    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"),
-                       axis=-1).reshape(-1, 3)
-    points = np.vstack([lattice, lattice[lattice[:, 2] == 0.0]])
-    normals = rng.normal(size=points.shape)
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    normals[::7] = np.nan
-    scan = np.vstack([lattice[rng.choice(len(lattice), 12)],
-                      lattice[rng.choice(64, 6)],  # on the doubled floor
-                      lattice[rng.choice(len(lattice), 12)] + [0.25, 0, 0],
-                      rng.uniform(0.5, 3.0, (40, 3)),
-                      rng.uniform(0.5, 3.0, (5, 3)) + [8.5, 0, 0]])
-    return PointCloud(points, normals=normals), scan
-
-
 def test_memo_matches_fresh_and_brute_force_associations(rng):
     # the reuse rule is exact: along a walk of small and large moves, the
     # memo's associations equal a memo-less call's and an exhaustive
@@ -363,9 +343,9 @@ def test_memo_matches_fresh_and_brute_force_associations(rng):
     queried = []
     knn = index.knn
 
-    def counting_knn(queries, k, workers=1):
+    def counting_knn(queries, k, workers=1, guard=False):
         queried.append(len(queries))
-        return knn(queries, k, workers=workers)
+        return knn(queries, k, workers=workers, guard=guard)
     index.knn = counting_knn
     lifted = compose(exp_map([0.01, -0.02, 0.015, 0.0, 0.0, 0.6]),
                      exp_map([0.0, 0.0, 0.0, 0.05, 0.03, 0.0]))
@@ -402,6 +382,25 @@ def test_memo_requeries_non_finite_points(rng):
         moved = world.copy()
         moved[3, 1] = bad
         np.testing.assert_array_equal(np.flatnonzero(memo.stale(moved)), [3])
+
+
+def test_memo_on_a_one_point_map_keeps_every_finite_row():
+    # no second map point: the guard distance is inf, so no move can change
+    # a row's nearest point and only a non-finite row is queried again
+    normal = np.array([[0.0, 0.0, 1.0]])
+    index = build_index(PointCloud(np.zeros((1, 3)), normals=normal))
+    scan = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.3]])
+    memo = _NearestMemo(scan, Pose.identity())
+    find_correspondences(scan, index, Pose.identity(), 10.0, memo=memo)
+    np.testing.assert_array_equal(memo.d2, np.inf)
+    far = Pose(np.eye(3), np.array([3.0, -2.0, 1.0]))
+    assert not memo.stale(far.transform(scan)).any()
+    assert_same_correspondences(
+        find_correspondences(scan, index, far, 10.0, memo=memo),
+        find_correspondences(scan, index, far, 10.0))
+    moved = far.transform(scan)
+    moved[1, 0] = np.inf
+    np.testing.assert_array_equal(np.flatnonzero(memo.stale(moved)), [1])
 
 
 @pytest.mark.parametrize("scan, message", [
