@@ -97,8 +97,8 @@ def _cmd_eval_traj(args) -> int:
 
 
 def _cmd_eval_map(args) -> int:
-    est = mio.read_cloud(args.est)
-    ref = mio.read_cloud(args.ref)
+    est = mio.read_cloud(args.est).cloud()
+    ref = mio.read_cloud(args.ref).cloud()
     with _failing(f"metrics of {args.est} against {args.ref}"):
         acc = map_accuracy(est, ref, threshold=args.threshold)
         com = map_completeness(est, ref, threshold=args.threshold)
@@ -117,7 +117,7 @@ def _cmd_degeneracy_report(args) -> int:
     pose = Pose(rotation, args.pose[:3])
     cfg = _load_cfg(args)
     prior_map = load_map(args.map, voxel_size=cfg["voxel_size"])
-    scan = mio.read_cloud(args.scan)
+    scan = mio.read_cloud(args.scan).cloud()
     result, report = register_frame(scan, prior_map, pose, cfg)
     out = dict(report.as_dict(), residual_rms=float(result.residual_rms),
                iterations=int(result.iterations),

@@ -16,9 +16,11 @@ import math
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import jsonschema
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.spatial.transform import Rotation
 
 from .degeneracy import DegeneracyParams
@@ -210,13 +212,38 @@ def write_pcd(path, cloud: PointCloud, binary: bool = True):
             handle.write((body + "\n").encode("ascii"))
 
 
-@_names_file
-def read_pcd(path) -> PointCloud:
-    """Reads ASCII or binary PCD v0.7 with at least x y z fields.
+class CloudRows(NamedTuple):
+    """A cloud file's rows with finite x/y/z: points (N, 3), and normals
+    (N, 3) when the file has all three normal fields, else None.
 
-    Rows with non-finite coordinates are dropped; normal fields are kept
-    when all three are present.
+    In a binary PCD, three fields that are floats of one type at one
+    spacing give read-only, possibly strided, views of the file's bytes in
+    that type, copied only when a row is dropped. Other fields, and text,
+    give float64.
     """
+
+    points: np.ndarray
+    normals: np.ndarray | None
+
+    def cloud(self) -> PointCloud:
+        """The rows as a (float64) PointCloud."""
+        with np.errstate(invalid="ignore"):  # a signalling NaN casts quietly
+            return PointCloud(self.points, self.normals)
+
+
+def _finite_rows(points, normals=None) -> CloudRows:
+    """The rows whose coordinates are all finite; a copy only when some row
+    is not."""
+    keep = np.isfinite(points).all(axis=1)
+    if keep.all():
+        return CloudRows(points, normals)
+    return CloudRows(points[keep], None if normals is None else normals[keep])
+
+
+@_names_file
+def _pcd_rows(path) -> CloudRows:
+    """The rows of an ASCII or binary PCD v0.7 with at least x y z fields;
+    normal fields are kept when all three are present."""
     data = Path(path).read_bytes()
     meta = {}
     pos = 0
@@ -262,14 +289,13 @@ def read_pcd(path) -> PointCloud:
                                    line_no)[0])
     mode = (require("DATA") or [""])[0].lower()
 
-    normal_fields = ("normal_x", "normal_y", "normal_z")
-    read_normals = all(f in fields for f in normal_fields)
-
     if mode == "ascii":
         text = data[pos:].decode("ascii", errors="replace")
         table, _ = _float_rows(text.splitlines(), line_no + 1, len(fields),
                                limit=n_points)
-        columns = {name: table[:, k] for k, name in enumerate(fields)}
+
+        def rows(names):
+            return table[:, [fields.index(name) for name in names]]
     elif mode == "binary":
         try:
             formats = [_PCD_DTYPES[(t, s)] for t, s in zip(types, sizes)]
@@ -283,23 +309,40 @@ def read_pcd(path) -> PointCloud:
                 f"PCD body truncated: need {expected} bytes, have "
                 f"{len(data) - pos}", offset=len(data))
         table = np.frombuffer(data, dtype=dtype, count=n_points, offset=pos)
-        with np.errstate(invalid="ignore"):  # a signalling NaN casts quietly
-            columns = {name: table[name].astype(float) for name in fields}
+
+        def rows(names):
+            types, offsets = zip(*(dtype.fields[name] for name in names))
+            step = offsets[1] - offsets[0]
+            if types[0].kind == "f" and types.count(types[0]) == 3 \
+                    and offsets[2] - offsets[1] == step:
+                # one float type at one spacing: a view of the bytes
+                return as_strided(table[names[0]], (n_points, 3),
+                                  (dtype.itemsize, step), writeable=False)
+            with np.errstate(invalid="ignore"):  # a signalling NaN casts quietly
+                return np.stack([table[name] for name in names], axis=1,
+                                dtype=float)
     else:
         raise ParseError(f"unsupported PCD DATA mode '{mode}'", line=line_no)
 
-    points = np.column_stack([columns["x"], columns["y"], columns["z"]])
-    keep = np.all(np.isfinite(points), axis=1)
-    points = points[keep]
-    normals = None
-    if read_normals:
-        normals = np.column_stack([columns[f] for f in normal_fields])[keep]
-    return PointCloud(points, normals)
+    normal_fields = ("normal_x", "normal_y", "normal_z")
+    normals = rows(normal_fields) \
+        if all(f in fields for f in normal_fields) else None
+    return _finite_rows(rows(("x", "y", "z")), normals)
+
+
+def read_pcd(path) -> PointCloud:
+    """Reads ASCII or binary PCD v0.7 with at least x y z fields, as
+    float64 whatever the field types: its CloudRows cast once.
+
+    Rows with non-finite coordinates are dropped; normal fields are kept
+    when all three are present.
+    """
+    return _pcd_rows(path).cloud()
 
 
 @_names_file
-def read_ply(path) -> PointCloud:
-    """ASCII PLY with x/y/z vertex properties; non-finite rows are dropped."""
+def _ply_rows(path) -> CloudRows:
+    """The x/y/z rows of an ASCII PLY, as float64; no normals."""
     lines = _read_text(path).splitlines()
     if not lines or lines[0].strip() != "ply":
         raise ParseError("not a PLY file", line=1)
@@ -333,15 +376,20 @@ def read_ply(path) -> PointCloud:
         raise ParseError("PLY vertex element lacks x/y/z", line=body_start) from exc
     table, _ = _float_rows(lines[body_start:], body_start + 1,
                            len(properties), limit=n_vertices, wider=True)
-    points = table[:, sel]
-    return PointCloud(points[np.all(np.isfinite(points), axis=1)])
+    return _finite_rows(table[:, sel])
 
 
-def read_cloud(path) -> PointCloud:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".ply":
-        return read_ply(path)
-    return read_pcd(path)
+def read_ply(path) -> PointCloud:
+    """ASCII PLY with x/y/z vertex properties; non-finite rows are dropped."""
+    return _ply_rows(path).cloud()
+
+
+def read_cloud(path) -> CloudRows:
+    """The CloudRows of a .ply file as read_ply reads it, or else of a PCD
+    file as read_pcd reads it, before their cast to float64."""
+    if Path(path).suffix.lower() == ".ply":
+        return _ply_rows(path)
+    return _pcd_rows(path)
 
 
 # ---------------------------------------------------------------------------

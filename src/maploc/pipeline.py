@@ -52,6 +52,8 @@ class SequenceInput:
 
     Scan sources may be PointClouds (in memory) or paths loaded on demand.
     The IMU stream, () for none, is rebuilt (so checked) by imu_samples.
+    load_sequence sets the stream io.read_imu_csv built, so checked,
+    through imu_samples after construction: each stream is checked once.
     The odometry trajectory is expressed in the map frame at its first
     pose; initial_pose overrides that anchor when given.
     """
@@ -108,18 +110,30 @@ def voxel_downsample(points, voxel, normals=None):
     Each point's cell floor(p / voxel) is packed into one int64 key whose
     order is the lexicographic (x, y, z) order, so one 1-D sort groups the
     points. A grid too large for that key is a DataError.
+
+    points and normals are (N, 3) rows of any float dtype, strided views
+    included, and are neither copied nor cast whole: the key is packed one
+    column at a time, each column cast to float64 for its own floor, and
+    np.bincount sums each column in float64. So float32 rows give the bits
+    their float64 cast would.
     """
-    points = np.asarray(points, dtype=float)
+    points = np.asarray(points)
     if len(points) == 0:
         return np.zeros((0, 3)), None if normals is None else np.zeros((0, 3))
-    cells = np.floor(points / voxel)
-    lo = cells.min(axis=0)
-    spans = _key_spans(lo, cells.max(axis=0), voxel)
-    keys = cells.astype(np.int64)
+    # the division rounds monotonically and floor is monotone, so these are
+    # the least and greatest cells
+    lo = np.floor(points.min(axis=0).astype(float) / voxel)
+    hi = np.floor(points.max(axis=0).astype(float) / voxel)
+    spans = _key_spans(lo, hi, voxel)
+    packed = np.zeros(len(points), dtype=np.int64)
+    for axis, span in enumerate(spans):
+        cells = np.divide(points[:, axis], voxel, dtype=float)
+        np.floor(cells, out=cells)
+        cells = cells.astype(np.int64)
+        cells -= int(lo[axis])
+        packed *= span
+        packed += cells
     del cells
-    keys -= lo.astype(np.int64)
-    packed = (keys[:, 0] * spans[1] + keys[:, 1]) * spans[2] + keys[:, 2]
-    del keys
     inverse = np.unique(packed, return_inverse=True)[1]
     del packed
     counts = np.bincount(inverse).astype(float)
@@ -133,9 +147,9 @@ def voxel_downsample(points, voxel, normals=None):
     centroids = sums(points) / counts[:, None]
     if normals is None:
         return centroids, None
-    summed = sums(np.asarray(normals, dtype=float))
-    norms = np.linalg.norm(summed, axis=1)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore"):  # NaN normals, signalling ones too
+        summed = sums(np.asarray(normals))
+        norms = np.linalg.norm(summed, axis=1)
         averaged = summed / norms[:, None]
     averaged[norms < 1e-9] = np.nan
     return centroids, averaged
@@ -144,17 +158,18 @@ def voxel_downsample(points, voxel, normals=None):
 def load_map(path, voxel_size=0.1) -> PriorMap:
     """Read a PCD/PLY map, voxel-downsample it, and ensure normals.
 
-    Normals present in the file are centroid-averaged per voxel; missing
-    or degenerate ones are re-estimated from the downsampled cloud.
+    The file's rows go to voxel_downsample in their own dtype, so a float32
+    map is never held as float64 at full size. Normals present in the file
+    are centroid-averaged per voxel; missing or degenerate ones are
+    re-estimated from the downsampled cloud.
     """
     if not 0 < voxel_size < math.inf:
         raise ValueError("voxel_size must be positive and finite")
-    raw = mio.read_cloud(path)
-    if len(raw) == 0:
+    points, normals = mio.read_cloud(path)
+    if len(points) == 0:
         raise EmptyCloud(f"map file {path} holds no finite points")
     try:
-        points, normals = voxel_downsample(raw.points, voxel_size,
-                                           raw.normals)
+        points, normals = voxel_downsample(points, voxel_size, normals)
     except DataError as exc:
         raise DataError(f"map file {path}: {exc}") from exc
     if normals is not None:
@@ -181,9 +196,11 @@ def load_sequence(scans_dir, odom_path, imu_path=None) -> SequenceInput:
         raise ParseError(f"no .pcd scans under {scans_dir}")
     scans = tuple(sorted(((mio.scan_timestamp(f), f) for f in files),
                          key=lambda scan: scan[0]))
-    odometry = mio.read_tum(odom_path)
-    imu = mio.read_imu_csv(imu_path) if imu_path else ()
-    return SequenceInput(scans=scans, odometry=odometry, imu=imu)
+    sequence = SequenceInput(scans=scans, odometry=mio.read_tum(odom_path))
+    if imu_path:
+        # read_imu_csv built (so checked) the stream through imu_samples
+        object.__setattr__(sequence, "imu", mio.read_imu_csv(imu_path))
+    return sequence
 
 
 def _scan_name(k, source) -> str:

@@ -16,7 +16,8 @@ from maploc.geometry import PointCloud, Pose, so3_exp
 from maploc.io import (_CONFIG_BOUNDS, DEFAULT_CONFIG, FRAMES_CSV_HEADER,
                        apply_overrides,
                        default_config, load_config, quaternion_to_rotation,
-                       read_imu_csv, read_pcd, read_ply, read_tum,
+                       read_cloud, read_imu_csv, read_pcd, read_ply,
+                       read_tum,
                        rotation_to_quaternion, sanitize_json, scan_filename,
                        scan_timestamp, validate_config, validate_report,
                        write_frames_csv, write_imu_csv, write_json,
@@ -327,6 +328,53 @@ class TestPcd:
         cloud = read_pcd(path)
         assert np.allclose(cloud.points, [[1, 2, 3], [4, 5, 6]])
         assert cloud.normals is None
+
+    @pytest.mark.parametrize("fields, dtype, view", [
+        ("x y z", "<f4", True),
+        ("z y x", "<f4", True),                     # a negative spacing
+        ("x y z normal_x normal_y normal_z", "<f4", True),
+        ("x y z", "<f8", True),
+        ("x y i z", ["<f4", "<f4", "<u2", "<f4"], False),  # uneven spacing
+        ("x y z", ["<f4", "<f8", "<f4"], False),
+        ("x y z", "<i2", False),
+        ("x y z", "<f4", False),                    # with a non-finite row
+    ], ids=["xyz", "zyx", "normals", "f8", "uneven", "mixed", "int", "nan"])
+    def test_binary_rows_are_views_unless_copied(self, tmp_path, fields,
+                                                 dtype, view):
+        """read_cloud's rows are read-only views of the file's bytes in its
+        float type when x y z (and the normals) are floats of one type at
+        one spacing and no row is dropped; otherwise float64 copies, or
+        copies in that float type when only a row is dropped."""
+        names = fields.split()
+        types = dtype if isinstance(dtype, list) else [dtype] * len(names)
+        values = np.arange(4 * len(names)).reshape(4, len(names)) % 7
+        record = np.zeros(4, dtype=list(zip(names, types)))
+        for k, name in enumerate(names):
+            record[name] = values[:, k]
+        if not view and not isinstance(dtype, list) and dtype[1] == "f":
+            record["y"][2] = np.nan
+        keep = np.isfinite(record["y"])
+        kinds = {"f": "F", "i": "I", "u": "U"}
+        path = tmp_path / "cloud.pcd"
+        path.write_bytes((
+            f"FIELDS {fields}\nSIZE {' '.join(t[2] for t in types)}\n"
+            f"TYPE {' '.join(kinds[t[1]] for t in types)}\nWIDTH 4\n"
+            "DATA binary\n").encode() + record.tobytes())
+        rows = read_cloud(path)
+        want = np.column_stack([record[a] for a in "xyz"])[keep]
+        assert np.array_equal(rows.points, want)
+        assert rows.points.flags.writeable != view
+        float_type = types[0] if len(set(types)) == 1 and "f" in types[0] \
+            else "<f8"
+        assert rows.points.dtype == np.dtype(float_type)
+        if "normal_x" in names:
+            assert np.array_equal(rows.normals, values[:, 3:])
+            assert not rows.normals.flags.writeable
+        else:
+            assert rows.normals is None
+        cloud = rows.cloud()
+        assert cloud.points.dtype == np.float64
+        assert np.array_equal(cloud.points, want)
 
     @pytest.mark.parametrize("entry, value", [
         ("SIZE", "4 4 four"), ("COUNT", "1 one 1"), ("POINTS", "two"),

@@ -8,6 +8,8 @@ registration, degeneracy gating, ZUPT, IMU fusion, and report emission.
 import copy
 import json
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,14 +17,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from maploc import io as mio
 from maploc import pipeline, synth
 from maploc.errors import (DataError, EmptyCloud, InitializationFailure,
                            NoMatches, NonMonotonicTimestamps, ParseError,
                            SingularSystem)
 from maploc.evaluate import Trajectory, ate
-from maploc.geometry import PointCloud, Pose, between, build_index, compose
+from maploc.factors import imu_samples
+from maploc.geometry import (PointCloud, Pose, between, build_index,
+                             compose, estimate_normals)
 from maploc.graph import FactorGraph
-from maploc.io import default_config, read_pcd, read_tum, validate_report
+from maploc.io import (default_config, read_pcd, read_tum, validate_report,
+                       write_pcd)
 from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
                              run, emit_reports, voxel_downsample)
 
@@ -135,6 +141,26 @@ def voxel_clouds(draw):
     return points, voxel, normals
 
 
+@st.composite
+def float32_rows(draw):
+    """(points, voxel, normals) from voxel_clouds as float32 rows: either
+    contiguous (N, 3) arrays or strided views into a PCD-like record with a
+    uint16 field between x/y/z and the normals (so the normals' columns
+    are not 4-byte aligned)."""
+    points, voxel, normals = draw(voxel_clouds())
+    points = points.astype(np.float32)
+    normals = None if normals is None else normals.astype(np.float32)
+    if draw(st.booleans()):
+        record = np.zeros(len(points), dtype=[("p", "<f4", 3), ("i", "<u2"),
+                                              ("n", "<f4", 3)])
+        record["p"] = points
+        points = record["p"]
+        if normals is not None:
+            record["n"] = normals
+            normals = record["n"]
+    return points, voxel, normals
+
+
 class TestVoxelDownsample:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(cloud=voxel_clouds())
@@ -149,6 +175,28 @@ class TestVoxelDownsample:
         got = voxel_downsample(points, voxel, normals)
         want = voxel_downsample_unique(points, voxel, normals)
         assert got[0].shape == want[0].shape == (len(want[0]), 3)
+        assert np.array_equal(got[0], want[0])
+        if normals is None:
+            assert got[1] is None
+        else:
+            assert np.array_equal(got[1], want[1], equal_nan=True)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(cloud=float32_rows())
+    @example(cloud=(np.array([[-0.0, 0.0, -0.0], [0.0, -0.0, 0.1],
+                              [-0.1, -0.0, 0.0]], dtype=np.float32), 0.1,
+                    np.array([[-0.0, 0.0, 1.0]] * 3, dtype=np.float32)))
+    @example(cloud=(np.array([[-0.25, 0.5, -0.75], [0.25, -0.5, 0.75]],
+                             dtype=np.float32)[:, ::-1], 0.25, None))
+    def test_float32_rows_bit_identical_to_oracle_of_cast(self, cloud):
+        """float32 rows, strided views included, give the bits the oracle
+        gives on their float64 cast: negative coordinates, coordinates on
+        cell boundaries and -0.0 fall in the same cells."""
+        points, voxel, normals = cloud
+        got = voxel_downsample(points, voxel, normals)
+        want = voxel_downsample_unique(
+            points.astype(float), voxel,
+            None if normals is None else normals.astype(float))
         assert np.array_equal(got[0], want[0])
         if normals is None:
             assert got[1] is None
@@ -196,6 +244,75 @@ class TestVoxelDownsample:
         assert np.array_equal(a, b)
 
 
+def map_rows(rng, n=3000):
+    """A float32 map of a floor (z = 0) and a wall (x = 0) with unit file
+    normals; those with y < 1 m and every 7th are NaN (one a signalling
+    NaN), and every 50th row has a non-finite coordinate."""
+    half = n // 2
+    points = np.vstack([
+        np.column_stack([rng.uniform(0, 3, half), rng.uniform(0, 3, half),
+                         np.zeros(half)]),
+        np.column_stack([np.zeros(n - half), rng.uniform(0, 3, n - half),
+                         rng.uniform(0, 2, n - half)])]).astype(np.float32)
+    normals = np.repeat(np.array([[0, 0, 1], [1, 0, 0]], dtype=np.float32),
+                        [half, n - half], axis=0)
+    normals[points[:, 1] < 1.0] = np.nan
+    normals[::7] = np.nan
+    normals.view(np.uint32)[3, 0] = 0x7FA00000  # signalling NaN
+    points[::50, 0] = np.nan
+    points[25::50, 2] = -np.inf
+    return points, normals
+
+
+def write_map(path, points, normals):
+    """The rows as a PCD (binary or, for an .ascii.pcd name, ASCII) with a
+    uint16 intensity field between x y z and the normals, or as an ASCII
+    PLY with a uchar property after x y z (and no normals)."""
+    n = len(points)
+    intensity = np.arange(n) % 1000
+    if path.suffix == ".ply":
+        header = ["ply", "format ascii 1.0", f"element vertex {n}",
+                  "property float x", "property float y", "property float z",
+                  "property uchar red", "end_header"]
+        rows = [" ".join([*map(repr, map(float, p)), str(i % 256)])
+                for p, i in zip(points, intensity)]
+        path.write_text("\n".join(header + rows) + "\n")
+        return
+    ascii_body = path.name.endswith(".ascii.pcd")
+    header = ("VERSION 0.7\nFIELDS x y z intensity normal_x normal_y "
+              "normal_z\nSIZE 4 4 4 2 4 4 4\nTYPE F F F U F F F\n"
+              f"COUNT 1 1 1 1 1 1 1\nWIDTH {n}\nHEIGHT 1\n"
+              f"VIEWPOINT 0 0 0 1 0 0 0\nPOINTS {n}\n"
+              f"DATA {'ascii' if ascii_body else 'binary'}\n").encode()
+    if ascii_body:
+        rows = [" ".join([*map(repr, map(float, p)), str(i),
+                          *map(repr, map(float, m))])
+                for p, i, m in zip(points, intensity, normals)]
+        path.write_bytes(header + ("\n".join(rows) + "\n").encode())
+        return
+    record = np.zeros(n, dtype=[("p", "<f4", 3), ("i", "<u2"),
+                                ("n", "<f4", 3)])
+    record["p"], record["i"], record["n"] = points, intensity, normals
+    path.write_bytes(header + record.tobytes())
+
+
+def composed_map(points, normals, voxel):
+    """load_map's cloud as the float64 composition computes it from the
+    file's rows: drop non-finite rows and cast, downsample (by the oracle),
+    re-estimate the normals the voxels lack."""
+    finite = np.isfinite(points).all(axis=1)
+    points = points[finite].astype(float)
+    if normals is not None:
+        with np.errstate(invalid="ignore"):  # the signalling NaN
+            normals = normals[finite].astype(float)
+    points, normals = voxel_downsample_unique(points, voxel, normals)
+    estimated = estimate_normals(PointCloud(points), k=10).normals
+    if normals is None:
+        return PointCloud(points, estimated)
+    bad = ~np.isfinite(normals).all(axis=1)
+    return PointCloud(points, np.where(bad[:, None], estimated, normals))
+
+
 class TestLoadMap:
     def test_room_pcd_counts_match_oracle(self, room, tmp_path):
         result, _ = room
@@ -237,6 +354,65 @@ class TestLoadMap:
         path.write_bytes(data[:len(data) // 2])
         with pytest.raises(ParseError):
             load_map(path)
+
+    @pytest.mark.parametrize("name", ["map.pcd", "map.ascii.pcd",
+                                      "map.ply"])
+    def test_bit_identical_to_float64_composition(self, tmp_path, rng, name):
+        """Binary and ASCII PCD (an intensity field between x y z and the
+        normals; NaN normals, a signalling one included; non-finite rows)
+        and PLY maps load to the cloud the float64 composition gives."""
+        points, normals = map_rows(rng)
+        path = tmp_path / name
+        write_map(path, points, normals)
+        pm = load_map(path, voxel_size=0.1)
+        want = composed_map(points, None if name == "map.ply" else normals,
+                            0.1)
+        assert np.array_equal(pm.cloud.points, want.points)
+        assert np.array_equal(pm.cloud.normals, want.normals, equal_nan=True)
+
+    @pytest.mark.parametrize("name, cut", [
+        ("map.pcd", lambda data: data[:-5]),
+        ("map.ascii.pcd", lambda data: data.replace(b" 1.0\n", b" 1.0x\n")),
+        ("map.ply", lambda data: data[:data.rindex(b" ")] + b"\n"),
+    ], ids=["truncated-binary", "bad-token-ascii", "short-row-ply"])
+    def test_parse_error_names_the_map_file(self, tmp_path, rng, name, cut):
+        path = tmp_path / name
+        write_map(path, *map_rows(rng, n=40))
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(ParseError) as info:
+            load_map(path)
+        assert info.value.path == path
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("name", ["map.pcd", "map.ascii.pcd", "map.ply"])
+    def test_no_finite_row_raises_empty_cloud_naming_the_file(
+            self, tmp_path, rng, name):
+        points, normals = map_rows(rng, n=40)
+        points[:, 1] = np.nan
+        path = tmp_path / name
+        write_map(path, points, normals)
+        with pytest.raises(EmptyCloud, match=f"^map file {re.escape(str(path))} "
+                           "holds no finite points$"):
+            load_map(path)
+
+    def test_peak_memory_within_three_and_a_half_file_sizes(self, tmp_path):
+        """A dense float32 plane (400k points, ~125 per 0.1 m voxel) is
+        loaded without a float64 copy of its rows: tracemalloc's peak stays
+        within 3.5 times the file's size (the file's bytes included)."""
+        rng = np.random.default_rng(28)
+        n = 400_000
+        points = np.column_stack([rng.uniform(0.0, 6.4, n),
+                                  rng.uniform(0.0, 5.0, n), np.zeros(n)])
+        path = tmp_path / "plane.pcd"
+        write_pcd(path, PointCloud(points, np.tile([0.0, 0.0, 1.0], (n, 1))))
+        del points
+        tracemalloc.start()
+        try:
+            load_map(path, voxel_size=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * path.stat().st_size
 
     def test_bad_voxel_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -295,6 +471,27 @@ class TestLoadSequence:
         assert np.allclose(got_t, want_t, atol=1e-9)
         assert len(seq.odometry) == len(result.odometry)
         assert len(seq.imu) == len(result.imu)
+
+    def test_imu_stream_checked_once(self, room, tmp_path, monkeypatch):
+        """imu_samples builds (so checks) an IMU stream once: read_imu_csv's
+        stream goes into load_sequence's SequenceInput as it is, and a
+        stream given to SequenceInput in memory is built once."""
+        result, _ = room
+        paths = synth.write_sequence(result, tmp_path)
+        calls = []
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return imu_samples(*args)
+        monkeypatch.setattr(pipeline, "imu_samples", counted)
+        monkeypatch.setattr(mio, "imu_samples", counted)
+        seq = load_sequence(paths["scans"], paths["odometry"], paths["imu"])
+        assert calls == [len(result.imu)]
+        assert not seq.imu.flags.writeable
+        assert np.array_equal(seq.imu, mio.read_imu_csv(paths["imu"]))
+        calls.clear()
+        SequenceInput.from_synth(result)
+        assert calls == [len(result.imu)]
 
     def test_scans_ordered_by_timestamp_not_name(self, room, tmp_path):
         """Unpadded names do not sort by time as text (0.1.pcd comes
