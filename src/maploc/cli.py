@@ -25,7 +25,7 @@ from . import io as mio
 from .errors import DataError, MaplocError, NumericalError, ParseError
 from .evaluate import (DEFAULT_THRESHOLD, compute_metrics, map_accuracy,
                        map_completeness)
-from .geometry import Pose
+from .geometry import PointCloud, Pose
 from .pipeline import (emit_reports, evaluate_run, load_map, load_sequence,
                        register_frame, run)
 from .synth import generate, load_scene_spec, write_sequence
@@ -97,8 +97,8 @@ def _cmd_eval_traj(args) -> int:
 
 
 def _cmd_eval_map(args) -> int:
-    est = mio.read_cloud(args.est).cloud()
-    ref = mio.read_cloud(args.ref).cloud()
+    est = PointCloud(*mio.read_cloud(args.est))
+    ref = PointCloud(*mio.read_cloud(args.ref))
     with _failing(f"metrics of {args.est} against {args.ref}"):
         acc = map_accuracy(est, ref, threshold=args.threshold)
         com = map_completeness(est, ref, threshold=args.threshold)
@@ -117,7 +117,7 @@ def _cmd_degeneracy_report(args) -> int:
     pose = Pose(rotation, args.pose[:3])
     cfg = _load_cfg(args)
     prior_map = load_map(args.map, voxel_size=cfg["voxel_size"])
-    scan = mio.read_cloud(args.scan).cloud()
+    scan = PointCloud(*mio.read_cloud(args.scan))
     result, report = register_frame(scan, prior_map, pose, cfg)
     out = dict(report.as_dict(), residual_rms=float(result.residual_rms),
                iterations=int(result.iterations),

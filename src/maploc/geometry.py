@@ -255,22 +255,25 @@ class PointCloud:
     """Points (N,3) with optional per-point unit normals.
 
     Normals may contain NaN rows for points whose neighborhood failed the
-    flatness gate; consumers treat those as "no normal".
+    flatness gate; consumers treat those as "no normal". Both are cast to
+    float64 once, here, a signalling NaN to a quiet one.
     """
 
     points: np.ndarray
     normals: np.ndarray | None = None
 
     def __post_init__(self):
-        points = np.ascontiguousarray(self.points, dtype=float)
+        with np.errstate(invalid="ignore"):  # a signalling NaN casts quietly
+            points = np.ascontiguousarray(self.points, dtype=float)
+            normals = None if self.normals is None \
+                else np.ascontiguousarray(self.normals, dtype=float)
         if points.ndim != 2 or points.shape[1] != 3:
             raise ValueError("points must be (N, 3)")
         if not np.all(np.isfinite(points)):
             raise ValueError("non-finite point coordinates")
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
-        if self.normals is not None:
-            normals = np.ascontiguousarray(self.normals, dtype=float)
+        if normals is not None:
             if normals.shape != points.shape:
                 raise ValueError("normals must match points")
             normals.flags.writeable = False

@@ -216,19 +216,15 @@ class CloudRows(NamedTuple):
     """A cloud file's rows with finite x/y/z: points (N, 3), and normals
     (N, 3) when the file has all three normal fields, else None.
 
-    In a binary PCD, three fields that are floats of one type at one
-    spacing give read-only, possibly strided, views of the file's bytes in
-    that type, copied only when a row is dropped. Other fields, and text,
-    give float64.
+    In a PCD, three fields that are floats of one type at one spacing give
+    read-only, possibly strided, views of the binary body's bytes in that
+    type, or of the ASCII body's parsed float64 table, copied only when a
+    row is dropped. Other fields, and PLY, give float64 copies.
+    PointCloud(*rows) casts them to float64.
     """
 
     points: np.ndarray
     normals: np.ndarray | None
-
-    def cloud(self) -> PointCloud:
-        """The rows as a (float64) PointCloud."""
-        with np.errstate(invalid="ignore"):  # a signalling NaN casts quietly
-            return PointCloud(self.points, self.normals)
 
 
 def _finite_rows(points, normals=None) -> CloudRows:
@@ -291,11 +287,10 @@ def _pcd_rows(path) -> CloudRows:
 
     if mode == "ascii":
         text = data[pos:].decode("ascii", errors="replace")
-        table, _ = _float_rows(text.splitlines(), line_no + 1, len(fields),
-                               limit=n_points)
-
-        def rows(names):
-            return table[:, [fields.index(name) for name in names]]
+        values, _ = _float_rows(text.splitlines(), line_no + 1, len(fields),
+                                limit=n_points)
+        dtype = np.dtype({"names": fields, "formats": ["<f8"] * len(fields)})
+        table = values.view(dtype)[:, 0]
     elif mode == "binary":
         try:
             formats = [_PCD_DTYPES[(t, s)] for t, s in zip(types, sizes)]
@@ -309,20 +304,20 @@ def _pcd_rows(path) -> CloudRows:
                 f"PCD body truncated: need {expected} bytes, have "
                 f"{len(data) - pos}", offset=len(data))
         table = np.frombuffer(data, dtype=dtype, count=n_points, offset=pos)
-
-        def rows(names):
-            types, offsets = zip(*(dtype.fields[name] for name in names))
-            step = offsets[1] - offsets[0]
-            if types[0].kind == "f" and types.count(types[0]) == 3 \
-                    and offsets[2] - offsets[1] == step:
-                # one float type at one spacing: a view of the bytes
-                return as_strided(table[names[0]], (n_points, 3),
-                                  (dtype.itemsize, step), writeable=False)
-            with np.errstate(invalid="ignore"):  # a signalling NaN casts quietly
-                return np.stack([table[name] for name in names], axis=1,
-                                dtype=float)
     else:
         raise ParseError(f"unsupported PCD DATA mode '{mode}'", line=line_no)
+
+    def rows(names):
+        types, offsets = zip(*(dtype.fields[name] for name in names))
+        step = offsets[1] - offsets[0]
+        if types[0].kind == "f" and types.count(types[0]) == 3 \
+                and offsets[2] - offsets[1] == step:
+            # one float type at one spacing: a view of the table
+            return as_strided(table[names[0]], (n_points, 3),
+                              (dtype.itemsize, step), writeable=False)
+        with np.errstate(invalid="ignore"):  # a signalling NaN casts quietly
+            return np.stack([table[name] for name in names], axis=1,
+                            dtype=float)
 
     normal_fields = ("normal_x", "normal_y", "normal_z")
     normals = rows(normal_fields) \
@@ -337,7 +332,7 @@ def read_pcd(path) -> PointCloud:
     Rows with non-finite coordinates are dropped; normal fields are kept
     when all three are present.
     """
-    return _pcd_rows(path).cloud()
+    return PointCloud(*_pcd_rows(path))
 
 
 @_names_file
@@ -381,7 +376,7 @@ def _ply_rows(path) -> CloudRows:
 
 def read_ply(path) -> PointCloud:
     """ASCII PLY with x/y/z vertex properties; non-finite rows are dropped."""
-    return _ply_rows(path).cloud()
+    return PointCloud(*_ply_rows(path))
 
 
 def read_cloud(path) -> CloudRows:

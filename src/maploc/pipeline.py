@@ -90,9 +90,14 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # map loading
 
-def _key_spans(lo, hi, voxel):
-    """Cell counts per axis of the voxel grid from cell lo to cell hi. A
-    grid too large for packed int64 keys is a DataError."""
+def _key_spans(low, high, voxel):
+    """The least cell and the cell counts per axis of the voxel grid over
+    the coordinates from `low` to `high`, the per-axis extrema. A grid too
+    large for packed int64 keys is a DataError."""
+    # the division rounds monotonically and floor is monotone, so these are
+    # the least and greatest cells
+    lo = np.floor(np.asarray(low, dtype=float) / voxel)
+    hi = np.floor(np.asarray(high, dtype=float) / voxel)
     if not (np.all(lo > -2.0 ** 62) and np.all(hi < 2.0 ** 62)):
         raise DataError(f"voxel grid of {voxel} m: cell indices must be "
                         "finite and below 2^62 in magnitude")
@@ -100,7 +105,7 @@ def _key_spans(lo, hi, voxel):
     if math.prod(spans) > 2 ** 63:
         raise DataError(f"voxel grid of {voxel} m spans {spans[0]} x "
                         f"{spans[1]} x {spans[2]} cells, more than int64 keys")
-    return spans
+    return lo, spans
 
 
 def voxel_downsample(points, voxel, normals=None):
@@ -120,11 +125,7 @@ def voxel_downsample(points, voxel, normals=None):
     points = np.asarray(points)
     if len(points) == 0:
         return np.zeros((0, 3)), None if normals is None else np.zeros((0, 3))
-    # the division rounds monotonically and floor is monotone, so these are
-    # the least and greatest cells
-    lo = np.floor(points.min(axis=0).astype(float) / voxel)
-    hi = np.floor(points.max(axis=0).astype(float) / voxel)
-    spans = _key_spans(lo, hi, voxel)
+    lo, spans = _key_spans(points.min(axis=0), points.max(axis=0), voxel)
     packed = np.zeros(len(points), dtype=np.int64)
     for axis, span in enumerate(spans):
         cells = np.divide(points[:, axis], voxel, dtype=float)
@@ -172,17 +173,12 @@ def load_map(path, voxel_size=0.1) -> PriorMap:
         points, normals = voxel_downsample(points, voxel_size, normals)
     except DataError as exc:
         raise DataError(f"map file {path}: {exc}") from exc
-    if normals is not None:
-        bad = ~np.all(np.isfinite(normals), axis=1)
-    else:
-        bad = np.ones(len(points), dtype=bool)
-    if np.any(bad):
-        if len(points) >= 10:
-            estimated = estimate_normals(PointCloud(points), k=10).normals
-            normals = estimated if normals is None \
-                else np.where(bad[:, None], estimated, normals)
-        elif normals is None:
-            normals = np.full_like(points, np.nan)
+    if normals is None:
+        normals = np.full_like(points, np.nan)
+    bad = ~np.all(np.isfinite(normals), axis=1)
+    if np.any(bad) and len(points) >= 10:
+        estimated = estimate_normals(PointCloud(points), k=10).normals
+        normals = np.where(bad[:, None], estimated, normals)
     cloud = PointCloud(points, normals)
     return PriorMap(cloud=cloud, index=build_index(cloud),
                     voxel_size=float(voxel_size))
@@ -279,12 +275,13 @@ def register_frame(cloud: PointCloud, prior_map: PriorMap, pose: Pose, cfg):
 
 
 def _map_factor(frame, keyframe, pose, prior_map, cfg) -> list:
-    """Fill the frame's registration fields; return its map factors."""
+    """Fill the frame's registration fields; return its map factors. A
+    scan file that cannot be read stops the run here, as malformed input."""
     k, t, source, _ = keyframe
     first = frame["index"] == 0
+    cloud = _scan_cloud(source)
     try:
-        result, report = register_frame(_scan_cloud(source), prior_map, pose,
-                                        cfg)
+        result, report = register_frame(cloud, prior_map, pose, cfg)
     except MaplocError as exc:
         if first:
             raise InitializationFailure(
@@ -406,7 +403,7 @@ def _assemble_map(graph: FactorGraph, keyframes, voxel: float) -> PointCloud:
     map's voxel grid past its int64 keys.
     """
     world_points = []
-    lo, hi = np.full(3, np.inf), np.full(3, -np.inf)
+    low, high = np.full(3, np.inf), np.full(3, -np.inf)
     for index, (_, _, source, _) in enumerate(keyframes):
         pose = graph.states[index].pose
         where = f"estimate diverged at {_keyframe_name(keyframes, index)}"
@@ -415,11 +412,10 @@ def _assemble_map(graph: FactorGraph, keyframes, voxel: float) -> PointCloud:
         cloud = _scan_cloud(source)
         if len(cloud):
             world = pose.transform(cloud.points)
-            cells = np.floor(world / voxel)
-            lo = np.minimum(lo, cells.min(axis=0))
-            hi = np.maximum(hi, cells.max(axis=0))
+            low = np.minimum(low, world.min(axis=0))
+            high = np.maximum(high, world.max(axis=0))
             try:
-                _key_spans(lo, hi, voxel)
+                _key_spans(low, high, voxel)
             except DataError as exc:
                 raise NumericalError(f"{where}: {exc}") from exc
             world_points.append(world)

@@ -7,6 +7,7 @@ the SE(3) left Jacobian via its ad-series instead of the closed form, the
 SO(3)/SE(3) kernels in their matrix form (skew products and matmuls)
 instead of the library's scalar closed forms,
 voxel grouping via row-wise np.unique and np.add.at instead of packed keys,
+the voxel grid's bounds from every point's cell instead of the extrema's,
 the masked map factor by deleting rows instead of zeroing its weight,
 the preintegration covariance by differencing a noisy integrator instead
 of propagating a linearized one, and the preintegration bias Jacobian and
@@ -203,6 +204,20 @@ def voxel_downsample_unique(points, voxel, normals=None):
         averaged = summed / norms[:, None]
     averaged[norms < 1e-9] = np.nan
     return centroids, averaged
+
+
+def key_spans_of_cells(points, voxel):
+    """The least cell and the per-axis cell counts of `points`' voxel grid
+    from the floor of every point, or the message of the DataError the
+    library raises for a grid too large for int64 keys."""
+    cells = np.floor(points / voxel)
+    lo, hi = cells.min(axis=0), cells.max(axis=0)
+    if not (np.all(lo > -2.0 ** 62) and np.all(hi < 2.0 ** 62)):
+        return "cell indices must be finite and below 2^62"
+    spans = [int(h) - int(l) + 1 for l, h in zip(lo, hi)]
+    if math.prod(spans) > 2 ** 63:
+        return "more than int64 keys"
+    return lo, spans
 
 
 def unit_hessian(corrs, pose):

@@ -515,6 +515,35 @@ class TestExitCodes:
         assert (f"error: initial registration of scan {first.name} at "
                 f"t={float(first.stem):.9f} failed: " in err)
 
+    @pytest.mark.parametrize("position", [0, 5], ids=["first", "mid-run"])
+    def test_truncated_scan_stops_run_exiting_two_naming_it(
+            self, smoke, tmp_path, capsys, caplog, monkeypatch, position):
+        """A scan file that cannot be parsed stops the run at its keyframe,
+        first or mid-run, as malformed input: exit 2 naming the file, no
+        skipped registration, and no later keyframe solved."""
+        scans = tmp_path / "scans"
+        shutil.copytree(smoke / "scans", scans)
+        bad = sorted(scans.glob("*.pcd"))[position]
+        bad.write_bytes(bad.read_bytes()[:-7])
+        calls = []
+        solve = FactorGraph.solve_incremental
+
+        def counting(graph, *args, **kwargs):
+            calls.append(None)
+            return solve(graph, *args, **kwargs)
+
+        monkeypatch.setattr(FactorGraph, "solve_incremental", counting)
+        rc = main(["localize", "--map", str(smoke / "map.pcd"),
+                   "--scans", str(scans),
+                   "--odom", str(smoke / "odometry.tum"),
+                   "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}: PCD body truncated: "), err
+        assert "registration skipped" not in caplog.text
+        assert len(calls) == position
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("assignment, code", [
         ("factors.prior_rot_sigma=1e200", 2),   # was an OverflowError
         ("factors.odom_trans_sigma=1e-200", 2),  # was a ZeroDivisionError

@@ -323,6 +323,23 @@ class TestBatchedKernels:
                                    expected, rtol=0.0, atol=1e-12)
 
 
+class TestPointCloud:
+    def test_float32_cast_quiets_a_signalling_nan(self):
+        """The float64 cast of float32 rows makes a signalling NaN normal a
+        quiet one without numpy's invalid-cast RuntimeWarning, which the
+        pytest configuration turns into an error."""
+        points = np.arange(6, dtype=np.float32).reshape(2, 3)
+        normals = np.zeros((2, 3), dtype=np.float32)
+        normals[0, 2] = 1.0
+        normals.view(np.uint32)[1, 0] = 0x7FA00000  # signalling NaN
+        cloud = PointCloud(points, normals)
+        assert cloud.points.dtype == cloud.normals.dtype == np.float64
+        assert np.array_equal(cloud.points, points)
+        assert np.array_equal(cloud.normals[0], [0.0, 0.0, 1.0])
+        assert np.isnan(cloud.normals[1, 0])
+        assert cloud.normals.view(np.uint64)[1, 0] & 1 << 51  # quiet bit
+
+
 class TestSpatialIndex:
     def test_knn_matches_brute_force_100_clouds(self):
         rng = np.random.default_rng(123)

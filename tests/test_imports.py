@@ -1,15 +1,17 @@
 """Every module in src/maploc uses each name it imports, every private
 module-level name it defines is read somewhere in the package, and every
-module-level function, class or constant it defines is read somewhere in
-src/, tests/ or perfbench/ outside its own definition.
+module-level function, class or constant, and every method or property of
+a module-level class, it defines is read somewhere in src/, tests/ or
+perfbench/ outside its own definition.
 
 No linter is installed, so this stands in for one: an import left behind
-when the code that used it moves fails here, and so does a helper, class
-or constant that a change left with no caller. `from __future__ import
-annotations` is exempt; it binds no name.
+when the code that used it moves fails here, and so does a helper, class,
+constant or method that a change left with no caller. `from __future__
+import annotations` is exempt; it binds no name.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -147,3 +149,80 @@ def test_every_module_level_name_is_read():
     others = [path.read_text() for folder in ("tests", "perfbench")
               for path in sorted((ROOT / folder).rglob("*.py"))]
     assert unreferenced_names(package, others) == []
+
+
+def _method_reads(tree):
+    """How often a tree reads each name in each way a method or property
+    can be read: ("attr", name) for any attribute, ("call", name) for an
+    attribute called, ("of", owner, name) for an attribute of a name or an
+    attribute `owner`, and ("str", name) for a string constant."""
+    reads = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            reads["attr", node.attr] += 1
+            owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+            reads["of", owner, node.attr] += 1
+        elif isinstance(node, ast.Call) and isinstance(node.func,
+                                                       ast.Attribute):
+            reads["call", node.func.attr] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            reads["str", node.value] += 1
+    return reads
+
+
+def unread_methods(package, sources):
+    """(module, line, "Class.name") of each method or property of a
+    module-level class in `package` (module name -> source text) that no
+    code of `package` or `sources` (more texts) reads outside its own
+    definition. A property is read as any attribute of its name. A method
+    is read where it is called as an attribute (x.name(...)), taken from
+    its class (Class.name), or named by a string (getattr, monkeypatch);
+    an attribute of the same name on some other object, such as a field,
+    does not read it. Dunder methods are exempt."""
+    methods, total = [], Counter()
+    for key, source in [*package.items(), *enumerate(sources)]:
+        tree = ast.parse(source)
+        total += _method_reads(tree)
+        if key in package:
+            methods += [(key, cls.name, node)
+                        for cls in tree.body if isinstance(cls, ast.ClassDef)
+                        for node in cls.body
+                        if isinstance(node, ast.FunctionDef)
+                        and not node.name.endswith("__")]
+    unread = []
+    for module, owner, node in methods:
+        name = node.name
+        if any(getattr(d, "id", None) == "property"
+               for d in node.decorator_list):
+            ways = [("attr", name)]
+        else:
+            ways = [("call", name), ("of", owner, name)]
+        own = _method_reads(node)
+        if not any(total[way] > own[way] for way in [*ways, ("str", name)]):
+            unread.append((module, node.lineno, f"{owner}.{name}"))
+    return sorted(unread)
+
+
+def test_guard_finds_an_unread_method():
+    package = {"a": "class Rows:\n"
+                    "    def cloud(self):\n        return self.cloud()\n"
+                    "    def used(self):\n        return 1\n"
+                    "    @property\n    def size(self):\n        return 2\n"
+                    "    @staticmethod\n    def make():\n        pass\n"
+                    "    def patched(self):\n        pass\n"
+                    "    def __len__(self):\n        return 0\n"
+                    "    @property\n    def gone(self):\n        pass\n"
+                    "class Map:\n    cloud = None\n"}
+    others = ["import a\nm = a.Map()\nprint(m.cloud, a.Rows().used())\n"
+              "print(m.size, a.Rows.make)\n"
+              "setattr(a.Rows, 'patched', None)\n"]
+    assert unread_methods(package, others) == [
+        ("a", 2, "Rows.cloud"), ("a", 17, "Rows.gone")]
+
+
+def test_every_method_is_read():
+    package = {path.stem: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    others = [path.read_text() for folder in ("tests", "perfbench")
+              for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unread_methods(package, others) == []

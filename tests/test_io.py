@@ -372,9 +372,54 @@ class TestPcd:
             assert not rows.normals.flags.writeable
         else:
             assert rows.normals is None
-        cloud = rows.cloud()
+        cloud = PointCloud(*rows)
         assert cloud.points.dtype == np.float64
         assert np.array_equal(cloud.points, want)
+
+    @pytest.mark.parametrize("fields, points_view, normals_view", [
+        ("x y z", True, None),
+        ("z y x", True, None),                      # a negative spacing
+        ("x y z normal_x normal_y normal_z", True, True),
+        ("x normal_x y normal_y z normal_z", True, True),  # every other field
+        ("x y i z normal_x normal_y normal_z", False, True),  # uneven x y z
+        ("x y z", False, None),                     # with a non-finite row
+    ], ids=["xyz", "zyx", "normals", "interleaved", "uneven", "nan"])
+    def test_ascii_rows_are_views_unless_copied(self, tmp_path, fields,
+                                                points_view, normals_view):
+        """An ASCII body's rows are read-only float64 views of its parsed
+        table when x y z (and the normals) sit at one field spacing and no
+        row is dropped; otherwise float64 copies."""
+        names = fields.split()
+        values = np.arange(4 * len(names)).reshape(4, len(names)) % 7 + 0.5
+        if not points_view and "i" not in names:
+            values[2, names.index("y")] = np.nan
+        keep = np.isfinite(values).all(axis=1)
+        path = tmp_path / "cloud.pcd"
+        path.write_text(
+            f"FIELDS {fields}\nSIZE{' 4' * len(names)}\n"
+            f"TYPE{' F' * len(names)}\nWIDTH 4\nDATA ascii\n"
+            + "".join(" ".join(map(str, row)) + "\n"
+                      for row in values.tolist()))
+        rows = read_cloud(path)
+
+        def columns(axes):
+            return values[keep][:, [names.index(a) for a in axes]]
+
+        assert np.array_equal(rows.points, columns("xyz"))
+        assert rows.points.dtype == np.float64
+        assert rows.points.flags.writeable != points_view
+        if normals_view is None:
+            assert rows.normals is None
+        else:
+            assert np.array_equal(rows.normals, columns(
+                ["normal_x", "normal_y", "normal_z"]))
+            assert rows.normals.dtype == np.float64
+            assert rows.normals.flags.writeable != normals_view
+            assert np.may_share_memory(rows.points, rows.normals) \
+                == (points_view and normals_view)  # one table's views
+        cloud = PointCloud(*rows)
+        assert cloud.points.flags.c_contiguous
+        assert np.array_equal(cloud.points, columns("xyz"))
 
     @pytest.mark.parametrize("entry, value", [
         ("SIZE", "4 4 four"), ("COUNT", "1 one 1"), ("POINTS", "two"),

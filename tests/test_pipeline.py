@@ -33,7 +33,7 @@ from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
                              run, emit_reports, voxel_downsample)
 
 from conftest import imu_stream, trajectory
-from oracles import voxel_downsample_unique
+from oracles import key_spans_of_cells, voxel_downsample_unique
 from test_registration import SMOKE_SPEC
 
 SENSOR = {"n_azimuth": 90, "n_elevation": 8, "max_range": 12.0,
@@ -242,6 +242,57 @@ class TestVoxelDownsample:
         a, _ = voxel_downsample(points, 0.5)
         b, _ = voxel_downsample(points, 0.5)
         assert np.array_equal(a, b)
+
+
+class TestKeySpans:
+    @pytest.mark.parametrize("voxel", [0.1, 0.25, 0.3, 1.0])
+    def test_least_cell_is_least_floor(self, voxel):
+        """The extrema's cells are the least and greatest of the points'
+        cells, for coordinates that straddle zero and sit on, just below
+        and just above cell boundaries, -0.0 included."""
+        edges = np.arange(-3, 4) * voxel
+        values = np.concatenate([edges, np.nextafter(edges, -np.inf),
+                                 np.nextafter(edges, np.inf), [-0.0, 0.0]])
+        rng = np.random.default_rng(17)
+        cases = [np.full((2, 3), -0.0), np.array([[-0.0, 0.0, -0.0]])]
+        cases += [rng.choice(values, size=(int(rng.integers(1, 6)), 3))
+                  for _ in range(300)]
+        for points in cases:
+            lo, spans = pipeline._key_spans(points.min(axis=0),
+                                            points.max(axis=0), voxel)
+            want_lo, want_spans = key_spans_of_cells(points, voxel)
+            assert np.array_equal(lo, want_lo)
+            assert spans == want_spans
+
+    @pytest.mark.parametrize("voxel", [0.1, 0.3, 1.0])
+    def test_bounds_raise_where_flooring_every_point_did(self, voxel):
+        """Both DataErrors, a cell index past 2^62 and more than 2^63 keys,
+        trigger at the extrema where the flooring of every point did."""
+        big = 2.0 ** 62 * voxel
+        axis_ends = [big, -big, math.inf, -math.inf, math.nan]
+        axis_ends += [np.nextafter(t, s) for t in (big, -big)
+                      for s in (-math.inf, math.inf)]
+        cases = [np.array([[0.0, 0.0, 0.0], np.roll([t, 0.0, 0.0], axis)])
+                 for t in axis_ends for axis in range(3)]
+        # cells 0 to 2^21 - 1 on x and y, and to 2^21 - 1 or 2^21 on z: a
+        # grid of exactly 2^63 keys, and one just past it
+        side = (2.0 ** 21 - 0.5) * voxel
+        cases += [np.array([[0.0, 0.0, 0.0], [side, side, side + d]])
+                  for d in (0.0, voxel)]
+        messages, fits = set(), 0
+        for points in cases:
+            want = key_spans_of_cells(points, voxel)
+            if isinstance(want, str):
+                with pytest.raises(DataError, match=re.escape(want)):
+                    pipeline._key_spans(points.min(axis=0),
+                                        points.max(axis=0), voxel)
+                messages.add(want)
+            else:
+                lo, spans = pipeline._key_spans(points.min(axis=0),
+                                                points.max(axis=0), voxel)
+                assert np.array_equal(lo, want[0]) and spans == want[1]
+                fits += math.prod(spans) == 2 ** 63
+        assert len(messages) == 2 and fits == 1
 
 
 def map_rows(rng, n=3000):
