@@ -37,6 +37,7 @@ logger = logging.getLogger("maploc.pipeline")
 
 SCAN_ODOM_MAX_DT = 0.010   # s, association gate between scans and odometry
 INIT_RESIDUAL_LIMIT = 0.5  # m, first-frame registration sanity bound
+_KEY_BLOCK = 1 << 16       # rows per block of voxel_downsample's key packing
 
 
 @dataclass(frozen=True)
@@ -108,35 +109,47 @@ def _key_spans(low, high, voxel):
     return lo, spans
 
 
+def _voxel_keys(points, voxel):
+    """Each row's packed int64 cell key, built over blocks of _KEY_BLOCK
+    rows so that the float64 floor and its int64 cast are block-sized. A
+    function of its own so that no block view of the key outlives it: the
+    caller's `del` then frees the key."""
+    lo, spans = _key_spans(points.min(axis=0), points.max(axis=0), voxel)
+    packed = np.zeros(len(points), dtype=np.int64)
+    for start in range(0, len(points), _KEY_BLOCK):
+        rows = points[start:start + _KEY_BLOCK]
+        key = packed[start:start + _KEY_BLOCK]
+        for axis, span in enumerate(spans):
+            cells = np.floor(np.divide(rows[:, axis], voxel, dtype=float))
+            key *= span
+            key += cells.astype(np.int64) - int(lo[axis])
+    return packed
+
+
 def voxel_downsample(points, voxel, normals=None):
     """Centroid downsampling on a regular grid. Deterministic: cells are
     processed in lexicographic key order.
 
     Each point's cell floor(p / voxel) is packed into one int64 key whose
-    order is the lexicographic (x, y, z) order, so one 1-D sort groups the
-    points. A grid too large for that key is a DataError.
+    order is the lexicographic (x, y, z) order. A grid too large for that
+    key is a DataError. One sort of the keys gives the distinct keys, and
+    np.searchsorted of each point's key among them gives its voxel's rank
+    in key order, with no permutation or group-count array at full size.
 
     points and normals are (N, 3) rows of any float dtype, strided views
     included, and are neither copied nor cast whole: the key is packed one
-    column at a time, each column cast to float64 for its own floor, and
-    np.bincount sums each column in float64. So float32 rows give the bits
-    their float64 cast would.
+    column and one block of rows at a time, each block cast to float64 for
+    its own floor, and np.bincount sums each column in float64. So float32
+    rows give the bits their float64 cast would.
     """
     points = np.asarray(points)
     if len(points) == 0:
         return np.zeros((0, 3)), None if normals is None else np.zeros((0, 3))
-    lo, spans = _key_spans(points.min(axis=0), points.max(axis=0), voxel)
-    packed = np.zeros(len(points), dtype=np.int64)
-    for axis, span in enumerate(spans):
-        cells = np.divide(points[:, axis], voxel, dtype=float)
-        np.floor(cells, out=cells)
-        cells = cells.astype(np.int64)
-        cells -= int(lo[axis])
-        packed *= span
-        packed += cells
-    del cells
-    inverse = np.unique(packed, return_inverse=True)[1]
-    del packed
+    packed = _voxel_keys(points, voxel)
+    keys = np.sort(packed)
+    keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    inverse = np.searchsorted(keys, packed)
+    del packed, keys
     counts = np.bincount(inverse).astype(float)
 
     # np.bincount adds in input order, so each voxel's sum has the bits of
@@ -274,12 +287,11 @@ def register_frame(cloud: PointCloud, prior_map: PriorMap, pose: Pose, cfg):
                           DegeneracyParams(**cfg["degeneracy"]))
 
 
-def _map_factor(frame, keyframe, pose, prior_map, cfg) -> list:
-    """Fill the frame's registration fields; return its map factors. A
-    scan file that cannot be read stops the run here, as malformed input."""
+def _map_factor(frame, keyframe, cloud, pose, prior_map, cfg) -> list:
+    """Fill the frame's registration fields from registering the keyframe's
+    scan `cloud`; return its map factors."""
     k, t, source, _ = keyframe
     first = frame["index"] == 0
-    cloud = _scan_cloud(source)
     try:
         result, report = register_frame(cloud, prior_map, pose, cfg)
     except MaplocError as exc:
@@ -438,7 +450,7 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
     graph = FactorGraph()
     frames, opt_records = [], []
     for index, keyframe in enumerate(keyframes):
-        _, t, _, odom_pose = keyframe
+        _, t, source, odom_pose = keyframe
         if index == 0:
             pose = (odom_pose if sequence.initial_pose is None
                     else sequence.initial_pose)
@@ -459,9 +471,12 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
         frame = {"index": index, "timestamp": t, "residual_rms": None,
                  "correspondences": 0, "map_factor_added": False,
                  "mask": [], "zupt": False, "degeneracy": None}
+        # every keyframe's scan is read here, on the map-factor stride or
+        # not, so a file that cannot be parsed stops the run at its keyframe
+        cloud = _scan_cloud(source)
         if index % cfg["map_factor_stride"] == 0:
-            factors += _map_factor(frame, keyframe, state.pose, prior_map,
-                                   cfg)
+            factors += _map_factor(frame, keyframe, cloud, state.pose,
+                                   prior_map, cfg)
         if len(imu) and index > 0:
             zupt = _zupt_factors(index, keyframe, prev_state, sequence,
                                  zupt_span, cfg, info)

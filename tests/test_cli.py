@@ -515,12 +515,15 @@ class TestExitCodes:
         assert (f"error: initial registration of scan {first.name} at "
                 f"t={float(first.stem):.9f} failed: " in err)
 
-    @pytest.mark.parametrize("position", [0, 5], ids=["first", "mid-run"])
+    @pytest.mark.parametrize("position, stride", [(0, 1), (5, 1), (5, 2)],
+                             ids=["first", "mid-run", "off-stride"])
     def test_truncated_scan_stops_run_exiting_two_naming_it(
-            self, smoke, tmp_path, capsys, caplog, monkeypatch, position):
+            self, smoke, tmp_path, capsys, caplog, monkeypatch, position,
+            stride):
         """A scan file that cannot be parsed stops the run at its keyframe,
-        first or mid-run, as malformed input: exit 2 naming the file, no
-        skipped registration, and no later keyframe solved."""
+        first or mid-run, on the map-factor stride or off it, as malformed
+        input: exit 2 naming the file, no skipped registration, and no
+        later keyframe solved."""
         scans = tmp_path / "scans"
         shutil.copytree(smoke / "scans", scans)
         bad = sorted(scans.glob("*.pcd"))[position]
@@ -536,7 +539,8 @@ class TestExitCodes:
         rc = main(["localize", "--map", str(smoke / "map.pcd"),
                    "--scans", str(scans),
                    "--odom", str(smoke / "odometry.tum"),
-                   "--out", str(tmp_path / "run")])
+                   "--out", str(tmp_path / "run"),
+                   "--set", f"map_factor_stride={stride}"])
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith(f"error: {bad}: PCD body truncated: "), err
