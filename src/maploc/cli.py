@@ -28,7 +28,6 @@ from .evaluate import (DEFAULT_THRESHOLD, compute_metrics, map_accuracy,
 from .geometry import PointCloud, Pose
 from .pipeline import (emit_reports, evaluate_run, load_map, load_sequence,
                        register_frame, run)
-from .synth import generate, load_scene_spec, write_sequence
 
 logger = logging.getLogger("maploc")
 
@@ -72,6 +71,10 @@ def _cmd_localize(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # imported here: synth pulls in scipy.interpolate, which no other
+    # command needs
+    from .synth import generate, load_scene_spec, write_sequence
+
     spec = load_scene_spec(args.spec)
     result = generate(spec)
     paths = write_sequence(result, args.out)

@@ -229,8 +229,14 @@ class CloudRows(NamedTuple):
 
 def _finite_rows(points, normals=None) -> CloudRows:
     """The rows whose coordinates are all finite; a copy only when some row
-    is not."""
-    keep = np.isfinite(points).all(axis=1)
+    is not.
+
+    The mask is taken one column at a time: numpy reduces (N, 3) rows along
+    their 3-long axis several times slower than it reduces a column, and
+    `and` gives the same mask in any order. Sums never take this shortcut,
+    since a column's sum is pairwise and would change the bits."""
+    x, y, z = points.T
+    keep = np.isfinite(x) & np.isfinite(y) & np.isfinite(z)
     if keep.all():
         return CloudRows(points, normals)
     return CloudRows(points[keep], None if normals is None else normals[keep])

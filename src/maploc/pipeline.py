@@ -113,8 +113,16 @@ def _voxel_keys(points, voxel):
     """Each row's packed int64 cell key, built over blocks of _KEY_BLOCK
     rows so that the float64 floor and its int64 cast are block-sized. A
     function of its own so that no block view of the key outlives it: the
-    caller's `del` then frees the key."""
-    lo, spans = _key_spans(points.min(axis=0), points.max(axis=0), voxel)
+    caller's `del` then frees the key.
+
+    The extrema are taken one column at a time, as io._finite_rows takes
+    its finite mask: numpy reduces (N, 3) rows along an axis several times
+    slower than it reduces a column, and min and max give the same bits in
+    any order. Sums and means keep their order (np.bincount adds in input
+    order), since a column's sum is pairwise and would change the bits."""
+    columns = points.T
+    lo, spans = _key_spans([c.min() for c in columns],
+                           [c.max() for c in columns], voxel)
     packed = np.zeros(len(points), dtype=np.int64)
     for start in range(0, len(points), _KEY_BLOCK):
         rows = points[start:start + _KEY_BLOCK]
@@ -188,7 +196,8 @@ def load_map(path, voxel_size=0.1) -> PriorMap:
         raise DataError(f"map file {path}: {exc}") from exc
     if normals is None:
         normals = np.full_like(points, np.nan)
-    bad = ~np.all(np.isfinite(normals), axis=1)
+    nx, ny, nz = normals.T
+    bad = ~(np.isfinite(nx) & np.isfinite(ny) & np.isfinite(nz))
     if np.any(bad) and len(points) >= 10:
         estimated = estimate_normals(PointCloud(points), k=10).normals
         normals = np.where(bad[:, None], estimated, normals)
@@ -424,8 +433,8 @@ def _assemble_map(graph: FactorGraph, keyframes, voxel: float) -> PointCloud:
         cloud = _scan_cloud(source)
         if len(cloud):
             world = pose.transform(cloud.points)
-            low = np.minimum(low, world.min(axis=0))
-            high = np.maximum(high, world.max(axis=0))
+            low = np.minimum(low, [c.min() for c in world.T])
+            high = np.maximum(high, [c.max() for c in world.T])
             try:
                 _key_spans(low, high, voxel)
             except DataError as exc:

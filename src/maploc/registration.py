@@ -78,9 +78,8 @@ def _checked_scan(scan):
         raise NoCorrespondences("scan holds no points")
     if scan.ndim != 2 or scan.shape[1] != 3:
         raise DataError(f"scan must have shape (N, 3), not {scan.shape}")
-    bad = ~np.isfinite(scan).all(axis=1)
-    if bad.any():
-        row = int(np.argmax(bad))
+    if not np.isfinite(scan).all():
+        row = int(np.argmin(np.isfinite(scan).all(axis=1)))
         raise DataError(f"scan row {row} is not finite: {scan[row].tolist()}")
     return scan
 

@@ -1,7 +1,7 @@
 """CLI tests: subcommand wiring, exit codes, and output sanity.
 
-Everything runs main() in-process except one subprocess check of the
-`python -m maploc` entry point.
+Everything runs main() in-process except two subprocess checks: the
+`python -m maploc` entry point and the modules `import maploc.cli` loads.
 """
 
 import json
@@ -721,13 +721,27 @@ def test_degeneracy_report_matches_localize_frame(tmp_path, capsys):
     assert frame["correspondences"] == report["num_correspondences"]
 
 
-def test_module_entry_point():
-    # the subprocess must import the maploc this test imported, whether or
-    # not it is installed
+def _python(*args):
+    """Runs a fresh interpreter on the maploc this test imported, whether or
+    not it is installed."""
     src = str(Path(maploc.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "maploc", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_module_entry_point():
+    proc = _python("-m", "maploc", "--help")
     assert proc.returncode == 0
     assert "localize" in proc.stdout
+
+
+def test_cli_import_leaves_synth_unloaded():
+    """Only `maploc synth` needs synth and its scipy.interpolate, so the
+    other commands do not pay for importing them."""
+    proc = _python("-c", "import sys, maploc.cli; print(sorted(m for m in "
+                   "sys.modules if m == 'maploc.synth' "
+                   "or m.startswith('scipy.interpolate')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -376,6 +376,30 @@ class TestPcd:
         assert cloud.points.dtype == np.float64
         assert np.array_equal(cloud.points, want)
 
+    def test_binary_rows_drop_each_column_non_finite(self, tmp_path):
+        """The finite mask is taken column by column: a NaN in y, +inf in z
+        and -inf in x each drop their own row and no other, normals with
+        them, and an all-finite body's rows share memory with its bytes."""
+        header = ("FIELDS x y z normal_x normal_y normal_z\n"
+                  "SIZE 4 4 4 4 4 4\nTYPE F F F F F F\nWIDTH 7\n"
+                  "DATA binary\n").encode()
+        values = np.arange(42, dtype="<f4").reshape(7, 6)
+        path = tmp_path / "cloud.pcd"
+        path.write_bytes(header + values.tobytes())
+        rows = read_cloud(path)
+        base = rows.points
+        while not isinstance(base, bytes):
+            base = base.base
+        assert np.shares_memory(rows.points, np.frombuffer(base, np.uint8))
+        assert np.array_equal(rows.points, values[:, :3])
+
+        values[1, 1], values[3, 2], values[5, 0] = np.nan, np.inf, -np.inf
+        path.write_bytes(header + values.tobytes())
+        rows = read_cloud(path)
+        keep = [0, 2, 4, 6]
+        assert np.array_equal(rows.points, values[keep, :3])
+        assert np.array_equal(rows.normals, values[keep, 3:])
+
     @pytest.mark.parametrize("fields, points_view, normals_view", [
         ("x y z", True, None),
         ("z y x", True, None),                      # a negative spacing

@@ -182,10 +182,20 @@ def block_straddling_cloud(seed):
     return points, 0.25, normals
 
 
+# each axis's least and greatest coordinate in a row of its own, so the
+# grid's corner is in no row: extrema taken per row, or from one column for
+# every axis, give the wrong grid
+SCATTERED_EXTREMA = (np.array([[-1.05, 0.1, 0.2], [0.95, -0.1, 0.0],
+                               [0.3, -0.85, 0.1], [-0.2, 0.75, -0.1],
+                               [0.1, 0.3, -0.65], [0.0, -0.2, 0.55]]),
+                     0.25, np.tile([0.0, 0.6, 0.8], (6, 1)))
+
+
 class TestVoxelDownsample:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(cloud=voxel_clouds())
     @example(cloud=block_straddling_cloud(30))
+    @example(cloud=SCATTERED_EXTREMA)
     @example(cloud=(np.zeros((0, 3)), 0.1, None))
     @example(cloud=(np.zeros((0, 3)), 0.1, np.zeros((0, 3))))
     @example(cloud=(np.array([[-0.05, 0.1, 0.0]]), 0.1,
@@ -211,6 +221,7 @@ class TestVoxelDownsample:
     @example(cloud=(np.array([[-0.25, 0.5, -0.75], [0.25, -0.5, 0.75]],
                              dtype=np.float32)[:, ::-1], 0.25, None))
     @example(cloud=strided_float32(block_straddling_cloud(31)))
+    @example(cloud=strided_float32(SCATTERED_EXTREMA))
     def test_float32_rows_bit_identical_to_oracle_of_cast(self, cloud):
         """float32 rows, strided views included, give the bits the oracle
         gives on their float64 cast: negative coordinates, coordinates on

@@ -411,7 +411,9 @@ def test_memo_on_a_one_point_map_keeps_every_finite_row():
      r"row 1 is not finite: \[1.0, nan, 0.0\]"),
     ([[0.0, 0, 0], [0.0, 0, 0], [-np.inf, 0, 0]],
      r"row 2 is not finite: \[-inf, 0.0, 0.0\]"),
-], ids=["two-columns", "one-row-1d", "ragged", "nan", "inf"])
+    (np.r_[np.ones((6, 3)), [[2.0, 3.0, np.nan]]],
+     r"row 6 is not finite: \[2.0, 3.0, nan\]"),
+], ids=["two-columns", "one-row-1d", "ragged", "nan", "inf", "last-z"])
 def test_malformed_scan_raises_data_error(rng, scan, message):
     index = build_index(box_map(rng))
     with warnings.catch_warnings():
