@@ -51,7 +51,8 @@ class PriorMap:
 class SequenceInput:
     """One localization input: scans with timestamps, odometry, IMU.
 
-    Scan sources may be PointClouds (in memory) or paths loaded on demand.
+    Scan sources may be PointClouds (in memory) or paths; the run loop reads
+    each path once and keeps its cloud for the map assembly.
     The IMU stream, () for none, is rebuilt (so checked) by imu_samples.
     load_sequence sets the stream io.read_imu_csv built, so checked,
     through imu_samples after construction: each stream is checked once.
@@ -225,12 +226,6 @@ def _scan_name(k, source) -> str:
     return str(k) if isinstance(source, PointCloud) else Path(source).name
 
 
-def _scan_cloud(source) -> PointCloud:
-    if isinstance(source, PointCloud):
-        return source
-    return mio.read_pcd(source)
-
-
 # ---------------------------------------------------------------------------
 # the run loop and its stages, in the order run() calls them
 
@@ -282,6 +277,43 @@ def _keyframes(sequence: SequenceInput, stride: int) -> tuple:
     if not keyframes:
         raise NoMatches("no scan associates with odometry within the gate")
     return keyframes, skipped
+
+
+def _keyframe_stage(index, keyframes, graph, sequence, prior_map, cfg, info,
+                    period, zupt_span):
+    """Keyframe `index` up to its solve: its seeded state, its factors, its
+    frame row and its scan, read here only, on the map-factor stride or not,
+    so a scan file that cannot be parsed stops the run at its keyframe."""
+    _, t, source, odom_pose = keyframe = keyframes[index]
+    if index == 0:
+        pose = (odom_pose if sequence.initial_pose is None
+                else sequence.initial_pose)
+        state = StateNode.at(pose, t)
+        factors = [PriorFactor(0, pose, info["prior"])]
+        if len(sequence.imu):
+            factors.append(BiasPriorFactor(0, np.zeros(6), info["bias_prior"]))
+    else:
+        prev_state = graph.states[index - 1]
+        rel = between(keyframes[index - 1][3], odom_pose)
+        init_pose = compose(prev_state.pose, rel)
+        velocity = (init_pose.translation
+                    - prev_state.pose.translation) / (t - prev_state.timestamp)
+        state = StateNode.at(init_pose, t, velocity=velocity)
+        factors = [OdometryFactor(index - 1, index, rel, info["odometry"])]
+    frame = {"index": index, "timestamp": t, "residual_rms": None,
+             "correspondences": 0, "map_factor_added": False,
+             "mask": [], "zupt": False, "degeneracy": None}
+    cloud = source if isinstance(source, PointCloud) else mio.read_pcd(source)
+    if index % cfg["map_factor_stride"] == 0:
+        factors += _map_factor(frame, keyframe, cloud, state.pose, prior_map,
+                               cfg)
+    if len(sequence.imu) and index > 0:
+        zupt = _zupt_factors(index, keyframe, prev_state, sequence, zupt_span,
+                             cfg, info)
+        frame["zupt"] = bool(zupt)
+        factors += zupt + _imu_factors(index, keyframe, prev_state,
+                                       sequence.imu, period, cfg, info)
+    return state, factors, frame, cloud
 
 
 def register_frame(cloud: PointCloud, prior_map: PriorMap, pose: Pose, cfg):
@@ -416,33 +448,32 @@ def _failed_solve(exc: SingularSystem, solve, keyframes, index=None):
                           state_index=exc.state_index)
 
 
-def _assemble_map(graph: FactorGraph, keyframes, voxel: float) -> PointCloud:
-    """The keyframe scans at their optimized poses, voxel-downsampled.
+def _assemble_map(graph: FactorGraph, keyframes, clouds, voxel) -> PointCloud:
+    """The keyframe scans as the run loop read them, `clouds`, at their
+    optimized poses, written one slice each into one array and downsampled.
 
     An estimate that diverged from valid inputs is a NumericalError naming
     the first keyframe whose pose is non-finite or whose points take the
     map's voxel grid past its int64 keys.
     """
-    world_points = []
+    ends = np.cumsum([len(cloud) for cloud in clouds])
+    world = np.empty((ends[-1], 3))
     low, high = np.full(3, np.inf), np.full(3, -np.inf)
-    for index, (_, _, source, _) in enumerate(keyframes):
+    for index, (cloud, end) in enumerate(zip(clouds, ends)):
         pose = graph.states[index].pose
         where = f"estimate diverged at {_keyframe_name(keyframes, index)}"
         if not np.isfinite(pose.matrix()).all():
             raise NumericalError(f"{where}: non-finite pose")
-        cloud = _scan_cloud(source)
         if len(cloud):
-            world = pose.transform(cloud.points)
-            low = np.minimum(low, [c.min() for c in world.T])
-            high = np.maximum(high, [c.max() for c in world.T])
+            block = world[end - len(cloud):end]
+            block[:] = pose.transform(cloud.points)
+            low = np.minimum(low, [c.min() for c in block.T])
+            high = np.maximum(high, [c.max() for c in block.T])
             try:
                 _key_spans(low, high, voxel)
             except DataError as exc:
                 raise NumericalError(f"{where}: {exc}") from exc
-            world_points.append(world)
-    if not world_points:
-        return PointCloud(np.empty((0, 3)))
-    return PointCloud(voxel_downsample(np.vstack(world_points), voxel)[0])
+    return PointCloud(voxel_downsample(world, voxel)[0])
 
 
 def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
@@ -457,48 +488,18 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
     zupt_span = cfg["zupt"]["min_duration"] + 1.5 * period
 
     graph = FactorGraph()
-    frames, opt_records = [], []
-    for index, keyframe in enumerate(keyframes):
-        _, t, source, odom_pose = keyframe
-        if index == 0:
-            pose = (odom_pose if sequence.initial_pose is None
-                    else sequence.initial_pose)
-            state = StateNode.at(pose, t)
-            factors = [PriorFactor(0, pose, info["prior"])]
-            if len(imu):
-                factors.append(BiasPriorFactor(0, np.zeros(6),
-                                               info["bias_prior"]))
-        else:
-            prev_state = graph.states[index - 1]
-            rel = between(keyframes[index - 1][3], odom_pose)
-            init_pose = compose(prev_state.pose, rel)
-            velocity = (init_pose.translation
-                        - prev_state.pose.translation) / (t - prev_state.timestamp)
-            state = StateNode.at(init_pose, t, velocity=velocity)
-            factors = [OdometryFactor(index - 1, index, rel, info["odometry"])]
-
-        frame = {"index": index, "timestamp": t, "residual_rms": None,
-                 "correspondences": 0, "map_factor_added": False,
-                 "mask": [], "zupt": False, "degeneracy": None}
-        # every keyframe's scan is read here, on the map-factor stride or
-        # not, so a file that cannot be parsed stops the run at its keyframe
-        cloud = _scan_cloud(source)
-        if index % cfg["map_factor_stride"] == 0:
-            factors += _map_factor(frame, keyframe, cloud, state.pose,
-                                   prior_map, cfg)
-        if len(imu) and index > 0:
-            zupt = _zupt_factors(index, keyframe, prev_state, sequence,
-                                 zupt_span, cfg, info)
-            frame["zupt"] = bool(zupt)
-            factors += zupt + _imu_factors(index, keyframe, prev_state,
-                                           imu, period, cfg, info)
-
+    frames, clouds, opt_records = [], [], []
+    for index in range(len(keyframes)):
+        state, factors, frame, cloud = _keyframe_stage(
+            index, keyframes, graph, sequence, prior_map, cfg, info, period,
+            zupt_span)
         try:
             outcome = graph.solve_incremental(state, factors,
                                               window=cfg["window"])
         except SingularSystem as exc:
             raise _failed_solve(exc, "window", keyframes, index) from exc
         frames.append(frame)
+        clouds.append(cloud)
         opt_records.append((str(index), outcome.records))
 
     try:
@@ -508,11 +509,10 @@ def run(prior_map: PriorMap, sequence: SequenceInput, config=None,
         raise _failed_solve(exc, "final", keyframes) from exc
     opt_records.append(("final", final.records))
 
-    map_cloud = _assemble_map(graph, keyframes, cfg["voxel_size"])
-    states = graph.states
+    map_cloud = _assemble_map(graph, keyframes, clouds, cfg["voxel_size"])
     result = RunResult(
-        trajectory=Trajectory(states.timestamp, states.rotation,
-                              states.translation),
+        trajectory=Trajectory(graph.states.timestamp, graph.states.rotation,
+                              graph.states.translation),
         map_cloud=map_cloud, frames=frames,
         graph=graph, optimizer_records=opt_records,
         report=mio.sanitize_json({

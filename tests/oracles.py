@@ -8,6 +8,8 @@ SO(3)/SE(3) kernels in their matrix form (skew products and matmuls)
 instead of the library's scalar closed forms,
 voxel grouping via row-wise np.unique and np.add.at instead of packed keys,
 the voxel grid's bounds from every point's cell instead of the extrema's,
+the run's map from a list of world-frame scans stacked with np.vstack
+instead of slices of one preallocated array,
 the masked map factor by deleting rows instead of zeroing its weight,
 the preintegration covariance by differencing a noisy integrator instead
 of propagating a linearized one, and the preintegration bias Jacobian and
@@ -204,6 +206,16 @@ def voxel_downsample_unique(points, voxel, normals=None):
         averaged = summed / norms[:, None]
     averaged[norms < 1e-9] = np.nan
     return centroids, averaged
+
+
+def stacked_map(poses, scans, voxel):
+    """The map of a run whose states have `poses` and whose keyframe scans
+    are `scans` (PointClouds, empty ones included): each scan moved to its
+    pose, the moved scans stacked with np.vstack, and the stack reduced to
+    voxel centroids."""
+    world = [pose.transform(scan.points)
+             for pose, scan in zip(poses, scans, strict=True)]
+    return voxel_downsample_unique(np.vstack(world), voxel)[0]
 
 
 def key_spans_of_cells(points, voxel):

@@ -33,7 +33,8 @@ from maploc.pipeline import (PriorMap, SequenceInput, load_map, load_sequence,
                              run, emit_reports, voxel_downsample)
 
 from conftest import imu_stream, trajectory
-from oracles import key_spans_of_cells, voxel_downsample_unique
+from oracles import (key_spans_of_cells, stacked_map,
+                     voxel_downsample_unique)
 from test_registration import SMOKE_SPEC
 
 SENSOR = {"n_azimuth": 90, "n_elevation": 8, "max_range": 12.0,
@@ -778,6 +779,29 @@ class TestMapFactorStride:
             acc[stride] = out.metrics.map_acc_cm
         assert acc[1] <= acc[4]
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_each_scan_read_once_per_keyframe(self, tmp_path, monkeypatch,
+                                              stride):
+        """A run over scan files reads each keyframe's scan once, in its
+        loop, on the map-factor stride or not, and builds the map from the
+        clouds it read there."""
+        result, pm = scene(SMOKE_SPEC)
+        paths = synth.write_sequence(result, tmp_path)
+        seq = load_sequence(paths["scans"], paths["odometry"], paths["imu"])
+        reads, clouds = [], []
+
+        def counted(path):
+            reads.append(path)
+            clouds.append(read_pcd(path))
+            return clouds[-1]
+        monkeypatch.setattr(mio, "read_pcd", counted)
+        out = run(pm, seq, make_cfg(map_factor_stride=stride))
+        assert reads == [path for _, path in seq.scans]
+        assert len(out.frames) == len(result.scans)
+        assert np.array_equal(out.map_cloud.points, stacked_map(
+            [state.pose for state in out.graph.states], clouds,
+            make_cfg()["voxel_size"]))
+
 
 class TestKeyframeAssociation:
     """Which odometry pose each scan takes, read from run()'s output. With
@@ -964,6 +988,11 @@ class TestAssociationAndErrors:
             assert frame["degeneracy"] is None
         assert out.frames[6]["map_factor_added"] is True
         assert out.metrics.ate_rmse_cm < 0.2  # odometry bridges the gap
+        # the map is the scans as the run read them, each at its state's pose,
+        # bit for bit: the assembly's slices skip past an empty or short scan
+        poses = [state.pose for state in out.graph.states]
+        assert np.array_equal(out.map_cloud.points, stacked_map(
+            poses, [cloud for _, cloud in scans], make_cfg()["voxel_size"]))
 
     def test_invalid_config_rejected(self, room):
         result, pm = room
