@@ -297,14 +297,16 @@ class SpatialIndex:
         self.size = len(cloud)
         self._tree = cKDTree(cloud.points, balanced_tree=True)
 
-    def knn(self, queries, k, workers=1, guard=False):
+    def knn(self, queries, k, workers=1, guard=False, bound=np.inf):
         """Indices (and distances) of the k nearest points per query row.
 
         Returns (distances (M,k), indices (M,k)), rows sorted by
         (distance, index). k is clamped to the cloud size. With guard=True
-        it also returns beyond (M,), each row's (k+1)-th smallest distance,
-        which every point not among its k bounds from below (inf when the
-        cloud has no more than k points).
+        it also returns beyond (M,), a distance that every point not among
+        a row's k reaches: its (k+1)-th smallest distance, at most bound
+        (inf when the cloud has no more than k points). Only points nearer
+        than bound are found; a row with fewer pads with distance inf and
+        index size, and a padded entry is never re-resolved as a tie.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         k = min(int(k), self.size)
@@ -312,7 +314,8 @@ class SpatialIndex:
             raise ValueError("k must be >= 1")
         # query one extra neighbor to detect ties at the k-th boundary
         kq = min(k + 1, self.size)
-        dist, idx = self._tree.query(queries, k=kq, workers=workers)
+        dist, idx = self._tree.query(queries, k=kq, workers=workers,
+                                     distance_upper_bound=bound)
         dist = dist.reshape(len(queries), kq)
         idx = idx.reshape(len(queries), kq)
         # the tree sorts each row by distance; order equal distances by index
@@ -323,8 +326,8 @@ class SpatialIndex:
             idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
         beyond = np.full(len(queries), np.inf)
         if kq > k:
-            beyond = dist[:, k]
-            boundary = dist[:, k] <= dist[:, k - 1]
+            beyond = np.minimum(dist[:, k], bound)
+            boundary = (dist[:, k] <= dist[:, k - 1]) & (idx[:, k - 1] < self.size)
             for row in np.nonzero(boundary)[0]:
                 # exact re-resolution: all candidates within the k-th distance
                 cand = self._tree.query_ball_point(queries[row], dist[row, k - 1] * (1.0 + 1e-12))

@@ -39,12 +39,21 @@ class RegistrationParams:
 
 @dataclass(frozen=True)
 class Correspondences:
-    """Matched pairs, struct-of-arrays, ordered by scan point index."""
+    """Matched pairs, struct-of-arrays, ordered by scan point index.
+
+    find_correspondences also keeps the pose it associated at and the world
+    points it computed the residuals from, so that assemble_system and
+    align's final Hessian at that pose transform no point again. The
+    arrays are the pairs' own: a later association on the same memo does
+    not change them.
+    """
 
     source_points: np.ndarray   # (N, 3) body frame
     target_points: np.ndarray   # (N, 3) world frame
     target_normals: np.ndarray  # (N, 3) unit
     residuals: np.ndarray       # (N,) signed point-to-plane distances
+    world_points: np.ndarray | None = None  # (N, 3) source at pose
+    pose: Pose | None = None
 
     def __len__(self):
         return self.source_points.shape[0]
@@ -85,17 +94,23 @@ def _checked_scan(scan):
 
 
 class _NearestMemo:
-    """Each scan point's nearest map point, kept across one align call.
+    """Each scan point's nearest map point, kept across one align call (one
+    correspondence gate, whose bound its queries take).
 
     For each point it holds its world position at its last k-d query (the
-    anchor), the nearest map index found there, and the nearest and second
-    nearest distances d1 and d2 (knn's guard distance, inf on a one-point
-    map). A point that has since moved by m is at most d1 + m from that map
-    point and at least d2 - m from every other, so while d1 + 2m < d2 (less
-    a rounding margin) its nearest point cannot have changed, ties
-    included. Only the other points are queried again; a NaN in the test
-    counts as stale. A fresh memo has NaN everywhere, so its first
-    association queries every point.
+    anchor), the nearest and second nearest distances d1 and d2 found there
+    (knn's guard distance: at most the query's bound, inf on a one-point
+    map), and that nearest map point (target), its normal and whether the
+    normal is finite (has_normal). A point that has since moved by m is at
+    most d1 + m from that map point and at least d2 - m from every other,
+    so while d1 + 2m < d2 (less a rounding margin) its nearest point cannot
+    have changed, ties included; nor can that of a point that has not
+    moved. Only the other points are queried again, and only their rows
+    of the state are written. A point with no map point within the bound
+    has d1 = inf and a NaN target and normal, so it matches nothing and is
+    queried again once it moves; a NaN in the test counts as stale. A
+    fresh memo has NaN everywhere, so its first association queries every
+    point.
     """
 
     def __init__(self, scan, pose):
@@ -105,35 +120,41 @@ class _NearestMemo:
             raise DataError(f"pose is not finite: {pose.matrix()[:3].tolist()}")
         n = len(self.scan)
         self.anchor = np.full((n, 3), np.nan)
-        self.index = np.zeros(n, dtype=np.intp)
         self.d1 = np.full(n, np.nan)
         self.d2 = np.full(n, np.nan)
+        self.target = np.full((n, 3), np.nan)
+        self.normal = np.full((n, 3), np.nan)
+        self.has_normal = np.zeros(n, dtype=bool)
 
     def stale(self, world):
         """Rows whose nearest map point may differ from the memo's."""
         moved = world - self.anchor
         moved = np.sqrt(np.einsum("ij,ij->i", moved, moved))
-        return ~(self.d1 + 2.0 * moved + _KEEP_MARGIN < self.d2)
+        return ~((self.d1 + 2.0 * moved + _KEEP_MARGIN < self.d2)
+                 | (moved == 0.0))
 
-    def nearest(self, world, map_index, workers):
-        """Distance and index of each world point's nearest map point, with
-        one k-d query for the stale rows. The lowest index wins a tie."""
-        stale = self.stale(world)
-        dist, idx, beyond = map_index.knn(world[stale], 1, workers=workers,
-                                          guard=True)
-        self.anchor[stale] = world[stale]
-        self.index[stale] = idx[:, 0]
-        self.d1[stale] = dist[:, 0]
-        self.d2[stale] = beyond
-        # summed as the k-d tree sums it, so a kept distance equals a fresh one
-        kept = ~stale
-        delta = world[kept] - map_index.cloud.points[self.index[kept]]
-        distance = np.empty(len(world))
-        distance[kept] = np.sqrt(delta[:, 0] * delta[:, 0]
-                                 + delta[:, 1] * delta[:, 1]
-                                 + delta[:, 2] * delta[:, 2])
-        distance[stale] = dist[:, 0]
-        return distance, self.index
+    def nearest(self, world, map_index, workers, bound=np.inf):
+        """Each world point's nearest map point within bound, its normal and
+        whether that is finite, with one k-d query for the stale rows. The
+        lowest index wins a tie. Returns the memo's own arrays."""
+        rows = np.flatnonzero(self.stale(world))
+        # np.take gathers rows several times faster than fancy indexing
+        moved = np.take(world, rows, axis=0)
+        dist, idx, beyond = map_index.knn(moved, 1, workers=workers,
+                                          guard=True, bound=bound)
+        self.anchor[rows] = moved
+        self.d1[rows] = dist[:, 0]
+        self.d2[rows] = beyond
+        found = idx[:, 0] < map_index.size
+        hit, idx = rows[found], idx[found, 0]
+        normal = np.take(map_index.cloud.normals, idx, axis=0)
+        self.target[hit] = np.take(map_index.cloud.points, idx, axis=0)
+        self.normal[hit] = normal
+        self.has_normal[hit] = np.isfinite(normal[:, 0])
+        miss = rows[~found]
+        self.target[miss] = self.normal[miss] = np.nan
+        self.has_normal[miss] = False
+        return self.target, self.normal, self.has_normal
 
 
 def find_correspondences(scan: np.ndarray, map_index: SpatialIndex, pose: Pose,
@@ -142,32 +163,46 @@ def find_correspondences(scan: np.ndarray, map_index: SpatialIndex, pose: Pose,
     """Nearest map point per transformed scan point, within max_distance.
 
     Map points without a valid normal are skipped. Raises DataError when
-    the scan is not (N, 3) or it or the pose is not finite, and
+    the scan is not (N, 3) or it or the pose is not finite, ValueError when
+    the map carries no normals, both before any k-d query, and
     NoCorrespondences when it is empty or nothing matches. Output order
     follows scan point order. align passes the memo it built from this
     scan, so that each association re-queries only the points whose nearest
-    map point may have changed; the result is the same as without it.
+    map point may have changed and gathers only their rows from the map;
+    the result is the same as without it. The pairs keep the world points
+    and the pose they were associated at.
     """
     if memo is None:
         memo = _NearestMemo(scan, pose)
-    world = pose.transform(memo.scan)
-    dist, idx = memo.nearest(world, map_index, workers)
-    normals = map_index.cloud.normals
-    if normals is None:
+    if map_index.cloud.normals is None:
         raise ValueError("map cloud carries no normals")
-    valid = (dist <= max_distance) & np.isfinite(normals[idx, 0])
-    if not np.any(valid):
+    world = pose.transform(memo.scan)
+    # queried just past the gate, so that the tree's rounding cannot drop a
+    # point the gate keeps; a point far from the map meets no candidate
+    target, normal, has_normal = memo.nearest(
+        world, map_index, workers, bound=max_distance * (1.0 + 1e-9))
+    delta = world - target
+    # summed as the k-d tree sums it, so a kept distance equals a fresh one
+    distance = np.sqrt(delta[:, 0] * delta[:, 0] + delta[:, 1] * delta[:, 1]
+                       + delta[:, 2] * delta[:, 2])
+    residual = np.einsum("ij,ij->i", normal, delta)
+    rows = np.flatnonzero((distance <= max_distance) & has_normal)
+    if not rows.size:
         raise NoCorrespondences(
             f"no scan point within {max_distance} m of a map point with a normal")
-    source = memo.scan[valid]
-    target = map_index.cloud.points[idx[valid]]
-    normal = normals[idx[valid]]
-    residual = np.einsum("ij,ij->i", normal, world[valid] - target)
-    return Correspondences(source, target, normal, residual)
+    if rows.size == len(world):  # every row matches: copy, no gather
+        pairs = memo.scan.copy(), target.copy(), normal.copy(), residual, world
+    else:
+        pairs = [np.take(a, rows, axis=0)
+                 for a in (memo.scan, target, normal, residual, world)]
+    return Correspondences(*pairs, pose)
 
 
 def _residuals(corrs: Correspondences, pose: Pose):
-    """Signed point-to-plane distances at pose, and the world points."""
+    """Signed point-to-plane distances at pose, and the world points: the
+    association's own when pose is the one it was made at."""
+    if pose is corrs.pose:
+        return corrs.residuals, corrs.world_points
     world = pose.transform(corrs.source_points)
     return (np.einsum("ij,ij->i", corrs.target_normals,
                       world - corrs.target_points), world)
@@ -176,7 +211,13 @@ def _residuals(corrs: Correspondences, pose: Pose):
 def _plane_system(world, normals, weights=None):
     """Point-to-plane rows J = [p x n, n] at world points p, and the
     symmetrized J^T W J (unit weights when weights is None)."""
-    jac = np.hstack([np.cross(world, normals), normals])
+    (x, y, z), (nx, ny, nz) = world.T, normals.T
+    jac = np.empty((len(world), 6))
+    # p x n in np.cross's operation order
+    np.subtract(y * nz, z * ny, out=jac[:, 0])
+    np.subtract(z * nx, x * nz, out=jac[:, 1])
+    np.subtract(x * ny, y * nx, out=jac[:, 2])
+    jac[:, 3:] = normals
     hessian = (jac if weights is None else jac * weights[:, None]).T @ jac
     return jac, 0.5 * (hessian + hessian.T)
 
@@ -232,7 +273,8 @@ def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,
     included, comes right after an association: the result carries those
     pairs, their residuals, and the unit-weight Hessian at the final pose.
     Re-associations query the k-d tree only for the scan points whose
-    nearest map point may have changed (_NearestMemo).
+    nearest map point may have changed (_NearestMemo), and each step
+    transforms the scan once (Correspondences keeps the world points).
     """
     params.validate()
     memo = _NearestMemo(scan, initial_pose)
@@ -266,7 +308,7 @@ def align(scan: np.ndarray, map_index: SpatialIndex, initial_pose: Pose,
                          between(before, trial))) < params.convergence_threshold))
         before, pose = pose, trial
     rms = float(np.sqrt(np.mean(corrs.residuals ** 2)))
-    hessian = _plane_system(pose.transform(corrs.source_points),
-                            corrs.target_normals)[1]
+    # the last association was made at pose: its world points serve
+    hessian = _plane_system(corrs.world_points, corrs.target_normals)[1]
     return AlignResult(pose, hessian, rms, corrs, iterations, converged,
                        tuple(trace))

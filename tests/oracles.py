@@ -16,7 +16,10 @@ of propagating a linearized one, and the preintegration bias Jacobian and
 covariance by that step-by-step propagation (with the library's batched
 SO(3) kernels) instead of the closed-form sum over steps.
 The unit-weight registration Hessian is spelled out from its rows, as
-align computes it, so tests can compare it bit for bit.
+align computes it, so tests can compare it bit for bit. align_reference is
+registration.align with a fresh k-d association at every step and every
+residual and Jacobian recomputed from the matched scan points, instead of
+the per-row association state and the world points kept from it.
 """
 
 import math
@@ -25,7 +28,26 @@ import numpy as np
 from scipy.linalg import logm
 from scipy.spatial import distance_matrix
 
-from maploc.geometry import matvec, skew, so3_exp, so3_left_jacobian
+from maploc.errors import NoCorrespondences
+from maploc.geometry import (
+    between,
+    compose,
+    exp_map,
+    log_map,
+    matvec,
+    skew,
+    so3_exp,
+    so3_left_jacobian,
+)
+from maploc.registration import (
+    _DAMPING_INIT,
+    _DAMPING_MAX,
+    _DAMPING_MIN,
+    AlignResult,
+    Correspondences,
+    _huber_cost,
+    _huber_weights,
+)
 
 
 def quat_to_rot(q):
@@ -240,6 +262,75 @@ def unit_hessian(corrs, pose):
     jac = np.hstack([np.cross(world, normals), normals])
     hessian = jac.T @ jac
     return 0.5 * (hessian + hessian.T)
+
+
+def reference_correspondences(scan, map_index, pose, max_distance):
+    """Nearest map point per transformed scan point, from one unbounded k-d
+    query of every point, kept within max_distance and with a normal."""
+    world = pose.transform(scan)
+    dist, idx = map_index.knn(world, 1)
+    dist, idx = dist[:, 0], idx[:, 0]
+    normals = map_index.cloud.normals
+    valid = (dist <= max_distance) & np.isfinite(normals[idx, 0])
+    if not np.any(valid):
+        raise NoCorrespondences("no correspondences")
+    target = map_index.cloud.points[idx[valid]]
+    normal = normals[idx[valid]]
+    residual = np.einsum("ij,ij->i", normal, world[valid] - target)
+    return Correspondences(scan[valid], target, normal, residual)
+
+
+def _reference_residuals(corrs, pose):
+    world = pose.transform(corrs.source_points)
+    return np.einsum("ij,ij->i", corrs.target_normals,
+                     world - corrs.target_points), world
+
+
+def _reference_system(corrs, pose, kernel_width):
+    r, world = _reference_residuals(corrs, pose)
+    w = _huber_weights(r, kernel_width)
+    jac = np.hstack([np.cross(world, corrs.target_normals),
+                     corrs.target_normals])
+    hessian = (jac * w[:, None]).T @ jac
+    return (0.5 * (hessian + hessian.T), jac.T @ (w * r),
+            _huber_cost(r, kernel_width))
+
+
+def align_reference(scan, map_index, initial_pose, params):
+    """registration.align's iteration, stopping rules and result, each step
+    associated afresh and its world points transformed at every use."""
+    scan = np.asarray(scan, dtype=float)
+    pose = before = initial_pose
+    damping = _DAMPING_INIT
+    converged = False
+    trace = []
+    for iterations in range(params.max_iterations + 1):
+        corrs = reference_correspondences(scan, map_index, pose,
+                                          params.max_correspondence_distance)
+        if converged or iterations == params.max_iterations:
+            break
+        hessian, gradient, cost = _reference_system(corrs, pose,
+                                                    params.kernel_width)
+        while damping <= _DAMPING_MAX:
+            step = np.linalg.solve(hessian + damping * np.eye(6), -gradient)
+            trial = compose(exp_map(step), pose)
+            trial_cost = _huber_cost(_reference_residuals(corrs, trial)[0],
+                                     params.kernel_width)
+            if trial_cost < cost:
+                break
+            damping *= 10.0
+        else:
+            converged = True
+            break
+        damping = max(damping * 0.5, _DAMPING_MIN)
+        trace.append((cost, trial_cost))
+        converged = (np.linalg.norm(step) < params.convergence_threshold
+                     or (iterations > 0 and np.linalg.norm(log_map(
+                         between(before, trial))) < params.convergence_threshold))
+        before, pose = pose, trial
+    rms = float(np.sqrt(np.mean(corrs.residuals ** 2)))
+    return AlignResult(pose, unit_hessian(corrs, pose), rms, corrs, iterations,
+                       converged, tuple(trace))
 
 
 # The SO(3)/SE(3) kernels as matrix expressions of the skew matrix; the

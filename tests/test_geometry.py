@@ -388,6 +388,21 @@ class TestSpatialIndex:
             np.testing.assert_array_equal(dist[row], bf_d[:k])
             assert beyond[row] == bf_d[k]
 
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_bounded_query_pads_beyond_the_bound(self, rng, k):
+        # a bounded query finds what the full query finds inside the bound,
+        # pads the rest with (inf, size) and caps the guard at the bound
+        cloud, scan = lattice_scene(rng)
+        index = build_index(cloud)
+        queries = np.vstack([scan, scan + [0.0, 0.25, 0.25]])
+        full_d, full_i, full_beyond = index.knn(queries, k, guard=True)
+        dist, idx, beyond = index.knn(queries, k, guard=True, bound=0.4)
+        inside = full_d < 0.4
+        assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(dist, np.where(inside, full_d, np.inf))
+        np.testing.assert_array_equal(idx, np.where(inside, full_i, index.size))
+        np.testing.assert_array_equal(beyond, np.minimum(full_beyond, 0.4))
+
     def test_single_point_cloud(self):
         index = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])))
         dist, idx = index.knn(np.array([[1.0, 2.0, 3.0]]), 1)

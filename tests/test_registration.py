@@ -27,7 +27,7 @@ from maploc.registration import (
 from maploc.pipeline import voxel_downsample
 
 from conftest import lattice_scene, random_pose
-from oracles import brute_force_knn, unit_hessian
+from oracles import align_reference, brute_force_knn, unit_hessian
 
 # the benchmark's smoke scene (perfbench/workloads.py). In scans 0 and 20 two
 # points lie within ~1e-8 m of equidistant from two map points, so their
@@ -343,9 +343,9 @@ def test_memo_matches_fresh_and_brute_force_associations(rng):
     queried = []
     knn = index.knn
 
-    def counting_knn(queries, k, workers=1, guard=False):
+    def counting_knn(queries, k, **options):
         queried.append(len(queries))
-        return knn(queries, k, workers=workers, guard=guard)
+        return knn(queries, k, **options)
     index.knn = counting_knn
     lifted = compose(exp_map([0.01, -0.02, 0.015, 0.0, 0.0, 0.6]),
                      exp_map([0.0, 0.0, 0.0, 0.05, 0.03, 0.0]))
@@ -464,3 +464,133 @@ def test_align_correspondences_match_fresh_association(smoke_scene):
                                         find_correspondences(
                                             scan, index, result.pose,
                                             params.max_correspondence_distance))
+
+
+def test_map_without_normals_raises_before_any_query(rng, monkeypatch):
+    index = build_index(PointCloud(box_map(rng).points))
+    monkeypatch.setattr(index, "knn", lambda *args, **kw: pytest.fail(
+        "k-d query on a map without normals"))
+    scan = rng.uniform(0.0, 4.0, size=(20, 3))
+    for call in (lambda: find_correspondences(scan, index, Pose.identity(), 1.0),
+                 lambda: align(scan, index, Pose.identity())):
+        with pytest.raises(ValueError, match="map cloud carries no normals"):
+            call()
+
+
+class CountingTree:
+    """A k-d tree that counts the points its queries return."""
+
+    def __init__(self, tree):
+        self.tree, self.candidates = tree, 0
+
+    def query(self, queries, k, **options):
+        dist, idx = self.tree.query(queries, k, **options)
+        self.candidates += int(np.sum(idx < self.tree.n))
+        return dist, idx
+
+    def query_ball_point(self, point, r, **options):
+        found = self.tree.query_ball_point(point, r, **options)
+        self.candidates += len(found)
+        return found
+
+
+@pytest.mark.parametrize("translation", [[1e16, 0.0, 0.0],
+                                         [1e16, -1e16, 3e15]])
+def test_far_off_scan_meets_no_map_point(rng, translation):
+    # at 1e16 m every map point lies at the same rounded distance; an
+    # unbounded query ties every row and re-resolves it over the whole map
+    # (60,100 candidates here), a query bounded at the gate finds none
+    index = build_index(box_map(rng))
+    tree = index._tree = CountingTree(index._tree)
+    scan = index.cloud.points[:50]
+    far = Pose(np.eye(3), np.array(translation))
+    with pytest.raises(NoCorrespondences):
+        find_correspondences(scan, index, far, 1.0)
+    with pytest.raises(NoCorrespondences):
+        align(scan, index, far)
+    assert tree.candidates == 0
+
+
+def test_correspondences_outlive_later_associations(rng):
+    # a Correspondences owns its arrays: associating again on the same memo,
+    # with every row matched or with some not, leaves it as it was
+    cloud = box_map(rng)
+    index = build_index(cloud)
+    scan = np.vstack([cloud.points[::4] + rng.normal(0.0, 0.01, (300, 3)),
+                      [[9.0, 9.0, 9.0]]])
+    names = ("source_points", "target_points", "target_normals", "residuals",
+             "world_points")
+    for points, all_matched in ((scan[:-1], True), (scan, False)):
+        memo = _NearestMemo(points, Pose.identity())
+        corrs = find_correspondences(points, index, Pose.identity(), 1.0,
+                                     memo=memo)
+        assert (len(corrs) == len(points)) == all_matched
+        before = {name: getattr(corrs, name).copy() for name in names}
+        for _ in range(3):
+            find_correspondences(points, index, random_pose(rng, 0.3, 0.3),
+                                 1.0, memo=memo)
+        for name in names:
+            np.testing.assert_array_equal(getattr(corrs, name), before[name])
+            for state in (memo.scan, memo.anchor, memo.target, memo.normal):
+                assert not np.shares_memory(getattr(corrs, name), state)
+
+
+def assert_same_alignment(result, reference):
+    for a, b in ((result.pose.rotation, reference.pose.rotation),
+                 (result.pose.translation, reference.pose.translation),
+                 (result.hessian, reference.hessian)):
+        np.testing.assert_array_equal(a, b)
+    assert result.residual_rms == reference.residual_rms
+    assert result.iterations == reference.iterations
+    assert result.converged == reference.converged
+    assert result.cost_trace == reference.cost_trace
+    assert_same_correspondences(result.correspondences,
+                                reference.correspondences)
+
+
+@pytest.mark.parametrize("case", ["normals-lost", "beyond-gate",
+                                  "iteration-cap", "one-point-map"])
+def test_align_equals_reference_bit_for_bit(smoke_scene, case):
+    # align keeps each row's association and the world points it computed
+    # the residuals from; the result must be that of associating afresh and
+    # transforming again at every use, to the last bit
+    scene, index = smoke_scene
+    rng = np.random.default_rng(33)
+    params = RegistrationParams()
+    if case == "normals-lost":
+        normals = index.cloud.normals.copy()
+        normals[::3] = np.nan
+        index = build_index(PointCloud(index.cloud.points, normals))
+    elif case == "beyond-gate":
+        params = RegistrationParams(max_correspondence_distance=0.15)
+    elif case == "iteration-cap":
+        params = RegistrationParams(max_iterations=2)
+    else:
+        index = build_index(PointCloud(np.zeros((1, 3)),
+                                       normals=[[0.0, 0.6, 0.8]]))
+    for k in (0, 10, 20):
+        scan = scene.scans[k].cloud.points
+        twist = np.concatenate([0.03 * rng.normal(size=3),
+                                0.2 * rng.normal(size=3)])
+        start = compose(exp_map(twist), scene.gt_trajectory[k])
+        if case == "beyond-gate":  # and five rows far outside the room
+            scan = np.vstack([scan, 10.0 * scan[:5]])
+        elif case == "one-point-map":
+            scan, start = scan[:40] * 0.1, Pose.identity()
+        result = align(scan, index, start, params)
+        assert_same_alignment(result, align_reference(scan, index, start,
+                                                      params))
+        # the scene shows what its name says
+        gate = params.max_correspondence_distance
+        (d0, i0), (d1, i1) = (
+            [a[:, 0] for a in index.knn(pose.transform(scan), 1)]
+            for pose in (start, result.pose))
+        normal = np.isfinite(index.cloud.normals[:, 0])
+        if case == "normals-lost":
+            assert np.any(normal[i0] & ~normal[i1])
+        elif case == "beyond-gate":
+            assert np.any(d0 > gate) and len(result.correspondences) < len(scan)
+        elif case == "iteration-cap":
+            assert result.iterations == 2 and not result.converged
+        else:
+            assert len(result.correspondences) == len(scan)
