@@ -17,8 +17,8 @@ from .errors import (
     NoMatches,
     NonMonotonicTimestamps,
 )
-from .geometry import (PointCloud, Pose, build_index, first_bad_timestamp,
-                       matvec, se3_log)
+from .geometry import (PointCloud, Pose, SpatialIndex, build_index,
+                       first_bad_timestamp, matvec, se3_log)
 
 DEFAULT_MAX_DT = 0.05       # s, association gate
 DEFAULT_THRESHOLD = 0.20    # m, map accuracy / completeness gate
@@ -220,11 +220,14 @@ def _rpe_per_meter(est, ref, pairs, distance=1.0):
 
 
 def map_accuracy(est_map: PointCloud, gt_map: PointCloud,
-                 threshold: float = DEFAULT_THRESHOLD, workers: int = 1) -> float:
+                 threshold: float = DEFAULT_THRESHOLD, workers: int = 1,
+                 gt_index: SpatialIndex | None = None) -> float:
     """Mean distance (cm) from estimated points to their nearest GT point,
-    over estimated points whose nearest GT neighbor is within threshold."""
-    index = build_index(gt_map)
-    dist, _ = index.nearest(est_map.points, workers=workers)
+    over estimated points whose nearest GT neighbor is within threshold.
+    gt_index, an index over gt_map, spares building one."""
+    if gt_index is None:
+        gt_index = build_index(gt_map)
+    dist = gt_index.nearest_distance(est_map.points, threshold, workers)
     inliers = dist <= threshold
     if not np.any(inliers):
         raise NoInliers(f"no estimated point within {threshold} m of the GT map")
@@ -235,8 +238,8 @@ def map_completeness(est_map: PointCloud, gt_map: PointCloud,
                      threshold: float = DEFAULT_THRESHOLD, workers: int = 1) -> float:
     """Percentage of GT points whose nearest estimated point is within
     threshold. 0% is a valid result."""
-    index = build_index(est_map)
-    dist, _ = index.nearest(gt_map.points, workers=workers)
+    dist = build_index(est_map).nearest_distance(gt_map.points, threshold,
+                                                 workers)
     return float(np.mean(dist <= threshold)) * 100.0
 
 
@@ -264,14 +267,16 @@ def compute_metrics(est: Trajectory, ref: Trajectory, delta: int = 1,
                     est_map: PointCloud | None = None,
                     gt_map: PointCloud | None = None,
                     threshold: float = DEFAULT_THRESHOLD,
-                    max_dt=DEFAULT_MAX_DT, workers: int = 1) -> MetricsReport:
+                    max_dt=DEFAULT_MAX_DT, workers: int = 1,
+                    gt_index: SpatialIndex | None = None) -> MetricsReport:
     pairs = associate(est, ref, max_dt)
     ate_result = _ate(est, ref, pairs)
     rpe_result = _rpe(est, ref, pairs, delta)
     per_meter = _rpe_per_meter(est, ref, pairs)
     acc = com = None
     if est_map is not None and gt_map is not None:
-        acc = map_accuracy(est_map, gt_map, threshold, workers=workers)
+        acc = map_accuracy(est_map, gt_map, threshold, workers=workers,
+                           gt_index=gt_index)
         com = map_completeness(est_map, gt_map, threshold, workers=workers)
     return MetricsReport(ate_result.rmse_cm, rpe_result.rmse_cm,
                          rpe_result.rot_rmse_rad, delta, per_meter,

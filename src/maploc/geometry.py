@@ -287,14 +287,19 @@ class SpatialIndex:
     """k-NN / radius index over a fixed cloud.
 
     Backed by a balanced kd-tree; queries resolve exact distance ties by
-    lowest point index so results match a brute-force linear scan.
+    lowest point index so results match a brute-force linear scan. spacing,
+    the resolution of the indexed map (its voxel size), bounds the first
+    pass of a knn query; None leaves every query a single pass.
     """
 
-    def __init__(self, cloud: PointCloud):
+    def __init__(self, cloud: PointCloud, spacing=None):
         if len(cloud) == 0:
             raise EmptyCloud("cannot index an empty cloud")
+        if spacing is not None and not spacing > 0:
+            raise ValueError("spacing must be > 0")
         self.cloud = cloud
         self.size = len(cloud)
+        self.spacing = np.inf if spacing is None else float(spacing)
         self._tree = cKDTree(cloud.points, balanced_tree=True)
 
     def knn(self, queries, k, workers=1, guard=False, bound=np.inf):
@@ -303,10 +308,16 @@ class SpatialIndex:
         Returns (distances (M,k), indices (M,k)), rows sorted by
         (distance, index). k is clamped to the cloud size. With guard=True
         it also returns beyond (M,), a distance that every point not among
-        a row's k reaches: its (k+1)-th smallest distance, at most bound
-        (inf when the cloud has no more than k points). Only points nearer
-        than bound are found; a row with fewer pads with distance inf and
-        index size, and a padded entry is never re-resolved as a tie.
+        a row's k reaches: its (k+1)-th smallest distance, at most the
+        radius the row was last searched within (inf when the cloud has no
+        more than k points). Only points nearer than bound are found; a row
+        with fewer pads with distance inf and index size, and a padded entry
+        is never re-resolved as a tie.
+
+        The tree is first searched within min(bound, spacing); only the
+        rows whose k-th point lies outside that are searched again within
+        bound. The tree returns only points strictly inside its radius, so
+        the answers are those of one search within bound.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         k = min(int(k), self.size)
@@ -314,10 +325,20 @@ class SpatialIndex:
             raise ValueError("k must be >= 1")
         # query one extra neighbor to detect ties at the k-th boundary
         kq = min(k + 1, self.size)
+        first = min(bound, self.spacing)
         dist, idx = self._tree.query(queries, k=kq, workers=workers,
-                                     distance_upper_bound=bound)
+                                     distance_upper_bound=first)
         dist = dist.reshape(len(queries), kq)
         idx = idx.reshape(len(queries), kq)
+        # the radius each row was last searched within
+        searched = np.full(len(queries), first)
+        if first < bound:
+            again = np.flatnonzero(idx[:, k - 1] == self.size)
+            d, i = self._tree.query(queries[again], k=kq, workers=workers,
+                                    distance_upper_bound=bound)
+            dist[again] = d.reshape(len(again), kq)
+            idx[again] = i.reshape(len(again), kq)
+            searched[again] = bound
         # the tree sorts each row by distance; order equal distances by index
         tied = np.flatnonzero((dist[:, 1:] == dist[:, :-1]).any(axis=1))
         if tied.size:
@@ -326,7 +347,7 @@ class SpatialIndex:
             idx[tied] = np.take_along_axis(idx[tied], order, axis=1)
         beyond = np.full(len(queries), np.inf)
         if kq > k:
-            beyond = np.minimum(dist[:, k], bound)
+            beyond = np.minimum(dist[:, k], searched)
             boundary = (dist[:, k] <= dist[:, k - 1]) & (idx[:, k - 1] < self.size)
             for row in np.nonzero(boundary)[0]:
                 # exact re-resolution: all candidates within the k-th distance
@@ -340,9 +361,14 @@ class SpatialIndex:
             idx = idx[:, :k]
         return (dist, idx, beyond) if guard else (dist, idx)
 
-    def nearest(self, queries, workers=1):
-        dist, idx = self.knn(queries, 1, workers=workers)
-        return dist[:, 0], idx[:, 0]
+    def nearest_distance(self, queries, within, workers=1):
+        """Each query row's distance to its nearest point where that is at
+        most within; elsewhere inf or a value past within. One search, run
+        just past within since the tree keeps only points strictly inside,
+        and no tie-break: equidistant points give one distance."""
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        return self._tree.query(queries, k=1, workers=workers,
+                                distance_upper_bound=within * (1.0 + 1e-9))[0]
 
     def radius(self, point, r):
         """Indices within distance r of a single point, ascending index."""
@@ -350,8 +376,8 @@ class SpatialIndex:
         return np.asarray(sorted(idx), dtype=int)
 
 
-def build_index(cloud: PointCloud) -> SpatialIndex:
-    return SpatialIndex(cloud)
+def build_index(cloud: PointCloud, spacing=None) -> SpatialIndex:
+    return SpatialIndex(cloud, spacing)
 
 
 # Neighborhoods flatter than this ratio of smallest to middle covariance

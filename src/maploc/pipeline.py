@@ -184,7 +184,8 @@ def load_map(path, voxel_size=0.1) -> PriorMap:
     The file's rows go to voxel_downsample in their own dtype, so a float32
     map is never held as float64 at full size. Normals present in the file
     are centroid-averaged per voxel; missing or degenerate ones are
-    re-estimated from the downsampled cloud.
+    re-estimated from the downsampled cloud. The index takes the voxel size
+    as its spacing, the radius its k-NN queries search first.
     """
     if not 0 < voxel_size < math.inf:
         raise ValueError("voxel_size must be positive and finite")
@@ -203,7 +204,7 @@ def load_map(path, voxel_size=0.1) -> PriorMap:
         estimated = estimate_normals(PointCloud(points), k=10).normals
         normals = np.where(bad[:, None], estimated, normals)
     cloud = PointCloud(points, normals)
-    return PriorMap(cloud=cloud, index=build_index(cloud),
+    return PriorMap(cloud=cloud, index=build_index(cloud, voxel_size),
                     voxel_size=float(voxel_size))
 
 
@@ -538,7 +539,8 @@ def evaluate_run(result: RunResult, groundtruth: Trajectory,
         result.trajectory, groundtruth, delta=cfg["eval"]["rpe_delta"],
         est_map=result.map_cloud, gt_map=prior_map.cloud,
         threshold=cfg["eval"]["map_threshold"],
-        max_dt=cfg["eval"]["max_dt"], workers=cfg["threads"])
+        max_dt=cfg["eval"]["max_dt"], workers=cfg["threads"],
+        gt_index=prior_map.index)
     result.report["metrics"] = mio.sanitize_json(result.metrics.as_dict())
 
 

@@ -138,22 +138,27 @@ class _NearestMemo:
         whether that is finite, with one k-d query for the stale rows. The
         lowest index wins a tie. Returns the memo's own arrays."""
         rows = np.flatnonzero(self.stale(world))
-        # np.take gathers rows several times faster than fancy indexing
-        moved = np.take(world, rows, axis=0)
+        if rows.size == len(world):
+            # every row, as at each align's first association: whole-array
+            # writes, several times faster than writes by index
+            rows, moved = slice(None), world
+        else:
+            # np.take gathers rows several times faster than fancy indexing
+            moved = np.take(world, rows, axis=0)
         dist, idx, beyond = map_index.knn(moved, 1, workers=workers,
                                           guard=True, bound=bound)
+        idx = idx[:, 0]
+        miss = idx == map_index.size
+        # a row with no map point gathers the last one, then NaN
+        target = np.take(map_index.cloud.points, idx, axis=0, mode="clip")
+        normal = np.take(map_index.cloud.normals, idx, axis=0, mode="clip")
+        target[miss] = normal[miss] = np.nan
         self.anchor[rows] = moved
         self.d1[rows] = dist[:, 0]
         self.d2[rows] = beyond
-        found = idx[:, 0] < map_index.size
-        hit, idx = rows[found], idx[found, 0]
-        normal = np.take(map_index.cloud.normals, idx, axis=0)
-        self.target[hit] = np.take(map_index.cloud.points, idx, axis=0)
-        self.normal[hit] = normal
-        self.has_normal[hit] = np.isfinite(normal[:, 0])
-        miss = rows[~found]
-        self.target[miss] = self.normal[miss] = np.nan
-        self.has_normal[miss] = False
+        self.target[rows] = target
+        self.normal[rows] = normal
+        self.has_normal[rows] = np.isfinite(normal[:, 0])
         return self.target, self.normal, self.has_normal
 
 

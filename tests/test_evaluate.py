@@ -25,7 +25,8 @@ from maploc.evaluate import (
     rpe_per_meter,
 )
 from maploc import evaluate as evaluate_module
-from maploc.geometry import PointCloud, Pose, between, compose, exp_map
+from maploc.geometry import (PointCloud, Pose, between, build_index, compose,
+                             exp_map)
 
 from conftest import random_pose, random_twist, trajectory
 from oracles import (
@@ -425,6 +426,51 @@ class TestMapMetrics:
             assert abs(acc - brute_accuracy_cm(est.points, gt.points, 0.2)) < 1e-9
             assert abs(com - brute_completeness_percent(
                 est.points, gt.points, 0.2)) < 1e-9
+
+    @pytest.mark.parametrize("gaps", [(0.2, 0.2, 0.1),
+                                      (0.2 + 1e-12, 0.2, 0.05),
+                                      (0.2 + 1e-12, 0.3, 5.0)],
+                             ids=["at-threshold", "just-beyond",
+                                  "all-beyond"])
+    def test_threshold_boundary_matches_brute_force(self, gaps):
+        # each estimated point lies one of the gaps along x from its own GT
+        # point, which sits at x = 0, so its distance is the gap exactly: a
+        # point at the threshold is an inlier, one 1e-12 m past it is not,
+        # though the bounded search, run just past the threshold, finds it
+        yz = np.stack(np.meshgrid(np.arange(5.0), np.arange(5.0)),
+                      axis=-1).reshape(-1, 2)
+        gt = np.column_stack([np.zeros(len(yz)), yz])
+        est = gt + np.outer(np.resize(gaps, len(gt)), [1.0, 0.0, 0.0])
+        acc = brute_accuracy_cm(est, gt, 0.2)
+        if acc is None:
+            with pytest.raises(NoInliers):
+                map_accuracy(PointCloud(est), PointCloud(gt), threshold=0.2)
+        else:
+            assert map_accuracy(PointCloud(est), PointCloud(gt),
+                                threshold=0.2) == acc
+        assert map_completeness(PointCloud(est), PointCloud(gt),
+                                threshold=0.2) == \
+            brute_completeness_percent(est, gt, 0.2)
+
+    def test_accuracy_searches_a_given_gt_index(self, rng, monkeypatch):
+        # compute_metrics hands map_accuracy the GT map's index, so only
+        # completeness builds one; the metrics are those of a fresh index
+        ref = random_trajectory(rng, 20)
+        est_map = PointCloud(rng.uniform(0, 2, size=(300, 3)))
+        gt_map = PointCloud(rng.uniform(0, 2, size=(400, 3)))
+        want = compute_metrics(ref, ref, est_map=est_map, gt_map=gt_map)
+        gt_index = build_index(gt_map, 0.1)
+        built = []
+        monkeypatch.setattr(evaluate_module, "build_index",
+                            lambda cloud: built.append(cloud) or
+                            build_index(cloud))
+        got = compute_metrics(ref, ref, est_map=est_map, gt_map=gt_map,
+                              gt_index=gt_index)
+        assert built == [est_map]
+        assert (got.map_acc_cm, got.map_com_percent) == \
+            (want.map_acc_cm, want.map_com_percent)
+        assert map_accuracy(est_map, gt_map, gt_index=gt_index) == \
+            want.map_acc_cm
 
 
 class TestComputeMetrics:

@@ -340,6 +340,21 @@ class TestPointCloud:
         assert cloud.normals.view(np.uint64)[1, 0] & 1 << 51  # quiet bit
 
 
+def spaced_scene(rng, scene):
+    """Points and query rows: the lattice scene's map and its scan, shifted
+    too; a random cloud with every point doubled and some tripled, queried
+    on its points and around them; or a random cloud queried around it."""
+    if scene == "lattice":
+        cloud, scan = lattice_scene(rng)
+        return cloud.points, np.vstack([scan, scan + [0.0, 0.25, 0.25]])
+    points = rng.uniform(0.0, 2.0, (300, 3))
+    around = rng.uniform(-0.5, 2.5, (80, 3))
+    if scene == "duplicate":
+        points = np.vstack([points[:150], points[:150], points[:40]])
+        return points, np.vstack([points[:30], around])
+    return points, around
+
+
 class TestSpatialIndex:
     def test_knn_matches_brute_force_100_clouds(self):
         rng = np.random.default_rng(123)
@@ -402,6 +417,40 @@ class TestSpatialIndex:
         np.testing.assert_array_equal(dist, np.where(inside, full_d, np.inf))
         np.testing.assert_array_equal(idx, np.where(inside, full_i, index.size))
         np.testing.assert_array_equal(beyond, np.minimum(full_beyond, 0.4))
+
+    @pytest.mark.parametrize("spacing, bound", [
+        (0.25, np.inf), (0.5, np.inf), (0.3, 0.4), (0.4, 0.4), (0.6, 0.4)],
+        ids=["tie-spacing-unbounded", "lattice-spacing-unbounded", "below",
+             "at", "above"])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("scene", ["lattice", "duplicate", "random"])
+    def test_spacing_leaves_answers_unchanged(self, rng, scene, k, spacing,
+                                              bound):
+        # a first search within the spacing, then one within the bound for
+        # the rows it left short, finds what one search within the bound
+        # finds, ties included; a row answered by the first search has its
+        # guard capped at the spacing, one searched again at the bound
+        points, queries = spaced_scene(rng, scene)
+        spaced = build_index(PointCloud(points), spacing)
+        dist, idx, beyond = spaced.knn(queries, k, guard=True, bound=bound)
+        np.testing.assert_array_equal(
+            np.hstack([dist, idx]),
+            np.hstack(build_index(PointCloud(points)).knn(queries, k,
+                                                         bound=bound)))
+        first = min(spacing, bound)
+        kth = np.empty(len(queries))
+        for row, q in enumerate(queries):
+            bf_d, _ = brute_force_knn(points, q, k + 1)
+            kth[row] = bf_d[k - 1]
+            cap = first if bf_d[k - 1] < first else bound
+            assert beyond[row] == min(bf_d[k], cap)
+        if spacing < bound:  # the second search answers some row
+            assert np.any((kth >= spacing) & (kth < bound))
+
+    @pytest.mark.parametrize("spacing", [0.0, -0.1, np.nan])
+    def test_spacing_must_be_positive(self, spacing):
+        with pytest.raises(ValueError, match="spacing must be > 0"):
+            build_index(PointCloud(np.zeros((2, 3))), spacing)
 
     def test_single_point_cloud(self):
         index = build_index(PointCloud(np.array([[1.0, 2.0, 3.0]])))

@@ -335,11 +335,24 @@ def brute_force_correspondences(scan, cloud, pose, max_distance):
 
 
 def test_memo_matches_fresh_and_brute_force_associations(rng):
-    # the reuse rule is exact: along a walk of small and large moves, the
-    # memo's associations equal a memo-less call's and an exhaustive
-    # search's, bit for bit, ties and duplicate points included
+    assert_memo_walk_exact(rng, None)
+
+
+@pytest.mark.parametrize("spacing", [0.1, 0.01])
+def test_memo_on_a_spaced_index_matches_fresh_and_brute_force(rng, spacing):
+    # 0.01, a fiftieth of the lattice step, sends most rows to the second
+    # search
+    assert_memo_walk_exact(rng, spacing)
+
+
+def assert_memo_walk_exact(rng, spacing):
+    """The reuse rule is exact: along a walk of small and large moves, the
+    associations of a memo over an index with this spacing equal a
+    memo-less call's on an index without one and an exhaustive search's,
+    bit for bit, ties and duplicate points included."""
     cloud, scan = lattice_scene(rng)
-    index = build_index(cloud)
+    index = build_index(cloud, spacing)
+    plain = build_index(cloud)
     queried = []
     knn = index.knn
 
@@ -361,14 +374,13 @@ def test_memo_matches_fresh_and_brute_force_associations(rng):
     for step, pose in enumerate(poses):
         corrs = find_correspondences(scan, index, pose, 1.0, memo=memo)
         assert_same_correspondences(
-            corrs, find_correspondences(scan, index, pose, 1.0))
+            corrs, find_correspondences(scan, plain, pose, 1.0))
         assert_same_correspondences(
             corrs, brute_force_correspondences(scan, cloud, pose, 1.0))
         assert 5 <= len(scan) - len(corrs) < len(scan)
-    rows = queried[::2]  # every memo call is followed by a fresh one
-    assert rows[0] == rows[1] == rows[-1] == len(scan)
-    assert rows[13] == 0
-    assert 0 < min(rows[2:12])
+    assert queried[0] == queried[1] == queried[-1] == len(scan)
+    assert queried[13] == 0
+    assert 0 < min(queried[2:12])
 
 
 def test_memo_requeries_non_finite_points(rng):
@@ -548,26 +560,35 @@ def assert_same_alignment(result, reference):
                                 reference.correspondences)
 
 
-@pytest.mark.parametrize("case", ["normals-lost", "beyond-gate",
-                                  "iteration-cap", "one-point-map"])
-def test_align_equals_reference_bit_for_bit(smoke_scene, case):
+@pytest.mark.parametrize("case, spacing", [
+    pytest.param(case, spacing,
+                 id=case if spacing is None else f"{case}-spacing{spacing}")
+    for spacing in (None, 0.1, 0.01)
+    for case in ("normals-lost", "beyond-gate", "iteration-cap",
+                 "one-point-map")])
+def test_align_equals_reference_bit_for_bit(smoke_scene, case, spacing):
     # align keeps each row's association and the world points it computed
     # the residuals from; the result must be that of associating afresh and
-    # transforming again at every use, to the last bit
+    # transforming again at every use, to the last bit. align searches an
+    # index with the map's voxel size as its spacing (0.1), or one at 0.01,
+    # which sends most rows to the second search; the reference searches
+    # one without a spacing
     scene, index = smoke_scene
     rng = np.random.default_rng(33)
     params = RegistrationParams()
+    cloud = index.cloud
     if case == "normals-lost":
-        normals = index.cloud.normals.copy()
+        normals = cloud.normals.copy()
         normals[::3] = np.nan
-        index = build_index(PointCloud(index.cloud.points, normals))
+        cloud = PointCloud(cloud.points, normals)
     elif case == "beyond-gate":
         params = RegistrationParams(max_correspondence_distance=0.15)
     elif case == "iteration-cap":
         params = RegistrationParams(max_iterations=2)
     else:
-        index = build_index(PointCloud(np.zeros((1, 3)),
-                                       normals=[[0.0, 0.6, 0.8]]))
+        cloud = PointCloud(np.zeros((1, 3)), normals=[[0.0, 0.6, 0.8]])
+    index = build_index(cloud)
+    spaced = build_index(cloud, spacing)
     for k in (0, 10, 20):
         scan = scene.scans[k].cloud.points
         twist = np.concatenate([0.03 * rng.normal(size=3),
@@ -577,7 +598,7 @@ def test_align_equals_reference_bit_for_bit(smoke_scene, case):
             scan = np.vstack([scan, 10.0 * scan[:5]])
         elif case == "one-point-map":
             scan, start = scan[:40] * 0.1, Pose.identity()
-        result = align(scan, index, start, params)
+        result = align(scan, spaced, start, params)
         assert_same_alignment(result, align_reference(scan, index, start,
                                                       params))
         # the scene shows what its name says
