@@ -12,9 +12,10 @@ OdometryFactor whose measurement is the identity.
 
 States are read as stacked arrays (States). Each factor class has one
 residual and one linearize, written over a leading batch axis: the graph
-stacks the active factors of a class into one instance (``stack``) and
-evaluates them all with one call, and a factor built by its constructor is
-the unbatched case of the same code.
+keeps the factors of a class stacked into one instance (``stack``), takes
+the active ones as its rows (``from_fields``) and evaluates them all with
+one call, and a factor built by its constructor is the unbatched case of
+the same code.
 """
 
 from __future__ import annotations
@@ -380,10 +381,18 @@ class _Factor:
     @classmethod
     def stack(cls, factors):
         """factors, each of class cls, as one batched instance."""
+        return cls.from_fields({name: _stack([getattr(f, name)
+                                              for f in factors])
+                                for name in cls._stacked})
+
+    @classmethod
+    def from_fields(cls, values):
+        """The batched instance whose fields in ``_stacked`` are the rows in
+        values, a mapping from field name to array (or dataclass of
+        arrays) with the batch along its leading axis."""
         out = object.__new__(cls)
-        for name in cls._stacked:
-            object.__setattr__(out, name,
-                               _stack([getattr(f, name) for f in factors]))
+        for name, value in values.items():
+            object.__setattr__(out, name, value)
         object.__setattr__(out, "indices", _indices(out))
         return out
 

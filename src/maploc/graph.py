@@ -9,25 +9,35 @@ touching at least one free state are still evaluated, their fixed-state
 blocks just drop out of the normal equations.
 
 The states are stacked arrays (factors.States), and the graph linearizes
-by kind (Kuemmerle et al. 2011; Dellaert & Kaess 2017): per solve, the
-active factors of each class, picked by their highest state index, are
-stacked into one batched factor, so each linearization or trial cost makes
-one linearize or residual call per class, and a step retracts every free
-state in one batched update.
+by kind (Kuemmerle et al. 2011; Dellaert & Kaess 2017). It keeps the
+factors of each class stacked into one batched factor, grown by the
+factors added since the last solve; a solve takes the active ones, picked
+by their highest state index, as rows of it, views when they are
+consecutive as a trailing window's are. So each linearization or trial
+cost makes one linearize or residual call per class, and a step retracts
+every free state in one batched update.
 
 Every factor touches states at most s indices apart (s = 1 in the
 pipeline), so H over the states is a band 15 (s + 1) columns wide, bordered
 by gravity's 2 columns and their 2x2 corner (Dellaert & Kaess 2006). J^T W J
 and J^T W r come from batched matmuls and reach the band, border and corner
 through one bincount, each entry's slot fixed by arithmetic on its state
-offset. Each damping trial factors the band once by a pivoted banded LU
-with the border as extra right-hand sides, and solves gravity through its
-2x2 Schur complement.
+offset. A class's slots depend only on the band's size, on whether gravity
+is a variable and on its active factors' state indices relative to the
+first free one, so the graph keeps each class's slots from its last solve
+that left a state fixed and reuses them while these repeat, as they mostly
+do from one window solve to the next; like iSAM2 (Kaess et al. 2012) it
+keeps what a new state leaves unchanged, here the bookkeeping only. A
+solve allocates one buffer for the blocks, which each of its assemblies
+overwrites. Each damping trial factors the band once by a pivoted banded
+LU with the border as extra right-hand sides, and solves gravity through
+its 2x2 Schur complement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 # perfbench's tracer times the banded solve under this module-level name
@@ -35,7 +45,7 @@ from scipy.linalg import solve_banded as splu
 
 from .errors import IndexOutOfRange, NotAnchored, SingularSystem
 from .factors import STATE_DIM, StateNode, States, retract_state
-from .geometry import matvec, so3_exp
+from .geometry import so3_exp
 
 DAMPING_INIT = 1e-6
 DAMPING_MIN = 1e-9
@@ -124,13 +134,122 @@ def retract_gravity(g, delta):
     return g / np.linalg.norm(g)
 
 
+def _rows(value, key):
+    """value's rows `key`, views for a slice; a dataclass field by field."""
+    if is_dataclass(value):
+        return type(value)(*(_rows(getattr(value, f.name), key)
+                             for f in fields(value)))
+    return value[key]
+
+
+def _append(buffer, rows, size):
+    """buffer, of which the first `size` rows are kept, with rows written
+    after them; when they do not fit, or need a wider dtype, into a new
+    buffer of twice the rows needed. A dataclass field by field."""
+    if is_dataclass(rows):
+        return type(rows)(*(_append(getattr(buffer, f.name, None),
+                                    getattr(rows, f.name), size)
+                            for f in fields(rows)))
+    end = size + len(rows)
+    dtype = rows.dtype if buffer is None else np.result_type(buffer, rows)
+    if buffer is None or end > len(buffer) or dtype != buffer.dtype:
+        grown = np.empty((2 * end,) + rows.shape[1:], dtype)
+        if buffer is not None:
+            grown[:size] = buffer[:size]
+        buffer = grown
+    buffer[size:end] = rows
+    return buffer
+
+
+def _slot_map(rel, n_free, u, use_gravity):
+    """Where a class's J^T W J entries (F, k, k) and J^T W r rows (F, k) go
+    in the bincounts of optimize's assembly, given its F factors' state
+    indices relative to the first free one, rel (one row per entry of
+    ``indices``), the free columns n_free, the band's u and whether
+    gravity is a variable, which adds 2 to each factor's k columns."""
+    n_cols = n_free + (2 if use_gravity else 0)
+    band_size = (u + 1) * n_free
+    dump = band_size + (2 * n_cols if use_gravity else 0)
+    cols = [np.where((idx >= 0)[:, None],
+                     idx[:, None] * STATE_DIM + np.arange(STATE_DIM), -1)
+            for idx in rel]
+    if use_gravity:
+        cols.append(np.broadcast_to(np.arange(n_free, n_cols),
+                                    (len(cols[0]), 2)))
+    cols = np.concatenate(cols, axis=1)
+    r, c = cols[:, :, None], cols[:, None, :]
+    slot = np.where(c < n_free, r + u * c, band_size + 2 * r + c - n_free)
+    slot[(r < 0) | (c < 0)
+         | ((c < n_free) & ((r < c) | (r >= n_free)))] = dump
+    return slot, np.where(cols < 0, n_cols, cols)
+
+
+def _views(buffer, shapes):
+    """buffer's leading entries as consecutive views of the given shapes."""
+    views, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(buffer[at:at + size].reshape(shape))
+        at += size
+    return views
+
+
+class _Store:
+    """The factors of one class, kept between solves: all of them stacked
+    into one batch, grown by the factors added since the last solve, the
+    highest state index of each row, and the slot map of the class's last
+    solve that left a state fixed, with its key."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.added = []     # not stacked yet
+        self.size = 0       # rows stacked
+        self.fields = {}    # field name -> rows, with spare capacity
+        self.last = None    # highest state index of each row
+        self.layout = None  # (key, (entry slots, b rows))
+
+    def active(self, first):
+        """The batched factors whose highest state index is `first` or
+        more, None when there are none: views of the stacked batch when
+        they are consecutive rows, as the factors of a trailing window
+        are."""
+        if self.added:
+            new = self.cls.stack(self.added)
+            self.last = _append(self.last, np.max(new.indices, axis=0),
+                                self.size)
+            self.fields = {name: _append(self.fields.get(name),
+                                         getattr(new, name), self.size)
+                           for name in self.cls._stacked}
+            self.size += len(self.added)
+            self.added = []
+        rows = np.flatnonzero(self.last[:self.size] >= first)
+        if not rows.size:
+            return None
+        if rows[-1] - rows[0] == rows.size - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        return self.cls.from_fields({name: _rows(value, rows)
+                                     for name, value in self.fields.items()})
+
+    def slots(self, stack, first, n_free, u, use_gravity):
+        """_slot_map of the active factors in stack, reused while the key
+        it depends on repeats. A solve that frees every state keeps none:
+        its shape repeats only while no state is added, and it is the
+        largest."""
+        rel = np.stack(stack.indices) - first
+        key = (n_free, u, use_gravity, rel.tobytes())
+        if self.layout is not None and self.layout[0] == key:
+            return self.layout[1]
+        layout = _slot_map(rel, n_free, u, use_gravity)
+        if first > 0:
+            self.layout = (key, layout)
+        return layout
+
+
 class FactorGraph:
     def __init__(self, gravity=(0.0, 0.0, -1.0)):
         self.states = States.of([])
         self.factors: list = []
-        # per factor class, in the order first added: its factors and the
-        # highest state index of each, which selects the active ones
-        self._kinds: dict = {}
+        self._kinds: dict = {}  # factor class -> _Store, in order first added
         g = np.asarray(gravity, dtype=float)
         norm = np.linalg.norm(g) if g.shape == (3,) else 0.0
         if not 0.0 < norm < np.inf:
@@ -149,9 +268,10 @@ class FactorGraph:
                     f"factor '{factor.kind}' references state {idx}, "
                     f"graph has {len(self.states)}")
         self.factors.append(factor)
-        members, last = self._kinds.setdefault(type(factor), ([], []))
-        members.append(factor)
-        last.append(max(factor.indices))
+        cls = type(factor)
+        if cls not in self._kinds:
+            self._kinds[cls] = _Store(cls)
+        self._kinds[cls].added.append(factor)
 
     def optimize(self, first=0, max_iterations=MAX_ITERATIONS) -> OptimizeResult:
         """Levenberg-Marquardt over the states from index `first` onward;
@@ -165,17 +285,14 @@ class FactorGraph:
             raise NotAnchored("no prior factor and no fixed state")
 
         # the factors touching a free state, one batched factor per class
-        stacks = []
-        for cls, (members, last) in self._kinds.items():
-            rows = np.flatnonzero(np.asarray(last) >= first)
-            if rows.size:
-                stacks.append(cls.stack([members[k] for k in rows]))
-        if not stacks:  # no free state, or none that a factor touches
-            stacks = [cls.stack(members)
-                      for cls, (members, _) in self._kinds.items()]
+        active = [(store, stack) for store in self._kinds.values()
+                  if (stack := store.active(first)) is not None]
+        if not active:  # no free state, or none that a factor touches
+            stacks = [store.active(0) for store in self._kinds.values()]
             c = _total(stacks, [s.residual(self.states, self.gravity)
                                 for s in stacks])
             return OptimizeResult(c, c, 0, True, [])
+        stacks = [stack for _, stack in active]
         n_free = STATE_DIM * (n - first)  # the band's columns
         # Gravity becomes a variable only when a factor that measures it is
         # active. IMU factors couple to gravity but cannot anchor it: with
@@ -193,33 +310,26 @@ class FactorGraph:
         # lower[r - c, c] = H[r, c]; gravity's columns go to grav =
         # H[:, n_free:], the border over the states and the 2x2 corner
         # below it. Each entry's slot is plain arithmetic on its row r and
-        # column c. The rest goes to the dump slot past the end: entries
-        # with a fixed state's row or column, and the mirrors of lower band
-        # and border entries, which makes H exactly symmetric; so does a
-        # fixed state's b row.
+        # column c (_slot_map). The rest goes to the dump slot past the
+        # end: entries with a fixed state's row or column, and the mirrors
+        # of lower band and border entries, which makes H exactly
+        # symmetric; so does a fixed state's b row.
         span = max(int(np.ptp(np.stack(s.indices), axis=0).max())
                    for s in stacks)
         u = min(STATE_DIM * (span + 1), n_free) - 1
         band_size = (u + 1) * n_free
         dump = band_size + (2 * n_cols if use_gravity else 0)
-        entry_slots, b_rows = [], []
-        for stack in stacks:
-            cols = [np.where((idx >= first)[:, None], (idx - first)[:, None]
-                             * STATE_DIM + np.arange(STATE_DIM), -1)
-                    for idx in stack.indices]
-            if use_gravity:
-                cols.append(np.broadcast_to(np.arange(n_free, n_cols),
-                                            (len(cols[0]), 2)))
-            cols = np.concatenate(cols, axis=1)
-            r, c = cols[:, :, None], cols[:, None, :]
-            slot = np.where(c < n_free, r + u * c,
-                            band_size + 2 * r + c - n_free)
-            slot[(r < 0) | (c < 0)
-                 | ((c < n_free) & ((r < c) | (r >= n_free)))] = dump
-            entry_slots.append(slot.ravel())
-            b_rows.append(np.where(cols < 0, n_cols, cols).ravel())
-        entry_slots = np.concatenate(entry_slots)
-        b_rows = np.concatenate(b_rows)
+        slot_maps = [store.slots(stack, first, n_free, u, use_gravity)
+                     for store, stack in active]
+        h_shapes = [h.shape for h, _ in slot_maps]
+        b_shapes = [g.shape + (1,) for _, g in slot_maps]
+        entry_slots = np.concatenate([h.ravel() for h, _ in slot_maps])
+        b_rows = np.concatenate([g.ravel() for _, g in slot_maps])
+        del slot_maps  # before assembling, free the maps no store keeps
+        # every class's J^T W J and J^T W r blocks, in the slots' order, in
+        # one buffer each that every assembly of this solve overwrites
+        h_data, b_data = np.empty(len(entry_slots)), np.empty(len(b_rows))
+        h_vals, b_vals = _views(h_data, h_shapes), _views(b_data, b_shapes)
 
         states = self.states
         gravity = self.gravity.copy()
@@ -228,8 +338,8 @@ class FactorGraph:
             """H's lower band and gravity columns (None without gravity),
             b and each stack's residuals at the current states."""
             basis = gravity_basis(gravity) if use_gravity else None
-            residuals, h_vals, b_vals = [], [], []
-            for stack in stacks:
+            residuals = []
+            for stack, h, g in zip(stacks, h_vals, b_vals):
                 r, jacs, g_block = stack.linearize(states, gravity)
                 parts = list(jacs)
                 if use_gravity:
@@ -238,15 +348,14 @@ class FactorGraph:
                 jac = np.concatenate(parts, axis=-1)
                 jtw = np.swapaxes(jac, -1, -2) @ stack.information
                 residuals.append(r)
-                h_vals.append(jtw @ jac)
-                b_vals.append(matvec(jtw, r))
-            data = np.bincount(entry_slots, minlength=dump + 1, weights=
-                               np.concatenate([h.ravel() for h in h_vals]))
-            b = np.bincount(b_rows, minlength=n_cols + 1, weights=
-                            np.concatenate([g.ravel() for g in b_vals]))
+                np.matmul(jtw, jac, out=h)
+                np.matmul(jtw, r[..., None], out=g)
+            data = np.bincount(entry_slots, minlength=dump + 1,
+                               weights=h_data)
+            b = np.bincount(b_rows, minlength=n_cols + 1, weights=b_data)
             data, b = data[:dump], b[:n_cols]
             if not (np.isfinite(data).all() and np.isfinite(b).all()):
-                raise _nonfinite(stacks, h_vals, b_vals)
+                raise _nonfinite(stacks, h_vals, [g[..., 0] for g in b_vals])
             lower = data[:band_size].reshape(u + 1, n_free, order="F")
             grav = data[band_size:].reshape(n_cols, 2) if use_gravity \
                 else None

@@ -20,6 +20,10 @@ align computes it, so tests can compare it bit for bit. align_reference is
 registration.align with a fresh k-d association at every step and every
 residual and Jacobian recomputed from the matched scan points, instead of
 the per-row association state and the world points kept from it.
+optimize_reference is FactorGraph.optimize stacking every active factor
+and laying out every slot of its normal equations afresh at each solve,
+and concatenating each assembly's blocks, instead of the graph's stacked
+store, its reused slot maps and its one assembly buffer per solve.
 """
 
 import math
@@ -28,7 +32,8 @@ import numpy as np
 from scipy.linalg import logm
 from scipy.spatial import distance_matrix
 
-from maploc.errors import NoCorrespondences
+from maploc.errors import NoCorrespondences, SingularSystem
+from maploc.factors import STATE_DIM, retract_state
 from maploc.geometry import (
     between,
     compose,
@@ -38,6 +43,20 @@ from maploc.geometry import (
     skew,
     so3_exp,
     so3_left_jacobian,
+)
+from maploc.graph import (
+    DAMPING_INIT,
+    DAMPING_MAX,
+    DAMPING_MIN,
+    REL_COST_TOL,
+    STEP_TOL,
+    IterationRecord,
+    OptimizeResult,
+    _damped_step,
+    _nonfinite,
+    _total,
+    gravity_basis,
+    retract_gravity,
 )
 from maploc.registration import (
     _DAMPING_INIT,
@@ -564,3 +583,143 @@ def preintegrate_recursive(samples, bias, *, sigma_gyro, sigma_accel):
         d_rot = d_rot_next
 
     return d_rot, d_vel, d_pos, 0.5 * (cov + cov.T), jac
+
+
+def optimize_reference(graph, first=0, max_iterations=50):
+    """graph.optimize(first, max_iterations) as it was before the graph
+    kept anything between solves: each solve stacks the active factors of
+    each class with ``cls.stack`` and computes every slot of its J^T W J
+    entries and J^T W r rows, and each assembly concatenates the blocks
+    before its bincount. Moves graph.states and graph.gravity; leaves out
+    optimize's argument checks."""
+    n = len(graph.states)
+    kinds = {}
+    for factor in graph.factors:
+        kinds.setdefault(type(factor), []).append(factor)
+    stacks = []
+    for cls, members in kinds.items():
+        active = [f for f in members if max(f.indices) >= first]
+        if active:
+            stacks.append(cls.stack(active))
+    if not stacks:
+        stacks = [cls.stack(members) for cls, members in kinds.items()]
+        c = _total(stacks, [s.residual(graph.states, graph.gravity)
+                            for s in stacks])
+        return OptimizeResult(c, c, 0, True, [])
+    n_free = STATE_DIM * (n - first)
+    use_gravity = any(s.kind == "gravity" for s in stacks)
+    n_cols = n_free + (2 if use_gravity else 0)
+    span = max(int(np.ptp(np.stack(s.indices), axis=0).max())
+               for s in stacks)
+    u = min(STATE_DIM * (span + 1), n_free) - 1
+    band_size = (u + 1) * n_free
+    dump = band_size + (2 * n_cols if use_gravity else 0)
+    entry_slots, b_rows = [], []
+    for stack in stacks:
+        cols = [np.where((idx >= first)[:, None], (idx - first)[:, None]
+                         * STATE_DIM + np.arange(STATE_DIM), -1)
+                for idx in stack.indices]
+        if use_gravity:
+            cols.append(np.broadcast_to(np.arange(n_free, n_cols),
+                                        (len(cols[0]), 2)))
+        cols = np.concatenate(cols, axis=1)
+        r, c = cols[:, :, None], cols[:, None, :]
+        slot = np.where(c < n_free, r + u * c,
+                        band_size + 2 * r + c - n_free)
+        slot[(r < 0) | (c < 0)
+             | ((c < n_free) & ((r < c) | (r >= n_free)))] = dump
+        entry_slots.append(slot.ravel())
+        b_rows.append(np.where(cols < 0, n_cols, cols).ravel())
+    entry_slots = np.concatenate(entry_slots)
+    b_rows = np.concatenate(b_rows)
+
+    states = graph.states
+    gravity = graph.gravity.copy()
+
+    def assemble():
+        basis = gravity_basis(gravity) if use_gravity else None
+        residuals, h_vals, b_vals = [], [], []
+        for stack in stacks:
+            r, jacs, g_block = stack.linearize(states, gravity)
+            parts = list(jacs)
+            if use_gravity:
+                parts.append(np.zeros(r.shape + (2,)) if g_block is None
+                             else g_block @ basis)
+            jac = np.concatenate(parts, axis=-1)
+            jtw = np.swapaxes(jac, -1, -2) @ stack.information
+            residuals.append(r)
+            h_vals.append(jtw @ jac)
+            b_vals.append(matvec(jtw, r))
+        data = np.bincount(entry_slots, minlength=dump + 1, weights=
+                           np.concatenate([h.ravel() for h in h_vals]))
+        b = np.bincount(b_rows, minlength=n_cols + 1, weights=
+                        np.concatenate([g.ravel() for g in b_vals]))
+        data, b = data[:dump], b[:n_cols]
+        if not (np.isfinite(data).all() and np.isfinite(b).all()):
+            raise _nonfinite(stacks, h_vals, b_vals)
+        lower = data[:band_size].reshape(u + 1, n_free, order="F")
+        grav = data[band_size:].reshape(n_cols, 2) if use_gravity else None
+        return lower, grav, b, residuals
+
+    def apply_step(delta):
+        moved = retract_state(states[first:],
+                              delta[:n_free].reshape(-1, STATE_DIM))
+        new_gravity = gravity
+        if use_gravity:
+            new_gravity = retract_gravity(gravity, delta[n_free:])
+        return states[:first].join(moved), new_gravity
+
+    lower, grav, b_vec, residuals = assemble()
+    initial_cost = cost = _total(stacks, residuals)
+    damping = DAMPING_INIT
+    records = []
+    converged = False
+    for it in range(max_iterations):
+        accepted = False
+        solver_produced_step = False
+        step_norm = 0.0
+        while damping <= DAMPING_MAX:
+            try:
+                delta = _damped_step(lower, grav, b_vec, damping)
+            except np.linalg.LinAlgError:
+                delta = None
+            if delta is None or not np.all(np.isfinite(delta)):
+                damping *= 10.0
+                continue
+            solver_produced_step = True
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    predicted = 0.5 * (damping * (delta @ delta)
+                                       - delta @ b_vec)
+                    if np.abs(delta).max() < STEP_TOL \
+                            or predicted <= REL_COST_TOL * cost:
+                        break
+                    trial_states, trial_gravity = apply_step(delta)
+                    trial_cost = _total(stacks, [
+                        s.residual(trial_states, trial_gravity)
+                        for s in stacks])
+            except (ValueError, FloatingPointError):
+                trial_cost = np.inf
+            if np.isfinite(trial_cost) and trial_cost < cost:
+                states, gravity = trial_states, trial_gravity
+                step_norm = float(np.abs(delta).max())
+                cost = trial_cost
+                damping = max(damping * 0.5, DAMPING_MIN)
+                accepted = True
+                break
+            damping *= 10.0
+        records.append(IterationRecord(it, cost, damping, step_norm,
+                                       accepted))
+        if not accepted:
+            if not solver_produced_step:
+                raise SingularSystem("linear solve failed at all damping "
+                                     "levels")
+            converged = True
+            break
+        if it + 1 < max_iterations:
+            lower, grav, b_vec, _ = assemble()
+
+    graph.states = states
+    graph.gravity = gravity
+    return OptimizeResult(initial_cost, cost, len(records), converged,
+                          records)

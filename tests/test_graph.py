@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +35,7 @@ from maploc.graph import (DAMPING_INIT, FactorGraph, gravity_basis,
                           retract_gravity)
 
 from conftest import imu_stream, random_pose, random_twist
+from oracles import optimize_reference
 
 DOWN = np.array([0.0, 0.0, -1.0])
 G_MAG = 9.81
@@ -829,6 +831,170 @@ class TestIncremental:
         assert graph.optimize().converged
         for k in range(5):
             assert pose_error(graph.states[k].pose, gt[k]) < 1e-6
+
+
+def keyframe_sequence(rng, n=14, zupt=(5, 6, 9), gravity_at=(3, 12),
+                      dt=0.5):
+    """(state, factors) per keyframe, as the pipeline adds them: a map
+    factor each, the prior and bias prior on the first, odometry, IMU and
+    bias walk to the one before, and on ZUPT keyframes an identity
+    odometry factor (no motion) and a zero-velocity factor, on the
+    keyframes of gravity_at a gravity factor."""
+    gt = chain_poses(n, exp_map(np.array([0.0, 0.0, 0.02, 0.1, 0.0, 0.0])))
+    frames = []
+    for k in range(n):
+        state = StateNode(perturbed(gt[k], rng, 0.02, 0.05),
+                          0.02 * rng.normal(size=3),
+                          np.concatenate([0.01 * rng.normal(size=3),
+                                          0.005 * rng.normal(size=3)]),
+                          dt * k)
+        a = rng.normal(size=(6, 6))
+        factors = [MapFactor(k, perturbed(gt[k], rng, 0.01, 0.02),
+                             a @ a.T + np.eye(6), mask=(k % 3,))]
+        if k == 0:
+            factors += [PriorFactor(0, gt[0], 1e3 * np.eye(6)),
+                        BiasPriorFactor(0, np.zeros(6), 1e2 * np.eye(6))]
+        else:
+            pre = preintegrate(stationary_window(gt[k - 1].rotation,
+                                                 dt * (k - 1), duration=dt),
+                               np.zeros(6))
+            factors += [
+                OdometryFactor(k - 1, k, between(gt[k - 1], gt[k]),
+                               1e2 * np.eye(6)),
+                ImuFactor(k - 1, k, pre, 1e1 * np.eye(9),
+                          gravity_magnitude=G_MAG),
+                BiasWalkFactor(k - 1, k, 1e2 * np.eye(6))]
+        if k in zupt:
+            factors += [OdometryFactor(k - 1, k, Pose.identity(),
+                                       1e2 * np.eye(6)),
+                        ZeroVelocityFactor(k, 1e2 * np.eye(3))]
+        if k in gravity_at:
+            factors.append(GravityFactor(k, gt[k].rotation.T @ -G_WORLD,
+                                         1e2 * np.eye(3)))
+        frames.append((state, factors))
+    return frames
+
+
+def rows_by_kind(factors):
+    """The state indices of each factor, as a Counter per factor kind."""
+    rows = {}
+    for f in factors:
+        rows.setdefault(f.kind, Counter())[tuple(f.indices)] += 1
+    return rows
+
+
+def assert_same_graph(graph, reference):
+    for name, value in vars(graph.states).items():
+        np.testing.assert_array_equal(value, getattr(reference.states, name))
+    np.testing.assert_array_equal(graph.gravity, reference.gravity)
+
+
+def solve_along(frames, window):
+    """Two graphs driven through frames, one by solve_incremental, the
+    other by optimize_reference over the same window; each solve's result,
+    states and gravity must be equal. Returns both graphs."""
+    graph, reference = FactorGraph(), FactorGraph()
+    for state, factors in frames:
+        got = graph.solve_incremental(state, factors, window=window)
+        reference.add_state(state)
+        for f in factors:
+            reference.add_factor(f)
+        first = max(0, len(reference.states) - window) if window else 0
+        assert got == optimize_reference(reference, first, max_iterations=1)
+        assert_same_graph(graph, reference)
+    return graph, reference
+
+
+class TestStoredStructure:
+    """What the graph keeps between solves, its stacked factors and the
+    slot maps of its last window solve, gives the solves that a graph
+    stacking and laying out every solve afresh gives, bit for bit."""
+
+    @pytest.mark.parametrize("window", [2, 8, 0])
+    def test_reused_slot_maps_match_a_fresh_layout(self, rng, monkeypatch,
+                                                   window):
+        """A gravity factor enters and leaves the window, and the ZUPT
+        keyframes add a second odometry factor and a zero-velocity one, so
+        the window's shape both repeats and changes. Every result, its
+        iteration records, the states and gravity equal the reference's
+        after each solve and after the final batch solve."""
+        layouts = []
+        real_slot_map = graph_module._slot_map
+        monkeypatch.setattr(graph_module, "_slot_map", lambda *a: layouts
+                            .append(a) or real_slot_map(*a))
+        graph, reference = solve_along(keyframe_sequence(rng), window)
+        class_solves = 0
+        for n in range(1, len(graph.states) + 1):
+            first = max(0, n - window) if window else 0
+            class_solves += len({type(f) for f in graph.factors
+                                 if max(f.indices) < n
+                                 and max(f.indices) >= first})
+        # the sequence reuses slot maps, except where every state is free
+        assert (len(layouts) < class_solves) == (window > 0)
+        assert graph.optimize() == optimize_reference(reference)
+        assert_same_graph(graph, reference)
+
+    def test_later_factor_widens_a_stacked_field(self, rng):
+        """An integer gravity magnitude, stacked as ints, then a float one
+        in a later solve: the stacked field takes the float unrounded."""
+        frames = keyframe_sequence(rng, n=4, zupt=(), gravity_at=())
+        for k, (_, factors) in enumerate(frames[1:], 1):
+            factors[2] = replace(factors[2],
+                                 gravity_magnitude=10 if k == 1 else G_MAG)
+        solve_along(frames, window=0)
+
+    def test_each_factor_linearized_once_per_assembly_if_active(
+            self, rng, monkeypatch):
+        """Factors added between solves and out of state-index order (state
+        2's map factor after state 5's odometry, a second prior after
+        them) are each linearized once in a one-step solve when their
+        highest state index is `first` or more, and not at all otherwise;
+        a solve freeing no state takes the residual of every factor once."""
+        gt = chain_poses(7)
+        graph = build_chain_graph(
+            gt[:5], [between(gt[k], gt[k + 1]) for k in range(4)],
+            [perturbed(p, rng, 0.02, 0.05) for p in gt[:5]])
+        for k in (5, 6):
+            graph.add_state(StateNode.at(perturbed(gt[k], rng, 0.02, 0.05),
+                                         0.1 * k))
+        calls = {"linearize": [], "residual": []}
+        for cls in (PriorFactor, OdometryFactor, MapFactor):
+            for name in calls:
+                def recorded(self, *args, _method=cls.__dict__[name],
+                             _name=name):
+                    rows = Counter(zip(*(np.asarray(i).tolist()
+                                         for i in self.indices)))
+                    calls[_name].append((self.kind, rows))
+                    return _method(self, *args)
+                monkeypatch.setattr(cls, name, recorded)
+
+        def check(first):
+            for log in calls.values():
+                log.clear()
+            graph.optimize(first=first, max_iterations=1)
+            active = rows_by_kind(f for f in graph.factors
+                                  if max(f.indices) >= first)
+            assert dict(calls["linearize"]) == active
+            assert len(calls["linearize"]) == len(active)
+
+        check(2)
+        later = [OdometryFactor(5, 6, between(gt[5], gt[6]), 1e4 * np.eye(6)),
+                 MapFactor(5, gt[5], 1e2 * np.eye(6)),
+                 MapFactor(2, gt[2], 1e2 * np.eye(6)),
+                 OdometryFactor(4, 5, between(gt[4], gt[5]), 1e4 * np.eye(6)),
+                 MapFactor(6, gt[6], 1e2 * np.eye(6)),
+                 PriorFactor(4, gt[4], 1e2 * np.eye(6))]
+        for factor in later:
+            graph.add_factor(factor)
+            check(5)
+        for first in (3, 6, 0, 2):
+            check(first)
+        for log in calls.values():
+            log.clear()
+        graph.optimize(first=len(graph.states))
+        assert calls["linearize"] == []
+        assert dict(calls["residual"]) == rows_by_kind(graph.factors)
+        assert len(calls["residual"]) == 3
 
 
 def stationary_window(rotation, t0, duration=0.5, rate=100.0):
