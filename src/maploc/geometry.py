@@ -317,12 +317,16 @@ class SpatialIndex:
         The tree is first searched within min(bound, spacing); only the
         rows whose k-th point lies outside that are searched again within
         bound. The tree returns only points strictly inside its radius, so
-        the answers are those of one search within bound.
+        the answers are those of one search within bound. A query of no
+        rows returns at once, without a search.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         k = min(int(k), self.size)
         if k <= 0:
             raise ValueError("k must be >= 1")
+        if not len(queries):
+            dist, idx = np.empty((0, k)), np.empty((0, k), dtype=np.intp)
+            return (dist, idx, np.empty(0)) if guard else (dist, idx)
         # query one extra neighbor to detect ties at the k-th boundary
         kq = min(k + 1, self.size)
         first = min(bound, self.spacing)

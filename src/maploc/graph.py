@@ -29,9 +29,10 @@ that left a state fixed and reuses them while these repeat, as they mostly
 do from one window solve to the next; like iSAM2 (Kaess et al. 2012) it
 keeps what a new state leaves unchanged, here the bookkeeping only. A
 solve allocates one buffer for the blocks, which each of its assemblies
-overwrites. Each damping trial factors the band once by a pivoted banded
-LU with the border as extra right-hand sides, and solves gravity through
-its 2x2 Schur complement.
+overwrites, and one workspace in LAPACK's band layout. Each damping trial
+writes the damped band into that workspace and factors it there in place
+by a pivoted banded LU (dgbsv) with the border as extra right-hand sides,
+and solves gravity through its 2x2 Schur complement.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 # perfbench's tracer times the banded solve under this module-level name
-from scipy.linalg import solve_banded as splu
+from scipy.linalg.lapack import dgbsv as splu
 
 from .errors import IndexOutOfRange, NotAnchored, SingularSystem
 from .factors import STATE_DIM, StateNode, States, retract_state
@@ -92,28 +93,34 @@ def _nonfinite(stacks, h_vals, b_vals) -> SingularSystem:
     return SingularSystem("normal equations overflowed")  # finite blocks
 
 
-def _damped_step(lower, grav, b, damping):
+def _damped_step(ab, lower, grav, b, damping):
     """The step solving (H + damping I) delta = -b. H's state block is
     symmetric, given by its lower band, lower[r - c, c] = H[r, c] for the
     u = len(lower) - 1 diagonals below the main one, and grav = H[:, n:]
     holds its gravity columns (None without gravity): the border over the
-    n state columns and the 2x2 corner. The band, mirrored into LAPACK's
-    general band storage, is factored once by a pivoted LU (gbsv), which
-    stays usable where the rounded H is not positive definite, with the
-    border as extra right-hand sides; gravity then comes from its 2x2
-    Schur complement and the states by back-substitution."""
+    n state columns and the 2x2 corner. ab is a Fortran-ordered (3u + 1, n)
+    workspace in LAPACK's gbsv layout, ab[2u + r - c, c] = H[r, c] below
+    u rows for the LU's fill-in. The damped band, mirrored into it, is
+    factored there in place by a pivoted LU (dgbsv), which stays usable
+    where the rounded H is not positive definite, with the border as extra
+    right-hand sides; gravity then comes from its 2x2 Schur complement and
+    the states by back-substitution. Each call rewrites every entry the LU
+    reads, so one workspace serves all the trials of a solve."""
     u, n = lower.shape[0] - 1, lower.shape[1]
-    band = np.zeros((2 * u + 1, n), order="F")  # band[u + r - c, c]
-    band[u:] = lower
+    ab[2 * u:] = lower
     for k in range(1, u + 1):
-        band[u - k, k:] = lower[k, :-k]
-    band[u] += damping
+        ab[2 * u - k, k:] = lower[k, :-k]
+    ab[2 * u] += damping
+    rhs = -b if grav is None else np.column_stack([-b[:n], grav[:n]])
     # assemble() refused non-finite blocks, so the solve need not check
+    _, _, x, info = splu(u, u, ab, rhs, overwrite_ab=True, overwrite_b=True)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of gbsv")
     if grav is None:
-        return splu((u, u), band, -b, check_finite=False)
+        return x
     border = grav[:n]
-    x = splu((u, u), band, np.column_stack([-b[:n], border]),
-             check_finite=False)
     g = np.linalg.solve(grav[n:] + damping * np.eye(2) - border.T @ x[:, 1:],
                         -b[n:] - border.T @ x[:, 0])
     return np.concatenate([x[:, 0] - x[:, 1:] @ g, g])
@@ -330,6 +337,8 @@ class FactorGraph:
         # one buffer each that every assembly of this solve overwrites
         h_data, b_data = np.empty(len(entry_slots)), np.empty(len(b_rows))
         h_vals, b_vals = _views(h_data, h_shapes), _views(b_data, b_shapes)
+        # the band of every damping trial, factored in place
+        ab = np.zeros((3 * u + 1, n_free), order="F")
 
         states = self.states
         gravity = self.gravity.copy()
@@ -381,7 +390,7 @@ class FactorGraph:
             step_norm = 0.0
             while damping <= DAMPING_MAX:
                 try:
-                    delta = _damped_step(lower, grav, b_vec, damping)
+                    delta = _damped_step(ab, lower, grav, b_vec, damping)
                 except np.linalg.LinAlgError:
                     delta = None
                 if delta is None or not np.all(np.isfinite(delta)):

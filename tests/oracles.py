@@ -23,13 +23,16 @@ the per-row association state and the world points kept from it.
 optimize_reference is FactorGraph.optimize stacking every active factor
 and laying out every slot of its normal equations afresh at each solve,
 and concatenating each assembly's blocks, instead of the graph's stacked
-store, its reused slot maps and its one assembly buffer per solve.
+store, its reused slot maps and its one assembly buffer per solve; its
+damped steps, damped_step_reference, copy the band into a fresh array for
+scipy.linalg.solve_banded at every trial instead of factoring it in place
+in one workspace per solve.
 """
 
 import math
 
 import numpy as np
-from scipy.linalg import logm
+from scipy.linalg import logm, solve_banded
 from scipy.spatial import distance_matrix
 
 from maploc.errors import NoCorrespondences, SingularSystem
@@ -52,7 +55,6 @@ from maploc.graph import (
     STEP_TOL,
     IterationRecord,
     OptimizeResult,
-    _damped_step,
     _nonfinite,
     _total,
     gravity_basis,
@@ -585,6 +587,27 @@ def preintegrate_recursive(samples, bias, *, sigma_gyro, sigma_accel):
     return d_rot, d_vel, d_pos, 0.5 * (cov + cov.T), jac
 
 
+def damped_step_reference(lower, grav, b, damping):
+    """graph._damped_step as it was before the band was factored in place:
+    the damped band mirrored into a fresh (2u + 1, n) array in general band
+    storage, band[u + r - c, c] = H[r, c], solved by
+    scipy.linalg.solve_banded, which copies it into gbsv's layout."""
+    u, n = lower.shape[0] - 1, lower.shape[1]
+    band = np.zeros((2 * u + 1, n), order="F")
+    band[u:] = lower
+    for k in range(1, u + 1):
+        band[u - k, k:] = lower[k, :-k]
+    band[u] += damping
+    if grav is None:
+        return solve_banded((u, u), band, -b, check_finite=False)
+    border = grav[:n]
+    x = solve_banded((u, u), band, np.column_stack([-b[:n], border]),
+                     check_finite=False)
+    g = np.linalg.solve(grav[n:] + damping * np.eye(2) - border.T @ x[:, 1:],
+                        -b[n:] - border.T @ x[:, 0])
+    return np.concatenate([x[:, 0] - x[:, 1:] @ g, g])
+
+
 def optimize_reference(graph, first=0, max_iterations=50):
     """graph.optimize(first, max_iterations) as it was before the graph
     kept anything between solves: each solve stacks the active factors of
@@ -680,7 +703,7 @@ def optimize_reference(graph, first=0, max_iterations=50):
         step_norm = 0.0
         while damping <= DAMPING_MAX:
             try:
-                delta = _damped_step(lower, grav, b_vec, damping)
+                delta = damped_step_reference(lower, grav, b_vec, damping)
             except np.linalg.LinAlgError:
                 delta = None
             if delta is None or not np.all(np.isfinite(delta)):

@@ -463,9 +463,19 @@ class TestSpatialIndex:
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_knn_on_no_queries_returns_empty_rows(self, k):
+        """No query rows give empty rows, and an empty guard when asked,
+        with and without a bound on a spaced index, without a tree
+        search."""
         index = build_index(PointCloud(np.arange(12.0).reshape(4, 3)))
         dist, idx = index.knn(np.empty((0, 3)), k)
         assert dist.shape == idx.shape == (0, min(k, 4))
+        assert dist.dtype == float and idx.dtype == np.intp
+        spaced = build_index(PointCloud(np.arange(12.0).reshape(4, 3)), 0.5)
+        spaced._tree = None  # any tree call would raise
+        dist, idx, beyond = spaced.knn(np.empty((0, 3)), k, guard=True,
+                                       bound=2.0)
+        assert dist.shape == idx.shape == (0, min(k, 4))
+        assert beyond.shape == (0,)
 
     def test_radius_zero_exact_coincidence(self):
         points = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 0, 0]])

@@ -35,7 +35,7 @@ from maploc.graph import (DAMPING_INIT, FactorGraph, gravity_basis,
                           retract_gravity)
 
 from conftest import imu_stream, random_pose, random_twist
-from oracles import optimize_reference
+from oracles import damped_step_reference, optimize_reference
 
 DOWN = np.array([0.0, 0.0, -1.0])
 G_MAG = 9.81
@@ -118,12 +118,24 @@ def dense_normal_equations(graph, first, use_gravity):
 
 def counted_splu(monkeypatch):
     """Records the (args, kwargs) of each call to the graph's banded
-    splu."""
+    splu, dgbsv's (kl, ku, ab, b), its arrays copied before the call
+    overwrites them."""
     solves = []
     real_splu = graph_module.splu
-    monkeypatch.setattr(graph_module, "splu", lambda *a, **kw:
-                        solves.append((a, kw)) or real_splu(*a, **kw))
+
+    def splu(*args, **kwargs):
+        solves.append((tuple(np.copy(a) if isinstance(a, np.ndarray) else a
+                             for a in args), kwargs))
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "splu", splu)
     return solves
+
+
+def workspace(n, u):
+    """A fresh band workspace as optimize allocates one: Fortran-ordered,
+    gbsv's 3u + 1 rows by the n band columns."""
+    return np.zeros((3 * u + 1, n), order="F")
 
 
 def counted_methods(monkeypatch, classes, names=("residual", "linearize")):
@@ -436,10 +448,12 @@ class TestAssemblyOracle:
         monkeypatch.setattr(graph_module, "_damped_step",
                             lambda *a: steps.append(a) or real_step(*a))
         graph.optimize(first=first, max_iterations=1)
-        (lower, upper), ab, rhs = solves[0][0]
-        _, grav, b, damping = steps[0]
+        lower, upper, ab, rhs = solves[0][0]
+        _, _, grav, b, damping = steps[0]
         n = n_cols - 2
-        assert lower == upper == 2 * STATE_DIM - 1 and ab.shape[1] == n
+        assert lower == upper == 2 * STATE_DIM - 1
+        assert ab.shape == (3 * upper + 1, n)
+        ab = ab[upper:]  # below the LU's fill-in rows: general band storage
         assert damping == DAMPING_INIT
         np.testing.assert_array_equal(rhs[:, 0], -b[:n])
         got = np.zeros((n_cols, n_cols))
@@ -554,8 +568,8 @@ class TestAssemblyOracle:
 
         real_step = graph_module._damped_step
 
-        def damped_step(lower, grav, b, damping):
-            delta = real_step(lower, grav, b, damping)
+        def damped_step(ab, lower, grav, b, damping):
+            delta = real_step(ab, lower, grav, b, damping)
             trials.append((points[-1], delta, damping, b))
             return delta
 
@@ -612,11 +626,35 @@ class TestBandedSolve:
         grav = h[:, n:] if n_border else None
         damping = 0.1
         want = np.linalg.solve(h + damping * np.eye(len(b)), -b)
-        got = graph_module._damped_step(lower, grav, b, damping)
+        got = graph_module._damped_step(workspace(n, u), lower, grav, b,
+                                        damping)
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-10 * np.abs(want).max())
         assert 0.5 * (damping * (got @ got) - got @ b) == pytest.approx(
             -(got @ b + 0.5 * got @ h @ got), rel=1e-9)
+
+    @pytest.mark.parametrize("n_border", [0, 2])
+    @pytest.mark.parametrize("n, u", [(45, 29), (30, 29), (15, 14)])
+    def test_step_in_a_workspace_matches_solve_banded(self, rng, n, u,
+                                                      n_border):
+        """The step factored in place equals, bit for bit, the step from
+        a fresh band copy through scipy.linalg.solve_banded; so does a
+        second trial at another damping in the workspace the first left
+        factored, and neither writes to the band, border or b."""
+        h, b = self.random_system(rng, n, u, n_border)
+        lower = np.asfortranarray(band_storage(h[:n, :n], u)[u:])
+        grav = h[:, n:] if n_border else None
+        inputs = [np.copy(a) for a in (lower, h[:, n:], b)]
+        ab = workspace(n, u)
+        for damping in (0.1, 10.0):
+            got = graph_module._damped_step(ab, lower, grav, b, damping)
+            np.testing.assert_array_equal(
+                got, damped_step_reference(lower, grav, b, damping))
+            np.testing.assert_array_equal(
+                got, graph_module._damped_step(workspace(n, u), lower, grav,
+                                               b, damping))
+        for got, want in zip((lower, h[:, n:], b), inputs):
+            np.testing.assert_array_equal(got, want)
 
     @staticmethod
     def spanning_graph(rng, info):
@@ -645,11 +683,11 @@ class TestBandedSolve:
         solves = counted_splu(monkeypatch)
         result = graph.optimize(first=first, max_iterations=1)
         assert result.records[0].accepted
-        (lower, upper), ab, _ = solves[0][0]
+        lower, upper, ab, _ = solves[0][0]
         width = min(STATE_DIM * (span + 1), STATE_DIM * free_states)
         assert lower == upper == width - 1
-        assert ab.shape == (2 * width - 1, STATE_DIM * free_states)
-        np.testing.assert_allclose(densify_band(ab), damped, rtol=0,
+        assert ab.shape == (3 * width - 2, STATE_DIM * free_states)
+        np.testing.assert_allclose(densify_band(ab[upper:]), damped, rtol=0,
                                    atol=1e-14 * np.abs(damped).max())
         for got, want in zip(graph.states, expected):
             np.testing.assert_allclose(got.pose.matrix(), want.pose.matrix(),
@@ -658,22 +696,25 @@ class TestBandedSolve:
     def test_failure_at_every_damping_names_a_state(self, rng, monkeypatch):
         """A solve whose every damping trial fails raises SingularSystem
         naming the state with the smallest diagonal entry, after one splu
-        call per damping level."""
+        call per damping level. The failures are the real dgbsv's: with the
+        damping kept off the band, a free state no factor touches leaves a
+        zero column, which _damped_step reports as a LinAlgError."""
         graph = TestAssemblyOracle().mixed_graph(rng)
         lone = graph.states[3]
         graph.add_state(StateNode.at(lone.pose, lone.timestamp + 0.5))
-        calls = []
-
-        def singular(*args, **kwargs):
-            calls.append(None)
-            raise np.linalg.LinAlgError("singular matrix")
-
-        monkeypatch.setattr(graph_module, "splu", singular)
+        real_step = graph_module._damped_step
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            real_step(workspace(30, 29), np.zeros((30, 30), order="F"),
+                      None, np.ones(30), 0.0)
+        monkeypatch.setattr(graph_module, "_damped_step",
+                            lambda ab, lower, grav, b, damping:
+                            real_step(ab, lower, grav, b, 0.0))
+        solves = counted_splu(monkeypatch)
         with pytest.raises(SingularSystem, match="at all damping levels") \
                 as exc:
             graph.optimize()
         assert exc.value.state_index == 4  # no factor touches it
-        assert len(calls) == 13  # DAMPING_INIT to DAMPING_MAX by tens
+        assert len(solves) == 13  # DAMPING_INIT to DAMPING_MAX by tens
 
 
 def sphere_points():
